@@ -35,7 +35,8 @@ print("item3 before     :", np.round(nodes0[M + 3], 4))
 
 # --- gathering per-batch representations ------------------------------------
 batch = build_batch([0, 1], [[0, 1], [2]], c=2, pad_value=tables.padding_id)
-e_g, E_g = gr.graph_encode(tables, adjacency, k=2, batch=batch)
+nodes = gr.propagated_embeddings(tables, adjacency, k=2)
+e_g, E_g = gr.gather_batch(nodes, batch, M, N)
 print("\ngathered shapes:", e_g.shape, E_g.shape)
 print("padding slots gather zeros:",
       bool((E_g.data[1, 0] == 0).all()))  # user 1's window is left-padded

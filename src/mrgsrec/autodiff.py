@@ -96,9 +96,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -174,17 +171,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b._accumulate(_unbroadcast(-g * out / b.data, b.data.shape))
-
-    return _make(out, (a, b), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -226,16 +212,6 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out)
-
-    return _make(out, (a,), backward)
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     out = np.log(a.data)
@@ -267,13 +243,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         a._accumulate(np.broadcast_to(gg, a.data.shape))
 
     return _make(out, (a,), backward)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 
 def softmax(a, axis: int = -1) -> Tensor:

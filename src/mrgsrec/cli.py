@@ -36,6 +36,7 @@ from . import config as cfg
 from . import data as data_mod
 from .errors import (DataError, DimensionError, GraphError, MrgsError,
                      NumericError, ParseError, ProtocolError)
+from .fusion import SCORING_HEADS
 
 EXIT_CODES = (
     (ParseError, 2),
@@ -82,8 +83,8 @@ def cmd_train(args) -> int:
     run_config, fp = _load_run(args)
     if not run_config.get("data"):
         raise ParseError("config needs a 'data' snapshot path")
-    dataset, _, _ = data_mod.load_snapshot(run_config["data"])
     hyper = cfg.to_hyperparams(run_config)
+    dataset, _, _ = data_mod.load_snapshot(run_config["data"])
     ckpt_path = args.out or run_config.get("checkpoint") or "model.ckpt"
     log_path = run_config.get("log")
     params, history = fit(dataset, hyper, log_path=log_path, fingerprint=fp)
@@ -106,7 +107,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from .evaluation import evaluate
     from .model import load_checkpoint
-    from .training import Hyperparams  # noqa: F401  (type for mypy readers)
 
     params, meta = load_checkpoint(args.checkpoint)
     dataset, _, _ = data_mod.load_snapshot(args.data)
@@ -206,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint", type=Path)
     p.add_argument("data", type=Path)
     p.add_argument("--split", choices=("validation", "test"), default="test")
-    p.add_argument("--head", choices=("fused", "sequential", "graph"),
-                   default=None)
+    p.add_argument("--head", choices=SCORING_HEADS, default=None)
     p.add_argument("--include-seen", action="store_true",
                    help="rank against the full catalog without masking")
     p.set_defaults(func=cmd_eval)

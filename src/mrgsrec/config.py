@@ -1,8 +1,11 @@
 """Run configuration: a flat JSON document with a content-hash fingerprint.
 
-Every key is documented in DEFAULTS; unknown keys are rejected so typos
-fail loudly. The fingerprint of the fully resolved config is embedded in
-every artifact a run writes.
+The keys, defaults and help texts of the model and training settings are
+declared on the fields of ``Hyperparams`` (which inherits the encoder's
+``SeqEncoderConfig``) and ``LossWeights``; only the three artifact paths are
+listed here. Unknown keys are rejected so typos fail loudly. The
+fingerprint of the fully resolved config is embedded in every artifact a
+run writes.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from pathlib import Path
 
 from .errors import ParseError
 from .losses import LossWeights
+from .schema import settings
 from .training import Hyperparams
 
 # key -> (default, description)
@@ -20,32 +24,8 @@ DEFAULTS: dict[str, tuple] = {
     "data": (None, "path to a MRGS-DATA-v1 dataset snapshot"),
     "checkpoint": (None, "path to write/read the model checkpoint"),
     "log": (None, "path of the append-only epoch log (JSON lines)"),
-    "window_length": (50, "c: most recent interactions kept per user"),
-    "embedding_dim": (64, "d: width of every embedding and encoder layer"),
-    "graph_layers": (2, "k: propagation steps over the interaction graph"),
-    "encoder_layers": (2, "transformer blocks in the sequential encoder"),
-    "attention_heads": (2, "heads per attention layer"),
-    "feed_forward_dim": (None, "FFN width; null means 4x embedding_dim"),
-    "dropout_rate": (0.2, "dropout on attention probs and block outputs"),
-    "attention_mode": ("causal", "causal or bidirectional"),
-    "user_state": ("first_token", "row read as the user state: first_token or last_position"),
-    "scoring_head": ("fused", "fused, sequential, or graph"),
-    "graph_layer_mean": (False, "average propagation layers instead of taking the last"),
-    "alpha": (1.0, "weight of the local next-item loss"),
-    "beta": (0.1, "weight of the global BPR loss"),
-    "gamma": (1.0, "weight of the fused sampled-softmax loss"),
-    "delta": (0.1, "weight of the contrastive alignment loss"),
-    "lambda_reg": (1e-4, "L2 coefficient inside the global loss"),
-    "negative_samples": (100, "negatives drawn per user per step"),
-    "learning_rate": (1e-3, "Adam step size"),
-    "adam_beta1": (0.9, "Adam first-moment decay"),
-    "adam_beta2": (0.999, "Adam second-moment decay"),
-    "adam_epsilon": (1e-8, "Adam denominator floor"),
-    "batch_size": (256, "users per training step"),
-    "max_epochs": (200, "upper bound on training epochs"),
-    "patience": (10, "non-improving validation epochs before stopping"),
-    "seed": (0, "seed for init, shuffling, sampling, dropout"),
-    "exclude_seen": (True, "mask already-consumed items at evaluation"),
+    **{f.metadata["key"]: (f.default, f.metadata["help"])
+       for cls in (Hyperparams, LossWeights) for f in settings(cls)},
 }
 
 
@@ -75,20 +55,13 @@ def fingerprint(config: dict) -> str:
 
 
 def to_hyperparams(config: dict) -> Hyperparams:
-    weights = LossWeights(
-        alpha=config["alpha"], beta=config["beta"], gamma=config["gamma"],
-        delta=config["delta"], lambda_reg=config["lambda_reg"])
-    return Hyperparams(
-        c=config["window_length"], d=config["embedding_dim"],
-        k=config["graph_layers"], n_layers=config["encoder_layers"],
-        n_heads=config["attention_heads"], d_ff=config["feed_forward_dim"],
-        dropout_rate=config["dropout_rate"],
-        attention_mode=config["attention_mode"],
-        user_state=config["user_state"], scoring_head=config["scoring_head"],
-        layer_mean=config["graph_layer_mean"], weights=weights,
-        n_negatives=config["negative_samples"],
-        learning_rate=config["learning_rate"], beta1=config["adam_beta1"],
-        beta2=config["adam_beta2"], epsilon=config["adam_epsilon"],
-        batch_size=config["batch_size"], max_epochs=config["max_epochs"],
-        patience=config["patience"], seed=config["seed"],
-        exclude_seen=config["exclude_seen"])
+    """Build the run's settings from a resolved config; a value that breaks
+    its setting's rule raises ParseError naming the key."""
+    def values(cls) -> dict:
+        return {f.name: config[f.metadata["key"]] for f in settings(cls)}
+
+    try:
+        return Hyperparams(**values(Hyperparams),
+                           weights=LossWeights(**values(LossWeights)))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"invalid config value: {exc}") from exc

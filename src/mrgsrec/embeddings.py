@@ -9,6 +9,7 @@ always occupies the final slot.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,17 +130,33 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> 
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a dump written by ``save_arrays``; returns (arrays, meta)."""
-    with Path(path).open("rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC) + 1)
-        if magic != CHECKPOINT_MAGIC + b"\n":
-            raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} file")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-    return arrays, header["meta"]
+    """Read a dump written by ``save_arrays``; returns (arrays, meta).
+
+    The file must hold exactly the bytes its header describes: a truncated
+    file or one with trailing bytes is rejected with ParseError.
+    """
+    raw = Path(path).read_bytes()
+    magic = CHECKPOINT_MAGIC + b"\n"
+    if not raw.startswith(magic):
+        raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} file")
+    try:
+        (header_len,) = struct.unpack_from("<Q", raw, len(magic))
+        offset = len(magic) + 8 + header_len
+        header = json.loads(raw[len(magic) + 8:offset].decode("utf-8"))
+        entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+        meta = header["meta"]
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
+    names = [name for name, _ in entries]
+    if len(set(names)) != len(names) or not all(
+            isinstance(n, int) and n >= 0 for _, shape in entries for n in shape):
+        raise ParseError(f"{path}: repeated block names or invalid shapes")
+    expected = offset + 8 * sum(math.prod(shape) for _, shape in entries)
+    if len(raw) != expected:
+        raise ParseError(f"{path}: {len(raw)} bytes, header describes {expected}")
+    arrays = {}
+    for name, shape in entries:
+        arrays[name] = np.frombuffer(raw, np.float64, math.prod(shape),
+                                     offset).reshape(shape).copy()
+        offset += 8 * math.prod(shape)
+    return arrays, meta

@@ -18,7 +18,7 @@ from .data import SplitDataset
 from .embeddings import build_batch
 from .errors import ProtocolError
 from .graph import NormalizedAdjacency, build_adjacency
-from .model import ModelParams, forward_states, score_batch
+from .model import ModelParams, encoder_paths, forward_states, score_batch
 
 EVAL_BATCH = 512
 
@@ -97,8 +97,7 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
     if split not in ("validation", "test"):
         raise ValueError("split must be 'validation' or 'test'")
     head = hyper.scoring_head
-    need_graph = head in ("fused", "graph")
-    need_seq = head in ("fused", "sequential")
+    need_seq, need_graph, need_fused = encoder_paths(head)
     if adjacency is None and need_graph:
         adjacency = build_adjacency(dataset.train, dataset.n_users,
                                     dataset.n_items)
@@ -123,7 +122,7 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         batch = build_batch(chunk, sequences, hyper.c, pad)
         states = forward_states(params, batch, adjacency, hyper.k,
                                 need_seq=need_seq, need_graph=need_graph,
-                                need_fused=(head == "fused"),
+                                need_fused=need_fused,
                                 layer_mean=hyper.layer_mean, train_mode=False)
         scores = score_batch(params, states, head).data
         for row, target, seen in zip(scores, targets, exclusions):

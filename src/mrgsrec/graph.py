@@ -10,7 +10,6 @@ layers their global embedding is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,26 +64,14 @@ def propagate(embeddings: ad.Tensor, adjacency: NormalizedAdjacency) -> ad.Tenso
     return ad.spmm(adjacency.adj, embeddings)
 
 
-def graph_encode(tables: EmbeddingTables, adjacency: NormalizedAdjacency,
-                 k: int, batch: SequenceBatch,
-                 layer_mean: bool = False) -> tuple[ad.Tensor, ad.Tensor]:
-    """Propagate the current tables k layers and gather batch rows.
-
-    Returns (e_g of shape (B, d), E_g of shape (B, c, d)); padding slots
-    gather zeros. ``layer_mean=True`` averages all k+1 layer outputs
-    instead of taking the last one.
-    """
-    if k < 0:
-        raise ValueError("layer count k must be >= 0")
-    base = propagated_embeddings(tables, adjacency, k, layer_mean)
-    return gather_batch(base, batch, tables.n_users, tables.n_items)
-
-
 def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacency,
                           k: int, layer_mean: bool = False,
                           initial: ad.Tensor | None = None) -> ad.Tensor:
     """(M+N, d) node embeddings after k propagation layers; gradients flow
-    back into the user and item tables."""
+    back into the user and item tables. ``layer_mean=True`` averages all
+    k+1 layer outputs instead of taking the last one."""
+    if k < 0:
+        raise ValueError("layer count k must be >= 0")
     if adjacency.n_users != tables.n_users or adjacency.n_items != tables.n_items:
         raise DataError("adjacency and tables disagree on M or N")
     current = initial if initial is not None else ad.concat(
@@ -103,7 +90,11 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
 
 def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
                  n_users: int, n_items: int) -> tuple[ad.Tensor, ad.Tensor]:
-    """Pick user rows and per-window item rows out of (M+N, d)."""
+    """Pick user rows and per-window item rows out of (M+N, d).
+
+    Returns (e_g of shape (B, d), E_g of shape (B, c, d)); padding slots
+    gather zeros.
+    """
     if batch.user_ids.size and batch.user_ids.max() >= n_users:
         raise IndexError("user id out of range")
     e_g = ad.lookup(node_embeddings, batch.user_ids)
@@ -125,11 +116,3 @@ def check_leakage(adjacency: NormalizedAdjacency, dataset: SplitDataset) -> None
             raise GraphError(f"validation target of user {u} leaked into the graph")
         if dataset.test[u] in row and dataset.test[u] not in dataset.train[u]:
             raise GraphError(f"test target of user {u} leaked into the graph")
-
-
-def dump_adjacency(adjacency: NormalizedAdjacency, path: str | Path) -> None:
-    """Debug dump: one "row col weight" triple per line, sorted (row, col)."""
-    adj = adjacency.adj.tocoo()
-    order = np.lexsort((adj.col, adj.row))
-    lines = [f"{adj.row[i]} {adj.col[i]} {adj.data[i]:.17g}" for i in order]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -15,20 +15,24 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError, NumericError
+from .schema import check_settings, setting
 
 
 @dataclass
 class LossWeights:
-    alpha: float = 1.0   # local next-item cross-entropy
-    beta: float = 0.1    # global BPR + regularization
-    gamma: float = 1.0   # fused sampled softmax
-    delta: float = 0.1   # local/global contrastive alignment
-    lambda_reg: float = 1e-4
+    alpha: float = setting("alpha", 1.0, minimum=0.0,
+                           help="weight of the local next-item loss")
+    beta: float = setting("beta", 0.1, minimum=0.0,
+                          help="weight of the global BPR loss")
+    gamma: float = setting("gamma", 1.0, minimum=0.0,
+                           help="weight of the fused sampled-softmax loss")
+    delta: float = setting("delta", 0.1, minimum=0.0,
+                           help="weight of the contrastive alignment loss")
+    lambda_reg: float = setting("lambda_reg", 1e-4, minimum=0.0,
+                                help="L2 coefficient inside the global loss")
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "lambda_reg"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_settings(self)
 
 
 def local_loss(E_l: ad.Tensor, next_items: np.ndarray, item_table: ad.Tensor,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from .embeddings import (EmbeddingTables, SequenceBatch, embed_sequence,
 from .errors import ParseError
 from .fusion import FusionParams, fuse, init_fusion_params, score_items
 from .graph import NormalizedAdjacency, gather_batch, propagated_embeddings
+from .losses import LossWeights
 from .seqenc import SeqEncoderConfig, SeqEncoderParams, init_seq_params, seq_encode
 
 
@@ -75,6 +76,18 @@ class ForwardStates:
     initial_nodes: ad.Tensor | None = None
 
 
+def encoder_paths(head: str, weights: LossWeights | None = None
+                  ) -> tuple[bool, bool, bool]:
+    """(need_seq, need_graph, need_fused): the encoder paths that the scoring
+    head and the losses with a non-zero weight read. Evaluation passes no
+    weights, so only the head counts."""
+    w = weights or LossWeights(0.0, 0.0, 0.0, 0.0)
+    need_fused = w.gamma > 0 or head == "fused"
+    need_seq = w.alpha > 0 or w.delta > 0 or need_fused or head == "sequential"
+    need_graph = w.beta > 0 or w.delta > 0 or need_fused or head == "graph"
+    return need_seq, need_graph, need_fused
+
+
 def forward_states(params: ModelParams, batch: SequenceBatch,
                    adjacency: NormalizedAdjacency | None, k: int,
                    need_seq: bool = True, need_graph: bool = True,
@@ -120,36 +133,31 @@ def score_batch(params: ModelParams, states: ForwardStates, head: str) -> ad.Ten
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
     """Persist all parameter blocks plus the hyper-parameter header."""
     arrays = {name: t.data for name, t in params.named().items()}
-    cfg = params.seq_config
+    t = params.tables
     meta = dict(meta)
-    meta["model"] = {
-        "n_users": params.tables.n_users,
-        "n_items": params.tables.n_items,
-        "c": params.tables.c,
-        "d": cfg.d,
-        "n_layers": cfg.n_layers,
-        "n_heads": cfg.n_heads,
-        "d_ff": cfg.d_ff,
-        "dropout_rate": cfg.dropout_rate,
-        "attention_mode": cfg.attention_mode,
-        "user_state": cfg.user_state,
-    }
+    meta["model"] = {"n_users": t.n_users, "n_items": t.n_items, "c": t.c,
+                     **asdict(params.seq_config)}
     save_arrays(path, arrays, meta)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Rebuild the model a checkpoint describes; every parameter block must
+    be present with its exact shape, or the file is rejected."""
     arrays, meta = load_arrays(path)
-    spec = meta.get("model")
-    if spec is None:
-        raise ParseError(f"{path}: checkpoint lacks a model header")
-    cfg = SeqEncoderConfig(
-        d=spec["d"], n_layers=spec["n_layers"], n_heads=spec["n_heads"],
-        d_ff=spec["d_ff"], dropout_rate=spec["dropout_rate"],
-        attention_mode=spec["attention_mode"], user_state=spec["user_state"])
-    params = init_model(spec["n_users"], spec["n_items"], spec["c"], cfg, seed=0)
+    try:
+        spec = dict(meta["model"])
+        sizes = (spec.pop("n_users"), spec.pop("n_items"), spec.pop("c"))
+        params = init_model(*sizes, SeqEncoderConfig(**spec), seed=0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad checkpoint model header ({exc!r})") from exc
     named = params.named()
-    for name, values in arrays.items():
-        if name not in named:
-            raise ParseError(f"{path}: unexpected parameter block {name!r}")
-        named[name].data[...] = values
+    if set(arrays) != set(named):
+        raise ParseError(
+            f"{path}: parameter blocks missing {sorted(set(named) - set(arrays))}, "
+            f"unexpected {sorted(set(arrays) - set(named))}")
+    for name, tensor in named.items():
+        if arrays[name].shape != tensor.shape:
+            raise ParseError(f"{path}: block {name!r} has shape "
+                             f"{arrays[name].shape}, expected {tensor.shape}")
+        tensor.data[...] = arrays[name]
     return params, meta

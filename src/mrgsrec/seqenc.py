@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionError
+from .schema import check_settings, setting
 
 ATTENTION_MODES = ("causal", "bidirectional")
 USER_STATES = ("first_token", "last_position")
@@ -27,25 +28,31 @@ USER_STATES = ("first_token", "last_position")
 
 @dataclass
 class SeqEncoderConfig:
-    d: int = 64
-    n_layers: int = 2
-    n_heads: int = 2
-    d_ff: int | None = None  # defaults to 4 * d
-    dropout_rate: float = 0.2
-    attention_mode: str = "causal"
-    user_state: str = "first_token"
+    d: int = setting("embedding_dim", 64, minimum=1,
+                     help="d: width of every embedding and encoder layer")
+    n_layers: int = setting("encoder_layers", 2, minimum=0,
+                            help="transformer blocks in the sequential encoder")
+    n_heads: int = setting("attention_heads", 2, minimum=1,
+                           help="heads per attention layer")
+    d_ff: int | None = setting("feed_forward_dim", None,
+                               help="FFN width; null means 4x embedding_dim")
+    dropout_rate: float = setting("dropout_rate", 0.2, minimum=0.0,
+                                  help="dropout on attention probs and block outputs")
+    attention_mode: str = setting("attention_mode", "causal", choices=ATTENTION_MODES,
+                                  help="causal or bidirectional")
+    user_state: str = setting(
+        "user_state", "first_token", choices=USER_STATES,
+        help="row read as the user state: first_token or last_position")
 
     def __post_init__(self):
+        check_settings(self)
         if self.d_ff is None:
             self.d_ff = 4 * self.d
         if self.d % self.n_heads != 0:
-            raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"embedding_dim={self.d} not divisible by "
+                             f"attention_heads={self.n_heads}")
+        if self.dropout_rate >= 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.attention_mode not in ATTENTION_MODES:
-            raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}")
-        if self.user_state not in USER_STATES:
-            raise ValueError(f"user_state must be one of {USER_STATES}")
 
 
 @dataclass

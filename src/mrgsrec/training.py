@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,59 +22,60 @@ from . import autodiff as ad
 from .data import SplitDataset
 from .embeddings import build_batch
 from .errors import DataError, NumericError
+from .fusion import SCORING_HEADS
 from .graph import NormalizedAdjacency, build_adjacency
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
-from .model import ModelParams, ForwardStates, forward_states, init_model
+from .model import (ModelParams, ForwardStates, encoder_paths, forward_states,
+                    init_model)
+from .schema import setting
 from .seqenc import SeqEncoderConfig
 
 
 @dataclass
-class Hyperparams:
-    c: int = 50
-    d: int = 64
-    k: int = 2
-    n_layers: int = 2
-    n_heads: int = 2
-    d_ff: int | None = None
-    dropout_rate: float = 0.2
-    attention_mode: str = "causal"
-    user_state: str = "first_token"
-    scoring_head: str = "fused"
-    layer_mean: bool = False
-    weights: LossWeights = dc_field(default_factory=LossWeights)
-    n_negatives: int = 100
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    batch_size: int = 256
-    max_epochs: int = 200
-    patience: int = 10
-    seed: int = 0
-    exclude_seen: bool = True
+class Hyperparams(SeqEncoderConfig):
+    """Every run setting, flat: the encoder's own settings are inherited."""
 
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        for name in ("c", "d", "n_heads", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.k < 0 or self.n_layers < 0 or self.max_epochs < 0:
-            raise ValueError("k, n_layers, max_epochs must be >= 0")
+    c: int = setting("window_length", 50, minimum=1,
+                     help="c: most recent interactions kept per user")
+    k: int = setting("graph_layers", 2, minimum=0,
+                     help="k: propagation steps over the interaction graph")
+    scoring_head: str = setting("scoring_head", "fused", choices=SCORING_HEADS,
+                                help="fused, sequential, or graph")
+    layer_mean: bool = setting(
+        "graph_layer_mean", False,
+        help="average propagation layers instead of taking the last")
+    weights: LossWeights = field(default_factory=LossWeights)
+    n_negatives: int = setting("negative_samples", 100,
+                               help="negatives drawn per user per step")
+    learning_rate: float = setting("learning_rate", 1e-3, help="Adam step size")
+    beta1: float = setting("adam_beta1", 0.9, help="Adam first-moment decay")
+    beta2: float = setting("adam_beta2", 0.999, help="Adam second-moment decay")
+    epsilon: float = setting("adam_epsilon", 1e-8, help="Adam denominator floor")
+    batch_size: int = setting("batch_size", 256, minimum=1,
+                              help="users per training step")
+    max_epochs: int = setting("max_epochs", 200, minimum=0,
+                              help="upper bound on training epochs")
+    patience: int = setting("patience", 10, minimum=1,
+                            help="non-improving validation epochs before stopping")
+    seed: int = setting("seed", 0,
+                        help="seed for init, shuffling, sampling, dropout")
+    exclude_seen: bool = setting("exclude_seen", True,
+                                 help="mask already-consumed items at evaluation")
 
     def seq_config(self) -> SeqEncoderConfig:
-        return SeqEncoderConfig(
-            d=self.d, n_layers=self.n_layers, n_heads=self.n_heads,
-            d_ff=self.d_ff, dropout_rate=self.dropout_rate,
-            attention_mode=self.attention_mode, user_state=self.user_state)
+        return SeqEncoderConfig(**{f.name: getattr(self, f.name)
+                                   for f in fields(SeqEncoderConfig)})
 
 
 class Adam:
     """Plain Adam with bias correction; moment shapes mirror the parameters."""
 
-    def __init__(self, params: list[ad.Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[ad.Tensor],
+                 lr: float = Hyperparams.learning_rate,
+                 beta1: float = Hyperparams.beta1,
+                 beta2: float = Hyperparams.beta2,
+                 eps: float = Hyperparams.epsilon):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -141,18 +142,10 @@ def build_examples(dataset: SplitDataset) -> list[TrainExample]:
     return examples
 
 
-def _needs(hyper: Hyperparams) -> tuple[bool, bool, bool]:
-    w = hyper.weights
-    need_fused = w.gamma > 0 or hyper.scoring_head == "fused"
-    need_seq = w.alpha > 0 or w.delta > 0 or need_fused or hyper.scoring_head == "sequential"
-    need_graph = w.beta > 0 or w.delta > 0 or need_fused or hyper.scoring_head == "graph"
-    return need_seq, need_graph, need_fused
-
-
-def _batch_losses(params: ModelParams, states: ForwardStates,
-                  batch_examples: list[TrainExample], windows_targets: np.ndarray,
-                  valid_mask: np.ndarray, negatives: np.ndarray,
-                  hyper: Hyperparams) -> dict[str, ad.Tensor | None]:
+def batch_losses(params: ModelParams, states: ForwardStates,
+                 batch_examples: list[TrainExample], windows_targets: np.ndarray,
+                 valid_mask: np.ndarray, negatives: np.ndarray,
+                 hyper: Hyperparams) -> dict[str, ad.Tensor | None]:
     """Assemble whichever of the four components the weights require."""
     w = hyper.weights
     n_users = params.tables.n_users
@@ -185,7 +178,8 @@ def train_step(batch_examples: list[TrainExample], params: ModelParams,
                optimizer: Adam, rng: np.random.Generator
                ) -> dict[str, float]:
     """One forward/backward/Adam update; returns the component loss values."""
-    need_seq, need_graph, need_fused = _needs(hyper)
+    need_seq, need_graph, need_fused = encoder_paths(hyper.scoring_head,
+                                                     hyper.weights)
     pad = params.tables.padding_id
     users = [ex.user for ex in batch_examples]
     batch = build_batch(users, [ex.inputs for ex in batch_examples],
@@ -200,8 +194,8 @@ def train_step(batch_examples: list[TrainExample], params: ModelParams,
         params, batch, adjacency, hyper.k,
         need_seq=need_seq, need_graph=need_graph, need_fused=need_fused,
         layer_mean=hyper.layer_mean, train_mode=True, rng=rng)
-    components = _batch_losses(params, states, batch_examples,
-                               targets, batch.valid_mask(), negatives, hyper)
+    components = batch_losses(params, states, batch_examples,
+                              targets, batch.valid_mask(), negatives, hyper)
     loss = total_loss(components, hyper.weights)
     if not np.isfinite(loss.data):
         raise NumericError(
@@ -243,7 +237,7 @@ def fit(dataset: SplitDataset, hyper: Hyperparams,
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     params = init_model(dataset.n_users, dataset.n_items, hyper.c,
                         hyper.seq_config(), hyper.seed)
-    need_seq, need_graph, need_fused = _needs(hyper)
+    need_graph = encoder_paths(hyper.scoring_head, hyper.weights)[1]
     adjacency = build_adjacency(dataset.train, dataset.n_users,
                                 dataset.n_items) if need_graph else None
     if hyper.max_epochs == 0:

@@ -14,7 +14,7 @@ from .evaluation import hr_at_k, ndcg_at_k, rank_target
 from .graph import build_adjacency
 from .losses import LossWeights
 from .model import forward_states, init_model
-from .training import Hyperparams, _batch_losses, build_examples, sample_negatives
+from .training import Hyperparams, batch_losses, build_examples, sample_negatives
 from .losses import total_loss
 
 
@@ -74,8 +74,8 @@ def component_loss_fn(name: str, hyper, params, adjacency, examples,
         states = forward_states(params, batch, adjacency, hyper.k,
                                 need_seq=True, need_graph=True, need_fused=True,
                                 train_mode=False)
-        components = _batch_losses(params, states, examples, targets,
-                                   batch.valid_mask(), negatives, hyper)
+        components = batch_losses(params, states, examples, targets,
+                                  batch.valid_mask(), negatives, hyper)
         if name == "total":
             return total_loss(components, weights)
         return components[name]

@@ -99,9 +99,7 @@ def test_corrupted_backward_fails_check(monkeypatch):
 @pytest.mark.parametrize("name,builder", [
     ("matmul", lambda p: ad.tsum(ad.matmul(p["a"], p["b"]))),
     ("batched_matmul", lambda p: ad.tsum(ad.matmul(p["t3"], p["b"]))),
-    ("div", lambda p: ad.tsum(ad.div(p["a"], ad.add(ad.square(p["b2"]), 1.0)))),
     ("sigmoid", lambda p: ad.tsum(ad.sigmoid(p["a"]))),
-    ("exp_log", lambda p: ad.tsum(ad.log(ad.add(ad.exp(p["a"]), 1.0)))),
     ("softmax", lambda p: ad.tsum(ad.square(ad.softmax(p["a"])))),
     ("log_softmax", lambda p: ad.tsum(ad.square(ad.log_softmax(p["a"])))),
     ("layer_norm", lambda p: ad.tsum(ad.square(
@@ -113,7 +111,6 @@ def test_corrupted_backward_fails_check(monkeypatch):
     ("concat_narrow", lambda p: ad.tsum(ad.square(ad.narrow(
         ad.concat([p["a"], p["a"]], axis=1), 1, 2, 3)))),
     ("swapaxes", lambda p: ad.tsum(ad.square(ad.swapaxes(p["t3"], 1, 2)))),
-    ("mean", lambda p: ad.tsum(ad.square(ad.tmean(p["t3"], axis=1)))),
     ("masked_softmax", lambda p: ad.tsum(ad.square(ad.masked_softmax(
         p["a"], np.array([[True, False, True, True],
                           [True, True, False, True],
@@ -124,7 +121,6 @@ def test_op_gradients_match_finite_differences(name, builder):
     params = {
         "a": ad.parameter(g.normal(size=(3, 4))),
         "b": ad.parameter(g.normal(size=(4, 5))),
-        "b2": ad.parameter(g.normal(size=(3, 4))),
         "t3": ad.parameter(g.normal(size=(2, 3, 4))),
         "g": ad.parameter(g.normal(size=(4,)) + 1.0),
         "bias": ad.parameter(g.normal(size=(4,))),

@@ -8,6 +8,8 @@ import pytest
 
 from mrgsrec import cli
 from mrgsrec import data as dp
+from mrgsrec.embeddings import load_arrays, save_arrays
+from mrgsrec.errors import ParseError
 from mrgsrec.model import init_model, load_checkpoint, save_checkpoint
 from mrgsrec.seqenc import SeqEncoderConfig
 
@@ -126,6 +128,19 @@ class TestTrain:
         path.write_text("{not json", encoding="utf-8")
         assert cli.main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("patience", 0), ("user_state", "last"), ("window_length", "5"),
+        ("scoring_head", "fuse")])
+    def test_bad_config_value_exit_code_2_before_training(
+            self, tmp_path, snapshot, monkeypatch, capsys, key, value):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started on an invalid config")
+
+        monkeypatch.setattr("mrgsrec.training.fit", no_training)
+        config = tiny_config(tmp_path, snapshot, **{key: value})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_prints_report(self, tmp_path, snapshot, capsys):
@@ -147,6 +162,39 @@ class TestEval:
         assert cli.main(["eval", str(ckpt), str(snapshot),
                          "--split", "validation",
                          "--head", "sequential"]) == 0
+
+
+def corrupt_missing_block(path):
+    arrays, meta = load_arrays(path)
+    del arrays["fusion.w2"]
+    save_arrays(path, arrays, meta)
+
+
+def corrupt_block_shape(path):
+    arrays, meta = load_arrays(path)
+    arrays["tables.user"] = arrays["tables.user"][:1]  # (1, d) would broadcast
+    save_arrays(path, arrays, meta)
+
+
+def corrupt_truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def corrupt_trailing_bytes(path):
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+
+
+@pytest.mark.parametrize("corrupt", [
+    corrupt_missing_block, corrupt_block_shape, corrupt_truncate,
+    corrupt_trailing_bytes])
+def test_damaged_checkpoint_rejected_exit_code_2(tmp_path, snapshot, corrupt):
+    ckpt = tmp_path / "model.ckpt"
+    config = tiny_config(tmp_path, snapshot, max_epochs=0)
+    assert cli.main(["train", "--config", str(config), "--out", str(ckpt)]) == 0
+    corrupt(ckpt)
+    with pytest.raises(ParseError):
+        load_checkpoint(ckpt)
+    assert cli.main(["eval", str(ckpt), str(snapshot)]) == 2
 
 
 class TestAblate:
@@ -179,6 +227,9 @@ def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     save_checkpoint(path, params, {"fingerprint": "zz", "seed": 3})
     loaded, meta = load_checkpoint(path)
     assert meta["fingerprint"] == "zz"
+    assert sorted(meta["model"]) == [  # older checkpoints carry these keys
+        "attention_mode", "c", "d", "d_ff", "dropout_rate", "n_heads",
+        "n_items", "n_layers", "n_users", "user_state"]
     assert loaded.seq_config == cfg
     for name, tensor in params.named().items():
         np.testing.assert_array_equal(loaded.named()[name].data, tensor.data)

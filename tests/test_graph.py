@@ -116,6 +116,12 @@ class TestPropagate:
         assert np.abs(out).max() <= 1.0 + 1e-12
 
 
+def graph_encode(tables, adjacency, k, batch, layer_mean=False):
+    """The graph path of ``model.forward_states``: propagate, then gather."""
+    nodes = gr.propagated_embeddings(tables, adjacency, k, layer_mean)
+    return gr.gather_batch(nodes, batch, tables.n_users, tables.n_items)
+
+
 class TestGraphEncode:
     def make(self, m=4, n=6, c=3, d=5, seed=0):
         tables = init_tables(m, n, c, d, seed=seed)
@@ -129,7 +135,7 @@ class TestGraphEncode:
 
     def test_k0_returns_raw_embeddings(self):
         tables, adjacency, batch = self.make()
-        e_g, E_g = gr.graph_encode(tables, adjacency, 0, batch)
+        e_g, E_g = graph_encode(tables, adjacency, 0, batch)
         np.testing.assert_array_equal(e_g.data, tables.user.data[batch.user_ids])
         mask = batch.valid_mask()
         for b in range(4):
@@ -144,14 +150,14 @@ class TestGraphEncode:
 
     def test_shape_contract(self):
         tables, adjacency, batch = self.make()
-        e_g, E_g = gr.graph_encode(tables, adjacency, 2, batch)
+        e_g, E_g = graph_encode(tables, adjacency, 2, batch)
         assert e_g.shape == (4, 5)
         assert E_g.shape == (4, 3, 5)
 
     def test_gather_matches_manual_row_index_oracle(self):
         tables, adjacency, batch = self.make(seed=3)
         k = 2
-        e_g, E_g = gr.graph_encode(tables, adjacency, k, batch)
+        e_g, E_g = graph_encode(tables, adjacency, k, batch)
         nodes = np.concatenate([tables.user.data, tables.item.data[:-1]])
         for _ in range(k):
             nodes = adjacency.adj @ nodes
@@ -165,9 +171,9 @@ class TestGraphEncode:
 
     def test_layer_mean_option(self):
         tables, adjacency, batch = self.make(seed=4)
-        e_last, _ = gr.graph_encode(tables, adjacency, 2, batch)
-        e_mean, _ = gr.graph_encode(tables, adjacency, 2, batch,
-                                    layer_mean=True)
+        e_last, _ = graph_encode(tables, adjacency, 2, batch)
+        e_mean, _ = graph_encode(tables, adjacency, 2, batch,
+                                 layer_mean=True)
         nodes0 = np.concatenate([tables.user.data, tables.item.data[:-1]])
         nodes1 = adjacency.adj @ nodes0
         nodes2 = adjacency.adj @ nodes1
@@ -179,7 +185,7 @@ class TestGraphEncode:
     def test_negative_k_rejected(self):
         tables, adjacency, batch = self.make()
         with pytest.raises(ValueError):
-            gr.graph_encode(tables, adjacency, -1, batch)
+            gr.propagated_embeddings(tables, adjacency, -1)
 
 
 def test_gradient_through_propagation_layers():
@@ -196,7 +202,7 @@ def test_gradient_through_propagation_layers():
     target = g.normal(size=(m, d))
 
     def loss_fn():
-        e_g, E_g = gr.graph_encode(tables, adjacency, k, batch)
+        e_g, E_g = graph_encode(tables, adjacency, k, batch)
         return ad.add(ad.tsum(ad.square(ad.sub(e_g, target))),
                       ad.tsum(ad.square(E_g)))
 
@@ -222,13 +228,3 @@ class TestLeakage:
         dataset = SplitDataset(1, 4, [[0, 1]], [0], [1])  # revisits
         adjacency = gr.build_adjacency(dataset.train, 1, 4)
         gr.check_leakage(adjacency, dataset)  # edges come from train
-
-
-def test_dump_adjacency_sorted(tmp_path):
-    adjacency = gr.build_adjacency([[1, 0], [1]], 2, 2)
-    path = tmp_path / "adj.txt"
-    gr.dump_adjacency(adjacency, path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    keys = [(int(r), int(c)) for r, c, _ in rows]
-    assert keys == sorted(keys)
-    assert len(keys) == adjacency.adj.nnz
