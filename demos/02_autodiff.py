@@ -16,7 +16,7 @@ rng = np.random.Generator(np.random.PCG64(0))
 w = ad.parameter(rng.normal(size=(4, 3)))
 x = ad.Tensor(rng.normal(size=(5, 4)))           # constant input
 logits = ad.matmul(x, w)
-loss = ad.tsum(ad.square(ad.softmax(logits)))
+loss = ad.cross_entropy(logits, np.array([0, 1, 2, 0, 1]))  # one target per row
 loss.backward()
 print("dL/dw shape:", w.grad.shape)
 
@@ -25,10 +25,13 @@ v = ad.parameter(rng.normal(size=(6,)))
 (g,) = ad.grad(ad.mul(ad.tsum(ad.square(v)), 0.5), [v])
 print("quadratic check:", np.allclose(g, v.data))
 
-# --- numerically safe softmax ----------------------------------------------
+# --- numerically safe cross-entropy ----------------------------------------
+# every training objective is one cross_entropy call; the row max is
+# subtracted first, so a target whose probability underflows to 0 still
+# gets a finite loss: -log softmax([700, -700, 0])[1] = 1400
 extreme = ad.Tensor(np.array([[700.0, -700.0, 0.0]]))
-probs = ad.softmax(extreme).data
-print("softmax at |x|=700 still sums to 1:", float(probs.sum()))
+print("cross-entropy at |x|=700 is finite:",
+      ad.cross_entropy(extreme, np.array([1])).item())
 
 # --- masked softmax: probability mass only on allowed entries --------------
 scores = ad.Tensor(rng.normal(size=(2, 4)) * 30)

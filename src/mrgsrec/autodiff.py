@@ -6,7 +6,8 @@ accumulates vector-Jacobian products into ``Tensor.grad``. Conventions:
 
 * all values are float64 (gradient checks need the headroom),
 * ReLU'(0) = 0,
-* softmax / log-softmax subtract the row max before exponentiating,
+* masked_softmax and cross_entropy subtract the row max before
+  exponentiating, so logits of any magnitude stay finite,
 * graph replay order is construction order, so gradients are bit-reproducible.
 """
 
@@ -77,31 +78,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar; heavy lifting stays in the module-level functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -149,17 +125,6 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(out, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -197,31 +162,6 @@ def relu(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def backward(g):
-        a._accumulate(g * out * (1.0 - out))
-
-    return _make(out, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return _make(out, (a,), backward)
-
-
 def square(a) -> Tensor:
     a = as_tensor(a)
     out = a.data * a.data
@@ -245,32 +185,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        a._accumulate(out * (g - inner))
-
-    return _make(out, (a,), backward)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def backward(g):
-        sm = np.exp(out)
-        a._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
-
-    return _make(out, (a,), backward)
-
-
 def masked_softmax(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     """Softmax restricted to entries where ``mask`` is True.
 
@@ -289,6 +203,34 @@ def masked_softmax(a, mask: np.ndarray, axis: int = -1) -> Tensor:
         a._accumulate(out * (g - inner))
 
     return _make(out, (a,), backward)
+
+
+def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None
+                  ) -> Tensor:
+    """Summed softmax cross-entropy, sum_r -log softmax(logits[r])[targets[r]].
+
+    ``logits`` is (R, K) with one int target per row. Entries where the
+    optional (R, K) ``mask`` is False are left out of the softmax; each
+    row's target must be allowed. Backward is (softmax - onehot) * g.
+    """
+    logits = as_tensor(logits)
+    if logits.ndim != 2:
+        raise DimensionError("cross_entropy logits must be (rows, classes)")
+    rows = np.arange(logits.shape[0])
+    targets = np.asarray(targets)
+    e = logits.data if mask is None else np.where(mask, logits.data, -np.inf)
+    e = e - e.max(axis=1, keepdims=True)
+    picked = e[rows, targets]
+    np.exp(e, out=e)
+    total = e.sum(axis=1, keepdims=True)
+    out = (np.log(total[:, 0]) - picked).sum()
+
+    def backward(g):
+        probs = e * (g / total)
+        probs[rows, targets] -= g
+        logits._accumulate(probs)
+
+    return _make(out, (logits,), backward)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
@@ -324,20 +266,6 @@ def lookup(table, ids: np.ndarray) -> Tensor:
         table._accumulate(acc)
 
     return _make(out, (table,), backward)
-
-
-def take_last_axis(a, idx: np.ndarray) -> Tensor:
-    """Pick one entry per slice along the last axis: out[...] = a[..., idx[...]]."""
-    a = as_tensor(a)
-    idx = np.asarray(idx)
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        acc = np.zeros_like(a.data)
-        np.put_along_axis(acc, idx[..., None], np.asarray(g)[..., None], axis=-1)
-        a._accumulate(acc)
-
-    return _make(out, (a,), backward)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

@@ -15,6 +15,8 @@ from pathlib import Path
 from .errors import DataError, ParseError
 
 SNAPSHOT_MAGIC = "MRGS-DATA-v1"
+_SNAPSHOT_KEYS = ("n_users", "n_items", "user_tokens", "item_tokens",
+                  "train", "val", "test", "stats")
 
 
 @dataclass(frozen=True)
@@ -236,13 +238,42 @@ def save_snapshot(path: str | Path, dataset: SplitDataset, stats: DatasetStats,
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _check_payload(path, payload) -> None:
+    """Reject a snapshot payload that would load only partly or break later:
+    missing keys, per-user or per-item lists of the wrong length, and item
+    ids outside [0, n_items)."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: snapshot payload is not a JSON object")
+    missing = sorted(set(_SNAPSHOT_KEYS) - payload.keys())
+    if missing:
+        raise ParseError(f"{path}: snapshot is missing keys {missing}")
+    n_users, n_items = payload["n_users"], payload["n_items"]
+    if not all(type(n) is int and n >= 1 for n in (n_users, n_items)):
+        raise ParseError(f"{path}: n_users and n_items must be positive integers")
+    for key, want in (("train", n_users), ("val", n_users), ("test", n_users),
+                      ("user_tokens", n_users), ("item_tokens", n_items)):
+        if not isinstance(payload[key], list) or len(payload[key]) != want:
+            raise ParseError(f"{path}: {key!r} must be a list of {want} entries")
+    if not all(isinstance(seq, list) for seq in payload["train"]):
+        raise ParseError(f"{path}: every 'train' entry must be a list")
+    ids = [i for seq in payload["train"] for i in seq]
+    ids += payload["val"] + payload["test"]
+    if not all(type(i) is int and 0 <= i < n_items for i in ids):
+        raise ParseError(f"{path}: item ids must be integers in [0, {n_items})")
+
+
 def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:
-    """Read a snapshot written by ``save_snapshot``; returns (dataset, stats, meta)."""
+    """Read a snapshot written by ``save_snapshot``; returns (dataset, stats, meta).
+
+    The payload is validated whole before anything is built from it; a
+    malformed one raises ParseError.
+    """
     raw = Path(path).read_text(encoding="utf-8")
     header, _, body = raw.partition("\n")
     if header != SNAPSHOT_MAGIC:
         raise ParseError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
     payload = json.loads(body)
+    _check_payload(path, payload)
     dataset = SplitDataset(
         n_users=payload["n_users"],
         n_items=payload["n_items"],
@@ -252,9 +283,12 @@ def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:
         user_tokens=payload["user_tokens"],
         item_tokens=payload["item_tokens"],
     )
-    s = payload["stats"]
-    stats = DatasetStats(s["n_users"], s["n_items"],
-                         s["n_interactions"], s["avg_length"])
+    try:
+        s = payload["stats"]
+        stats = DatasetStats(s["n_users"], s["n_items"],
+                             s["n_interactions"], s["avg_length"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: bad snapshot stats ({exc!r})") from exc
     meta = {"fingerprint": payload.get("fingerprint"),
             "seed": payload.get("seed"),
             "extra": payload.get("extra")}

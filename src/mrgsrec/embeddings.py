@@ -67,12 +67,12 @@ def init_tables(n_users: int, n_items: int, c: int, d: int, seed: int) -> Embedd
                            ad.parameter(positional), n_users, n_items, c, d)
 
 
-def truncate_window(sequence: list[int], c: int, pad_value: int,
-                    allow_empty: bool = False) -> tuple[list[int], int]:
+def truncate_window(sequence: list[int], c: int, pad_value: int
+                    ) -> tuple[list[int], int]:
     """Keep the last min(len, c) items right-aligned in a length-c window."""
     if c < 1:
         raise ValueError("window length must be >= 1")
-    if not sequence and not allow_empty:
+    if not sequence:
         raise DataError("cannot build a window from an empty sequence")
     tail = list(sequence[-c:])
     return [pad_value] * (c - len(tail)) + tail, len(tail)

@@ -28,10 +28,6 @@ class NormalizedAdjacency:
     n_users: int
     n_items: int
 
-    @property
-    def n_isolated(self) -> int:
-        return int((self.degrees == 0).sum())
-
 
 def build_adjacency(train: list[list[int]], n_users: int, n_items: int
                     ) -> NormalizedAdjacency:

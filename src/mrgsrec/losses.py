@@ -1,9 +1,9 @@
 """The four training objectives and their weighted combination.
 
-Reduction convention: every component is divided by the batch size (the
-local loss by the number of valid positions), so loss weights mean the
-same thing at any batch size. All softmax-style terms subtract the row
-max first and stay finite for logits up to several hundred in magnitude.
+Each objective is one softmax cross-entropy (``ad.cross_entropy``) over its
+own candidate set; BPR is the two-candidate case. Reduction convention:
+every component is divided by the batch size (the local loss by the number
+of valid positions), so loss weights mean the same thing at any batch size.
 """
 
 from __future__ import annotations
@@ -40,18 +40,16 @@ def local_loss(E_l: ad.Tensor, next_items: np.ndarray, item_table: ad.Tensor,
     """Full-catalog cross-entropy of each valid position against its next item.
 
     ``next_items[b, t]`` is the item following window slot t; padding slots
-    are flagged False in ``valid_mask``. The padding row never enters the
-    softmax because ``item_table`` excludes it.
+    are flagged False in ``valid_mask`` and get no logits. The padding row
+    never enters the softmax because ``item_table`` excludes it.
     """
-    mask = np.asarray(valid_mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
+    valid = np.flatnonzero(np.asarray(valid_mask, dtype=bool))
+    if valid.size == 0:
         raise DataError("local loss needs at least one valid position")
-    logits = ad.matmul(E_l, ad.swapaxes(item_table, 0, 1))  # (B, c, N)
-    logp = ad.log_softmax(logits, axis=-1)
-    targets = np.where(mask, next_items, 0)
-    picked = ad.take_last_axis(logp, targets)
-    return ad.mul(ad.tsum(ad.mul(picked, mask.astype(np.float64))), -1.0 / count)
+    states = ad.lookup(ad.reshape(E_l, (-1, E_l.shape[-1])), valid)
+    logits = ad.matmul(states, ad.swapaxes(item_table, 0, 1))  # (valid, N)
+    targets = np.asarray(next_items).reshape(-1)[valid]
+    return ad.mul(ad.cross_entropy(logits, targets), 1.0 / valid.size)
 
 
 def global_loss(e_g: ad.Tensor, pos_emb: ad.Tensor, neg_emb: ad.Tensor,
@@ -60,9 +58,10 @@ def global_loss(e_g: ad.Tensor, pos_emb: ad.Tensor, neg_emb: ad.Tensor,
     batch's initial-layer rows: mean(-ln sigmoid(s_pos - s_neg)) +
     lambda * ||ego_rows||^2 / B."""
     b = e_g.shape[0]
-    s_pos = ad.tsum(ad.mul(e_g, pos_emb), axis=-1)
-    s_neg = ad.tsum(ad.mul(e_g, neg_emb), axis=-1)
-    bpr = ad.mul(ad.tsum(ad.log(ad.sigmoid(ad.sub(s_pos, s_neg)))), -1.0 / b)
+    s_pos = ad.reshape(ad.tsum(ad.mul(e_g, pos_emb), axis=-1), (b, 1))
+    s_neg = ad.reshape(ad.tsum(ad.mul(e_g, neg_emb), axis=-1), (b, 1))
+    logits = ad.concat([s_pos, s_neg], axis=-1)                # (B, 2)
+    bpr = ad.mul(ad.cross_entropy(logits, np.zeros(b, dtype=np.int64)), 1.0 / b)
     if lambda_reg == 0.0:
         return bpr
     reg = ad.mul(ad.tsum(ad.square(ego_rows)), lambda_reg / b)
@@ -86,9 +85,7 @@ def fused_loss(e_f: ad.Tensor, pos_ids: np.ndarray, neg_ids: np.ndarray,
     pos_logit = ad.reshape(ad.tsum(ad.mul(e_f, pos_emb), axis=-1), (b, 1))
     neg_logits = ad.tsum(ad.mul(ad.reshape(e_f, (b, 1, -1)), neg_emb), axis=-1)
     logits = ad.concat([pos_logit, neg_logits], axis=-1)        # (B, 1+S)
-    logp = ad.log_softmax(logits, axis=-1)
-    picked = ad.take_last_axis(logp, np.zeros(b, dtype=np.int64))
-    return ad.mul(ad.tsum(picked), -1.0 / b)
+    return ad.mul(ad.cross_entropy(logits, np.zeros(b, dtype=np.int64)), 1.0 / b)
 
 
 def contrastive_loss(E_l: ad.Tensor, E_g: ad.Tensor,
@@ -101,17 +98,10 @@ def contrastive_loss(E_l: ad.Tensor, E_g: ad.Tensor,
     b, c, _ = E_l.shape
     mask = np.asarray(valid_mask, dtype=bool)
     sims = ad.matmul(E_l, ad.swapaxes(E_g, 1, 2))  # (B, c, c); [i, j] = l_i . g_j
-    col_mask = np.repeat(mask[:, None, :], c, axis=1)
-    empty = ~mask.any(axis=1)
-    if empty.any():
-        col_mask = col_mask.copy()
-        col_mask[empty, :, 0] = True  # keep softmax defined; contribution masked out
-    probs = ad.masked_softmax(sims, col_mask, axis=-1)
-    diag_idx = np.broadcast_to(np.arange(c), (b, c))
-    diag = ad.take_last_axis(probs, diag_idx)      # (B, c)
-    fmask = mask.astype(np.float64)
-    safe = ad.add(diag, 1.0 - fmask)               # masked entries -> log(1) = 0
-    return ad.mul(ad.tsum(ad.mul(ad.log(safe), fmask)), -1.0 / b)
+    valid = np.flatnonzero(mask)                   # row-major (user, slot)
+    users, slots = np.divmod(valid, c)
+    rows = ad.lookup(ad.reshape(sims, (b * c, c)), valid)
+    return ad.mul(ad.cross_entropy(rows, slots, mask=mask[users]), 1.0 / b)
 
 
 def total_loss(components: dict[str, ad.Tensor | None],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,9 +44,9 @@ class ModelParams:
             p.zero_grad()
 
     def copy(self) -> "ModelParams":
-        clone = init_model_like(self)
-        for name, tensor in clone.named().items():
-            tensor.data[...] = self.named()[name].data
+        """Independent copy of every block's values, with no gradients."""
+        clone = deepcopy(self)
+        clone.zero_grad()
         return clone
 
 
@@ -56,11 +57,6 @@ def init_model(n_users: int, n_items: int, c: int,
     encoder = init_seq_params(seq_config, seed + 1)
     fusion = init_fusion_params(seq_config.d, seed + 2)
     return ModelParams(tables, encoder, fusion, seq_config)
-
-
-def init_model_like(params: ModelParams) -> ModelParams:
-    t = params.tables
-    return init_model(t.n_users, t.n_items, t.c, params.seq_config, seed=0)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Gradient engine checks: op-level VJPs, softmax safety, FD harness."""
+"""Gradient engine checks: op-level VJPs, cross-entropy safety, FD harness."""
 
 import numpy as np
 import pytest
@@ -38,18 +38,26 @@ def test_backward_requires_scalar():
         ad.mul(x, 2.0).backward()
 
 
-def test_softmax_rows_sum_to_one_and_no_overflow():
+def test_cross_entropy_matches_masked_softmax_log_at_scale_700():
+    mask = rng(4).random((16, 9)) > 0.4
+    mask[:, 0] = True
+    rows = np.arange(16)
     for scale in (1.0, 700.0):
-        x = ad.Tensor(rng(1).normal(size=(16, 9)) * scale)
-        y = ad.softmax(x).data
-        assert np.all(np.isfinite(y))
-        np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_log_softmax_matches_softmax_log():
-    x = ad.Tensor(rng(2).normal(size=(5, 7)))
-    np.testing.assert_allclose(ad.log_softmax(x).data,
-                               np.log(ad.softmax(x).data), atol=1e-12)
+        logits = rng(1).normal(size=(16, 9)) * scale
+        allowed = np.where(mask, logits, -np.inf)
+        # at scale 700 only the allowed argmax keeps the oracle's p above 0
+        targets = (np.zeros(16, dtype=int) if scale == 1.0
+                   else allowed.argmax(axis=1))
+        probs = ad.masked_softmax(ad.Tensor(logits), mask).data
+        got = ad.cross_entropy(logits, targets, mask=mask).item()
+        np.testing.assert_allclose(got, -np.log(probs[rows, targets]).sum(),
+                                   rtol=1e-12, atol=1e-12)
+        # the allowed argmin underflows the softmax but not the loss:
+        # -log p_t = lse - x_t >= max - x_t
+        worst = np.where(mask, logits, np.inf).argmin(axis=1)
+        got = ad.cross_entropy(logits, worst, mask=mask).item()
+        gap = (allowed.max(axis=1) - logits[rows, worst]).sum()
+        assert np.isfinite(got) and got >= gap
 
 
 def test_masked_softmax_normalizes_over_allowed():
@@ -99,15 +107,16 @@ def test_corrupted_backward_fails_check(monkeypatch):
 @pytest.mark.parametrize("name,builder", [
     ("matmul", lambda p: ad.tsum(ad.matmul(p["a"], p["b"]))),
     ("batched_matmul", lambda p: ad.tsum(ad.matmul(p["t3"], p["b"]))),
-    ("sigmoid", lambda p: ad.tsum(ad.sigmoid(p["a"]))),
-    ("softmax", lambda p: ad.tsum(ad.square(ad.softmax(p["a"])))),
-    ("log_softmax", lambda p: ad.tsum(ad.square(ad.log_softmax(p["a"])))),
+    ("cross_entropy", lambda p: ad.cross_entropy(p["a"], np.array([0, 3, 1]))),
+    ("masked_cross_entropy", lambda p: ad.cross_entropy(
+        ad.mul(p["a"], 3.0), np.array([2, 1, 2]),
+        mask=np.array([[True, False, True, True],
+                       [True, True, False, True],
+                       [False, True, True, False]]))),
     ("layer_norm", lambda p: ad.tsum(ad.square(
         ad.layer_norm(p["t3"], p["g"], p["bias"])))),
     ("lookup", lambda p: ad.tsum(ad.square(
         ad.lookup(p["a"], np.array([[0, 2], [1, 1]]))))),
-    ("take_last", lambda p: ad.tsum(ad.take_last_axis(
-        p["a"], np.array([0, 3, 1])))),
     ("concat_narrow", lambda p: ad.tsum(ad.square(ad.narrow(
         ad.concat([p["a"], p["a"]], axis=1), 1, 2, 3)))),
     ("swapaxes", lambda p: ad.tsum(ad.square(ad.swapaxes(p["t3"], 1, 2)))),
@@ -155,8 +164,10 @@ def test_gradients_bit_reproducible():
     w = ad.parameter(g.normal(size=(5, 5)))
     x = ad.Tensor(g.normal(size=(7, 5)))
 
+    targets = g.integers(0, 5, size=7)
+
     def run():
-        loss = ad.tsum(ad.square(ad.softmax(ad.matmul(x, w))))
+        loss = ad.cross_entropy(ad.matmul(x, w), targets)
         return ad.grad(loss, [w])[0]
 
     first, second = run(), run()

@@ -197,6 +197,27 @@ def test_damaged_checkpoint_rejected_exit_code_2(tmp_path, snapshot, corrupt):
     assert cli.main(["eval", str(ckpt), str(snapshot)]) == 2
 
 
+def rewrite_payload(path, change):
+    magic, _, body = path.read_text(encoding="utf-8").partition("\n")
+    payload = json.loads(body)
+    change(payload)
+    path.write_text(magic + "\n" + json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: p.pop("val"),
+    lambda p: p["train"][0].append(999),
+    lambda p: p["val"].pop(),
+], ids=["missing_val", "item_out_of_range", "short_val"])
+def test_damaged_snapshot_rejected_exit_code_2(tmp_path, snapshot, change):
+    rewrite_payload(snapshot, change)
+    with pytest.raises(ParseError):
+        dp.load_snapshot(snapshot)
+    config = tiny_config(tmp_path, snapshot, max_epochs=1)
+    assert cli.main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+
+
 class TestAblate:
     def test_variants_share_data_fingerprint(self, tmp_path, snapshot,
                                              capsys):

@@ -20,9 +20,6 @@ class TestTruncateWindow:
         with pytest.raises(DataError):
             emb.truncate_window([], 3, -1)
 
-    def test_empty_allowed_when_flagged(self):
-        assert emb.truncate_window([], 2, -1, allow_empty=True) == ([-1, -1], 0)
-
     @given(st.lists(st.integers(0, 99), min_size=1, max_size=30),
            st.integers(1, 12))
     @settings(max_examples=60, deadline=None)

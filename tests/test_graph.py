@@ -66,7 +66,7 @@ class TestBuild:
         dense = adjacency.adj.toarray()
         assert not dense[1].any()
         assert not dense[3].any()
-        assert adjacency.n_isolated == 2
+        assert (adjacency.degrees == 0).sum() == 2
 
     def test_empty_user_allowed_if_edges_exist(self):
         adjacency = gr.build_adjacency([[0], []], 2, 1)
@@ -203,7 +203,7 @@ def test_gradient_through_propagation_layers():
 
     def loss_fn():
         e_g, E_g = graph_encode(tables, adjacency, k, batch)
-        return ad.add(ad.tsum(ad.square(ad.sub(e_g, target))),
+        return ad.add(ad.tsum(ad.square(ad.add(e_g, -target))),
                       ad.tsum(ad.square(E_g)))
 
     report = ad.finite_difference_check(

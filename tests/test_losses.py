@@ -102,6 +102,13 @@ class TestGlobalLoss:
         got = ls.global_loss(e_g, pos, neg, ego, lam).item()
         assert got == pytest.approx(expect, abs=1e-10)
 
+    def test_finite_at_margin_minus_1800(self):
+        # -ln sigmoid(-1800) = 1800 + ln(1 + e^-1800); sigmoid underflows to 0
+        e_g = ad.Tensor(np.array([[1.0]]))
+        pos, neg = ad.Tensor(np.array([[-900.0]])), ad.Tensor(np.array([[900.0]]))
+        loss = ls.global_loss(e_g, pos, neg, e_g, 0.0)
+        assert loss.item() == pytest.approx(1800.0, abs=1e-9)
+
 
 class TestFusedLoss:
     def test_uniform_single_negative_is_ln2(self):

@@ -202,6 +202,24 @@ class TestTrainStep:
                                           params2.named()[name].data)
 
 
+def test_params_copy_is_independent_and_skips_init(monkeypatch):
+    _, _, params, _, _, _, _ = setup_instance()
+    for p in params.parameters():
+        p.grad = np.ones_like(p.data)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("copy re-ran the seeded initialization")
+
+    monkeypatch.setattr("mrgsrec.model.init_model", no_init)
+    clone = params.copy()
+    for name, tensor in clone.named().items():
+        original = params.named()[name]
+        assert tensor.requires_grad and tensor.grad is None
+        np.testing.assert_array_equal(tensor.data, original.data)
+        tensor.data += 1.0
+        assert not np.array_equal(tensor.data, original.data)
+
+
 class TestFit:
     def test_zero_epochs_returns_initial_params_and_empty_log(self):
         dataset = random_dataset(6, 12, 0)
