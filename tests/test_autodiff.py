@@ -60,6 +60,30 @@ def test_cross_entropy_matches_masked_softmax_log_at_scale_700():
         assert np.isfinite(got) and got >= gap
 
 
+def test_softmax_rows_sum_to_one_and_no_overflow():
+    everything = np.ones((16, 9), dtype=bool)
+    for scale in (1.0, 700.0):
+        x = rng(1).normal(size=(16, 9)) * scale
+        y = ad.masked_softmax(ad.Tensor(x), everything).data
+        assert np.all(np.isfinite(y))
+        np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
+        # the row argmin underflows the softmax; loss and gradient stay finite
+        logits = ad.parameter(x)
+        loss = ad.cross_entropy(logits, x.argmin(axis=1))
+        (g,) = ad.grad(loss, [logits])
+        assert np.isfinite(loss.item()) and np.all(np.isfinite(g))
+
+
+def test_log_softmax_matches_softmax_log():
+    x = rng(2).normal(size=(5, 7))
+    probs = ad.masked_softmax(ad.Tensor(x), np.ones(x.shape, dtype=bool)).data
+    # one row at a time, cross_entropy is -log_softmax at the target
+    log_softmax = np.array([[-ad.cross_entropy(x[r:r + 1], [j]).item()
+                             for j in range(x.shape[1])]
+                            for r in range(x.shape[0])])
+    np.testing.assert_allclose(log_softmax, np.log(probs), atol=1e-12)
+
+
 def test_masked_softmax_normalizes_over_allowed():
     x = ad.Tensor(rng(3).normal(size=(4, 6)) * 50)
     mask = rng(4).random((4, 6)) > 0.4
