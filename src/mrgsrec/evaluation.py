@@ -5,10 +5,16 @@ for the test split it is the train sequence plus the validation item.
 Candidates are the whole catalog minus (optionally) the user's already
 seen items; the target itself is never excluded. Ties rank by ascending
 item id.
+
+The parameters are fixed during a pass, so the graph is propagated once
+per pass and every chunk of ``EVAL_BATCH`` users gathers from that table.
+Each chunk's (B, N) score block is ranked in one vectorised step, with the
+seen items given as CSR-style (indptr, items) arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +23,7 @@ import numpy as np
 from .data import SplitDataset
 from .embeddings import build_batch
 from .errors import ProtocolError
-from .graph import NormalizedAdjacency, build_adjacency
+from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
 from .model import ModelParams, encoder_paths, forward_states, score_batch
 
 EVAL_BATCH = 512
@@ -55,23 +61,51 @@ class MetricsReport:
             f"{self.ndcg5:.6f}", f"{self.ndcg10:.6f}", self.fingerprint])
 
 
-def rank_target(scores: np.ndarray, target: int, excluded=()) -> int:
-    """1-based rank of the target among non-excluded items.
+def rank_targets(scores: np.ndarray, targets, excluded=None) -> np.ndarray:
+    """1-based rank of each row's target among that row's non-excluded items.
 
     rank = 1 + #(strictly better) + #(equal score with smaller id).
+    ``scores`` is (B, N); ``excluded`` is None or a CSR-style pair
+    (indptr of length B+1, item ids) listing each row's excluded items.
+    A target must stay a candidate: excluding it raises ``ProtocolError``.
     """
     scores = np.asarray(scores)
-    keep = np.ones(scores.shape[0], dtype=bool)
-    excluded = np.asarray(sorted(excluded), dtype=np.int64)
-    if excluded.size:
-        keep[excluded] = False
-    if not keep[target]:
-        raise ProtocolError(f"target item {target} is excluded from ranking")
-    target_score = scores[target]
-    better = np.count_nonzero(keep & (scores > target_score))
-    tied_before = np.count_nonzero(
-        keep[:target] & (scores[:target] == target_score))
-    return 1 + better + tied_before
+    targets = np.asarray(targets, dtype=np.int64)
+    rows = np.arange(scores.shape[0])
+    target_scores = scores[rows, targets][:, None]
+    ahead = scores > target_scores
+    ahead |= (scores == target_scores) & (
+        np.arange(scores.shape[1]) < targets[:, None])
+    if excluded is not None:
+        indptr, items = excluded
+        item_rows = np.repeat(rows, np.diff(indptr))
+        hit = items == targets[item_rows]
+        if hit.any():
+            raise ProtocolError(
+                f"target item {items[hit][0]} is excluded from ranking")
+        ahead[item_rows, items] = False
+    return 1 + np.count_nonzero(ahead, axis=1)
+
+
+def rank_target(scores: np.ndarray, target: int, excluded=()) -> int:
+    """``rank_targets`` for one score row and a collection of excluded ids."""
+    items = np.fromiter(excluded, dtype=np.int64)
+    return int(rank_targets(np.asarray(scores)[None, :], [target],
+                            (np.array([0, items.size]), items))[0])
+
+
+def _seen_items(sequences: list[list[int]], targets: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR-style (indptr, items) of each sequence's items minus its target;
+    repeated items stay repeated, which ranking ignores."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64,
+                          count=len(sequences))
+    items = np.fromiter(itertools.chain.from_iterable(sequences),
+                        dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(len(sequences)), lengths)
+    keep = items != targets[rows]
+    counts = np.bincount(rows[keep], minlength=len(sequences))
+    return np.concatenate([[0], np.cumsum(counts)]), items[keep]
 
 
 def hr_at_k(rank: int, k: int) -> float:
@@ -98,35 +132,35 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         raise ValueError("split must be 'validation' or 'test'")
     head = hyper.scoring_head
     need_seq, need_graph, need_fused = encoder_paths(head)
-    if adjacency is None and need_graph:
-        adjacency = build_adjacency(dataset.train, dataset.n_users,
-                                    dataset.n_items)
+    nodes = None
+    if need_graph:
+        if adjacency is None:
+            adjacency = build_adjacency(dataset.train, dataset.n_users,
+                                        dataset.n_items)
+        nodes = propagated_embeddings(params.tables, adjacency, hyper.k,
+                                      layer_mean=hyper.layer_mean)
     pad = params.tables.padding_id
     users = list(range(dataset.n_users))
     totals = {"hr5": 0.0, "hr10": 0.0, "ndcg5": 0.0, "ndcg10": 0.0}
     for start in range(0, len(users), EVAL_BATCH):
         chunk = users[start:start + EVAL_BATCH]
-        sequences, targets, exclusions = [], [], []
-        for u in chunk:
-            if split == "validation":
-                seq, target = dataset.train[u], dataset.val[u]
-                seen = set(dataset.train[u])
-            else:
-                seq = dataset.train[u] + [dataset.val[u]]
-                target = dataset.test[u]
-                seen = set(dataset.train[u]) | {dataset.val[u]}
-            seen.discard(target)  # the target itself is always a candidate
-            sequences.append(seq)
-            targets.append(target)
-            exclusions.append(seen if hyper.exclude_seen else set())
+        # The seen items are exactly the input sequence's items.
+        if split == "validation":
+            sequences = [dataset.train[u] for u in chunk]
+            targets = np.array([dataset.val[u] for u in chunk], dtype=np.int64)
+        else:
+            sequences = [dataset.train[u] + [dataset.val[u]] for u in chunk]
+            targets = np.array([dataset.test[u] for u in chunk], dtype=np.int64)
         batch = build_batch(chunk, sequences, hyper.c, pad)
         states = forward_states(params, batch, adjacency, hyper.k,
                                 need_seq=need_seq, need_graph=need_graph,
                                 need_fused=need_fused,
-                                layer_mean=hyper.layer_mean, train_mode=False)
+                                layer_mean=hyper.layer_mean, train_mode=False,
+                                node_embeddings=nodes)
         scores = score_batch(params, states, head).data
-        for row, target, seen in zip(scores, targets, exclusions):
-            rank = rank_target(row, target, seen)
+        excluded = _seen_items(sequences, targets) if hyper.exclude_seen else None
+        # Per-user sums in user order keep the totals' rounding unchanged.
+        for rank in rank_targets(scores, targets, excluded).tolist():
             totals["hr5"] += hr_at_k(rank, 5)
             totals["hr10"] += hr_at_k(rank, 10)
             totals["ndcg5"] += ndcg_at_k(rank, 5)

@@ -89,11 +89,15 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
                    need_seq: bool = True, need_graph: bool = True,
                    need_fused: bool = True, layer_mean: bool = False,
                    train_mode: bool = False,
-                   rng: np.random.Generator | None = None) -> ForwardStates:
+                   rng: np.random.Generator | None = None,
+                   node_embeddings: ad.Tensor | None = None) -> ForwardStates:
     """Run the requested encoder paths for one batch.
 
     The graph path re-propagates from the current tables so gradients reach
     them; ``initial_nodes`` exposes the layer-0 matrix for regularization.
+    A caller whose tables do not change between batches (evaluation) may
+    pass the propagated ``node_embeddings`` once computed; the graph path
+    then only gathers from them and ``initial_nodes`` stays None.
     """
     states = ForwardStates()
     if need_seq or need_fused:
@@ -102,13 +106,15 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
             e_u, E_u, params.encoder, params.seq_config,
             batch.valid_lengths, train_mode=train_mode, rng=rng)
     if need_graph or need_fused:
-        if adjacency is None:
-            raise ValueError("graph path requested without an adjacency")
-        states.initial_nodes = ad.concat(
-            [params.tables.user, params.tables.item_rows()], axis=0)
-        states.node_embeddings = propagated_embeddings(
-            params.tables, adjacency, k, layer_mean=layer_mean,
-            initial=states.initial_nodes)
+        if node_embeddings is None:
+            if adjacency is None:
+                raise ValueError("graph path requested without an adjacency")
+            states.initial_nodes = ad.concat(
+                [params.tables.user, params.tables.item_rows()], axis=0)
+            node_embeddings = propagated_embeddings(
+                params.tables, adjacency, k, layer_mean=layer_mean,
+                initial=states.initial_nodes)
+        states.node_embeddings = node_embeddings
         states.e_g, states.E_g = gather_batch(
             states.node_embeddings, batch,
             params.tables.n_users, params.tables.n_items)

@@ -23,7 +23,7 @@ from .data import SplitDataset
 from .embeddings import build_batch
 from .errors import DataError, NumericError
 from .fusion import SCORING_HEADS
-from .graph import NormalizedAdjacency, build_adjacency
+from .graph import NormalizedAdjacency, build_adjacency, check_leakage
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
 from .model import (ModelParams, ForwardStates, encoder_paths, forward_states,
@@ -104,10 +104,13 @@ def sample_negatives(forbidden: np.ndarray, n_items: int, size: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Uniform draw without replacement from the items NOT in ``forbidden``.
 
-    Shrinks the request with a warning when the complement is too small.
+    Forbidden ids lie in ``[0, n_items)``. The complement is the sorted array
+    of allowed ids. Shrinks the request with a warning when the complement
+    is too small.
     """
-    complement = np.setdiff1d(np.arange(n_items, dtype=np.int64),
-                              np.asarray(forbidden, dtype=np.int64))
+    allowed = np.ones(n_items, dtype=bool)
+    allowed[np.asarray(forbidden, dtype=np.int64)] = False
+    complement = np.flatnonzero(allowed)
     if complement.size == 0:
         raise DataError("user has interacted with the whole catalog")
     if size > complement.size:
@@ -238,8 +241,11 @@ def fit(dataset: SplitDataset, hyper: Hyperparams,
     params = init_model(dataset.n_users, dataset.n_items, hyper.c,
                         hyper.seq_config(), hyper.seed)
     need_graph = encoder_paths(hyper.scoring_head, hyper.weights)[1]
-    adjacency = build_adjacency(dataset.train, dataset.n_users,
-                                dataset.n_items) if need_graph else None
+    adjacency = None
+    if need_graph:
+        adjacency = build_adjacency(dataset.train, dataset.n_users,
+                                    dataset.n_items)
+        check_leakage(adjacency, dataset)
     if hyper.max_epochs == 0:
         return params, []
     examples = build_examples(dataset)

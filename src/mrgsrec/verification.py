@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import SplitDataset
 from .embeddings import build_batch
-from .evaluation import hr_at_k, ndcg_at_k, rank_target
+from .evaluation import hr_at_k, ndcg_at_k, rank_targets
 from .graph import build_adjacency
 from .losses import LossWeights
 from .model import forward_states, init_model
@@ -85,7 +85,8 @@ def component_loss_fn(name: str, hyper, params, adjacency, examples,
 
 def gradient_suite(h: float = 1e-5, tol: float = 1e-4,
                    **instance_kwargs) -> dict[str, dict]:
-    """Finite-difference check of each loss and the total; one record per loss."""
+    """Finite-difference check of each loss and the total; one record per
+    loss, with the worst block and the per-block report under ``blocks``."""
     instance = make_gradient_instance(**instance_kwargs)
     hyper, params = instance[0], instance[1]
     results: dict[str, dict] = {}
@@ -97,6 +98,7 @@ def gradient_suite(h: float = 1e-5, tol: float = 1e-4,
             "max_rel_error": report[worst_block]["max_rel_error"],
             "worst_block": worst_block,
             "passed": all(entry["passed"] for entry in report.values()),
+            "blocks": report,
         }
     return results
 
@@ -155,16 +157,24 @@ def metric_oracle_rank(scores: np.ndarray, target: int, excluded=()) -> int:
 
 
 def metric_suite(n_users: int = 100, n_items: int = 50, seed: int = 13) -> dict:
-    """Check rank/HR/NDCG against the sort-based oracle on random scores."""
+    """Rank random score rows as one block, the way ``evaluate`` ranks a
+    chunk, and check each rank, HR and NDCG against the sort-based oracle."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(n_users):
-        scores = rng.normal(size=n_items)
+    scores = np.empty((n_users, n_items))
+    targets = np.empty(n_users, dtype=np.int64)
+    exclusions = []
+    for u in range(n_users):
+        scores[u] = rng.normal(size=n_items)
         if rng.random() < 0.3:  # force ties sometimes
-            scores = np.round(scores, 1)
-        target = int(rng.integers(n_items))
-        excluded = set(rng.integers(0, n_items, size=5).tolist()) - {target}
-        got = rank_target(scores, target, excluded)
-        want = metric_oracle_rank(scores, target, excluded)
+            scores[u] = np.round(scores[u], 1)
+        targets[u] = rng.integers(n_items)
+        exclusions.append(sorted(
+            set(rng.integers(0, n_items, size=5).tolist()) - {int(targets[u])}))
+    indptr = np.cumsum([0] + [len(ex) for ex in exclusions])
+    items = np.asarray([i for ex in exclusions for i in ex], dtype=np.int64)
+    ranks = rank_targets(scores, targets, (indptr, items)).tolist()
+    for got, row, target, excluded in zip(ranks, scores, targets, exclusions):
+        want = metric_oracle_rank(row, int(target), excluded)
         if got != want:
             return {"passed": False,
                     "reason": f"rank mismatch: {got} vs oracle {want}"}
@@ -191,6 +201,11 @@ def run_all(quick: bool = False) -> tuple[bool, str]:
             f"gradient/{name}: max_rel_error={entry['max_rel_error']:.3e} "
             f"(worst block {entry['worst_block']}) "
             f"{'PASS' if entry['passed'] else 'FAIL'}")
+        for block, record in entry["blocks"].items():
+            lines.append(
+                f"  gradient/{name}/{block}: "
+                f"max_rel_error={record['max_rel_error']:.3e} "
+                f"{'PASS' if record['passed'] else 'FAIL'}")
     sparse = sparse_dense_suite()
     ok &= sparse["passed"]
     lines.append(f"graph/sparse-vs-dense: {sparse} "

@@ -238,6 +238,16 @@ class TestVerify:
         assert cli.main(["verify", "--quick"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_quick_verify_lists_every_block(self, capsys):
+        assert cli.main(["verify", "--quick"]) == 0
+        out = capsys.readouterr().out
+        blocks = init_model(5, 7, 3, SeqEncoderConfig(d=4, n_layers=1),
+                            seed=0).named()
+        for loss in ("local", "global", "fused", "contrastive", "total"):
+            assert f"gradient/{loss}: max_rel_error=" in out  # worst block
+            for block in blocks:
+                assert f"gradient/{loss}/{block}: max_rel_error=" in out
+
 
 def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     cfg = SeqEncoderConfig(d=8, n_layers=2, n_heads=2, dropout_rate=0.1,

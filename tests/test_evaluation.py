@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrgsrec import evaluation as ev
+from mrgsrec import model as md
 from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
+from mrgsrec.embeddings import build_batch
 from mrgsrec.errors import ProtocolError
+from mrgsrec.graph import build_adjacency
 from mrgsrec.losses import LossWeights
 from mrgsrec.model import init_model
 from mrgsrec.verification import metric_oracle_rank, random_dataset
@@ -45,6 +50,45 @@ class TestRankTarget:
         excluded = set(g.integers(0, 50, size=6).tolist()) - {target}
         assert ev.rank_target(scores, target, excluded) == \
             metric_oracle_rank(scores, target, excluded)
+
+
+@st.composite
+def ranking_blocks(draw):
+    """A (B, N) block of small-integer scores (many ties), one target per
+    row and a history per row that may contain the target or be empty."""
+    n_items = draw(st.integers(1, 12))
+    n_rows = draw(st.integers(1, 6))
+    scores = np.array(draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n_items, max_size=n_items),
+        min_size=n_rows, max_size=n_rows)), dtype=np.float64)
+    targets = draw(st.lists(st.integers(0, n_items - 1),
+                            min_size=n_rows, max_size=n_rows))
+    histories = draw(st.lists(
+        st.lists(st.integers(0, n_items - 1), max_size=8),
+        min_size=n_rows, max_size=n_rows))
+    return scores, targets, histories
+
+
+class TestRankTargets:
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_blocks())
+    def test_rows_match_sort_oracle(self, block):
+        scores, targets, histories = block
+        # the target always stays a candidate, as evaluate arranges it
+        excluded = [[i for i in h if i != t] for h, t in zip(histories, targets)]
+        indptr = np.cumsum([0] + [len(ex) for ex in excluded])
+        items = np.asarray([i for ex in excluded for i in ex], dtype=np.int64)
+        got = ev.rank_targets(scores, targets, (indptr, items))
+        open_ranks = ev.rank_targets(scores, targets)
+        for row, target, ex, rank, open_rank in zip(
+                scores, targets, excluded, got, open_ranks):
+            assert rank == metric_oracle_rank(row, target, ex)
+            assert open_rank == metric_oracle_rank(row, target)
+
+    def test_excluded_target_raises(self):
+        excluded = (np.array([0, 0, 1]), np.array([2]))
+        with pytest.raises(ProtocolError):
+            ev.rank_targets(np.zeros((2, 4)), [1, 2], excluded)
 
 
 class TestMetrics:
@@ -212,3 +256,71 @@ def test_report_invariant_validation():
         ev.MetricsReport("x", 0.5, 0.4, 0.2, 0.1, 10).validate()  # hr5 > hr10
     with pytest.raises(ProtocolError):
         ev.MetricsReport("x", 0.2, 0.4, 0.3, 0.41, 10).validate()  # ndcg5 > hr5
+
+
+def _recomposed(params, dataset, split, hyper):
+    """``evaluate`` rebuilt from its public calls: one ``forward_states``
+    (which propagates the graph itself) per chunk, one ``rank_target`` per
+    user, totals added per user in user order."""
+    paths = dict(zip(("need_seq", "need_graph", "need_fused"),
+                     md.encoder_paths(hyper.scoring_head)))
+    adjacency = build_adjacency(dataset.train, dataset.n_users,
+                                dataset.n_items) if paths["need_graph"] else None
+    totals = [0.0, 0.0, 0.0, 0.0]
+    for start in range(0, dataset.n_users, ev.EVAL_BATCH):
+        chunk = list(range(start, min(start + ev.EVAL_BATCH, dataset.n_users)))
+        if split == "validation":
+            sequences = [dataset.train[u] for u in chunk]
+            targets = [dataset.val[u] for u in chunk]
+        else:
+            sequences = [dataset.train[u] + [dataset.val[u]] for u in chunk]
+            targets = [dataset.test[u] for u in chunk]
+        batch = build_batch(chunk, sequences, hyper.c, params.tables.padding_id)
+        states = md.forward_states(params, batch, adjacency, hyper.k,
+                                   layer_mean=hyper.layer_mean, **paths)
+        scores = md.score_batch(params, states, hyper.scoring_head).data
+        for row, seq, target in zip(scores, sequences, targets):
+            seen = set(seq) - {target} if hyper.exclude_seen else set()
+            rank = ev.rank_target(row, target, seen)
+            for i, value in enumerate((ev.hr_at_k(rank, 5), ev.hr_at_k(rank, 10),
+                                       ev.ndcg_at_k(rank, 5),
+                                       ev.ndcg_at_k(rank, 10))):
+                totals[i] += value
+    n = dataset.n_users
+    return ev.MetricsReport(split, *(t / n for t in totals), n_users=n)
+
+
+@pytest.mark.parametrize("split", ["validation", "test"])
+@pytest.mark.parametrize("head", ["fused", "sequential", "graph"])
+def test_evaluate_equals_per_chunk_recomposition(monkeypatch, head, split):
+    # 40 users in chunks of 16: long enough that a vectorised per-chunk sum
+    # rounds differently from per-user addition on every head and split
+    monkeypatch.setattr(ev, "EVAL_BATCH", 16)
+    dataset = random_dataset(40, 15, seed=8, min_len=4, max_len=9)
+    hyper = eval_hyper(scoring_head=head, k=2, n_layers=1, layer_mean=True)
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), seed=4)
+    assert ev.evaluate(params, dataset, split, hyper) == \
+        _recomposed(params, dataset, split, hyper)
+
+
+@pytest.mark.parametrize("head,calls", [("graph", 1), ("fused", 1),
+                                        ("sequential", 0)])
+def test_evaluate_propagates_the_graph_once_per_pass(monkeypatch, head, calls):
+    monkeypatch.setattr(ev, "EVAL_BATCH", 4)  # 13 users -> 4 chunks
+    counted = []
+    original = ev.propagated_embeddings
+
+    def counting(*args, **kwargs):
+        counted.append(head)
+        return original(*args, **kwargs)
+
+    # forward_states propagates through the model module's own name
+    monkeypatch.setattr(ev, "propagated_embeddings", counting)
+    monkeypatch.setattr(md, "propagated_embeddings", counting)
+    dataset = random_dataset(13, 10, seed=9)
+    hyper = eval_hyper(scoring_head=head, k=2, n_layers=1)
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), seed=0)
+    ev.evaluate(params, dataset, "validation", hyper)
+    assert len(counted) == calls

@@ -8,7 +8,7 @@ import pytest
 from mrgsrec import autodiff as ad
 from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
-from mrgsrec.errors import DataError
+from mrgsrec.errors import DataError, GraphError
 from mrgsrec.graph import build_adjacency
 from mrgsrec.losses import LossWeights
 from mrgsrec.model import init_model
@@ -80,6 +80,17 @@ class TestSampleNegatives:
                           for _ in range(4)])
         for a, b in zip(*draws):
             np.testing.assert_array_equal(a, b)
+
+    def test_pinned_draws_and_rng_state(self):
+        # Recorded with the earlier setdiff1d complement: the draws and the
+        # generator state after them must not move.
+        rng = np.random.Generator(np.random.PCG64(42))
+        got = [tr.sample_negatives(np.array([0, 3, 4, 7, 19]), 20, 6, rng),
+               tr.sample_negatives(np.array([1, 2, 5]), 12, 4, rng),
+               tr.sample_negatives(np.array([], dtype=np.int64), 9, 3, rng)]
+        assert [g.tolist() for g in got] == [
+            [11, 12, 10, 16, 9, 1], [10, 8, 9, 11], [4, 5, 3]]
+        assert int(rng.integers(1 << 30)) == 995106329
 
     def test_without_replacement(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -230,6 +241,18 @@ class TestFit:
         for name, tensor in params.named().items():
             np.testing.assert_array_equal(tensor.data,
                                           fresh.named()[name].data)
+
+    def test_leaking_adjacency_rejected_before_training(self, monkeypatch):
+        dataset = random_dataset(6, 12, 0)
+        original = tr.build_adjacency
+
+        def leaking(train, m, n):  # validation targets become graph edges
+            return original([seq + [dataset.val[u]]
+                             for u, seq in enumerate(train)], m, n)
+
+        monkeypatch.setattr(tr, "build_adjacency", leaking)
+        with pytest.raises(GraphError, match="validation target"):
+            tr.fit(dataset, small_hyper(max_epochs=0))
 
     def test_early_stop_after_exactly_patience_flat_epochs(self):
         dataset = random_dataset(6, 12, 1)
