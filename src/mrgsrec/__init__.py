@@ -3,14 +3,16 @@
 Submodules (import them directly; this package root stays import-light so
 the CLI can cap math threads before numpy loads):
 
-- ``mrgsrec.data``: ingestion, min-count filtering, leave-one-out splits
+- ``mrgsrec.data``: ingestion, min-count filtering, leave-one-out splits,
+  the snapshot format
 - ``mrgsrec.autodiff``: reverse-mode gradients over float64 numpy arrays
 - ``mrgsrec.embeddings``: user/item/positional tables and window assembly
 - ``mrgsrec.seqenc``: transformer encoder over the user-prefixed window
 - ``mrgsrec.graph``: normalized bipartite adjacency and propagation
 - ``mrgsrec.fusion``: local/global fusion block and the scoring head
 - ``mrgsrec.losses``: the four objectives and their weighted total
-- ``mrgsrec.model`` / ``mrgsrec.training``: parameters, Adam, fit loop
+- ``mrgsrec.model``: parameters, forward passes, the checkpoint format
+- ``mrgsrec.training``: negative sampling, Adam, the fit loop
 - ``mrgsrec.evaluation``: full-catalog HR@n / NDCG@n
 - ``mrgsrec.synthetic``: clustered-Markov data generator
 - ``mrgsrec.verification``: gradient / graph / metric self-checks

@@ -317,21 +317,20 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def spmm(adj: sp.spmatrix, x, adj_t: sp.spmatrix | None = None) -> Tensor:
-    """Sparse-dense product ``adj @ x`` with gradient ``adj_t @ g`` for ``x``.
+def spmm(adj: sp.spmatrix, x) -> Tensor:
+    """Sparse-dense product ``adj @ x`` with gradient ``adj @ g`` for ``x``.
 
-    ``adj`` is a constant (never differentiated). Pass ``adj_t`` when the
-    matrix is not symmetric; defaults to ``adj`` itself.
+    ``adj`` is a constant (never differentiated) and must be symmetric, as
+    the normalized adjacency is by construction.
     """
     x = as_tensor(x)
     if adj.shape[1] != x.data.shape[0]:
         raise DimensionError(
             f"spmm: adjacency columns {adj.shape[1]} != rows {x.data.shape[0]}")
-    back_adj = adj if adj_t is None else adj_t
     out = adj @ x.data
 
     def backward(g):
-        x._accumulate(back_adj @ g)
+        x._accumulate(adj @ g)
 
     return _make(out, (x,), backward)
 

@@ -3,23 +3,18 @@
 The item table carries one extra trailing row (index ``n_items``) used as
 the padding slot; it is initialized to zero and the trainer keeps its
 gradient pinned at zero. Windows are left-padded so the most recent item
-always occupies the final slot.
+always occupies the final slot. The tables are saved and loaded with the
+rest of the model by ``mrgsrec.model.save_checkpoint`` / ``load_checkpoint``.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, ParseError
-
-CHECKPOINT_MAGIC = b"MRGS-CKPT-v1"
+from .errors import DataError
 
 
 @dataclass
@@ -111,52 +106,3 @@ def embed_sequence(batch: SequenceBatch, tables: EmbeddingTables
     pos = ad.mul(ad.reshape(tables.positional, (1, tables.c, tables.d)), mask)
     return e_u, ad.add(items, pos)
 
-
-def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Versioned binary dump: magic line, JSON header, row-major float64 blobs."""
-    names = list(arrays)
-    header = {
-        "meta": meta,
-        "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
-    }
-    header_bytes = json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + b"\n")
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for name in names:
-            fh.write(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
-
-
-def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a dump written by ``save_arrays``; returns (arrays, meta).
-
-    The file must hold exactly the bytes its header describes: a truncated
-    file or one with trailing bytes is rejected with ParseError.
-    """
-    raw = Path(path).read_bytes()
-    magic = CHECKPOINT_MAGIC + b"\n"
-    if not raw.startswith(magic):
-        raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} file")
-    try:
-        (header_len,) = struct.unpack_from("<Q", raw, len(magic))
-        offset = len(magic) + 8 + header_len
-        header = json.loads(raw[len(magic) + 8:offset].decode("utf-8"))
-        entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
-        meta = header["meta"]
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
-    names = [name for name, _ in entries]
-    if len(set(names)) != len(names) or not all(
-            isinstance(n, int) and n >= 0 for _, shape in entries for n in shape):
-        raise ParseError(f"{path}: repeated block names or invalid shapes")
-    expected = offset + 8 * sum(math.prod(shape) for _, shape in entries)
-    if len(raw) != expected:
-        raise ParseError(f"{path}: {len(raw)} bytes, header describes {expected}")
-    arrays = {}
-    for name, shape in entries:
-        arrays[name] = np.frombuffer(raw, np.float64, math.prod(shape),
-                                     offset).reshape(shape).copy()
-        offset += 8 * math.prod(shape)
-    return arrays, meta

@@ -9,6 +9,7 @@ layers their global embedding is zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,21 +30,28 @@ class NormalizedAdjacency:
     n_items: int
 
 
+def interaction_matrix(train: list[list[int]], n_users: int, n_items: int
+                       ) -> sp.csr_matrix:
+    """R: the (M, N) binary CSR matrix of distinct (user, item) train pairs,
+    with sorted column indices."""
+    lengths = np.fromiter(map(len, train), dtype=np.int64, count=len(train))
+    rows = np.repeat(np.arange(len(train)), lengths)
+    cols = np.fromiter(itertools.chain.from_iterable(train), dtype=np.int64,
+                       count=rows.size)
+    r = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                      shape=(n_users, n_items))
+    r.sum_duplicates()
+    r.data[:] = 1.0
+    return r
+
+
 def build_adjacency(train: list[list[int]], n_users: int, n_items: int
                     ) -> NormalizedAdjacency:
     """Assemble R from deduplicated train interactions and return
     D^{-1/2} A D^{-1/2} over the stacked user+item node set."""
-    rows, cols = [], []
-    for u, seq in enumerate(train):
-        for item in sorted(set(seq)):
-            rows.append(u)
-            cols.append(item)
-    if not rows:
+    r = interaction_matrix(train, n_users, n_items)
+    if r.nnz == 0:
         raise GraphError("interaction graph has no edges")
-    data = np.ones(len(rows), dtype=np.float64)
-    r = sp.csr_matrix((data, (rows, cols)), shape=(n_users, n_items))
-    r.sum_duplicates()
-    r.sort_indices()
     adj = sp.bmat([[None, r], [r.T, None]], format="csr")
     degrees = np.asarray(adj.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
@@ -104,11 +112,15 @@ def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
 
 
 def check_leakage(adjacency: NormalizedAdjacency, dataset: SplitDataset) -> None:
-    """Raise if any validation/test target has an edge in R."""
-    r = adjacency.interactions.tocsr()
-    for u in range(dataset.n_users):
-        row = r.indices[r.indptr[u]:r.indptr[u + 1]]
-        if dataset.val[u] in row and dataset.val[u] not in dataset.train[u]:
-            raise GraphError(f"validation target of user {u} leaked into the graph")
-        if dataset.test[u] in row and dataset.test[u] not in dataset.train[u]:
-            raise GraphError(f"test target of user {u} leaked into the graph")
+    """Raise if any validation/test target has an edge in R that the user's
+    own train interactions do not explain."""
+    train = interaction_matrix(dataset.train, dataset.n_users, dataset.n_items)
+    users = np.arange(dataset.n_users)
+    for split, targets in (("validation", dataset.val), ("test", dataset.test)):
+        targets = np.asarray(targets, dtype=np.int64)
+        in_graph = np.asarray(adjacency.interactions[users, targets]).ravel()
+        in_train = np.asarray(train[users, targets]).ravel()
+        leaked = np.flatnonzero((in_graph > 0) & (in_train == 0))
+        if leaked.size:
+            raise GraphError(
+                f"{split} target of user {leaked[0]} leaked into the graph")

@@ -1,20 +1,26 @@
-"""Full parameter set and the forward passes shared by training and evaluation."""
+"""Full parameter set, the forward passes shared by training and evaluation,
+and the checkpoint format."""
 
 from __future__ import annotations
 
+import itertools
+import json
+import struct
 from copy import deepcopy
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .embeddings import (EmbeddingTables, SequenceBatch, embed_sequence,
-                         init_tables, load_arrays, save_arrays)
+from .embeddings import EmbeddingTables, SequenceBatch, embed_sequence, init_tables
 from .errors import ParseError
 from .fusion import FusionParams, fuse, init_fusion_params, score_items
 from .graph import NormalizedAdjacency, gather_batch, propagated_embeddings
 from .losses import LossWeights
 from .seqenc import SeqEncoderConfig, SeqEncoderParams, init_seq_params, seq_encode
+
+CHECKPOINT_MAGIC = b"MRGS-CKPT-v1\n"
 
 
 @dataclass
@@ -133,33 +139,65 @@ def score_batch(params: ModelParams, states: ForwardStates, head: str) -> ad.Ten
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
-    """Persist all parameter blocks plus the hyper-parameter header."""
-    arrays = {name: t.data for name, t in params.named().items()}
+    """Persist all parameter blocks plus the hyper-parameter header.
+
+    Layout: the ``CHECKPOINT_MAGIC`` line, the header length as a
+    little-endian u64, the sorted-key JSON header (``meta`` with the model
+    header under ``"model"``, and each block's name and shape), then each
+    block's little-endian float64 values, row-major, in ``params.named()``
+    order.
+    """
     t = params.tables
-    meta = dict(meta)
-    meta["model"] = {"n_users": t.n_users, "n_items": t.n_items, "c": t.c,
-                     **asdict(params.seq_config)}
-    save_arrays(path, arrays, meta)
+    meta = {**meta, "model": {"n_users": t.n_users, "n_items": t.n_items,
+                              "c": t.c, **asdict(params.seq_config)}}
+    named = params.named()
+    header = json.dumps(
+        {"meta": meta, "arrays": [{"name": name, "shape": list(tensor.shape)}
+                                  for name, tensor in named.items()]},
+        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with Path(path).open("wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<Q", len(header)))
+        fh.write(header)
+        for tensor in named.values():
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Rebuild the model a checkpoint describes; every parameter block must
-    be present with its exact shape, or the file is rejected."""
-    arrays, meta = load_arrays(path)
+    """Rebuild the model a checkpoint describes; returns (params, meta).
+
+    The header's (name, shape) block list must equal the rebuilt model's,
+    and the file must hold exactly the bytes that list describes; anything
+    else raises ParseError before a single block is copied.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.startswith(CHECKPOINT_MAGIC):
+        raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC.decode().strip()} file")
+    offset = len(CHECKPOINT_MAGIC) + 8
     try:
+        (header_len,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC))
+        header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
+        meta = header["meta"]
+        blocks = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
         spec = dict(meta["model"])
         sizes = (spec.pop("n_users"), spec.pop("n_items"), spec.pop("c"))
         params = init_model(*sizes, SeqEncoderConfig(**spec), seed=0)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad checkpoint model header ({exc!r})") from exc
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
     named = params.named()
-    if set(arrays) != set(named):
-        raise ParseError(
-            f"{path}: parameter blocks missing {sorted(set(named) - set(arrays))}, "
-            f"unexpected {sorted(set(arrays) - set(named))}")
-    for name, tensor in named.items():
-        if arrays[name].shape != tensor.shape:
-            raise ParseError(f"{path}: block {name!r} has shape "
-                             f"{arrays[name].shape}, expected {tensor.shape}")
-        tensor.data[...] = arrays[name]
+    expected = [(name, tensor.shape) for name, tensor in named.items()]
+    if blocks != expected:
+        got, want = next((g, w) for g, w in itertools.zip_longest(blocks, expected)
+                         if g != w)
+        raise ParseError(f"{path}: block list differs from the model's: "
+                         f"{got or 'no block'} where {want or 'no block'} "
+                         "is expected")
+    offset += header_len
+    size = offset + 8 * sum(tensor.data.size for tensor in named.values())
+    if len(raw) != size:
+        raise ParseError(f"{path}: {len(raw)} bytes, header describes {size}")
+    for tensor in named.values():
+        tensor.data[...] = np.frombuffer(raw, "<f8", tensor.data.size,
+                                         offset).reshape(tensor.shape)
+        offset += 8 * tensor.data.size
     return params, meta

@@ -130,8 +130,7 @@ def _attention(x: ad.Tensor, layer: dict[str, ad.Tensor], mask: np.ndarray,
     q, k, v = heads(layer["wq"]), heads(layer["wk"]), heads(layer["wv"])
     scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
     probs = ad.masked_softmax(scores, mask[:, None, :, :])
-    if train and dropout_rate > 0.0:
-        probs = ad.dropout(probs, dropout_rate, rng, train)
+    probs = ad.dropout(probs, dropout_rate, rng, train)
     out = ad.matmul(probs, v)  # (B, H, T, dh)
     out = ad.reshape(ad.swapaxes(out, 1, 2), (b, t, d))
     return ad.matmul(out, layer["wo"])
@@ -168,12 +167,10 @@ def seq_encode(e_u: ad.Tensor, E_u: ad.Tensor, params: SeqEncoderParams,
         attn = _attention(ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"]),
                           layer, mask, config.n_heads,
                           config.dropout_rate, train_mode, rng)
-        if train_mode and config.dropout_rate > 0.0:
-            attn = ad.dropout(attn, config.dropout_rate, rng, train_mode)
+        attn = ad.dropout(attn, config.dropout_rate, rng, train_mode)
         x = ad.add(x, attn)
         ff = _feed_forward(ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer)
-        if train_mode and config.dropout_rate > 0.0:
-            ff = ad.dropout(ff, config.dropout_rate, rng, train_mode)
+        ff = ad.dropout(ff, config.dropout_rate, rng, train_mode)
         x = ad.add(x, ff)
     if config.user_state == "last_position":
         e_l = ad.reshape(ad.narrow(x, 1, c, 1), (b, d))

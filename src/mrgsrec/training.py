@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ from . import autodiff as ad
 from .data import SplitDataset
 from .embeddings import build_batch
 from .errors import DataError, NumericError
+from .evaluation import evaluate
 from .fusion import SCORING_HEADS
 from .graph import NormalizedAdjacency, build_adjacency, check_leakage
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
@@ -46,7 +46,7 @@ class Hyperparams(SeqEncoderConfig):
         "graph_layer_mean", False,
         help="average propagation layers instead of taking the last")
     weights: LossWeights = field(default_factory=LossWeights)
-    n_negatives: int = setting("negative_samples", 100,
+    n_negatives: int = setting("negative_samples", 100, minimum=1,
                                help="negatives drawn per user per step")
     learning_rate: float = setting("learning_rate", 1e-3, help="Adam step size")
     beta1: float = setting("adam_beta1", 0.9, help="Adam first-moment decay")
@@ -105,18 +105,14 @@ def sample_negatives(forbidden: np.ndarray, n_items: int, size: int,
     """Uniform draw without replacement from the items NOT in ``forbidden``.
 
     Forbidden ids lie in ``[0, n_items)``. The complement is the sorted array
-    of allowed ids. Shrinks the request with a warning when the complement
-    is too small.
+    of allowed ids; a request larger than it raises DataError.
     """
     allowed = np.ones(n_items, dtype=bool)
     allowed[np.asarray(forbidden, dtype=np.int64)] = False
     complement = np.flatnonzero(allowed)
-    if complement.size == 0:
-        raise DataError("user has interacted with the whole catalog")
     if size > complement.size:
-        warnings.warn(
-            f"negative sample resized {size} -> {complement.size}", stacklevel=2)
-        size = complement.size
+        raise DataError(f"{size} negatives requested, but the user has only "
+                        f"{complement.size} unseen items")
     return rng.choice(complement, size=size, replace=False)
 
 
@@ -234,9 +230,9 @@ def fit(dataset: SplitDataset, hyper: Hyperparams,
 
     Returns the best parameters (by validation NDCG@10) and the epoch log.
     With ``max_epochs == 0`` the initial parameters come back untouched.
+    Raises DataError before the first step when ``n_negatives`` exceeds
+    some user's count of unseen items.
     """
-    from .evaluation import evaluate  # local import to avoid a cycle
-
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     params = init_model(dataset.n_users, dataset.n_items, hyper.c,
                         hyper.seq_config(), hyper.seed)
@@ -249,6 +245,10 @@ def fit(dataset: SplitDataset, hyper: Hyperparams,
     if hyper.max_epochs == 0:
         return params, []
     examples = build_examples(dataset)
+    fewest_unseen = min(dataset.n_items - ex.forbidden.size for ex in examples)
+    if hyper.n_negatives > fewest_unseen:
+        raise DataError(f"negative_samples={hyper.n_negatives} exceeds the "
+                        f"{fewest_unseen} unseen items of some user")
     optimizer = Adam(params.parameters(), lr=hyper.learning_rate,
                      beta1=hyper.beta1, beta2=hyper.beta2, eps=hyper.epsilon)
     best = params.copy()
@@ -279,12 +279,9 @@ def fit(dataset: SplitDataset, hyper: Hyperparams,
                 seconds=time.perf_counter() - started)
             history.append(record)
             if log_fh:
-                log_fh.write(json.dumps({
-                    "epoch": record.epoch, "losses": record.losses,
-                    "val_hr5": record.val_hr5, "val_hr10": record.val_hr10,
-                    "val_ndcg5": record.val_ndcg5, "val_ndcg10": record.val_ndcg10,
-                    "seconds": record.seconds, "fingerprint": fingerprint,
-                    "seed": hyper.seed}, sort_keys=True) + "\n")
+                log_fh.write(json.dumps(
+                    {**asdict(record), "fingerprint": fingerprint,
+                     "seed": hyper.seed}, sort_keys=True) + "\n")
                 log_fh.flush()
             if report.ndcg10 > best_metric:
                 best_metric = report.ndcg10

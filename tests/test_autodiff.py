@@ -167,7 +167,7 @@ def test_spmm_matches_dense_and_gradient():
     import scipy.sparse as sp
     g = rng(21)
     dense = (g.random((6, 6)) < 0.4) * g.normal(size=(6, 6))
-    dense = dense + dense.T  # symmetric so adj_t defaults correctly
+    dense = dense + dense.T  # spmm's backward reuses adj: keep it symmetric
     adj = sp.csr_matrix(dense)
     x = ad.parameter(g.normal(size=(6, 3)))
     np.testing.assert_allclose(ad.spmm(adj, x).data, dense @ x.data, atol=1e-12)

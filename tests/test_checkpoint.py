@@ -1,0 +1,80 @@
+"""Checkpoint format: round trip, magic line, and a pinned earlier file."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mrgsrec.errors import ParseError
+from mrgsrec.model import init_model, load_checkpoint, save_checkpoint
+from mrgsrec.seqenc import SeqEncoderConfig
+
+# Written by save_checkpoint when the byte layout still lived in
+# mrgsrec.embeddings (save_arrays / load_arrays), from the model and meta
+# that fixture_model() and FIXTURE_META rebuild below.
+FIXTURE = Path(__file__).parent / "fixtures" / "tiny_v1.ckpt"
+FIXTURE_META = {
+    "fingerprint": "0f1e2d3c4b5a6978", "seed": 3, "epochs_run": 0,
+    "config": {"window_length": 3, "embedding_dim": 4, "encoder_layers": 1,
+               "attention_heads": 2, "checkpoint": None}}
+
+
+def fixture_model():
+    """5 users, 7 items, c=3, d=4, one encoder layer; block i holds
+    (size // 2 - arange(size)) * 0.1 + i in row-major order."""
+    params = init_model(5, 7, 3, SeqEncoderConfig(d=4, n_layers=1, n_heads=2),
+                        seed=3)
+    for i, tensor in enumerate(params.named().values()):
+        size = tensor.data.size
+        tensor.data[...] = ((size // 2 - np.arange(size)) * 0.1
+                            + i).reshape(tensor.shape)
+    return params
+
+
+class TestCheckpointIO:
+    def test_roundtrip(self, tmp_path):
+        params = init_model(4, 6, 3, SeqEncoderConfig(d=4, n_layers=1), seed=0)
+        meta = {"fingerprint": "ff", "seed": 9}
+        path = tmp_path / "dump.ckpt"
+        save_checkpoint(path, params, meta)
+        loaded, lmeta = load_checkpoint(path)
+        assert {k: v for k, v in lmeta.items() if k != "model"} == meta
+        for name, tensor in params.named().items():
+            np.testing.assert_array_equal(loaded.named()[name].data,
+                                          tensor.data)
+
+    def test_magic_line_checked(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"WRONG-MAGIC\n")
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_file_starts_with_magic(self, tmp_path):
+        params = init_model(2, 3, 2, SeqEncoderConfig(d=2, n_layers=0,
+                                                      n_heads=1), seed=0)
+        path = tmp_path / "ok.ckpt"
+        save_checkpoint(path, params, {})
+        assert path.read_bytes().startswith(b"MRGS-CKPT-v1\n")
+
+
+class TestEarlierFixture:
+    def test_loads_every_block_and_the_meta(self):
+        params, meta = load_checkpoint(FIXTURE)
+        expected = fixture_model()
+        assert list(params.named()) == list(expected.named())
+        for name, tensor in expected.named().items():
+            np.testing.assert_array_equal(params.named()[name].data,
+                                          tensor.data)
+        assert meta == {**FIXTURE_META, "model": {
+            "n_users": 5, "n_items": 7, "c": 3, "d": 4, "n_layers": 1,
+            "n_heads": 2, "d_ff": 16, "dropout_rate": 0.2,
+            "attention_mode": "causal", "user_state": "first_token"}}
+        assert params.seq_config == expected.seq_config
+
+    def test_resaves_byte_for_byte(self, tmp_path):
+        params, meta = load_checkpoint(FIXTURE)
+        path = tmp_path / "again.ckpt"
+        save_checkpoint(path, params, meta)
+        assert path.read_bytes() == FIXTURE.read_bytes()
+        save_checkpoint(path, fixture_model(), FIXTURE_META)
+        assert path.read_bytes() == FIXTURE.read_bytes()

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from mrgsrec import cli
 from mrgsrec import data as dp
-from mrgsrec.embeddings import load_arrays, save_arrays
 from mrgsrec.errors import ParseError
 from mrgsrec.model import init_model, load_checkpoint, save_checkpoint
 from mrgsrec.seqenc import SeqEncoderConfig
@@ -130,7 +131,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("key,value", [
         ("patience", 0), ("user_state", "last"), ("window_length", "5"),
-        ("scoring_head", "fuse")])
+        ("scoring_head", "fuse"), ("negative_samples", 0)])
     def test_bad_config_value_exit_code_2_before_training(
             self, tmp_path, snapshot, monkeypatch, capsys, key, value):
         def no_training(*args, **kwargs):
@@ -164,16 +165,73 @@ class TestEval:
                          "--head", "sequential"]) == 0
 
 
+def rewrite_checkpoint(path, change):
+    """Split a checkpoint into its JSON header and one byte string per block,
+    apply ``change(header, blobs)``, and write both back with the header
+    length updated."""
+    raw = path.read_bytes()
+    magic = b"MRGS-CKPT-v1\n"
+    (header_len,) = struct.unpack_from("<Q", raw, len(magic))
+    offset = len(magic) + 8 + header_len
+    header = json.loads(raw[len(magic) + 8:offset])
+    blobs = []
+    for entry in header["arrays"]:
+        size = 8 * math.prod(entry["shape"])
+        blobs.append(raw[offset:offset + size])
+        offset += size
+    change(header, blobs)
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(magic + struct.pack("<Q", len(body)) + body + b"".join(blobs))
+
+
+def block_index(header, name):
+    return [entry["name"] for entry in header["arrays"]].index(name)
+
+
 def corrupt_missing_block(path):
-    arrays, meta = load_arrays(path)
-    del arrays["fusion.w2"]
-    save_arrays(path, arrays, meta)
+    def change(header, blobs):
+        i = block_index(header, "fusion.w2")
+        del header["arrays"][i], blobs[i]
+    rewrite_checkpoint(path, change)
 
 
 def corrupt_block_shape(path):
-    arrays, meta = load_arrays(path)
-    arrays["tables.user"] = arrays["tables.user"][:1]  # (1, d) would broadcast
-    save_arrays(path, arrays, meta)
+    def change(header, blobs):  # (1, d) would broadcast
+        i = block_index(header, "tables.user")
+        d = header["arrays"][i]["shape"][1]
+        header["arrays"][i]["shape"] = [1, d]
+        blobs[i] = blobs[i][:8 * d]
+    rewrite_checkpoint(path, change)
+
+
+def corrupt_repeated_block_name(path):
+    def change(header, blobs):  # same shape, so only the name differs
+        i = block_index(header, "encoder.layer0.wk")
+        header["arrays"][i]["name"] = "encoder.layer0.wq"
+    rewrite_checkpoint(path, change)
+
+
+def corrupt_negative_shape(path):
+    def change(header, blobs):
+        i = block_index(header, "tables.user")
+        header["arrays"][i]["shape"][0] *= -1
+    rewrite_checkpoint(path, change)
+
+
+def corrupt_reordered_blocks(path):
+    def change(header, blobs):  # names, shapes and byte count all still valid
+        i = block_index(header, "encoder.layer0.wq")
+        j = block_index(header, "encoder.layer0.wk")
+        arrays = header["arrays"]
+        arrays[i], arrays[j] = arrays[j], arrays[i]
+        blobs[i], blobs[j] = blobs[j], blobs[i]
+    rewrite_checkpoint(path, change)
+
+
+def corrupt_unreadable_header(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(b"MRGS-CKPT-v1\n") + 8] = ord("[")  # '{' -> '[': invalid JSON
+    path.write_bytes(bytes(raw))
 
 
 def corrupt_truncate(path):
@@ -186,7 +244,8 @@ def corrupt_trailing_bytes(path):
 
 @pytest.mark.parametrize("corrupt", [
     corrupt_missing_block, corrupt_block_shape, corrupt_truncate,
-    corrupt_trailing_bytes])
+    corrupt_trailing_bytes, corrupt_repeated_block_name, corrupt_negative_shape,
+    corrupt_reordered_blocks, corrupt_unreadable_header])
 def test_damaged_checkpoint_rejected_exit_code_2(tmp_path, snapshot, corrupt):
     ckpt = tmp_path / "model.ckpt"
     config = tiny_config(tmp_path, snapshot, max_epochs=0)

@@ -42,7 +42,7 @@ def test_every_setting_reaches_hyperparams():
 @pytest.mark.parametrize("key,value", [
     ("embedding_dim", 0), ("alpha", -1.0), ("dropout_rate", "0.2"),
     ("attention_mode", "none"), ("graph_layers", None), ("attention_heads", 3),
-    ("dropout_rate", 1.0)])
+    ("dropout_rate", 1.0), ("negative_samples", 0)])
 def test_bad_value_raises_parse_error_naming_key(key, value):
     with pytest.raises(ParseError, match=key):
         cfg.to_hyperparams(cfg.resolve_config({key: value}))

@@ -1,4 +1,4 @@
-"""Embedding tables, window truncation, batch assembly, checkpoint IO."""
+"""Embedding tables, window truncation, batch assembly."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrgsrec import embeddings as emb
-from mrgsrec.errors import DataError, ParseError
+from mrgsrec.errors import DataError
 
 
 class TestTruncateWindow:
@@ -127,26 +127,3 @@ class TestValidMask:
             batch.valid_mask(),
             [[False, False, True], [True, True, True]])
 
-
-class TestArrayIO:
-    def test_roundtrip(self, tmp_path):
-        g = np.random.Generator(np.random.PCG64(0))
-        arrays = {"a": g.normal(size=(3, 4)), "b": g.normal(size=(7,))}
-        meta = {"fingerprint": "ff", "seed": 9}
-        path = tmp_path / "dump.ckpt"
-        emb.save_arrays(path, arrays, meta)
-        loaded, lmeta = emb.load_arrays(path)
-        assert lmeta == meta
-        for name in arrays:
-            np.testing.assert_array_equal(loaded[name], arrays[name])
-
-    def test_magic_line_checked(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"WRONG-MAGIC\n")
-        with pytest.raises(ParseError):
-            emb.load_arrays(path)
-
-    def test_file_starts_with_magic(self, tmp_path):
-        path = tmp_path / "ok.ckpt"
-        emb.save_arrays(path, {"x": np.zeros(2)}, {})
-        assert path.read_bytes().startswith(b"MRGS-CKPT-v1\n")

@@ -212,6 +212,16 @@ def test_gradient_through_propagation_layers():
         assert entry["passed"], f"{name}: {entry}"
 
 
+def test_interaction_matrix_matches_set_oracle():
+    train = [[3, 1, 3, 0], [], [2, 2], [4, 0, 1, 4, 3]]
+    r = gr.interaction_matrix(train, 5, 5)
+    dense = np.zeros((5, 5))
+    for u, seq in enumerate(train):
+        dense[u, sorted(set(seq))] = 1.0
+    np.testing.assert_array_equal(r.toarray(), dense)
+    assert r.has_sorted_indices and np.all(r.data == 1.0)
+
+
 class TestLeakage:
     def test_clean_split_passes(self):
         dataset = SplitDataset(2, 5, [[0, 1], [2]], [2, 3], [3, 4])
@@ -222,6 +232,17 @@ class TestLeakage:
         dataset = SplitDataset(1, 4, [[0, 1]], [2], [3])
         bad = gr.build_adjacency([[0, 1, 2]], 1, 4)  # val item edge present
         with pytest.raises(GraphError):
+            gr.check_leakage(bad, dataset)
+
+    @pytest.mark.parametrize("split,leak", [
+        ("validation", lambda ds: ds.val), ("test", lambda ds: ds.test)])
+    def test_leak_of_a_later_user_named(self, split, leak):
+        dataset = SplitDataset(3, 6, [[0, 1], [2, 3], [1, 4]], [2, 4, 5],
+                               [3, 5, 0])
+        train = [list(seq) for seq in dataset.train]
+        train[2].append(leak(dataset)[2])
+        bad = gr.build_adjacency(train, 3, 6)
+        with pytest.raises(GraphError, match=f"{split} target of user 2 "):
             gr.check_leakage(bad, dataset)
 
     def test_target_also_in_train_is_not_leakage(self):

@@ -98,11 +98,10 @@ class TestSampleNegatives:
         assert len(set(got.tolist())) == 19
         assert 3 not in got
 
-    def test_oversized_request_resized_with_warning(self):
+    def test_oversized_request_raises_data_error(self):
         rng = np.random.Generator(np.random.PCG64(2))
-        with pytest.warns(UserWarning):
-            got = tr.sample_negatives(np.array([0]), 4, 10, rng)
-        assert sorted(got.tolist()) == [1, 2, 3]
+        with pytest.raises(DataError, match="only 3 unseen"):
+            tr.sample_negatives(np.array([0]), 4, 10, rng)
 
     def test_uniform_within_three_sigma(self):
         rng = np.random.Generator(np.random.PCG64(3))
@@ -253,6 +252,21 @@ class TestFit:
         monkeypatch.setattr(tr, "build_adjacency", leaking)
         with pytest.raises(GraphError, match="validation target"):
             tr.fit(dataset, small_hyper(max_epochs=0))
+
+    def test_more_negatives_than_unseen_items_rejected_before_training(
+            self, monkeypatch):
+        dataset = generate_clustered_markov(n_users=80, n_items=60,
+                                            n_clusters=6, min_len=10,
+                                            max_len=16, seed=2)
+        examples = tr.build_examples(dataset)
+        assert min(60 - ex.forbidden.size for ex in examples) < 50
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(tr, "train_step", no_step)
+        with pytest.raises(DataError, match="negative_samples=50"):
+            tr.fit(dataset, small_hyper(n_negatives=50, max_epochs=1))
 
     def test_early_stop_after_exactly_patience_flat_epochs(self):
         dataset = random_dataset(6, 12, 1)
