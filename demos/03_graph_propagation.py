@@ -19,7 +19,7 @@ dense = adjacency.adj.toarray()
 
 print("node order: 3 users then 4 items; nonzeros live off-diagonal only")
 print(np.round(dense, 3))
-print("degrees:", adjacency.degrees.tolist())
+print("degrees (nonzeros per row):", np.diff(adjacency.adj.indptr).tolist())
 # the user0-item1 edge weight is 1/sqrt(deg(u0) * deg(i1)) = 1/sqrt(2*2)
 assert abs(dense[0, M + 1] - 0.5) < 1e-12
 # exact symmetry, entry for entry

@@ -172,34 +172,34 @@ def square(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def backward(g):
         gg = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             gg = np.expand_dims(gg, axis)
         a._accumulate(np.broadcast_to(gg, a.data.shape))
 
     return _make(out, (a,), backward)
 
 
-def masked_softmax(a, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax restricted to entries where ``mask`` is True.
+def masked_softmax(a, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis restricted to entries where ``mask`` is True.
 
-    Disallowed entries get probability exactly 0; every slice along ``axis``
-    must contain at least one allowed entry.
+    Disallowed entries get probability exactly 0; every slice along the last
+    axis must contain at least one allowed entry.
     """
     a = as_tensor(a)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
     neg = np.where(mask, a.data, -np.inf)
-    mx = neg.max(axis=axis, keepdims=True)
+    mx = neg.max(axis=-1, keepdims=True)
     e = np.exp(np.where(mask, a.data - mx, -np.inf))
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         a._accumulate(out * (g - inner))
 
     return _make(out, (a,), backward)
@@ -233,13 +233,13 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None
     return _make(out, (logits,), backward)
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
+def layer_norm(a, gain, bias) -> Tensor:
+    """Normalize over the last axis (eps 1e-6), then apply gain and bias."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 

@@ -2,8 +2,8 @@
 
 Thread caps must be set before numpy loads, so this module inspects
 ``sys.argv`` for ``--deterministic`` / ``--threads`` at import time.
-Exit codes: 0 success, 2 parse/config, 3 data/graph, 4 numeric/shape,
-5 protocol, 1 anything else.
+Exit codes: 0 success, 2 parse/config, 3 data/graph or an unreadable
+path, 4 numeric/shape, 5 protocol, 1 anything else.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ def _cap_threads(argv: list[str]) -> None:
 _cap_threads(sys.argv)
 
 import argparse
-import json
 from pathlib import Path
 
 from . import config as cfg
@@ -236,12 +235,9 @@ def main(argv: list[str] | None = None) -> int:
                 return code
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

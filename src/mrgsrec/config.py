@@ -42,8 +42,8 @@ def resolve_config(overrides: dict) -> dict:
 def load_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not UTF-8 JSON text ({exc})") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     return resolve_config(raw)

@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import DataError, ParseError
 
 SNAPSHOT_MAGIC = "MRGS-DATA-v1"
+MIN_USER_LENGTH = 3  # one train item plus the validation and test targets
 _SNAPSHOT_KEYS = ("n_users", "n_items", "user_tokens", "item_tokens",
                   "train", "val", "test", "stats")
 
@@ -93,29 +94,32 @@ def load_interactions(path: str | Path, delimiter: str | None = None) -> Interac
     """
     path = Path(path)
     interactions: list[RawInteraction] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(delimiter)
-            if len(fields) == 3:
-                user, item, ts_text = fields
-            elif len(fields) == 4:
-                user, item, _rating, ts_text = fields
-            else:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
-            if not user or not item:
-                raise ParseError(f"{path}:{lineno}: empty user or item token")
-            try:
-                ts = int(float(ts_text))
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}:{lineno}: bad timestamp {ts_text!r}") from exc
-            if ts < 0:
-                raise ParseError(f"{path}:{lineno}: negative timestamp {ts}")
-            interactions.append(RawInteraction(user, item, ts))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(delimiter)
+                if len(fields) == 3:
+                    user, item, ts_text = fields
+                elif len(fields) == 4:
+                    user, item, _rating, ts_text = fields
+                else:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
+                if not user or not item:
+                    raise ParseError(f"{path}:{lineno}: empty user or item token")
+                try:
+                    ts = int(float(ts_text))
+                except ValueError as exc:
+                    raise ParseError(
+                        f"{path}:{lineno}: bad timestamp {ts_text!r}") from exc
+                if ts < 0:
+                    raise ParseError(f"{path}:{lineno}: negative timestamp {ts}")
+                interactions.append(RawInteraction(user, item, ts))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not interactions:
         raise DataError(f"{path}: no interactions found")
     return _index_tokens(interactions)
@@ -153,8 +157,7 @@ def min_count_filter(log: InteractionLog, threshold: int,
     return _index_tokens(records)
 
 
-def drop_short_users(log: InteractionLog, min_length: int = 3
-                     ) -> tuple[InteractionLog, int]:
+def drop_short_users(log: InteractionLog) -> tuple[InteractionLog, int]:
     """Remove users too short to supply validation and test targets.
 
     Returns the compacted log and the number of dropped users.
@@ -162,12 +165,12 @@ def drop_short_users(log: InteractionLog, min_length: int = 3
     counts: dict[str, int] = {}
     for rec in log.interactions:
         counts[rec.user] = counts.get(rec.user, 0) + 1
-    dropped = sum(1 for n in counts.values() if n < min_length)
+    dropped = sum(1 for n in counts.values() if n < MIN_USER_LENGTH)
     if dropped == 0:
         return log, 0
-    kept = [rec for rec in log.interactions if counts[rec.user] >= min_length]
+    kept = [rec for rec in log.interactions if counts[rec.user] >= MIN_USER_LENGTH]
     if not kept:
-        raise DataError(f"no users have >= {min_length} interactions")
+        raise DataError(f"no users have >= {MIN_USER_LENGTH} interactions")
     return _index_tokens(kept), dropped
 
 
@@ -175,7 +178,7 @@ def chronological_split(log: InteractionLog) -> SplitDataset:
     """Sort each user's sequence by timestamp (stable on record order) and
     peel off the last item as test target, the second-to-last as validation.
 
-    Every user must have at least 3 interactions; see ``drop_short_users``.
+    Every user needs ``MIN_USER_LENGTH`` interactions; see ``drop_short_users``.
     """
     per_user: list[list[tuple[int, int]]] = [[] for _ in range(log.n_users)]
     for rec in log.interactions:
@@ -185,9 +188,9 @@ def chronological_split(log: InteractionLog) -> SplitDataset:
     val: list[int] = []
     test: list[int] = []
     for u, events in enumerate(per_user):
-        if len(events) < 3:
-            raise DataError(
-                f"user id {u} has {len(events)} interactions; need >= 3 to split")
+        if len(events) < MIN_USER_LENGTH:
+            raise DataError(f"user id {u} has {len(events)} interactions; "
+                            f"need >= {MIN_USER_LENGTH} to split")
         events.sort(key=lambda pair: pair[0])  # stable: ties keep record order
         items = [item for _, item in events]
         train.append(items[:-2])
@@ -268,11 +271,14 @@ def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:
     The payload is validated whole before anything is built from it; a
     malformed one raises ParseError.
     """
-    raw = Path(path).read_text(encoding="utf-8")
-    header, _, body = raw.partition("\n")
-    if header != SNAPSHOT_MAGIC:
-        raise ParseError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
-    payload = json.loads(body)
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+        header, _, body = raw.partition("\n")
+        if header != SNAPSHOT_MAGIC:
+            raise ParseError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
+        payload = json.loads(body)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not UTF-8 JSON text ({exc})") from exc
     _check_payload(path, payload)
     dataset = SplitDataset(
         n_users=payload["n_users"],
@@ -304,6 +310,6 @@ def prepare(path: str | Path, threshold: int = 5, mode: str = "fixpoint",
     """
     log = load_interactions(path, delimiter=delimiter)
     log = min_count_filter(log, threshold, mode=mode)
-    log, dropped = drop_short_users(log, min_length=3)
+    log, dropped = drop_short_users(log)
     stats = compute_stats(log)
     return chronological_split(log), stats, dropped

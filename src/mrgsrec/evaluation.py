@@ -54,8 +54,8 @@ class MetricsReport:
         lines.append(f"fingerprint: {self.fingerprint}")
         return "\n".join(lines)
 
-    def row(self, sep: str = "\t") -> str:
-        return sep.join([
+    def row(self) -> str:
+        return "\t".join([
             self.split, str(self.n_users),
             f"{self.hr5:.6f}", f"{self.hr10:.6f}",
             f"{self.ndcg5:.6f}", f"{self.ndcg10:.6f}", self.fingerprint])

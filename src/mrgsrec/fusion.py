@@ -22,8 +22,8 @@ class FusionParams:
     w1: ad.Tensor  # (4d, 2d)
     w2: ad.Tensor  # (d, 4d)
 
-    def named(self, prefix: str = "fusion") -> dict[str, ad.Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.w2": self.w2}
+    def named(self) -> dict[str, ad.Tensor]:
+        return {"fusion.w1": self.w1, "fusion.w2": self.w2}
 
 
 def init_fusion_params(d: int, seed: int, mix: float = 0.005,

@@ -25,7 +25,6 @@ from .errors import DataError, GraphError
 class NormalizedAdjacency:
     adj: sp.csr_matrix        # (M+N, M+N) symmetric-normalized
     interactions: sp.csr_matrix  # R, (M, N) binary, train edges only
-    degrees: np.ndarray       # (M+N,) integer degree per node
     n_users: int
     n_items: int
 
@@ -59,8 +58,7 @@ def build_adjacency(train: list[list[int]], n_users: int, n_items: int
     d_half = sp.diags(inv_sqrt)
     normalized = (d_half @ adj @ d_half).tocsr()
     normalized.sort_indices()
-    return NormalizedAdjacency(normalized, r, degrees.astype(np.int64),
-                               n_users, n_items)
+    return NormalizedAdjacency(normalized, r, n_users, n_items)
 
 
 def propagate(embeddings: ad.Tensor, adjacency: NormalizedAdjacency) -> ad.Tensor:

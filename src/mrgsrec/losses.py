@@ -8,7 +8,6 @@ of valid positions), so loss weights mean the same thing at any batch size.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +75,6 @@ def fused_loss(e_f: ad.Tensor, pos_ids: np.ndarray, neg_ids: np.ndarray,
     neg_ids = np.asarray(neg_ids)
     if neg_ids.ndim != 2:
         raise ValueError("neg_ids must be (B, S)")
-    if neg_ids.shape[1] == 0:
-        warnings.warn("fused loss with no negatives is degenerate (always 0)",
-                      stacklevel=2)
-        return ad.Tensor(0.0)
     pos_emb = ad.lookup(item_table, np.asarray(pos_ids))        # (B, d)
     neg_emb = ad.lookup(item_table, neg_ids)                    # (B, S, d)
     pos_logit = ad.reshape(ad.tsum(ad.mul(e_f, pos_emb), axis=-1), (b, 1))

@@ -61,11 +61,11 @@ class SeqEncoderParams:
 
     layers: list[dict[str, ad.Tensor]] = field(default_factory=list)
 
-    def named(self, prefix: str = "encoder") -> dict[str, ad.Tensor]:
+    def named(self) -> dict[str, ad.Tensor]:
         out: dict[str, ad.Tensor] = {}
         for i, layer in enumerate(self.layers):
             for key, tensor in layer.items():
-                out[f"{prefix}.layer{i}.{key}"] = tensor
+                out[f"encoder.layer{i}.{key}"] = tensor
         return out
 
 

@@ -33,7 +33,10 @@ def generate_clustered_markov(n_users: int = 600, n_items: int = 240,
         raise ValueError("n_preferred cannot exceed n_clusters")
     cluster_size = n_items // n_clusters
     pref_weights = np.array([0.5, 0.3, 0.2][:n_preferred], dtype=np.float64)
-    pref_weights /= pref_weights.sum()
+    # rng.choice(n_preferred, p=<normalised pref_weights>) builds this cdf on
+    # every call and searches it with one rng.random(): same index and state.
+    pref_cdf = (pref_weights / pref_weights.sum()).cumsum()
+    pref_cdf /= pref_cdf[-1]
     rng = np.random.Generator(np.random.PCG64(seed))
     train, val, test = [], [], []
     for _ in range(n_users):
@@ -45,7 +48,7 @@ def generate_clustered_markov(n_users: int = 600, n_items: int = 240,
         seq = [item]
         for _ in range(length - 1):
             if rng.random() < p_switch:
-                g = int(preferred[rng.choice(n_preferred, p=pref_weights)])
+                g = int(preferred[pref_cdf.searchsorted(rng.random(), "right")])
                 base = g * cluster_size
                 item = base + int(rng.integers(cluster_size))
             elif rng.random() < p_chain:

@@ -19,15 +19,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import build_batch
+from .embeddings import SequenceBatch, build_batch
 from .errors import DataError, NumericError
 from .evaluation import evaluate
 from .fusion import SCORING_HEADS
 from .graph import NormalizedAdjacency, build_adjacency, check_leakage
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
-from .model import (ModelParams, ForwardStates, encoder_paths, forward_states,
-                    init_model)
+from .model import ModelParams, encoder_paths, forward_states, init_model
 from .schema import setting
 from .seqenc import SeqEncoderConfig
 
@@ -141,19 +140,48 @@ def build_examples(dataset: SplitDataset) -> list[TrainExample]:
     return examples
 
 
-def batch_losses(params: ModelParams, states: ForwardStates,
-                 batch_examples: list[TrainExample], windows_targets: np.ndarray,
-                 valid_mask: np.ndarray, negatives: np.ndarray,
-                 hyper: Hyperparams) -> dict[str, ad.Tensor | None]:
-    """Assemble whichever of the four components the weights require."""
+def fewest_unseen(examples: list[TrainExample], n_items: int) -> int:
+    """The most negatives every example's user has unseen items for."""
+    return min(n_items - ex.forbidden.size for ex in examples)
+
+
+def step_inputs(batch_examples: list[TrainExample], n_items: int,
+                hyper: Hyperparams, pad: int, rng: np.random.Generator
+                ) -> tuple[SequenceBatch, np.ndarray, np.ndarray]:
+    """(batch, targets, negatives): left-padded input windows, their
+    next-item targets, and ``n_negatives`` unseen items per user."""
+    users = [ex.user for ex in batch_examples]
+    batch = build_batch(users, [ex.inputs for ex in batch_examples],
+                        hyper.c, pad)
+    targets = build_batch(users, [ex.step_targets for ex in batch_examples],
+                          hyper.c, 0).item_windows
+    negatives = np.stack([
+        sample_negatives(ex.forbidden, n_items, hyper.n_negatives, rng)
+        for ex in batch_examples])
+    return batch, targets, negatives
+
+
+def step_losses(params: ModelParams, adjacency: NormalizedAdjacency | None,
+                hyper: Hyperparams, batch_examples: list[TrainExample],
+                batch: SequenceBatch, targets: np.ndarray, negatives: np.ndarray,
+                train_mode: bool = False, rng: np.random.Generator | None = None
+                ) -> tuple[dict[str, ad.Tensor | None], ad.Tensor]:
+    """(components, total): each of the four losses its weight turns on
+    (None when off) over the encoder paths it reads, and their weighted sum."""
     w = hyper.weights
+    need_seq, need_graph, need_fused = encoder_paths(hyper.scoring_head, w)
+    states = forward_states(
+        params, batch, adjacency, hyper.k,
+        need_seq=need_seq, need_graph=need_graph, need_fused=need_fused,
+        layer_mean=hyper.layer_mean, train_mode=train_mode, rng=rng)
+    valid_mask = batch.valid_mask()
     n_users = params.tables.n_users
     positives = np.asarray([ex.positive for ex in batch_examples], dtype=np.int64)
     components: dict[str, ad.Tensor | None] = {
         "local": None, "global": None, "fused": None, "contrastive": None}
     if w.alpha > 0:
         components["local"] = local_loss(
-            states.E_l, windows_targets, params.tables.item_rows(), valid_mask)
+            states.E_l, targets, params.tables.item_rows(), valid_mask)
     if w.beta > 0:
         pos_emb = ad.lookup(states.node_embeddings, n_users + positives)
         neg_emb = ad.lookup(states.node_embeddings, n_users + negatives[:, 0])
@@ -169,7 +197,7 @@ def batch_losses(params: ModelParams, states: ForwardStates,
     if w.delta > 0:
         components["contrastive"] = contrastive_loss(
             states.E_l, states.E_g, valid_mask)
-    return components
+    return components, total_loss(components, w)
 
 
 def train_step(batch_examples: list[TrainExample], params: ModelParams,
@@ -177,25 +205,12 @@ def train_step(batch_examples: list[TrainExample], params: ModelParams,
                optimizer: Adam, rng: np.random.Generator
                ) -> dict[str, float]:
     """One forward/backward/Adam update; returns the component loss values."""
-    need_seq, need_graph, need_fused = encoder_paths(hyper.scoring_head,
-                                                     hyper.weights)
     pad = params.tables.padding_id
-    users = [ex.user for ex in batch_examples]
-    batch = build_batch(users, [ex.inputs for ex in batch_examples],
-                        hyper.c, pad)
-    targets = build_batch(users, [ex.step_targets for ex in batch_examples],
-                          hyper.c, 0).item_windows
-    negatives = np.stack([
-        sample_negatives(ex.forbidden, params.tables.n_items,
-                         hyper.n_negatives, rng)
-        for ex in batch_examples])
-    states = forward_states(
-        params, batch, adjacency, hyper.k,
-        need_seq=need_seq, need_graph=need_graph, need_fused=need_fused,
-        layer_mean=hyper.layer_mean, train_mode=True, rng=rng)
-    components = batch_losses(params, states, batch_examples,
-                              targets, batch.valid_mask(), negatives, hyper)
-    loss = total_loss(components, hyper.weights)
+    batch, targets, negatives = step_inputs(
+        batch_examples, params.tables.n_items, hyper, pad, rng)
+    components, loss = step_losses(
+        params, adjacency, hyper, batch_examples, batch, targets, negatives,
+        train_mode=True, rng=rng)
     if not np.isfinite(loss.data):
         raise NumericError(
             "total loss is not finite; components: "
@@ -245,10 +260,10 @@ def fit(dataset: SplitDataset, hyper: Hyperparams,
     if hyper.max_epochs == 0:
         return params, []
     examples = build_examples(dataset)
-    fewest_unseen = min(dataset.n_items - ex.forbidden.size for ex in examples)
-    if hyper.n_negatives > fewest_unseen:
+    fewest = fewest_unseen(examples, dataset.n_items)
+    if hyper.n_negatives > fewest:
         raise DataError(f"negative_samples={hyper.n_negatives} exceeds the "
-                        f"{fewest_unseen} unseen items of some user")
+                        f"{fewest} unseen items of some user")
     optimizer = Adam(params.parameters(), lr=hyper.learning_rate,
                      beta1=hyper.beta1, beta2=hyper.beta2, eps=hyper.epsilon)
     best = params.copy()

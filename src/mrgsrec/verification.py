@@ -9,13 +9,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import build_batch
 from .evaluation import hr_at_k, ndcg_at_k, rank_targets
 from .graph import build_adjacency
 from .losses import LossWeights
-from .model import forward_states, init_model
-from .training import Hyperparams, batch_losses, build_examples, sample_negatives
-from .losses import total_loss
+from .model import init_model
+from .training import (Hyperparams, build_examples, fewest_unseen, step_inputs,
+                       step_losses)
 
 
 def random_dataset(m: int, n: int, seed: int,
@@ -51,34 +50,21 @@ def make_gradient_instance(d: int = 8, c: int = 5, m: int = 7, n: int = 11,
     params.tables.item.data[n, :] = 0.0
     adjacency = build_adjacency(dataset.train, m, n)
     examples = build_examples(dataset)
+    hyper.n_negatives = min(hyper.n_negatives, fewest_unseen(examples, n))
     rng = np.random.Generator(np.random.PCG64(seed + 1))
-    smallest_complement = min(n - ex.forbidden.size for ex in examples)
-    hyper.n_negatives = min(hyper.n_negatives, smallest_complement)
-    negatives = np.stack([
-        sample_negatives(ex.forbidden, n, hyper.n_negatives, rng)
-        for ex in examples])
-    batch = build_batch([ex.user for ex in examples],
-                        [ex.inputs for ex in examples], c,
-                        params.tables.padding_id)
-    targets = build_batch([ex.user for ex in examples],
-                          [ex.step_targets for ex in examples], c, 0).item_windows
+    batch, targets, negatives = step_inputs(
+        examples, n, hyper, params.tables.padding_id, rng)
     return hyper, params, adjacency, examples, batch, targets, negatives
 
 
 def component_loss_fn(name: str, hyper, params, adjacency, examples,
                       batch, targets, negatives):
-    """A pure function of the current parameter data for one loss component."""
-    weights = hyper.weights
-
+    """A pure function of the current parameter data for one loss component
+    or ``"total"``, by ``training.step_losses`` as in ``train_step``."""
     def loss_fn() -> ad.Tensor:
-        states = forward_states(params, batch, adjacency, hyper.k,
-                                need_seq=True, need_graph=True, need_fused=True,
-                                train_mode=False)
-        components = batch_losses(params, states, examples, targets,
-                                  batch.valid_mask(), negatives, hyper)
-        if name == "total":
-            return total_loss(components, weights)
-        return components[name]
+        components, total = step_losses(params, adjacency, hyper, examples,
+                                        batch, targets, negatives)
+        return total if name == "total" else components[name]
 
     return loss_fn
 

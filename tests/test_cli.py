@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +279,47 @@ def test_damaged_snapshot_rejected_exit_code_2(tmp_path, snapshot, change):
     config = tiny_config(tmp_path, snapshot, max_epochs=1)
     assert cli.main(["train", "--config", str(config),
                      "--out", str(tmp_path / "m.ckpt")]) == 2
+
+
+def bad_inputs(tmp_path):
+    """Text inputs that are binary, JSON-broken, or directories."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(5, 9, 4, SeqEncoderConfig(d=8), seed=0),
+                    {"fingerprint": "", "seed": 0})
+    broken = tmp_path / "broken.snap"
+    broken.write_text(dp.SNAPSHOT_MAGIC + "\n{not json", encoding="utf-8")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"ckpt": ckpt, "folder": folder}
+    for name, data in (("ckpt_data", ckpt), ("broken_data", broken)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"data": str(data)}),
+                               encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["train", "--config", "{ckpt}"], 2),
+    (["train", "--config", "{ckpt_data}"], 2),
+    (["train", "--config", "{broken_data}"], 2),
+    (["eval", "{ckpt}", "{ckpt}"], 2),
+    (["prepare", "{ckpt}", "{folder}/out.snap"], 2),
+    (["train", "--config", "{folder}"], 3),
+    (["eval", "{ckpt}", "{folder}"], 3),
+], ids=["binary_config", "binary_snapshot", "snapshot_bad_json",
+        "eval_binary_snapshot", "binary_raw_log", "config_is_directory",
+        "snapshot_is_directory"])
+def test_unreadable_input_exits_cleanly(tmp_path, argv, code):
+    paths = bad_inputs(tmp_path)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "mrgsrec.cli",
+         *[arg.format(**paths) for arg in argv]],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == code, result.stderr
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
 
 
 class TestAblate:

@@ -126,14 +126,6 @@ class TestFusedLoss:
         loss = ls.fused_loss(e_f, np.array([0, 0]), negs, items)
         assert loss.item() == pytest.approx(math.log(s + 1), abs=1e-10)
 
-    def test_zero_negatives_degenerate_with_warning(self):
-        e_f = ad.Tensor(np.ones((2, 3)))
-        items = ad.Tensor(np.ones((4, 3)))
-        with pytest.warns(UserWarning):
-            loss = ls.fused_loss(e_f, np.array([0, 1]),
-                                 np.zeros((2, 0), dtype=int), items)
-        assert loss.item() == 0.0
-
     def test_matches_loop_oracle(self):
         g = rng(4)
         b, s, d, n = 4, 3, 5, 9

@@ -1,6 +1,8 @@
 """Trainer: Adam, negative sampling, step/fit behavior, determinism."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from mrgsrec.graph import build_adjacency
 from mrgsrec.losses import LossWeights
 from mrgsrec.model import init_model
 from mrgsrec.synthetic import generate_clustered_markov, popularity_hr_at_k
-from mrgsrec.verification import random_dataset
+from mrgsrec.verification import (component_loss_fn, make_gradient_instance,
+                                  random_dataset)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
 
 def small_hyper(**overrides):
@@ -210,6 +215,39 @@ class TestTrainStep:
         for name, tensor in params.named().items():
             np.testing.assert_array_equal(tensor.data,
                                           params2.named()[name].data)
+
+
+class TestStepComposition:
+    """The finite-difference oracle differentiates the step train_step takes."""
+
+    @pytest.mark.parametrize("layer_mean", [False, True])
+    def test_oracle_total_equals_train_step_total(self, layer_mean):
+        instance = make_gradient_instance()
+        hyper, params, adjacency, examples = instance[:4]
+        hyper.layer_mean = layer_mean
+        oracle = float(component_loss_fn("total", *instance)().data)
+        # the instance draws its negatives from PCG64(seed + 1) = PCG64(8)
+        stepped = tr.train_step(examples, params, adjacency, hyper,
+                                tr.Adam(params.parameters(), lr=0.0),
+                                np.random.Generator(np.random.PCG64(8)))
+        assert stepped["total"] == oracle
+
+    @pytest.mark.parametrize("name", ["global", "total"])
+    def test_layer_mean_gradients_match_finite_differences(self, name):
+        instance = make_gradient_instance(d=4, c=3, m=5, n=7, k=1, n_layers=1)
+        instance[0].layer_mean = True
+        report = ad.finite_difference_check(component_loss_fn(name, *instance),
+                                            instance[1].named())
+        failed = {block: entry["max_rel_error"]
+                  for block, entry in report.items() if not entry["passed"]}
+        assert not failed
+
+    def test_reference_instance_losses_match_benchmark_record(self):
+        reference = json.loads(WORKLOADS.read_text())["reference_instance"]
+        instance = make_gradient_instance()
+        for name, want in reference["losses"].items():
+            got = float(component_loss_fn(name, *instance)().data)
+            assert abs(got - want) <= reference["tolerance"], name
 
 
 def test_params_copy_is_independent_and_skips_init(monkeypatch):
