@@ -6,19 +6,40 @@ accumulates vector-Jacobian products into ``Tensor.grad``. Conventions:
 
 * all values are float64 (gradient checks need the headroom),
 * ReLU'(0) = 0,
-* masked_softmax and cross_entropy subtract the row max before
-  exponentiating, so logits of any magnitude stay finite,
+* masked_softmax, cross_entropy and linear_cross_entropy subtract the row
+  max before exponentiating, so logits of any magnitude stay finite,
 * graph replay order is construction order, so gradients are bit-reproducible.
+
+Inside ``with no_grad():`` every op returns a plain leaf, so a forward pass
+(evaluation, the finite-difference probes) keeps no tape and no closure.
+
+Ownership: a backward closure that has just allocated an array and hands it
+to exactly one parent passes ``owned=True``, and that array becomes the
+parent's first ``grad`` with no copy. Views and arrays shared between
+parents (add, concat, reshape, swapaxes, tsum, layer_norm's bias) are
+copied on first write, so no two tensors ever share a ``grad`` buffer.
+
+``linear_cross_entropy`` is the one op that computes its gradient in the
+forward pass: it streams fixed row tiles of the logits, and while a tile's
+softmax is live it turns it into that tile's input and weight gradients.
+The (R, N) logits never exist, and backward only scales the stored
+gradients by the incoming scalar.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, GraphError
+
+# Rows per tile in linear_cross_entropy: about 29 MB of logits at N = 3 600.
+LCE_TILE_ROWS = 1024
+
+_recording = True
 
 
 class Tensor:
@@ -48,9 +69,12 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``grad``; an ``owned`` array is adopted uncopied."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            # ufuncs on 0-d arrays return numpy scalars, which are copied
+            self.grad = (g if owned and isinstance(g, np.ndarray)
+                         else np.array(g, dtype=np.float64, copy=True))
         else:
             self.grad += g
 
@@ -108,8 +132,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: every op returns a plain leaf."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
+def _records(*parents: Tensor) -> bool:
+    return _recording and any(_needs_graph(p) for p in parents)
+
+
 def _make(data, parents: Sequence[Tensor], backward: Callable | None) -> Tensor:
-    if any(_needs_graph(p) for p in parents):
+    if _records(*parents):
         return Tensor(data, parents=tuple(parents), backward=backward)
     return Tensor(data)
 
@@ -130,8 +169,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
+        b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _make(out, (a, b), backward)
 
@@ -145,8 +184,8 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.data.shape))
-        b._accumulate(_unbroadcast(gb, b.data.shape))
+        a._accumulate(_unbroadcast(ga, a.data.shape), owned=True)
+        b._accumulate(_unbroadcast(gb, b.data.shape), owned=True)
 
     return _make(out, (a, b), backward)
 
@@ -157,7 +196,7 @@ def relu(a) -> Tensor:
     out = np.where(mask, a.data, 0.0)
 
     def backward(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * mask, owned=True)
 
     return _make(out, (a,), backward)
 
@@ -167,7 +206,7 @@ def square(a) -> Tensor:
     out = a.data * a.data
 
     def backward(g):
-        a._accumulate(2.0 * g * a.data)
+        a._accumulate(2.0 * g * a.data, owned=True)
 
     return _make(out, (a,), backward)
 
@@ -200,9 +239,20 @@ def masked_softmax(a, mask: np.ndarray) -> Tensor:
 
     def backward(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
-        a._accumulate(out * (g - inner))
+        a._accumulate(out * (g - inner), owned=True)
 
     return _make(out, (a,), backward)
+
+
+def _shifted_exp(e: np.ndarray, rows: np.ndarray, targets: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite the (R, K) logits ``e`` with exp(e - row max); return each
+    row's (R, 1) exp sum and its loss log(sum) - (e - max)[target]."""
+    e -= e.max(axis=1, keepdims=True)
+    picked = e[rows, targets]
+    np.exp(e, out=e)
+    total = e.sum(axis=1, keepdims=True)
+    return total, np.log(total[:, 0]) - picked
 
 
 def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None
@@ -218,19 +268,58 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None
         raise DimensionError("cross_entropy logits must be (rows, classes)")
     rows = np.arange(logits.shape[0])
     targets = np.asarray(targets)
-    e = logits.data if mask is None else np.where(mask, logits.data, -np.inf)
-    e = e - e.max(axis=1, keepdims=True)
-    picked = e[rows, targets]
-    np.exp(e, out=e)
-    total = e.sum(axis=1, keepdims=True)
-    out = (np.log(total[:, 0]) - picked).sum()
+    e = (logits.data.copy() if mask is None
+         else np.where(mask, logits.data, -np.inf))
+    total, losses = _shifted_exp(e, rows, targets)
+    out = losses.sum()
 
     def backward(g):
         probs = e * (g / total)
         probs[rows, targets] -= g
-        logits._accumulate(probs)
+        logits._accumulate(probs, owned=True)
 
     return _make(out, (logits,), backward)
+
+
+def linear_cross_entropy(x, w, targets: np.ndarray) -> Tensor:
+    """``cross_entropy(matmul(x, swapaxes(w, 0, 1)), targets)`` without the
+    (R, N) logits: rows go through in tiles of ``LCE_TILE_ROWS``.
+
+    ``x`` is (R, d) and ``w`` is (N, d). Each tile's per-row losses land in
+    one (R,) vector that is summed once, so the loss equals the unfused
+    composition exactly. While recording, each tile's softmax becomes
+    (softmax - onehot) in place and is turned at once into the tile's rows
+    of the ``x`` gradient and its share of the ``w`` gradient.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise DimensionError(
+            f"linear_cross_entropy needs (R, d) and (N, d), got {x.shape}, {w.shape}")
+    targets = np.asarray(targets)
+    n_rows = x.shape[0]
+    losses = np.empty(n_rows)
+    record = _records(x, w)
+    gx = np.empty_like(x.data) if record else None
+    gw = np.zeros_like(w.data) if record else None
+    buffer = np.empty((min(n_rows, LCE_TILE_ROWS), w.shape[0]))
+    for start in range(0, n_rows, LCE_TILE_ROWS):
+        tile = slice(start, start + LCE_TILE_ROWS)
+        xt, tt = x.data[tile], targets[tile]
+        rows = np.arange(xt.shape[0])
+        e = np.matmul(xt, w.data.T, out=buffer[:xt.shape[0]])
+        total, losses[tile] = _shifted_exp(e, rows, tt)
+        if record:
+            e /= total
+            e[rows, tt] -= 1.0
+            np.matmul(e, w.data, out=gx[tile])
+            gw += np.matmul(e.T, xt)
+    out = losses.sum()
+
+    def backward(g):
+        x._accumulate(gx * g, owned=True)
+        w._accumulate(gw * g, owned=True)
+
+    return _make(out, (x, w), backward)
 
 
 def layer_norm(a, gain, bias) -> Tensor:
@@ -244,12 +333,12 @@ def layer_norm(a, gain, bias) -> Tensor:
     out = xhat * gain.data + bias.data
 
     def backward(g):
-        gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        gain._accumulate(_unbroadcast(g * xhat, gain.data.shape), owned=True)
         bias._accumulate(_unbroadcast(g, bias.data.shape))
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        a._accumulate(inv * (dxhat - m1 - xhat * m2))
+        a._accumulate(inv * (dxhat - m1 - xhat * m2), owned=True)
 
     return _make(out, (a, gain, bias), backward)
 
@@ -263,7 +352,7 @@ def lookup(table, ids: np.ndarray) -> Tensor:
     def backward(g):
         acc = np.zeros_like(table.data)
         np.add.at(acc, ids, g)
-        table._accumulate(acc)
+        table._accumulate(acc, owned=True)
 
     return _make(out, (table,), backward)
 
@@ -302,7 +391,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     def backward(g):
         acc = np.zeros_like(a.data)
         acc[index] = g
-        a._accumulate(acc)
+        a._accumulate(acc, owned=True)
 
     return _make(out, (a,), backward)
 
@@ -330,7 +419,7 @@ def spmm(adj: sp.spmatrix, x) -> Tensor:
     out = adj @ x.data
 
     def backward(g):
-        x._accumulate(adj @ g)
+        x._accumulate(adj @ g, owned=True)
 
     return _make(out, (x,), backward)
 
@@ -389,10 +478,11 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + h
-            f_plus = loss_fn().item()
-            flat[i] = saved - h
-            f_minus = loss_fn().item()
+            with no_grad():
+                flat[i] = saved + h
+                f_plus = loss_fn().item()
+                flat[i] = saved - h
+                f_minus = loss_fn().item()
             flat[i] = saved
             fd[i] = (f_plus - f_minus) / (2.0 * h)
         ana_flat = ana.reshape(-1)

@@ -9,7 +9,8 @@ item id.
 The parameters are fixed during a pass, so the graph is propagated once
 per pass and every chunk of ``EVAL_BATCH`` users gathers from that table.
 Each chunk's (B, N) score block is ranked in one vectorised step, with the
-seen items given as CSR-style (indptr, items) arrays.
+seen items given as CSR-style (indptr, items) arrays. The pass runs under
+``autodiff.no_grad``, so it records no tape.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import SplitDataset
 from .embeddings import build_batch
 from .errors import ProtocolError
@@ -121,6 +123,7 @@ def ndcg_at_k(rank: int, k: int) -> float:
     return 1.0 / math.log2(rank + 1) if rank <= k else 0.0
 
 
+@ad.no_grad()
 def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
              hyper, adjacency: NormalizedAdjacency | None = None,
              fingerprint: str = "") -> MetricsReport:

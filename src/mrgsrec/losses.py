@@ -1,7 +1,9 @@
 """The four training objectives and their weighted combination.
 
-Each objective is one softmax cross-entropy (``ad.cross_entropy``) over its
-own candidate set; BPR is the two-candidate case. Reduction convention:
+Each objective is one softmax cross-entropy over its own candidate set;
+BPR is the two-candidate case. The local loss uses
+``ad.linear_cross_entropy``, which never builds its full-catalog logits;
+the other three use ``ad.cross_entropy``. Reduction convention:
 every component is divided by the batch size (the local loss by the number
 of valid positions), so loss weights mean the same thing at any batch size.
 """
@@ -40,15 +42,16 @@ def local_loss(E_l: ad.Tensor, next_items: np.ndarray, item_table: ad.Tensor,
 
     ``next_items[b, t]`` is the item following window slot t; padding slots
     are flagged False in ``valid_mask`` and get no logits. The padding row
-    never enters the softmax because ``item_table`` excludes it.
+    never enters the softmax because ``item_table`` excludes it. The
+    (valid, N) logits are streamed in row tiles, never held whole.
     """
     valid = np.flatnonzero(np.asarray(valid_mask, dtype=bool))
     if valid.size == 0:
         raise DataError("local loss needs at least one valid position")
     states = ad.lookup(ad.reshape(E_l, (-1, E_l.shape[-1])), valid)
-    logits = ad.matmul(states, ad.swapaxes(item_table, 0, 1))  # (valid, N)
     targets = np.asarray(next_items).reshape(-1)[valid]
-    return ad.mul(ad.cross_entropy(logits, targets), 1.0 / valid.size)
+    loss = ad.linear_cross_entropy(states, item_table, targets)
+    return ad.mul(loss, 1.0 / valid.size)
 
 
 def global_loss(e_g: ad.Tensor, pos_emb: ad.Tensor, neg_emb: ad.Tensor,

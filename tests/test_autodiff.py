@@ -1,10 +1,12 @@
 """Gradient engine checks: op-level VJPs, cross-entropy safety, FD harness."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mrgsrec import autodiff as ad
-from mrgsrec.errors import GraphError
+from mrgsrec.errors import DimensionError, GraphError
 
 
 def rng(seed=0):
@@ -148,6 +150,8 @@ def test_corrupted_backward_fails_check(monkeypatch):
         p["a"], np.array([[True, False, True, True],
                           [True, True, False, True],
                           [False, True, True, False]]))))),
+    ("linear_cross_entropy", lambda p: ad.linear_cross_entropy(
+        p["a"], ad.swapaxes(p["b"], 0, 1), np.array([4, 0, 2]))),
 ])
 def test_op_gradients_match_finite_differences(name, builder):
     g = rng(11)
@@ -196,3 +200,90 @@ def test_gradients_bit_reproducible():
 
     first, second = run(), run()
     assert np.array_equal(first, second)
+
+
+TILE = ad.LCE_TILE_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [5, TILE, 2 * TILE, TILE + 37])
+def test_linear_cross_entropy_equals_unfused_composition(n_rows):
+    g = rng(41)
+    xv, wv = g.normal(size=(n_rows, 16)), g.normal(size=(50, 16))
+    targets = g.integers(0, 50, size=n_rows)
+    x, w = ad.parameter(xv), ad.parameter(wv)
+    fused = ad.linear_cross_entropy(x, w, targets)
+    fused.backward()
+    x_ref, w_ref = ad.parameter(xv), ad.parameter(wv)
+    unfused = ad.cross_entropy(ad.matmul(x_ref, ad.swapaxes(w_ref, 0, 1)),
+                               targets)
+    unfused.backward()
+    # per-row losses are summed once over all rows, so tiling is invisible
+    assert fused.item() == unfused.item()
+    np.testing.assert_allclose(x.grad, x_ref.grad, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, w_ref.grad, rtol=1e-12, atol=1e-12)
+
+
+def test_linear_cross_entropy_finite_at_logit_scale_700():
+    g = rng(42)
+    x = ad.parameter(g.normal(size=(16, 4)) * 700.0 / 4.0)
+    w = ad.parameter(g.normal(size=(9, 4)))
+    logits = x.data @ w.data.T
+    worst = logits.argmin(axis=1)  # the target's softmax underflows to 0
+    loss = ad.linear_cross_entropy(x, w, worst)
+    gx, gw = ad.grad(loss, [x, w])
+    rows = np.arange(16)
+    assert loss.item() >= (logits.max(axis=1) - logits[rows, worst]).sum()
+    assert np.isfinite(loss.item())
+    assert np.all(np.isfinite(gx)) and np.all(np.isfinite(gw))
+
+
+def test_linear_cross_entropy_rejects_mismatched_widths():
+    with pytest.raises(DimensionError):
+        ad.linear_cross_entropy(np.ones((3, 4)), np.ones((5, 3)), [0, 1, 2])
+
+
+def test_no_grad_nests_and_restores_on_exception():
+    x = ad.parameter(np.ones(3))
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.square(x)._backward is None
+        assert ad.square(x)._backward is None
+    assert ad.square(x)._backward is not None
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    out = ad.square(x)
+    assert out._parents == (x,) and out._backward is not None
+
+
+def test_linear_cross_entropy_under_no_grad_is_a_plain_leaf():
+    x = ad.parameter(np.ones((3, 2)))
+    w = ad.parameter(np.ones((4, 2)))
+    with ad.no_grad():
+        loss = ad.linear_cross_entropy(x, w, np.array([0, 1, 2]))
+    assert loss._backward is None and loss._parents == ()
+    assert np.isclose(loss.item(), 3 * math.log(4))
+
+
+def test_shared_upstream_gradient_is_never_aliased():
+    # add hands the same incoming array to both parents: each must copy it
+    a, b = ad.parameter(np.ones(4)), ad.parameter(np.ones(4))
+    ad.tsum(ad.add(a, b)).backward()
+    assert a.grad is not b.grad
+    a.grad[0] = 99.0
+    np.testing.assert_array_equal(b.grad, np.ones(4))
+
+
+def test_owned_first_gradient_is_adopted_without_a_copy(monkeypatch):
+    x = ad.parameter(np.arange(6.0).reshape(2, 3))
+    adopted = []
+    original = ad.Tensor._accumulate
+
+    def spy(self, g, owned=False):
+        original(self, g, owned)
+        if self is x:
+            adopted.append(self.grad is g)
+
+    monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
+    ad.tsum(ad.relu(x)).backward()
+    assert adopted == [True]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrgsrec import autodiff as ad
 from mrgsrec import evaluation as ev
 from mrgsrec import model as md
 from mrgsrec import training as tr
@@ -324,3 +325,23 @@ def test_evaluate_propagates_the_graph_once_per_pass(monkeypatch, head, calls):
                         hyper.seq_config(), seed=0)
     ev.evaluate(params, dataset, "validation", hyper)
     assert len(counted) == calls
+
+
+def test_evaluate_records_no_tape(monkeypatch):
+    made = []
+    original = ad._make
+
+    def recording(data, parents, backward):
+        out = original(data, parents, backward)
+        made.append(out._backward is not None or bool(out._parents))
+        return out
+
+    monkeypatch.setattr(ad, "_make", recording)
+    dataset = random_dataset(13, 10, seed=9)
+    hyper = eval_hyper(scoring_head="fused", k=2, n_layers=1)
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), seed=0)
+    ev.evaluate(params, dataset, "validation", hyper)
+    assert made and not any(made)
+    # recording is back on after the pass
+    assert ad.square(params.tables.user)._backward is not None

@@ -1,6 +1,7 @@
 """The four objectives: closed forms, loop oracles, reduction conventions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ class TestLocalLoss:
         loss = ls.local_loss(E_l, np.array([[0]]), items,
                              np.ones((1, 1), dtype=bool))
         assert np.isfinite(loss.item())
+
+    def test_peak_memory_stays_below_a_third_of_the_logits(self):
+        # 4 096 valid positions x 3 000 items: the logits alone would be
+        # R*N*8 bytes; the tiled loss holds one tile of them at a time
+        g = rng(9)
+        b, c, d, n = 64, 64, 8, 3000
+        E_l = ad.parameter(g.normal(size=(b, c, d)))
+        items = ad.parameter(g.normal(size=(n, d)))
+        targets = g.integers(0, n, size=(b, c))
+        mask = np.ones((b, c), dtype=bool)
+        tracemalloc.start()
+        try:
+            ls.local_loss(E_l, targets, items, mask).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * c * n * 8 / 3
+        assert E_l.grad.shape == E_l.shape and items.grad.shape == items.shape
 
 
 class TestGlobalLoss:

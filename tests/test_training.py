@@ -217,6 +217,31 @@ class TestTrainStep:
                                           params2.named()[name].data)
 
 
+def test_first_step_losses_are_pinned():
+    # float.hex values of the unfused local loss (matmul + cross_entropy);
+    # 80 users x 20 full window slots give 1 600 rows, two row tiles.
+    dataset = generate_clustered_markov(n_users=80, n_items=60, n_clusters=6,
+                                        min_len=24, max_len=30, seed=3)
+    hyper = tr.Hyperparams(
+        c=20, d=16, k=2, n_layers=2, n_heads=2, dropout_rate=0.1,
+        weights=LossWeights(1.0, 0.5, 1.0, 0.5, lambda_reg=1e-3),
+        n_negatives=5, batch_size=80, seed=3)
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), 3)
+    adjacency = build_adjacency(dataset.train, dataset.n_users, dataset.n_items)
+    examples = tr.build_examples(dataset)
+    scalars = tr.train_step(examples, params, adjacency, hyper,
+                            tr.Adam(params.parameters()),
+                            np.random.Generator(np.random.PCG64(4)))
+    assert {name: value.hex() for name, value in scalars.items()} == {
+        "local": "0x1.0608c5f9a7bd8p+2",
+        "global": "0x1.62e6e303bb9e8p-1",
+        "fused": "0x1.caaeb85578a2dp+0",
+        "contrastive": "0x1.df4964f3abce2p+5",
+        "total": "0x1.21810ec1be1b1p+5",
+    }
+
+
 class TestStepComposition:
     """The finite-difference oracle differentiates the step train_step takes."""
 
