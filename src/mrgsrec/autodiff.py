@@ -344,15 +344,22 @@ def layer_norm(a, gain, bias) -> Tensor:
 
 
 def lookup(table, ids: np.ndarray) -> Tensor:
-    """Row gather ``table[ids]``; scatter-adds gradients back on the backward pass."""
+    """Row gather ``table[ids]``; scatter-adds gradients back on the backward pass.
+
+    The scatter is a product with the (rows, ids.size) one-hot CSR matrix.
+    Each CSR row keeps its entries in input order and starts from zero, so
+    the sums equal ``np.add.at``'s bit for bit.
+    """
     table = as_tensor(table)
     ids = np.asarray(ids)
     out = table.data[ids]
 
     def backward(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, ids, g)
-        table._accumulate(acc, owned=True)
+        n = ids.size
+        onehot = sp.csr_matrix((np.ones(n), (ids.ravel(), np.arange(n))),
+                               shape=(table.data.shape[0], n))
+        rows = np.asarray(g).reshape((n,) + table.data.shape[1:])
+        table._accumulate(onehot @ rows, owned=True)
 
     return _make(out, (table,), backward)
 

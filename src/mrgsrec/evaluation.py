@@ -7,7 +7,10 @@ seen items; the target itself is never excluded. Ties rank by ascending
 item id.
 
 The parameters are fixed during a pass, so the graph is propagated once
-per pass and every chunk of ``EVAL_BATCH`` users gathers from that table.
+per pass and every chunk of ``EVAL_BATCH`` users gathers its user rows from
+that table. No head reads a per-position output, so each chunk builds the
+user states alone (``positions=False``): the final encoder block runs on
+the state row only and no window items are gathered.
 Each chunk's (B, N) score block is ranked in one vectorised step, with the
 seen items given as CSR-style (indptr, items) arrays. The pass runs under
 ``autodiff.no_grad``, so it records no tape.
@@ -159,7 +162,7 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
                                 need_seq=need_seq, need_graph=need_graph,
                                 need_fused=need_fused,
                                 layer_mean=hyper.layer_mean, train_mode=False,
-                                node_embeddings=nodes)
+                                node_embeddings=nodes, positions=False)
         scores = score_batch(params, states, head).data
         excluded = _seen_items(sequences, targets) if hyper.exclude_seen else None
         # Per-user sums in user order keep the totals' rounding unchanged.

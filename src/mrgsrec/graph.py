@@ -90,6 +90,14 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
     return current
 
 
+def gather_users(node_embeddings: ad.Tensor, batch: SequenceBatch,
+                 n_users: int) -> ad.Tensor:
+    """e_g of shape (B, d): the batch's user rows of (M+N, d)."""
+    if batch.user_ids.size and batch.user_ids.max() >= n_users:
+        raise IndexError("user id out of range")
+    return ad.lookup(node_embeddings, batch.user_ids)
+
+
 def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
                  n_users: int, n_items: int) -> tuple[ad.Tensor, ad.Tensor]:
     """Pick user rows and per-window item rows out of (M+N, d).
@@ -97,9 +105,7 @@ def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
     Returns (e_g of shape (B, d), E_g of shape (B, c, d)); padding slots
     gather zeros.
     """
-    if batch.user_ids.size and batch.user_ids.max() >= n_users:
-        raise IndexError("user id out of range")
-    e_g = ad.lookup(node_embeddings, batch.user_ids)
+    e_g = gather_users(node_embeddings, batch, n_users)
     mask = batch.valid_mask()
     ids = np.where(mask, batch.item_windows, 0)
     if ids.max(initial=0) >= n_items:

@@ -16,7 +16,8 @@ from . import autodiff as ad
 from .embeddings import EmbeddingTables, SequenceBatch, embed_sequence, init_tables
 from .errors import ParseError
 from .fusion import FusionParams, fuse, init_fusion_params, score_items
-from .graph import NormalizedAdjacency, gather_batch, propagated_embeddings
+from .graph import (NormalizedAdjacency, gather_batch, gather_users,
+                    propagated_embeddings)
 from .losses import LossWeights
 from .seqenc import SeqEncoderConfig, SeqEncoderParams, init_seq_params, seq_encode
 
@@ -96,7 +97,8 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
                    need_fused: bool = True, layer_mean: bool = False,
                    train_mode: bool = False,
                    rng: np.random.Generator | None = None,
-                   node_embeddings: ad.Tensor | None = None) -> ForwardStates:
+                   node_embeddings: ad.Tensor | None = None,
+                   positions: bool = True) -> ForwardStates:
     """Run the requested encoder paths for one batch.
 
     The graph path re-propagates from the current tables so gradients reach
@@ -104,13 +106,16 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
     A caller whose tables do not change between batches (evaluation) may
     pass the propagated ``node_embeddings`` once computed; the graph path
     then only gathers from them and ``initial_nodes`` stays None.
+    ``positions=False`` builds the user states alone (see
+    ``seqenc.seq_encode``): ``E_l`` and ``E_g`` stay None.
     """
     states = ForwardStates()
     if need_seq or need_fused:
         e_u, E_u = embed_sequence(batch, params.tables)
         states.e_l, states.E_l = seq_encode(
             e_u, E_u, params.encoder, params.seq_config,
-            batch.valid_lengths, train_mode=train_mode, rng=rng)
+            batch.valid_lengths, train_mode=train_mode, rng=rng,
+            positions=positions)
     if need_graph or need_fused:
         if node_embeddings is None:
             if adjacency is None:
@@ -121,9 +126,13 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
                 params.tables, adjacency, k, layer_mean=layer_mean,
                 initial=states.initial_nodes)
         states.node_embeddings = node_embeddings
-        states.e_g, states.E_g = gather_batch(
-            states.node_embeddings, batch,
-            params.tables.n_users, params.tables.n_items)
+        if positions:
+            states.e_g, states.E_g = gather_batch(
+                states.node_embeddings, batch,
+                params.tables.n_users, params.tables.n_items)
+        else:
+            states.e_g = gather_users(states.node_embeddings, batch,
+                                      params.tables.n_users)
     if need_fused:
         states.e_f = fuse(states.e_l, states.e_g, params.fusion)
     return states

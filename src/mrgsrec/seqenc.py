@@ -10,6 +10,13 @@ Attention policy: items attend causally over valid item positions and may
 always see the user token; in causal mode the user token attends only to
 itself, so it cannot leak future items. Padding slots are never attended
 to and see only the user token (their outputs are ignored downstream).
+
+``seq_encode(..., positions=False)`` builds the user state alone, for
+callers that read no per-position output (evaluation). Every block before
+the last runs as usual; the final block still takes layer norm, keys and
+values over all rows, but its queries, attention, output projection,
+residual and feed-forward cover the state row only (row c for
+``last_position``, row 0 for ``first_token``). It returns ``(e_l, None)``.
 """
 
 from __future__ import annotations
@@ -119,20 +126,27 @@ def causal_attention_mask(c_plus_1: int, valid_lengths: np.ndarray,
 
 def _attention(x: ad.Tensor, layer: dict[str, ad.Tensor], mask: np.ndarray,
                n_heads: int, dropout_rate: float, train: bool,
-               rng: np.random.Generator | None) -> ad.Tensor:
-    b, t, d = x.shape
+               rng: np.random.Generator | None,
+               row: int | None = None) -> ad.Tensor:
+    """Multi-head attention of every row of ``x``, or of ``row`` alone
+    (keys and values still span every row); returns (B, rows, d)."""
+    b, _, d = x.shape
     dh = d // n_heads
+    queries = x
+    if row is not None:
+        queries, mask = ad.narrow(x, 1, row, 1), mask[:, row:row + 1, :]
 
-    def heads(proj):
-        h = ad.reshape(ad.matmul(x, proj), (b, t, n_heads, dh))
-        return ad.swapaxes(h, 1, 2)  # (B, H, T, dh)
+    def heads(source, proj):
+        n = source.shape[1]
+        h = ad.reshape(ad.matmul(source, proj), (b, n, n_heads, dh))
+        return ad.swapaxes(h, 1, 2)  # (B, H, n, dh)
 
-    q, k, v = heads(layer["wq"]), heads(layer["wk"]), heads(layer["wv"])
+    q, k, v = heads(queries, layer["wq"]), heads(x, layer["wk"]), heads(x, layer["wv"])
     scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
     probs = ad.masked_softmax(scores, mask[:, None, :, :])
     probs = ad.dropout(probs, dropout_rate, rng, train)
-    out = ad.matmul(probs, v)  # (B, H, T, dh)
-    out = ad.reshape(ad.swapaxes(out, 1, 2), (b, t, d))
+    out = ad.matmul(probs, v)  # (B, H, n, dh)
+    out = ad.reshape(ad.swapaxes(out, 1, 2), (b, queries.shape[1], d))
     return ad.matmul(out, layer["wo"])
 
 
@@ -145,12 +159,15 @@ def _feed_forward(x: ad.Tensor, layer: dict[str, ad.Tensor]) -> ad.Tensor:
 def seq_encode(e_u: ad.Tensor, E_u: ad.Tensor, params: SeqEncoderParams,
                config: SeqEncoderConfig, valid_lengths: np.ndarray,
                train_mode: bool = False,
-               rng: np.random.Generator | None = None
-               ) -> tuple[ad.Tensor, ad.Tensor]:
+               rng: np.random.Generator | None = None,
+               positions: bool = True
+               ) -> tuple[ad.Tensor, ad.Tensor | None]:
     """Run the encoder; returns (e_l of shape (B, d), E_l of shape (B, c, d)).
 
     With ``n_layers == 0`` the encoder is the identity. ``rng`` drives
     dropout and is required only when ``train_mode`` and dropout_rate > 0.
+    ``positions=False`` computes the final block on the state row only and
+    returns ``(e_l, None)``.
     """
     if e_u.ndim != 2 or E_u.ndim != 3:
         raise DimensionError("expected e_u (B, d) and E_u (B, c, d)")
@@ -161,20 +178,23 @@ def seq_encode(e_u: ad.Tensor, E_u: ad.Tensor, params: SeqEncoderParams,
     if train_mode and config.dropout_rate > 0.0 and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
     c = E_u.shape[1]
+    state_row = c if config.user_state == "last_position" else 0
     x = ad.concat([ad.reshape(e_u, (b, 1, d)), E_u], axis=1)
     mask = causal_attention_mask(c + 1, valid_lengths, config.attention_mode)
-    for layer in params.layers:
+    for i, layer in enumerate(params.layers):
+        # Without positions the final block's outputs are needed at one row.
+        row = None if positions or i < len(params.layers) - 1 else state_row
         attn = _attention(ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"]),
                           layer, mask, config.n_heads,
-                          config.dropout_rate, train_mode, rng)
+                          config.dropout_rate, train_mode, rng, row)
         attn = ad.dropout(attn, config.dropout_rate, rng, train_mode)
+        if row is not None:
+            x = ad.narrow(x, 1, row, 1)
         x = ad.add(x, attn)
         ff = _feed_forward(ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer)
         ff = ad.dropout(ff, config.dropout_rate, rng, train_mode)
         x = ad.add(x, ff)
-    if config.user_state == "last_position":
-        e_l = ad.reshape(ad.narrow(x, 1, c, 1), (b, d))
-    else:
-        e_l = ad.reshape(ad.narrow(x, 1, 0, 1), (b, d))
-    E_l = ad.narrow(x, 1, 1, c)
-    return e_l, E_l
+    # x is the state row alone once a final block ran without positions
+    e_l = ad.reshape(x if x.shape[1] == 1 else ad.narrow(x, 1, state_row, 1),
+                     (b, d))
+    return e_l, ad.narrow(x, 1, 1, c) if positions else None

@@ -1,6 +1,7 @@
 """Self-check suites: gradient finite differences, sparse-vs-dense graph
-oracle, and ranking-metric oracle. The CLI ``verify`` subcommand runs all
-three and fails on any mismatch; the test suite reuses the same functions.
+oracle, ranking-metric oracle, and state-only-vs-full encoder parity. The
+CLI ``verify`` subcommand runs all four and fails on any mismatch; the test
+suite reuses the same functions.
 """
 
 from __future__ import annotations
@@ -9,10 +10,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SplitDataset
+from .embeddings import build_batch
 from .evaluation import hr_at_k, ndcg_at_k, rank_targets
 from .graph import build_adjacency
 from .losses import LossWeights
-from .model import init_model
+from .model import forward_states, init_model
+from .seqenc import ATTENTION_MODES, USER_STATES, SeqEncoderConfig
 from .training import (Hyperparams, build_examples, fewest_unseen, step_inputs,
                        step_losses)
 
@@ -173,6 +176,51 @@ def metric_suite(n_users: int = 100, n_items: int = 50, seed: int = 13) -> dict:
     return {"passed": True}
 
 
+HEAD_STATES = (("fused", "e_f"), ("sequential", "e_l"), ("graph", "e_g"))
+
+
+def state_only_gaps(user_state: str = "first_token",
+                    attention_mode: str = "causal", n_layers: int = 2,
+                    seed: int = 5) -> dict[str, float]:
+    """Max abs difference, per scoring head, between the user states that
+    ``forward_states`` builds with ``positions=False`` and those of the full
+    pass, on a small random fused model. The windows hold 1 to c+2 items, so
+    both padded and full windows occur. A state-only pass that still builds
+    ``E_l`` or ``E_g`` reads inf on every head."""
+    c, m, n = 5, 9, 13
+    config = SeqEncoderConfig(d=8, n_layers=n_layers, n_heads=2,
+                              dropout_rate=0.0, attention_mode=attention_mode,
+                              user_state=user_state)
+    params = init_model(m, n, c, config, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for tensor in params.parameters():  # O(1) scale, as in the gradient instance
+        tensor.data[...] = rng.normal(0.0, 0.5, size=tensor.data.shape)
+    params.tables.item.data[n, :] = 0.0
+    train = [rng.integers(0, n, size=length).tolist()
+             for length in (1, c, 2, c + 2, 3, 1, c, 4, c + 1)]
+    adjacency = build_adjacency(train, m, n)
+    batch = build_batch(list(range(m)), train, c, params.tables.padding_id)
+    with ad.no_grad():
+        full = forward_states(params, batch, adjacency, k=2)
+        state = forward_states(params, batch, adjacency, k=2, positions=False)
+    if state.E_l is not None or state.E_g is not None:
+        return {head: float("inf") for head, _ in HEAD_STATES}
+    return {head: float(np.abs(getattr(state, name).data
+                               - getattr(full, name).data).max())
+            for head, name in HEAD_STATES}
+
+
+def state_only_suite(tol: float = 1e-12) -> dict:
+    """``state_only_gaps`` over both user states and attention modes; the
+    worst gap per scoring head."""
+    worst = {head: 0.0 for head, _ in HEAD_STATES}
+    for user_state in USER_STATES:
+        for mode in ATTENTION_MODES:
+            for head, gap in state_only_gaps(user_state, mode).items():
+                worst[head] = max(worst[head], gap)
+    return {"passed": max(worst.values()) <= tol, "max_abs_error": worst}
+
+
 def run_all(quick: bool = False) -> tuple[bool, str]:
     """Run every suite; returns (all passed, printable report)."""
     lines = []
@@ -200,4 +248,10 @@ def run_all(quick: bool = False) -> tuple[bool, str]:
     ok &= metrics["passed"]
     lines.append(f"metrics/sort-oracle: {metrics} "
                  f"{'PASS' if metrics['passed'] else 'FAIL'}")
+    states = state_only_suite()
+    ok &= states["passed"]
+    gaps = " ".join(f"{head}={gap:.3e}"
+                    for head, gap in states["max_abs_error"].items())
+    lines.append(f"encoder/state-only: max_abs_error {gaps} "
+                 f"{'PASS' if states['passed'] else 'FAIL'}")
     return ok, "\n".join(lines)

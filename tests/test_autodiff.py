@@ -287,3 +287,56 @@ def test_owned_first_gradient_is_adopted_without_a_copy(monkeypatch):
     monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
     ad.tsum(ad.relu(x)).backward()
     assert adopted == [True]
+
+
+class TestLookupScatter:
+    """lookup's backward equals an ``np.add.at`` scatter bit for bit."""
+
+    @staticmethod
+    def reference(shape, *pairs):
+        acc = np.zeros(shape)
+        for ids, g in pairs:
+            np.add.at(acc, ids, g)
+        return acc
+
+    @pytest.mark.parametrize("ids", [
+        np.array([3, 3, 3, 0, 3, 1, 0, 3, 3]),            # duplicate-heavy 1-D
+        np.array([[2, 2, 0], [2, 5, 2], [0, 0, 2]]),      # duplicate-heavy 2-D
+        rng(4).integers(0, 3, size=(40, 7)),
+    ])
+    def test_matches_add_at_bitwise(self, ids):
+        table = ad.parameter(rng(1).normal(size=(8, 5)))
+        out = ad.lookup(table, ids)
+        g = rng(2).normal(size=out.shape) * 10.0 ** rng(3).integers(-8, 8, out.shape)
+        ad.tsum(ad.mul(out, g)).backward()
+        want = self.reference(table.shape, (ids, g))
+        assert table.grad.tobytes() == want.tobytes()
+        untouched = np.setdiff1d(np.arange(8), ids)
+        assert untouched.size and not table.grad[untouched].any()
+
+    def test_repeated_lookup_into_one_table(self):
+        table = ad.parameter(rng(5).normal(size=(6, 3)))
+        ids_a, ids_b = np.array([[1, 1], [4, 1]]), np.array([4, 4, 1, 0])
+        a, b = ad.lookup(table, ids_a), ad.lookup(table, ids_b)
+        ga, gb = rng(6).normal(size=a.shape), rng(7).normal(size=b.shape)
+        loss = ad.add(ad.tsum(ad.mul(a, ga)), ad.tsum(ad.mul(b, gb)))
+        loss.backward()
+        # backward runs the later lookup's closure first
+        want = self.reference(table.shape, (ids_b, gb))
+        want += self.reference(table.shape, (ids_a, ga))
+        assert table.grad.tobytes() == want.tobytes()
+        assert not table.grad[[2, 3, 5]].any()
+
+    def test_grads_do_not_alias(self):
+        # identity ids: a scatter that handed back its incoming gradient
+        # would leave the table's grad a view of the lookup output's
+        table = ad.parameter(rng(8).normal(size=(5, 2)))
+        first = ad.lookup(table, np.arange(5))
+        second = ad.lookup(table, np.array([4, 4]))
+        loss = ad.add(ad.tsum(ad.mul(first, 2.0)), ad.tsum(second))
+        loss.backward()
+        for node in (first, second):
+            assert not np.shares_memory(table.grad, node.grad)
+        np.testing.assert_array_equal(table.grad[:, 0], [2, 2, 2, 2, 4])
+        first.grad[...] = 0.0
+        np.testing.assert_array_equal(table.grad[:, 1], [2, 2, 2, 2, 4])

@@ -353,6 +353,15 @@ class TestVerify:
                 assert f"gradient/{loss}/{block}: max_rel_error=" in out
 
 
+    def test_verify_reports_state_only_parity(self, capsys):
+        assert cli.main(["verify", "--quick"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("encoder/state-only:"))
+        for head in ("fused", "sequential", "graph"):
+            assert f"{head}=" in line
+        assert line.endswith("PASS")
+
+
 def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     cfg = SeqEncoderConfig(d=8, n_layers=2, n_heads=2, dropout_rate=0.1,
                            attention_mode="bidirectional",

@@ -278,7 +278,8 @@ def _recomposed(params, dataset, split, hyper):
             targets = [dataset.test[u] for u in chunk]
         batch = build_batch(chunk, sequences, hyper.c, params.tables.padding_id)
         states = md.forward_states(params, batch, adjacency, hyper.k,
-                                   layer_mean=hyper.layer_mean, **paths)
+                                   layer_mean=hyper.layer_mean,
+                                   positions=False, **paths)
         scores = md.score_batch(params, states, hyper.scoring_head).data
         for row, seq, target in zip(scores, sequences, targets):
             seen = set(seq) - {target} if hyper.exclude_seen else set()
@@ -325,6 +326,38 @@ def test_evaluate_propagates_the_graph_once_per_pass(monkeypatch, head, calls):
                         hyper.seq_config(), seed=0)
     ev.evaluate(params, dataset, "validation", hyper)
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("head", ["fused", "sequential", "graph"])
+def test_evaluate_builds_no_per_position_output(monkeypatch, head):
+    def no_gather(*args, **kwargs):
+        raise AssertionError("evaluate gathered window items")
+
+    encoded, states = [], []
+    original_encode, original_forward = md.seq_encode, ev.forward_states
+
+    def encode(*args, **kwargs):
+        out = original_encode(*args, **kwargs)
+        encoded.append(out[1])
+        return out
+
+    def forward(*args, **kwargs):
+        states.append(original_forward(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(md, "gather_batch", no_gather)
+    monkeypatch.setattr(md, "seq_encode", encode)
+    monkeypatch.setattr(ev, "forward_states", forward)
+    monkeypatch.setattr(ev, "EVAL_BATCH", 4)
+    dataset = random_dataset(13, 10, seed=9)
+    hyper = eval_hyper(scoring_head=head, k=2, n_layers=2)
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), seed=0)
+    ev.evaluate(params, dataset, "validation", hyper)
+    assert len(states) == 4
+    assert all(s.E_l is None and s.E_g is None for s in states)
+    assert len(encoded) == (0 if head == "graph" else 4)
+    assert not any(E_l is not None for E_l in encoded)
 
 
 def test_evaluate_records_no_tape(monkeypatch):

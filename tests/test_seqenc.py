@@ -6,6 +6,7 @@ import pytest
 from mrgsrec import autodiff as ad
 from mrgsrec import seqenc as se
 from mrgsrec.embeddings import build_batch, embed_sequence, init_tables
+from mrgsrec.verification import state_only_gaps
 
 
 def make_inputs(b=3, c=4, d=8, seed=0, lengths=None):
@@ -248,3 +249,31 @@ def test_last_position_user_state():
     e_l, _ = se.seq_encode(e_u, E_u, params, cfg, batch.valid_lengths)
     # identity encoder: the user state is the final window slot embedding
     np.testing.assert_array_equal(e_l.data, E_u.data[:, -1, :])
+
+
+class TestStateOnly:
+    """``positions=False`` builds the user states alone."""
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("mode", se.ATTENTION_MODES)
+    @pytest.mark.parametrize("user_state", se.USER_STATES)
+    def test_states_match_the_full_pass(self, user_state, mode, n_layers):
+        # e_l, e_g and e_f on windows of 1 to c+2 items, k = 2
+        gaps = state_only_gaps(user_state, mode, n_layers)
+        assert set(gaps) == {"fused", "sequential", "graph"}
+        assert max(gaps.values()) <= 1e-12
+        assert gaps["graph"] == 0.0
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_seq_encode_returns_no_positions(self, n_layers):
+        e_u, E_u, lengths = make_inputs(b=4, c=5, lengths=[1, 5, 3, 1])
+        config = se.SeqEncoderConfig(d=8, n_layers=n_layers, n_heads=2,
+                                     dropout_rate=0.0,
+                                     user_state="last_position")
+        params = se.init_seq_params(config, seed=2)
+        e_l, E_l = se.seq_encode(e_u, E_u, params, config, lengths)
+        state, none = se.seq_encode(e_u, E_u, params, config, lengths,
+                                    positions=False)
+        assert none is None and E_l.shape == (4, 5, 8)
+        assert state.shape == (4, 8)
+        np.testing.assert_allclose(state.data, e_l.data, rtol=0, atol=1e-12)
