@@ -13,11 +13,12 @@ accumulates vector-Jacobian products into ``Tensor.grad``. Conventions:
 Inside ``with no_grad():`` every op returns a plain leaf, so a forward pass
 (evaluation, the finite-difference probes) keeps no tape and no closure.
 
-Ownership: a backward closure that has just allocated an array and hands it
-to exactly one parent passes ``owned=True``, and that array becomes the
-parent's first ``grad`` with no copy. Views and arrays shared between
-parents (add, concat, reshape, swapaxes, tsum, layer_norm's bias) are
-copied on first write, so no two tensors ever share a ``grad`` buffer.
+Closure contract: ``backward(g)`` returns one gradient per parent, in
+``_parents`` order, and writes nothing. Each is a view of ``g`` (or ``g``)
+or an array allocated for that parent alone, never one the closure keeps.
+``Tensor.backward`` alone writes ``grad``: constants take none, and a first
+gradient sharing no memory with ``g`` is adopted, any other copied, so no
+two tensors share a ``grad`` buffer.
 
 ``linear_cross_entropy`` is the one op that computes its gradient in the
 forward pass: it streams fixed row tiles of the logits, and while a tile's
@@ -38,6 +39,7 @@ from .errors import DimensionError, GraphError
 
 # Rows per tile in linear_cross_entropy: about 29 MB of logits at N = 3 600.
 LCE_TILE_ROWS = 1024
+FD_STEP, FD_TOL = 1e-5, 1e-4  # finite_difference_check's step and tolerance
 
 _recording = True
 
@@ -69,15 +71,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` into ``grad``; an ``owned`` array is adopted uncopied."""
-        if self.grad is None:
-            # ufuncs on 0-d arrays return numpy scalars, which are copied
-            self.grad = (g if owned and isinstance(g, np.ndarray)
-                         else np.array(g, dtype=np.float64, copy=True))
-        else:
-            self.grad += g
-
     def backward(self) -> None:
         """Reverse-mode sweep seeding d(self)/d(self) = 1. Scalar outputs only."""
         if self.data.size != 1:
@@ -99,8 +92,18 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            g = node.grad
+            if node._backward is None or g is None:
+                continue
+            for parent, pg in zip(node._parents, node._backward(g), strict=True):
+                if not _needs_graph(parent):
+                    continue
+                if parent.grad is not None:
+                    parent.grad += pg
+                elif isinstance(pg, np.ndarray) and not np.may_share_memory(pg, g):
+                    parent.grad = pg
+                else:  # a view of g, or a numpy scalar from a 0-d ufunc
+                    parent.grad = np.array(pg, dtype=np.float64)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -158,8 +161,7 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _make(out, (a, b), backward)
 
@@ -169,8 +171,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
+        return (_unbroadcast(g * b.data, a.data.shape),
+                _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out, (a, b), backward)
 
@@ -184,19 +186,17 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.data.shape), owned=True)
-        b._accumulate(_unbroadcast(gb, b.data.shape), owned=True)
+        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return _make(out, (a, b), backward)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0.0
-    out = np.where(mask, a.data, 0.0)
+    out = np.maximum(a.data, 0.0)
 
     def backward(g):
-        a._accumulate(g * mask, owned=True)
+        return (g * (a.data > 0.0),)
 
     return _make(out, (a,), backward)
 
@@ -206,7 +206,7 @@ def square(a) -> Tensor:
     out = a.data * a.data
 
     def backward(g):
-        a._accumulate(2.0 * g * a.data, owned=True)
+        return (2.0 * g * a.data,)
 
     return _make(out, (a,), backward)
 
@@ -216,10 +216,9 @@ def tsum(a, axis=None) -> Tensor:
     out = a.data.sum(axis=axis)
 
     def backward(g):
-        gg = np.asarray(g)
         if axis is not None:
-            gg = np.expand_dims(gg, axis)
-        a._accumulate(np.broadcast_to(gg, a.data.shape))
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape),)
 
     return _make(out, (a,), backward)
 
@@ -239,7 +238,7 @@ def masked_softmax(a, mask: np.ndarray) -> Tensor:
 
     def backward(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
-        a._accumulate(out * (g - inner), owned=True)
+        return (out * (g - inner),)
 
     return _make(out, (a,), backward)
 
@@ -276,7 +275,7 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None
     def backward(g):
         probs = e * (g / total)
         probs[rows, targets] -= g
-        logits._accumulate(probs, owned=True)
+        return (probs,)
 
     return _make(out, (logits,), backward)
 
@@ -316,8 +315,7 @@ def linear_cross_entropy(x, w, targets: np.ndarray) -> Tensor:
     out = losses.sum()
 
     def backward(g):
-        x._accumulate(gx * g, owned=True)
-        w._accumulate(gw * g, owned=True)
+        return gx * g, gw * g
 
     return _make(out, (x, w), backward)
 
@@ -333,12 +331,12 @@ def layer_norm(a, gain, bias) -> Tensor:
     out = xhat * gain.data + bias.data
 
     def backward(g):
-        gain._accumulate(_unbroadcast(g * xhat, gain.data.shape), owned=True)
-        bias._accumulate(_unbroadcast(g, bias.data.shape))
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        a._accumulate(inv * (dxhat - m1 - xhat * m2), owned=True)
+        return (inv * (dxhat - m1 - xhat * m2),
+                _unbroadcast(g * xhat, gain.data.shape),
+                _unbroadcast(g, bias.data.shape))
 
     return _make(out, (a, gain, bias), backward)
 
@@ -358,8 +356,8 @@ def lookup(table, ids: np.ndarray) -> Tensor:
         n = ids.size
         onehot = sp.csr_matrix((np.ones(n), (ids.ravel(), np.arange(n))),
                                shape=(table.data.shape[0], n))
-        rows = np.asarray(g).reshape((n,) + table.data.shape[1:])
-        table._accumulate(onehot @ rows, owned=True)
+        rows = g.reshape((n,) + table.data.shape[1:])
+        return (onehot @ rows,)
 
     return _make(out, (table,), backward)
 
@@ -371,8 +369,7 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
+        return np.split(g, splits, axis=axis)
 
     return _make(out, tuple(ts), backward)
 
@@ -382,7 +379,7 @@ def reshape(a, shape) -> Tensor:
     out = a.data.reshape(shape)
 
     def backward(g):
-        a._accumulate(np.asarray(g).reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return _make(out, (a,), backward)
 
@@ -398,7 +395,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     def backward(g):
         acc = np.zeros_like(a.data)
         acc[index] = g
-        a._accumulate(acc, owned=True)
+        return (acc,)
 
     return _make(out, (a,), backward)
 
@@ -408,7 +405,7 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     out = np.swapaxes(a.data, ax1, ax2)
 
     def backward(g):
-        a._accumulate(np.swapaxes(g, ax1, ax2))
+        return (np.swapaxes(g, ax1, ax2),)
 
     return _make(out, (a,), backward)
 
@@ -426,7 +423,7 @@ def spmm(adj: sp.spmatrix, x) -> Tensor:
     out = adj @ x.data
 
     def backward(g):
-        x._accumulate(adj @ g, owned=True)
+        return (adj @ g,)
 
     return _make(out, (x,), backward)
 
@@ -455,9 +452,7 @@ def grad(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
 
 
 def finite_difference_check(loss_fn: Callable[[], Tensor],
-                            params: dict[str, Tensor],
-                            h: float = 1e-5,
-                            tol: float = 1e-4) -> dict[str, dict]:
+                            params: dict[str, Tensor]) -> dict[str, dict]:
     """Compare analytic gradients of ``loss_fn`` against central differences.
 
     ``loss_fn`` must be a pure function of the current ``params`` data; it is
@@ -468,16 +463,14 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
     floor (cancellation error ~ eps * |loss| / h) are unmeasurable by this
     method and are not scored.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
     tensors = list(params.values())
     base_loss = loss_fn()
     # Smallest gradient whose relative error is resolvable: the difference
     # quotient carries ~K ulps of cancellation noise, so require
     # |grad| >= K * eps * |f| / (2h) / tol.
     eps = np.finfo(np.float64).eps
-    noise = 100.0 * eps * max(1.0, abs(float(base_loss.data))) / (2.0 * h)
-    floor = max(1e-8, noise / tol)
+    noise = 100.0 * eps * max(1.0, abs(float(base_loss.data))) / (2.0 * FD_STEP)
+    floor = max(1e-8, noise / FD_TOL)
     analytic = grad(base_loss, tensors)
     report: dict[str, dict] = {}
     for (name, p), ana in zip(params.items(), analytic):
@@ -486,16 +479,16 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
         for i in range(flat.size):
             saved = flat[i]
             with no_grad():
-                flat[i] = saved + h
+                flat[i] = saved + FD_STEP
                 f_plus = loss_fn().item()
-                flat[i] = saved - h
+                flat[i] = saved - FD_STEP
                 f_minus = loss_fn().item()
             flat[i] = saved
-            fd[i] = (f_plus - f_minus) / (2.0 * h)
+            fd[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
         ana_flat = ana.reshape(-1)
         denom = np.maximum(np.abs(ana_flat), np.abs(fd))
         err = np.where(denom > floor,
                        np.abs(ana_flat - fd) / np.maximum(denom, 1e-300), 0.0)
         max_err = float(err.max()) if err.size else 0.0
-        report[name] = {"max_rel_error": max_err, "passed": max_err <= tol}
+        report[name] = {"max_rel_error": max_err, "passed": max_err <= FD_TOL}
     return report

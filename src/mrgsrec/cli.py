@@ -187,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="preprocess a raw interaction file")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
-    p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--mode", choices=("fixpoint", "single_pass"),
-                   default="fixpoint")
+    p.add_argument("--min-count", type=int, default=data_mod.MIN_COUNT)
+    p.add_argument("--mode", choices=data_mod.FILTER_MODES,
+                   default=data_mod.FILTER_MODES[0])
     p.add_argument("--delimiter", default=None,
                    help="field separator; default: any whitespace")
     p.set_defaults(func=cmd_prepare)

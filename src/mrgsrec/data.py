@@ -16,6 +16,8 @@ from .errors import DataError, ParseError
 
 SNAPSHOT_MAGIC = "MRGS-DATA-v1"
 MIN_USER_LENGTH = 3  # one train item plus the validation and test targets
+MIN_COUNT = 5  # prepare's default user and item minimum-count threshold
+FILTER_MODES = ("fixpoint", "single_pass")  # the first is the default
 _SNAPSHOT_KEYS = ("n_users", "n_items", "user_tokens", "item_tokens",
                   "train", "val", "test", "stats")
 
@@ -126,7 +128,7 @@ def load_interactions(path: str | Path, delimiter: str | None = None) -> Interac
 
 
 def min_count_filter(log: InteractionLog, threshold: int,
-                     mode: str = "fixpoint") -> InteractionLog:
+                     mode: str = FILTER_MODES[0]) -> InteractionLog:
     """Drop users and items with fewer than ``threshold`` interactions.
 
     ``mode="fixpoint"`` repeats the sweep until stable (removals can push
@@ -136,7 +138,7 @@ def min_count_filter(log: InteractionLog, threshold: int,
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    if mode not in ("fixpoint", "single_pass"):
+    if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
     records = log.interactions
     while True:
@@ -301,8 +303,8 @@ def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:
     return dataset, stats, meta
 
 
-def prepare(path: str | Path, threshold: int = 5, mode: str = "fixpoint",
-            delimiter: str | None = None
+def prepare(path: str | Path, threshold: int = MIN_COUNT,
+            mode: str = FILTER_MODES[0], delimiter: str | None = None
             ) -> tuple[SplitDataset, DatasetStats, int]:
     """Full preprocessing pipeline: load, filter, drop short users, split.
 

@@ -19,6 +19,12 @@ from .seqenc import ATTENTION_MODES, USER_STATES, SeqEncoderConfig
 from .training import (Hyperparams, build_examples, fewest_unseen, step_inputs,
                        step_losses)
 
+# The oracles' fixed settings; ``verify`` and the tests run exactly these.
+GRAPH_ORACLE_GRAPHS, GRAPH_ORACLE_SEED, GRAPH_ORACLE_TOL = 20, 11, 1e-10
+GRAPH_ORACLE_MAX_USERS, GRAPH_ORACLE_MAX_ITEMS, GRAPH_ORACLE_K = 50, 80, 3
+METRIC_ORACLE_USERS, METRIC_ORACLE_ITEMS, METRIC_ORACLE_SEED = 100, 50, 13
+STATE_ONLY_TOL = 1e-12
+
 
 def random_dataset(m: int, n: int, seed: int,
                    min_len: int = 4, max_len: int = 9) -> SplitDataset:
@@ -72,8 +78,7 @@ def component_loss_fn(name: str, hyper, params, adjacency, examples,
     return loss_fn
 
 
-def gradient_suite(h: float = 1e-5, tol: float = 1e-4,
-                   **instance_kwargs) -> dict[str, dict]:
+def gradient_suite(**instance_kwargs) -> dict[str, dict]:
     """Finite-difference check of each loss and the total; one record per
     loss, with the worst block and the per-block report under ``blocks``."""
     instance = make_gradient_instance(**instance_kwargs)
@@ -81,7 +86,7 @@ def gradient_suite(h: float = 1e-5, tol: float = 1e-4,
     results: dict[str, dict] = {}
     for name in ("local", "global", "fused", "contrastive", "total"):
         loss_fn = component_loss_fn(name, *instance)
-        report = ad.finite_difference_check(loss_fn, params.named(), h=h, tol=tol)
+        report = ad.finite_difference_check(loss_fn, params.named())
         worst_block = max(report, key=lambda b: report[b]["max_rel_error"])
         results[name] = {
             "max_rel_error": report[worst_block]["max_rel_error"],
@@ -106,15 +111,13 @@ def dense_normalized_adjacency(train: list[list[int]], m: int, n: int) -> np.nda
     return inv[:, None] * a * inv[None, :]
 
 
-def sparse_dense_suite(n_graphs: int = 20, max_users: int = 50,
-                       max_items: int = 80, k_max: int = 3,
-                       tol: float = 1e-10, seed: int = 11) -> dict:
+def sparse_dense_suite() -> dict:
     """Compare sparse construction/propagation with the dense oracle."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(GRAPH_ORACLE_SEED))
     worst = 0.0
-    for _ in range(n_graphs):
-        m = int(rng.integers(3, max_users + 1))
-        n = int(rng.integers(3, max_items + 1))
+    for _ in range(GRAPH_ORACLE_GRAPHS):
+        m = int(rng.integers(3, GRAPH_ORACLE_MAX_USERS + 1))
+        n = int(rng.integers(3, GRAPH_ORACLE_MAX_ITEMS + 1))
         train = [rng.integers(0, n, size=rng.integers(1, 7)).tolist()
                  for _ in range(m)]
         adjacency = build_adjacency(train, m, n)
@@ -131,11 +134,11 @@ def sparse_dense_suite(n_graphs: int = 20, max_users: int = 50,
         x = rng.normal(size=(m + n, int(rng.integers(1, 5))))
         sparse_prop = x.copy()
         dense_prop = x.copy()
-        for _ in range(k_max):
+        for _ in range(GRAPH_ORACLE_K):
             sparse_prop = adjacency.adj @ sparse_prop
             dense_prop = dense @ dense_prop
         worst = max(worst, float(np.abs(sparse_prop - dense_prop).max()))
-    return {"passed": worst <= tol, "max_abs_error": worst}
+    return {"passed": worst <= GRAPH_ORACLE_TOL, "max_abs_error": worst}
 
 
 def metric_oracle_rank(scores: np.ndarray, target: int, excluded=()) -> int:
@@ -145,10 +148,11 @@ def metric_oracle_rank(scores: np.ndarray, target: int, excluded=()) -> int:
     return order.index(target) + 1
 
 
-def metric_suite(n_users: int = 100, n_items: int = 50, seed: int = 13) -> dict:
+def metric_suite() -> dict:
     """Rank random score rows as one block, the way ``evaluate`` ranks a
     chunk, and check each rank, HR and NDCG against the sort-based oracle."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    n_users, n_items = METRIC_ORACLE_USERS, METRIC_ORACLE_ITEMS
+    rng = np.random.Generator(np.random.PCG64(METRIC_ORACLE_SEED))
     scores = np.empty((n_users, n_items))
     targets = np.empty(n_users, dtype=np.int64)
     exclusions = []
@@ -210,7 +214,7 @@ def state_only_gaps(user_state: str = "first_token",
             for head, name in HEAD_STATES}
 
 
-def state_only_suite(tol: float = 1e-12) -> dict:
+def state_only_suite() -> dict:
     """``state_only_gaps`` over both user states and attention modes; the
     worst gap per scoring head."""
     worst = {head: 0.0 for head, _ in HEAD_STATES}
@@ -218,7 +222,8 @@ def state_only_suite(tol: float = 1e-12) -> dict:
         for mode in ATTENTION_MODES:
             for head, gap in state_only_gaps(user_state, mode).items():
                 worst[head] = max(worst[head], gap)
-    return {"passed": max(worst.values()) <= tol, "max_abs_error": worst}
+    return {"passed": max(worst.values()) <= STATE_ONLY_TOL,
+            "max_abs_error": worst}
 
 
 def run_all(quick: bool = False) -> tuple[bool, str]:

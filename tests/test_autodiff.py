@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrgsrec import autodiff as ad
 from mrgsrec.errors import DimensionError, GraphError
@@ -118,7 +120,7 @@ def test_corrupted_backward_fails_check(monkeypatch):
         out = np.where(mask, a.data, 0.0)
 
         def backward(g):
-            a._accumulate(g * mask * 1.5)  # wrong slope on purpose
+            return (g * mask * 1.5,)  # wrong slope on purpose
 
         return ad._make(out, (a,), backward)
 
@@ -274,19 +276,33 @@ def test_shared_upstream_gradient_is_never_aliased():
     np.testing.assert_array_equal(b.grad, np.ones(4))
 
 
-def test_owned_first_gradient_is_adopted_without_a_copy(monkeypatch):
+def test_owned_first_gradient_is_adopted_without_a_copy():
+    # a closure's freshly allocated result becomes x.grad itself
     x = ad.parameter(np.arange(6.0).reshape(2, 3))
-    adopted = []
-    original = ad.Tensor._accumulate
+    out = ad.relu(x)
+    closure, returned = out._backward, []
 
-    def spy(self, g, owned=False):
-        original(self, g, owned)
-        if self is x:
-            adopted.append(self.grad is g)
+    def spy(g):
+        returned.extend(closure(g))
+        return returned
 
-    monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
-    ad.tsum(ad.relu(x)).backward()
-    assert adopted == [True]
+    out._backward = spy
+    ad.tsum(out).backward()
+    assert len(returned) == 1 and x.grad is returned[0]
+
+
+def test_constant_operand_takes_no_gradient():
+    x = ad.parameter(np.arange(4.0))
+    mask = ad.Tensor(np.array([1.0, 0.0, 2.0, 1.0]))
+    ad.tsum(ad.mul(x, mask)).backward()
+    assert mask.grad is None
+    np.testing.assert_array_equal(x.grad, mask.data)
+
+
+def test_relu_forward_maps_negative_zero_to_zero_and_keeps_nan():
+    out = ad.relu(np.array([-0.0, -1.0, np.nan, 2.0])).data
+    assert not np.signbit(out[:2]).any()
+    np.testing.assert_array_equal(out, [0.0, 0.0, np.nan, 2.0])
 
 
 class TestLookupScatter:
@@ -340,3 +356,79 @@ class TestLookupScatter:
         np.testing.assert_array_equal(table.grad[:, 0], [2, 2, 2, 2, 4])
         first.grad[...] = 0.0
         np.testing.assert_array_equal(table.grad[:, 1], [2, 2, 2, 2, 4])
+
+
+# One DAG step: (op, first operand, partner / length, axis choice, extra ints).
+# Operand indices are taken modulo the pool of tensors built so far, and a
+# binary op's partner is drawn among the compatible tensors, the first
+# operand included, so add(x, x), mul(x, x) and concat([x, x]) all occur.
+DAG_OPS = ("add", "mul", "concat", "reshape", "swapaxes", "tsum", "narrow",
+           "lookup")
+dag_steps = st.lists(st.tuples(
+    st.sampled_from(DAG_OPS), st.integers(0, 63), st.integers(0, 63),
+    st.integers(0, 2), st.lists(st.integers(0, 63), min_size=1, max_size=4)),
+    min_size=1, max_size=6)
+leaf_shapes = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                       min_size=1, max_size=4)
+
+
+def build_dag(steps, params, constants, seed):
+    """The DAG as a loss over every tensor in the pool; returns (loss, pool)."""
+    pool = list(params) + list(constants)
+    for op, i, j, axis, extra in steps:
+        x = pool[i % len(pool)]
+        rows, cols = x.shape
+        if op in ("add", "mul"):
+            same = [t for t in pool if t.shape == x.shape]
+            y = same[j % len(same)]
+            out = ad.add(x, y) if op == "add" else ad.mul(x, y)
+        elif op == "concat":
+            ax = axis % 2
+            fits = [t for t in pool if t.shape[1 - ax] == x.shape[1 - ax]]
+            out = ad.concat([x, fits[j % len(fits)]], axis=ax)
+        elif op == "reshape":
+            out = ad.reshape(x, (cols, rows) if axis % 2 else (1, rows * cols))
+        elif op == "swapaxes":
+            out = ad.swapaxes(x, 0, 1)
+        elif op == "tsum":
+            ax = None if axis == 2 else axis
+            summed = ad.tsum(x, axis=ax)
+            out = ad.reshape(summed, (1, summed.data.size))
+        elif op == "narrow":
+            ax = axis % 2
+            start = extra[0] % x.shape[ax]
+            out = ad.narrow(x, ax, start, 1 + j % (x.shape[ax] - start))
+        else:
+            out = ad.lookup(x, np.array(extra) % rows)
+        pool.append(out)
+    weights = np.random.Generator(np.random.PCG64(seed))
+    loss = ad.Tensor(0.0)
+    for t in list(pool):
+        w = ad.Tensor(weights.uniform(-1.0, 1.0, size=t.shape))
+        term = ad.mul(t, w)
+        loss = ad.add(loss, ad.tsum(term))
+        pool += [w, term, loss]
+    return loss, pool
+
+
+@given(dag_steps, leaf_shapes, st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_random_dag_gradients_are_unaliased_and_match_fd(steps, shapes,
+                                                          n_constants, seed):
+    g = rng(seed)
+    values = [g.uniform(0.5, 1.5, size=s) * g.choice([-1.0, 1.0], size=s)
+              for s in shapes]
+    params = {f"p{k}": ad.parameter(v) for k, v in enumerate(values)}
+    constants = [ad.Tensor(values[k % len(values)] * 0.5)
+                 for k in range(n_constants)]
+    loss, pool = build_dag(steps, params.values(), constants, seed)
+    loss.backward()
+    grads = [t.grad for t in pool if t.grad is not None]
+    for k, first in enumerate(grads):
+        assert not any(np.shares_memory(first, other) for other in grads[k + 1:])
+    for t in pool:
+        if not (t.requires_grad or t._parents):
+            assert t.grad is None
+    report = ad.finite_difference_check(
+        lambda: build_dag(steps, params.values(), constants, seed)[0], params)
+    for name, entry in report.items():
+        assert entry["passed"], f"{name}: {entry}"
