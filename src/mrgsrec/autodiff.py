@@ -15,7 +15,9 @@ Inside ``with no_grad():`` every op returns a plain leaf, so a forward pass
 
 Closure contract: ``backward(g)`` returns one gradient per parent, in
 ``_parents`` order, and writes nothing. Each is a view of ``g`` (or ``g``)
-or an array allocated for that parent alone, never one the closure keeps.
+or an array allocated for that parent alone, never one the closure keeps,
+or None for a parent that needs no graph (a constant: dropout keep-masks,
+padding masks, loss scales), whose gradient is then never computed.
 ``Tensor.backward`` alone writes ``grad``: constants take none, and a first
 gradient sharing no memory with ``g`` is adopted, any other copied, so no
 two tensors share a ``grad`` buffer.
@@ -96,7 +98,7 @@ class Tensor:
             if node._backward is None or g is None:
                 continue
             for parent, pg in zip(node._parents, node._backward(g), strict=True):
-                if not _needs_graph(parent):
+                if pg is None or not _needs_graph(parent):
                     continue
                 if parent.grad is not None:
                     parent.grad += pg
@@ -161,7 +163,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if _needs_graph(a) else None,
+                _unbroadcast(g, b.data.shape) if _needs_graph(b) else None)
 
     return _make(out, (a, b), backward)
 
@@ -171,8 +174,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if _needs_graph(a) else None,
+                _unbroadcast(g * a.data, b.data.shape) if _needs_graph(b) else None)
 
     return _make(out, (a, b), backward)
 
@@ -184,9 +187,14 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if _needs_graph(a):
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                              a.data.shape)
+        if _needs_graph(b):
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                              b.data.shape)
+        return ga, gb
 
     return _make(out, (a, b), backward)
 
@@ -411,10 +419,12 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
 
 
 def spmm(adj: sp.spmatrix, x) -> Tensor:
-    """Sparse-dense product ``adj @ x`` with gradient ``adj @ g`` for ``x``.
+    """Sparse-dense product ``adj @ x`` with gradient ``adj.T @ g`` for ``x``.
 
-    ``adj`` is a constant (never differentiated) and must be symmetric, as
-    the normalized adjacency is by construction.
+    ``adj`` is a constant (never differentiated) of any shape, so a block of
+    a matrix's rows works as well as the whole. The transpose of a CSR matrix
+    is a CSC view, with no copy; for a symmetric ``adj`` its product sums
+    each row in the same order as ``adj @ g``, bit for bit.
     """
     x = as_tensor(x)
     if adj.shape[1] != x.data.shape[0]:
@@ -423,7 +433,7 @@ def spmm(adj: sp.spmatrix, x) -> Tensor:
     out = adj @ x.data
 
     def backward(g):
-        return (adj @ g,)
+        return (adj.T @ g,)
 
     return _make(out, (x,), backward)
 

@@ -7,8 +7,9 @@ seen items; the target itself is never excluded. Ties rank by ascending
 item id.
 
 The parameters are fixed during a pass, so the graph is propagated once
-per pass and every chunk of ``EVAL_BATCH`` users gathers its user rows from
-that table. No head reads a per-position output, so each chunk builds the
+per pass, for the user rows alone (no head reads an item's propagated row),
+and every chunk of ``EVAL_BATCH`` users gathers its user rows from that
+table. No head reads a per-position output, so each chunk builds the
 user states alone (``positions=False``): the final encoder block runs on
 the state row only and no window items are gathered.
 Each chunk's (B, N) score block is ranked in one vectorised step, with the
@@ -144,7 +145,8 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
             adjacency = build_adjacency(dataset.train, dataset.n_users,
                                         dataset.n_items)
         nodes = propagated_embeddings(params.tables, adjacency, hyper.k,
-                                      layer_mean=hyper.layer_mean)
+                                      layer_mean=hyper.layer_mean,
+                                      rows=np.arange(dataset.n_users))
     pad = params.tables.padding_id
     users = list(range(dataset.n_users))
     totals = {"hr5": 0.0, "hr10": 0.0, "ndcg5": 0.0, "ndcg10": 0.0}

@@ -5,6 +5,16 @@ the user-item and item-user blocks. It is built from TRAIN interactions
 only; validation/test targets never contribute edges. Zero-degree nodes
 get zero rows (0^{-1/2} is taken as 0), so with one or more propagation
 layers their global embedding is zero.
+
+A training step reads only a few node rows of the propagated table: the
+batch's users, its window items and the BPR items. ``propagated_embeddings``
+with ``rows`` computes its last hop for those rows alone, as the sparse
+product of the adjacency's row block with the full previous layer (the
+per-batch computation graph of PinSage, Ying et al., KDD 2018). Each row's
+product is the same sum as in the full table, so the result is exact.
+Earlier hops stay full-table: two hops from a 256-user batch already reach
+most of the graph, so restricting them would save little and cost the
+bookkeeping of a growing neighbourhood per hop.
 """
 
 from __future__ import annotations
@@ -68,10 +78,19 @@ def propagate(embeddings: ad.Tensor, adjacency: NormalizedAdjacency) -> ad.Tenso
 
 def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacency,
                           k: int, layer_mean: bool = False,
-                          initial: ad.Tensor | None = None) -> ad.Tensor:
+                          initial: ad.Tensor | None = None,
+                          rows: np.ndarray | None = None) -> ad.Tensor:
     """(M+N, d) node embeddings after k propagation layers; gradients flow
     back into the user and item tables. ``layer_mean=True`` averages all
-    k+1 layer outputs instead of taking the last one."""
+    k+1 layer outputs instead of taking the last one.
+
+    ``rows``, a sorted array of unique node ids, asks for those rows alone:
+    the result is (len(rows), d), its row i is node ``rows[i]``, and the
+    last hop multiplies only the adjacency's ``rows`` block. Earlier layers
+    are full-table and, for ``layer_mean``, read at ``rows``; with k = 0 the
+    result is the initial table's ``rows``. Values and gradients equal the
+    full table's bit for bit. ``node_positions`` maps node ids to rows.
+    """
     if k < 0:
         raise ValueError("layer count k must be >= 0")
     if adjacency.n_users != tables.n_users or adjacency.n_items != tables.n_items:
@@ -79,9 +98,18 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
     current = initial if initial is not None else ad.concat(
         [tables.user, tables.item_rows()], axis=0)
     layers = [current]
-    for _ in range(k):
-        current = propagate(current, adjacency)
+    for hop in range(k):
+        if rows is not None and hop == k - 1:
+            current = ad.spmm(adjacency.adj[rows], current)
+        else:
+            current = propagate(current, adjacency)
         layers.append(current)
+    if rows is not None:
+        if k == 0:
+            current = ad.lookup(current, rows)
+            layers = [current]
+        elif layer_mean:
+            layers[:-1] = [ad.lookup(layer, rows) for layer in layers[:-1]]
     if layer_mean and len(layers) > 1:
         total = layers[0]
         for extra in layers[1:]:
@@ -90,27 +118,51 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
     return current
 
 
+def node_positions(rows: np.ndarray | None, ids: np.ndarray) -> np.ndarray:
+    """Row positions of node ``ids`` in a table propagated for the sorted
+    node set ``rows``; ``rows=None`` is the whole table, where a node's row
+    is its id. Raises GraphError for an id that is not in ``rows``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if rows is None:
+        return ids
+    positions = np.searchsorted(rows, ids)
+    missing = np.append(rows, -1)[positions] != ids  # -1: past the last row
+    if missing.any():
+        raise GraphError(
+            f"node {ids[missing][0]} is not among the propagated rows")
+    return positions
+
+
 def gather_users(node_embeddings: ad.Tensor, batch: SequenceBatch,
-                 n_users: int) -> ad.Tensor:
-    """e_g of shape (B, d): the batch's user rows of (M+N, d)."""
+                 n_users: int, rows: np.ndarray | None = None) -> ad.Tensor:
+    """e_g of shape (B, d): the batch's user rows of the node table, which
+    holds the nodes ``rows`` (None: all M+N)."""
     if batch.user_ids.size and batch.user_ids.max() >= n_users:
         raise IndexError("user id out of range")
-    return ad.lookup(node_embeddings, batch.user_ids)
+    return ad.lookup(node_embeddings, node_positions(rows, batch.user_ids))
+
+
+def window_nodes(batch: SequenceBatch, n_users: int) -> np.ndarray:
+    """(B, c) node ids that ``gather_batch`` reads for the window slots;
+    padding slots read item 0's node and are zeroed."""
+    return n_users + np.where(batch.valid_mask(), batch.item_windows, 0)
 
 
 def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
-                 n_users: int, n_items: int) -> tuple[ad.Tensor, ad.Tensor]:
-    """Pick user rows and per-window item rows out of (M+N, d).
+                 n_users: int, n_items: int, rows: np.ndarray | None = None
+                 ) -> tuple[ad.Tensor, ad.Tensor]:
+    """Pick user rows and per-window item rows out of the node table, which
+    holds the nodes ``rows`` (None: all M+N).
 
     Returns (e_g of shape (B, d), E_g of shape (B, c, d)); padding slots
     gather zeros.
     """
-    e_g = gather_users(node_embeddings, batch, n_users)
+    e_g = gather_users(node_embeddings, batch, n_users, rows)
     mask = batch.valid_mask()
-    ids = np.where(mask, batch.item_windows, 0)
-    if ids.max(initial=0) >= n_items:
+    nodes = window_nodes(batch, n_users)
+    if nodes.max(initial=n_users) >= n_users + n_items:
         raise IndexError("item id out of range")
-    gathered = ad.lookup(node_embeddings, n_users + ids)
+    gathered = ad.lookup(node_embeddings, node_positions(rows, nodes))
     E_g = ad.mul(gathered, mask.astype(np.float64)[:, :, None])
     return e_g, E_g
 

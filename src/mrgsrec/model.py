@@ -17,7 +17,7 @@ from .embeddings import EmbeddingTables, SequenceBatch, embed_sequence, init_tab
 from .errors import ParseError
 from .fusion import FusionParams, fuse, init_fusion_params, score_items
 from .graph import (NormalizedAdjacency, gather_batch, gather_users,
-                    propagated_embeddings)
+                    propagated_embeddings, window_nodes)
 from .losses import LossWeights
 from .seqenc import SeqEncoderConfig, SeqEncoderParams, init_seq_params, seq_encode
 
@@ -77,6 +77,8 @@ class ForwardStates:
     e_f: ad.Tensor | None = None
     node_embeddings: ad.Tensor | None = None
     initial_nodes: ad.Tensor | None = None
+    # Sorted node ids held by ``node_embeddings``' rows; None: all M+N.
+    node_rows: np.ndarray | None = None
 
 
 def encoder_paths(head: str, weights: LossWeights | None = None
@@ -91,6 +93,12 @@ def encoder_paths(head: str, weights: LossWeights | None = None
     return need_seq, need_graph, need_fused
 
 
+def reads_positions(weights: LossWeights) -> bool:
+    """Whether a loss with a non-zero weight reads per-position outputs
+    (``E_l`` or ``E_g``); when none does, training builds user states only."""
+    return weights.alpha > 0 or weights.delta > 0
+
+
 def forward_states(params: ModelParams, batch: SequenceBatch,
                    adjacency: NormalizedAdjacency | None, k: int,
                    need_seq: bool = True, need_graph: bool = True,
@@ -98,14 +106,20 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
                    train_mode: bool = False,
                    rng: np.random.Generator | None = None,
                    node_embeddings: ad.Tensor | None = None,
-                   positions: bool = True) -> ForwardStates:
+                   positions: bool = True,
+                   node_rows: np.ndarray | None = None) -> ForwardStates:
     """Run the requested encoder paths for one batch.
 
     The graph path re-propagates from the current tables so gradients reach
     them; ``initial_nodes`` exposes the layer-0 matrix for regularization.
+    It propagates only the node rows the batch reads: the batch's users, its
+    window items when ``positions`` is set, and the extra node ids
+    ``node_rows`` (the BPR items); ``states.node_rows`` records that sorted
+    set, and ``graph.node_positions`` maps node ids into it.
     A caller whose tables do not change between batches (evaluation) may
-    pass the propagated ``node_embeddings`` once computed; the graph path
-    then only gathers from them and ``initial_nodes`` stays None.
+    pass the propagated ``node_embeddings`` once computed, a table whose
+    row i is node i; the graph path then only gathers from it and
+    ``initial_nodes`` and ``node_rows`` stay None.
     ``positions=False`` builds the user states alone (see
     ``seqenc.seq_encode``): ``E_l`` and ``E_g`` stay None.
     """
@@ -117,22 +131,29 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
             batch.valid_lengths, train_mode=train_mode, rng=rng,
             positions=positions)
     if need_graph or need_fused:
+        n_users = params.tables.n_users
         if node_embeddings is None:
             if adjacency is None:
                 raise ValueError("graph path requested without an adjacency")
+            read = [batch.user_ids]
+            if positions:
+                read.append(window_nodes(batch, n_users).ravel())
+            if node_rows is not None:
+                read.append(np.asarray(node_rows).ravel())
+            states.node_rows = np.unique(np.concatenate(read).astype(np.int64))
             states.initial_nodes = ad.concat(
                 [params.tables.user, params.tables.item_rows()], axis=0)
             node_embeddings = propagated_embeddings(
                 params.tables, adjacency, k, layer_mean=layer_mean,
-                initial=states.initial_nodes)
+                initial=states.initial_nodes, rows=states.node_rows)
         states.node_embeddings = node_embeddings
         if positions:
             states.e_g, states.E_g = gather_batch(
-                states.node_embeddings, batch,
-                params.tables.n_users, params.tables.n_items)
+                states.node_embeddings, batch, n_users,
+                params.tables.n_items, states.node_rows)
         else:
             states.e_g = gather_users(states.node_embeddings, batch,
-                                      params.tables.n_users)
+                                      n_users, states.node_rows)
     if need_fused:
         states.e_f = fuse(states.e_l, states.e_g, params.fusion)
     return states

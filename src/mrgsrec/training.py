@@ -3,13 +3,16 @@
 Each epoch visits every eligible user once (one example per user: the last
 train item is the positive, the preceding items form the input window).
 The adjacency is fixed per run but propagation is recomputed from the
-current tables every step, so the graph path stays differentiable.
+current tables every step, so the graph path stays differentiable; its last
+hop builds only the node rows the step's losses read (see ``graph``), and
+when no loss reads per-position outputs the step builds user states alone.
 All randomness comes from one seeded generator; runs are reproducible
 bit-for-bit at a fixed thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -23,10 +26,12 @@ from .embeddings import SequenceBatch, build_batch
 from .errors import DataError, NumericError
 from .evaluation import evaluate
 from .fusion import SCORING_HEADS
-from .graph import NormalizedAdjacency, build_adjacency, check_leakage
+from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
+                    node_positions)
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
-from .model import ModelParams, encoder_paths, forward_states, init_model
+from .model import (ModelParams, encoder_paths, forward_states, init_model,
+                    reads_positions)
 from .schema import setting
 from .seqenc import SeqEncoderConfig
 
@@ -125,16 +130,32 @@ class TrainExample:
 
 
 def build_examples(dataset: SplitDataset) -> list[TrainExample]:
-    """One example per user with at least 2 train interactions."""
-    examples = []
-    for u, seq in enumerate(dataset.train):
-        if len(seq) < 2:
-            continue
-        forbidden = np.unique(np.asarray(
-            seq + [dataset.val[u], dataset.test[u]], dtype=np.int64))
-        examples.append(TrainExample(
-            user=u, inputs=seq[:-1], step_targets=seq[1:],
-            positive=seq[-1], forbidden=forbidden))
+    """One example per user with at least 2 train interactions.
+
+    Every user's ``forbidden`` set comes out of one lexsort of all (user,
+    item) pairs of train, validation and test: repeated pairs drop out, and
+    each user's sorted items are one slice of the result.
+    """
+    n_users = dataset.n_users
+    lengths = np.fromiter(map(len, dataset.train), dtype=np.int64,
+                          count=n_users)
+    users = np.concatenate([np.repeat(np.arange(n_users), lengths),
+                            np.arange(n_users), np.arange(n_users)])
+    items = np.concatenate([
+        np.fromiter(itertools.chain.from_iterable(dataset.train),
+                    dtype=np.int64, count=int(lengths.sum())),
+        np.asarray(dataset.val, dtype=np.int64),
+        np.asarray(dataset.test, dtype=np.int64)])
+    order = np.lexsort((items, users))
+    users, items = users[order], items[order]
+    first = np.ones(users.size, dtype=bool)
+    first[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    users, items = users[first], items[first]
+    bounds = np.searchsorted(users, np.arange(n_users + 1)).tolist()
+    examples = [
+        TrainExample(user=u, inputs=seq[:-1], step_targets=seq[1:],
+                     positive=seq[-1], forbidden=items[bounds[u]:bounds[u + 1]])
+        for u, seq in enumerate(dataset.train) if len(seq) >= 2]
     if not examples:
         raise DataError("no user has enough train interactions to learn from")
     return examples
@@ -170,24 +191,27 @@ def step_losses(params: ModelParams, adjacency: NormalizedAdjacency | None,
     (None when off) over the encoder paths it reads, and their weighted sum."""
     w = hyper.weights
     need_seq, need_graph, need_fused = encoder_paths(hyper.scoring_head, w)
+    n_users = params.tables.n_users
+    positives = np.asarray([ex.positive for ex in batch_examples], dtype=np.int64)
+    bpr_nodes = n_users + np.stack([positives, negatives[:, 0]])
     states = forward_states(
         params, batch, adjacency, hyper.k,
         need_seq=need_seq, need_graph=need_graph, need_fused=need_fused,
-        layer_mean=hyper.layer_mean, train_mode=train_mode, rng=rng)
+        layer_mean=hyper.layer_mean, train_mode=train_mode, rng=rng,
+        positions=reads_positions(w),
+        node_rows=bpr_nodes if w.beta > 0 else None)
     valid_mask = batch.valid_mask()
-    n_users = params.tables.n_users
-    positives = np.asarray([ex.positive for ex in batch_examples], dtype=np.int64)
     components: dict[str, ad.Tensor | None] = {
         "local": None, "global": None, "fused": None, "contrastive": None}
     if w.alpha > 0:
         components["local"] = local_loss(
             states.E_l, targets, params.tables.item_rows(), valid_mask)
     if w.beta > 0:
-        pos_emb = ad.lookup(states.node_embeddings, n_users + positives)
-        neg_emb = ad.lookup(states.node_embeddings, n_users + negatives[:, 0])
+        pos_rows, neg_rows = node_positions(states.node_rows, bpr_nodes)
+        pos_emb = ad.lookup(states.node_embeddings, pos_rows)
+        neg_emb = ad.lookup(states.node_embeddings, neg_rows)
         user_ids = np.asarray([ex.user for ex in batch_examples], dtype=np.int64)
-        ego_ids = np.concatenate(
-            [user_ids, n_users + positives, n_users + negatives[:, 0]])
+        ego_ids = np.concatenate([user_ids, *bpr_nodes])
         ego_rows = ad.lookup(states.initial_nodes, ego_ids)
         components["global"] = global_loss(
             states.e_g, pos_emb, neg_emb, ego_rows, w.lambda_reg)

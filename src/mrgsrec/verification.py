@@ -1,7 +1,7 @@
 """Self-check suites: gradient finite differences, sparse-vs-dense graph
-oracle, ranking-metric oracle, and state-only-vs-full encoder parity. The
-CLI ``verify`` subcommand runs all four and fails on any mismatch; the test
-suite reuses the same functions.
+oracle, restricted-vs-full graph propagation, ranking-metric oracle, and
+state-only-vs-full encoder parity. The CLI ``verify`` subcommand runs all
+five and fails on any mismatch; the test suite reuses the same functions.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import build_batch
+from .embeddings import EmbeddingTables, build_batch, init_tables
 from .evaluation import hr_at_k, ndcg_at_k, rank_targets
-from .graph import build_adjacency
+from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
 from .losses import LossWeights
 from .model import forward_states, init_model
 from .seqenc import ATTENTION_MODES, USER_STATES, SeqEncoderConfig
@@ -111,15 +111,23 @@ def dense_normalized_adjacency(train: list[list[int]], m: int, n: int) -> np.nda
     return inv[:, None] * a * inv[None, :]
 
 
-def sparse_dense_suite() -> dict:
-    """Compare sparse construction/propagation with the dense oracle."""
+def oracle_graphs():
+    """The graph oracle's ``GRAPH_ORACLE_GRAPHS`` random graphs, each as
+    (train, m, n, x) with x a random (m + n, d) node matrix, d in 1..4."""
     rng = np.random.Generator(np.random.PCG64(GRAPH_ORACLE_SEED))
-    worst = 0.0
     for _ in range(GRAPH_ORACLE_GRAPHS):
         m = int(rng.integers(3, GRAPH_ORACLE_MAX_USERS + 1))
         n = int(rng.integers(3, GRAPH_ORACLE_MAX_ITEMS + 1))
         train = [rng.integers(0, n, size=rng.integers(1, 7)).tolist()
                  for _ in range(m)]
+        x = rng.normal(size=(m + n, int(rng.integers(1, 5))))
+        yield train, m, n, x
+
+
+def sparse_dense_suite() -> dict:
+    """Compare sparse construction/propagation with the dense oracle."""
+    worst = 0.0
+    for train, m, n, x in oracle_graphs():
         adjacency = build_adjacency(train, m, n)
         dense = dense_normalized_adjacency(train, m, n)
         diff = np.abs(adjacency.adj.toarray() - dense).max()
@@ -131,7 +139,6 @@ def sparse_dense_suite() -> dict:
         blocks = adjacency.adj.toarray()
         if blocks[:m, :m].any() or blocks[m:, m:].any():
             return {"passed": False, "reason": "diagonal blocks not zero"}
-        x = rng.normal(size=(m + n, int(rng.integers(1, 5))))
         sparse_prop = x.copy()
         dense_prop = x.copy()
         for _ in range(GRAPH_ORACLE_K):
@@ -139,6 +146,50 @@ def sparse_dense_suite() -> dict:
             dense_prop = dense @ dense_prop
         worst = max(worst, float(np.abs(sparse_prop - dense_prop).max()))
     return {"passed": worst <= GRAPH_ORACLE_TOL, "max_abs_error": worst}
+
+
+def restricted_and_full(tables: EmbeddingTables, adjacency: NormalizedAdjacency,
+                        k: int, layer_mean: bool, rows: np.ndarray,
+                        weights: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """[full, restricted]: each is (node values at ``rows``, user-table
+    gradient, item-table gradient) of ``sum(weights * nodes[rows])``, once
+    read off the full propagated table and once propagated for ``rows``."""
+    out = []
+    for restricted in (False, True):
+        tables.user.zero_grad()
+        tables.item.zero_grad()
+        if restricted:
+            nodes = propagated_embeddings(tables, adjacency, k, layer_mean,
+                                          rows=rows)
+        else:
+            nodes = ad.lookup(
+                propagated_embeddings(tables, adjacency, k, layer_mean), rows)
+        ad.tsum(ad.mul(nodes, weights)).backward()
+        out.append((nodes.data, tables.user.grad, tables.item.grad))
+    return out
+
+
+def rows_suite() -> dict:
+    """Restricted against full propagation on the graph oracle's graphs,
+    for k in 0..GRAPH_ORACLE_K, with and without the layer mean, each on a
+    random node subset; values and both table gradients must be equal."""
+    rng = np.random.Generator(np.random.PCG64(GRAPH_ORACLE_SEED + 1))
+    worst, cases = 0.0, 0
+    for train, m, n, x in oracle_graphs():
+        adjacency = build_adjacency(train, m, n)
+        tables = init_tables(m, n, 1, x.shape[1], seed=0)
+        tables.user.data[...] = x[:m]
+        tables.item.data[:n] = x[m:]
+        rows = np.flatnonzero(rng.random(m + n) < 0.3)
+        weights = rng.normal(size=(rows.size, x.shape[1]))
+        for k in range(GRAPH_ORACLE_K + 1):
+            for layer_mean in (False, True):
+                full, restricted = restricted_and_full(
+                    tables, adjacency, k, layer_mean, rows, weights)
+                for a, b in zip(full, restricted):
+                    worst = max(worst, float(np.abs(a - b).max(initial=0.0)))
+                cases += 1
+    return {"passed": worst == 0.0, "max_abs_error": worst, "cases": cases}
 
 
 def metric_oracle_rank(scores: np.ndarray, target: int, excluded=()) -> int:
@@ -249,6 +300,11 @@ def run_all(quick: bool = False) -> tuple[bool, str]:
     ok &= sparse["passed"]
     lines.append(f"graph/sparse-vs-dense: {sparse} "
                  f"{'PASS' if sparse['passed'] else 'FAIL'}")
+    restricted = rows_suite()
+    ok &= restricted["passed"]
+    lines.append(f"graph/rows: max_abs_error={restricted['max_abs_error']:.3e} "
+                 f"over {restricted['cases']} cases "
+                 f"{'PASS' if restricted['passed'] else 'FAIL'}")
     metrics = metric_suite()
     ok &= metrics["passed"]
     lines.append(f"metrics/sort-oracle: {metrics} "

@@ -172,14 +172,17 @@ def test_op_gradients_match_finite_differences(name, builder):
 def test_spmm_matches_dense_and_gradient():
     import scipy.sparse as sp
     g = rng(21)
-    dense = (g.random((6, 6)) < 0.4) * g.normal(size=(6, 6))
-    dense = dense + dense.T  # spmm's backward reuses adj: keep it symmetric
-    adj = sp.csr_matrix(dense)
-    x = ad.parameter(g.normal(size=(6, 3)))
-    np.testing.assert_allclose(ad.spmm(adj, x).data, dense @ x.data, atol=1e-12)
-    report = ad.finite_difference_check(
-        lambda: ad.tsum(ad.square(ad.spmm(adj, x))), {"x": x})
-    assert report["x"]["passed"]
+    square = (g.random((6, 6)) < 0.4) * g.normal(size=(6, 6))
+    rectangular = (g.random((4, 6)) < 0.5) * g.normal(size=(4, 6))
+    assert not np.array_equal(rectangular[:, :4], rectangular[:, :4].T)
+    for dense in (square + square.T, square, rectangular):
+        adj = sp.csr_matrix(dense)
+        x = ad.parameter(g.normal(size=(6, 3)))
+        np.testing.assert_allclose(ad.spmm(adj, x).data, dense @ x.data,
+                                   atol=1e-12)
+        report = ad.finite_difference_check(
+            lambda: ad.tsum(ad.square(ad.spmm(adj, x))), {"x": x})
+        assert report["x"]["passed"]
 
 
 def test_shared_parameter_accumulates_gradient():
@@ -297,6 +300,17 @@ def test_constant_operand_takes_no_gradient():
     ad.tsum(ad.mul(x, mask)).backward()
     assert mask.grad is None
     np.testing.assert_array_equal(x.grad, mask.data)
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul, ad.matmul])
+def test_closure_computes_no_gradient_for_a_constant(op):
+    x = ad.parameter(np.arange(4.0).reshape(2, 2))
+    constant = ad.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    g = np.ones((2, 2))
+    for out, wanted in ((op(x, constant), (True, False)),
+                        (op(constant, x), (False, True))):
+        grads = out._backward(g)
+        assert [pg is not None for pg in grads] == list(wanted)
 
 
 def test_relu_forward_maps_negative_zero_to_zero_and_keeps_nan():

@@ -362,6 +362,13 @@ class TestVerify:
         assert line.endswith("PASS")
 
 
+    def test_verify_reports_restricted_rows_parity(self, capsys):
+        assert cli.main(["verify", "--quick"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("graph/rows:"))
+        assert line == "graph/rows: max_abs_error=0.000e+00 over 160 cases PASS"
+
+
 def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     cfg = SeqEncoderConfig(d=8, n_layers=2, n_heads=2, dropout_rate=0.1,
                            attention_mode="bidirectional",

@@ -8,7 +8,7 @@ from mrgsrec import graph as gr
 from mrgsrec.data import SplitDataset
 from mrgsrec.embeddings import build_batch, init_tables
 from mrgsrec.errors import GraphError
-from mrgsrec.verification import dense_normalized_adjacency
+from mrgsrec.verification import dense_normalized_adjacency, restricted_and_full
 
 
 def rng(seed=0):
@@ -210,6 +210,44 @@ def test_gradient_through_propagation_layers():
         loss_fn, {"user": tables.user, "item": tables.item})
     for name, entry in report.items():
         assert entry["passed"], f"{name}: {entry}"
+
+
+class TestRestrictedRows:
+    """``propagated_embeddings(rows=...)`` equals the full table's rows."""
+
+    @pytest.mark.parametrize("layer_mean", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_values_and_table_gradients_bit_identical(self, k, layer_mean):
+        m, n, d = 9, 14, 3
+        tables = init_tables(m, n, 2, d, seed=k)
+        g = rng(40 + k)
+        tables.user.data[...] = g.normal(size=tables.user.shape)
+        tables.item.data[:n] = g.normal(size=(n, d))
+        adjacency = gr.build_adjacency(random_train(m, n, 41 + k), m, n)
+        rows = np.array([0, 2, 3, 8, 9, 15, 22])  # users and items
+        weights = g.normal(size=(rows.size, d))
+        full, restricted = restricted_and_full(tables, adjacency, k,
+                                               layer_mean, rows, weights)
+        assert restricted[0].shape == (rows.size, d)
+        for a, b in zip(full, restricted):
+            assert a.tobytes() == b.tobytes()
+
+    def test_node_positions_map_into_the_row_set(self):
+        rows = np.array([1, 4, 6, 10])
+        np.testing.assert_array_equal(
+            gr.node_positions(rows, np.array([[10, 1], [4, 4]])),
+            [[3, 0], [1, 1]])
+        np.testing.assert_array_equal(gr.node_positions(None, [7, 2]), [7, 2])
+
+    @pytest.mark.parametrize("rows,ids", [
+        ([1, 4, 6], [4, 5]),      # between two rows
+        ([1, 4, 6], [0]),         # before the first
+        ([1, 4, 6], [6, 7]),      # past the last
+        ([], [0]),                # empty row set
+    ])
+    def test_id_outside_the_row_set_raises(self, rows, ids):
+        with pytest.raises(GraphError, match="not among the propagated rows"):
+            gr.node_positions(np.asarray(rows, dtype=np.int64), np.asarray(ids))
 
 
 def test_interaction_matrix_matches_set_oracle():

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from mrgsrec import autodiff as ad
+from mrgsrec import model as md
 from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
 from mrgsrec.errors import DataError, GraphError
+from mrgsrec.evaluation import evaluate
 from mrgsrec.graph import build_adjacency
 from mrgsrec.losses import LossWeights
 from mrgsrec.model import init_model
@@ -147,6 +149,28 @@ class TestBuildExamples:
         examples = tr.build_examples(dataset)
         assert [ex.user for ex in examples] == [1]
 
+    def test_forbidden_equals_per_user_unique(self):
+        g = np.random.Generator(np.random.PCG64(17))
+        n_users, n_items = 40, 12
+        train = [g.integers(0, n_items, size=g.integers(0, 9)).tolist()
+                 for _ in range(n_users)]
+        val = g.integers(0, n_items, size=n_users).tolist()
+        test = g.integers(0, n_items, size=n_users).tolist()
+        for u in range(0, n_users, 3):  # held-out items also seen in train
+            if train[u]:
+                val[u] = train[u][0]
+                test[u] = train[u][-1]
+        train[1] = [5, 5, 5, 2, 5]  # repeats
+        dataset = SplitDataset(n_users, n_items, train, val, test)
+        examples = tr.build_examples(dataset)
+        assert [ex.user for ex in examples] == [
+            u for u in range(n_users) if len(train[u]) >= 2]
+        for ex in examples:
+            want = np.unique(np.asarray(
+                train[ex.user] + [val[ex.user], test[ex.user]], dtype=np.int64))
+            assert ex.forbidden.dtype == want.dtype
+            np.testing.assert_array_equal(ex.forbidden, want)
+
 
 class TestTrainStep:
     def test_zero_lr_leaves_params_bit_identical(self):
@@ -215,6 +239,44 @@ class TestTrainStep:
         for name, tensor in params.named().items():
             np.testing.assert_array_equal(tensor.data,
                                           params2.named()[name].data)
+
+
+def test_step_and_evaluate_propagate_only_the_rows_they_read(monkeypatch):
+    shapes = []
+    original = ad.spmm
+
+    def spy(adj, x):
+        shapes.append(adj.shape)
+        return original(adj, x)
+
+    monkeypatch.setattr(ad, "spmm", spy)
+    hyper, dataset, params, adjacency, examples, opt, rng = setup_instance(
+        m=60, n=40, weights=LossWeights(0.0, 1.0, 0.0, 0.0),
+        scoring_head="graph", k=2, batch_size=8)
+    tr.train_step(examples[:8], params, adjacency, hyper, opt, rng)
+    assert len(shapes) == 2 and shapes[0] == adjacency.adj.shape
+    # the batch's users, positives and first negatives, no window items
+    assert shapes[1][0] <= 3 * 8
+    shapes.clear()
+    evaluate(params, dataset, "validation", hyper, adjacency=adjacency)
+    assert shapes[-1] == (dataset.n_users, dataset.n_users + dataset.n_items)
+
+
+def test_step_without_position_losses_builds_user_states_only(monkeypatch):
+    encoded = []
+    original = md.seq_encode
+
+    def encode(*args, **kwargs):
+        out = original(*args, **kwargs)
+        encoded.append(out[1])
+        return out
+
+    monkeypatch.setattr(md, "seq_encode", encode)
+    hyper, _, params, adjacency, examples, opt, rng = setup_instance(
+        weights=LossWeights(0.0, 0.5, 1.0, 0.0), dropout_rate=0.2)
+    scalars = tr.train_step(examples, params, adjacency, hyper, opt, rng)
+    assert encoded == [None]
+    assert np.isfinite(scalars["total"]) and scalars["fused"] > 0
 
 
 def test_first_step_losses_are_pinned():
