@@ -1,47 +1,33 @@
-"""Ablation: the fused model against its sequential-only and graph-only parts.
+"""Ablation: the fused model against its two single-path parts.
 
 Each variant trains on the same data with the same seed; only the loss
-weights and the scoring head change. The graph-only variant recovers a
-LightGCN-style recommender (BPR on propagated embeddings), the
-sequential-only variant a SASRec-style one (full cross-entropy over the
-catalog), and the full model trains all four objectives and scores with
-the fused state. Expect a few minutes of CPU.
+weights and the scoring head change, by the one rule in
+``mrgsrec.verification.ablation_configs``. The graph variant recovers a
+LightGCN-style recommender (BPR on propagated embeddings), the sequential
+variant a SASRec-style one (full cross-entropy over the catalog), and the
+full model trains all four objectives and scores with the fused state.
+This is the acceptance suite's ablation check at one seed. Expect a few
+minutes of CPU.
 """
 
 import time
 
-import numpy as np
-
-from mrgsrec.evaluation import evaluate
-from mrgsrec.losses import LossWeights
+from mrgsrec.config import resolve_config
 from mrgsrec.synthetic import generate_clustered_markov
-from mrgsrec.training import Hyperparams, fit
+from mrgsrec.verification import ABLATION_DATA_SEED, ABLATION_RUN, ablate
 
-dataset = generate_clustered_markov(seed=5)  # 600 users x 240 items
+dataset = generate_clustered_markov(seed=ABLATION_DATA_SEED)  # 600 x 240
 
-VARIANTS = {
-    "full": ("fused", LossWeights(1.0, 0.1, 0.05, 0.2)),
-    "sequential-only": ("sequential", LossWeights(1.0, 0.0, 0.0, 0.0)),
-    "graph-only": ("graph", LossWeights(0.0, 1.0, 0.0, 0.0)),
-}
+started = time.perf_counter()
+results = ablate(dataset, resolve_config({**ABLATION_RUN, "seed": 0}))
 
-print(f"{'variant':18s} {'HR@5':>7s} {'HR@10':>7s} {'NDCG@5':>7s} "
+print(f"{'variant':12s} {'HR@5':>7s} {'HR@10':>7s} {'NDCG@5':>7s} "
       f"{'NDCG@10':>8s} {'epochs':>7s}")
-results = {}
-for name, (head, weights) in VARIANTS.items():
-    hyper = Hyperparams(
-        c=8, d=32, k=2, n_layers=1, n_heads=2, dropout_rate=0.1,
-        user_state="last_position", scoring_head=head, weights=weights,
-        n_negatives=200, batch_size=128, max_epochs=120, patience=20,
-        seed=0, learning_rate=5e-3)
-    started = time.perf_counter()
-    params, history = fit(dataset, hyper)
-    report = evaluate(params, dataset, "test", hyper)
-    results[name] = report.ndcg10
-    print(f"{name:18s} {report.hr5:7.4f} {report.hr10:7.4f} "
-          f"{report.ndcg5:7.4f} {report.ndcg10:8.4f} {len(history):7d}"
-          f"   ({time.perf_counter() - started:.0f}s)")
+for name, (report, epochs, _) in results.items():
+    print(f"{name:12s} {report.hr5:7.4f} {report.hr10:7.4f} "
+          f"{report.ndcg5:7.4f} {report.ndcg10:8.4f} {epochs:7d}")
 
-best_single = max(results["sequential-only"], results["graph-only"])
-print(f"\nfused vs best single path: {results['full']:.4f} "
-      f"vs {best_single:.4f}")
+full = results.pop("full")[0].ndcg10
+best_single = max(report.ndcg10 for report, _, _ in results.values())
+print(f"\nfused vs best single path: {full:.4f} vs {best_single:.4f}"
+      f"   ({time.perf_counter() - started:.0f}s)")

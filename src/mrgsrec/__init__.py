@@ -15,7 +15,8 @@ the CLI can cap math threads before numpy loads):
 - ``mrgsrec.training``: negative sampling, Adam, the fit loop
 - ``mrgsrec.evaluation``: full-catalog HR@n / NDCG@n
 - ``mrgsrec.synthetic``: clustered-Markov data generator
-- ``mrgsrec.verification``: gradient / graph / metric self-checks
+- ``mrgsrec.verification``: gradient / graph / metric self-checks and the
+  paper's ablation
 - ``mrgsrec.cli``: prepare, train, eval, ablate, verify subcommands
 """
 

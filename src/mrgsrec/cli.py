@@ -122,43 +122,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
-ABLATION_VARIANTS = ("full", "sequential", "graph")
-
-
-def _variant_config(base: dict, variant: str) -> dict:
-    run = dict(base)
-    if variant == "sequential":
-        run.update({"beta": 0.0, "gamma": 0.0, "delta": 0.0,
-                    "scoring_head": "sequential",
-                    "alpha": base["alpha"] or 1.0})
-    elif variant == "graph":
-        run.update({"alpha": 0.0, "gamma": 0.0, "delta": 0.0,
-                    "scoring_head": "graph",
-                    "beta": base["beta"] or 1.0})
-    return run
-
-
 def cmd_ablate(args) -> int:
-    from .evaluation import evaluate
-    from .training import fit
+    from .verification import ablate
 
     base, _ = _load_run(args)
     if not base.get("data"):
         raise ParseError("config needs a 'data' snapshot path")
     dataset, _, meta = data_mod.load_snapshot(base["data"])
-    data_fp = meta.get("fingerprint", "")
-    rows = []
-    for variant in ABLATION_VARIANTS:
-        run = _variant_config(base, variant)
-        fp = cfg.fingerprint(run)
-        hyper = cfg.to_hyperparams(run)
-        params, history = fit(dataset, hyper, fingerprint=fp)
-        report = evaluate(params, dataset, "test", hyper, fingerprint=fp)
-        rows.append((variant, report, len(history), fp))
-    print(f"data fingerprint: {data_fp}")
+    results = ablate(dataset, base)
+    print(f"data fingerprint: {meta.get('fingerprint', '')}")
     header = ("variant", "epochs", "hr5", "hr10", "ndcg5", "ndcg10", "config")
     print("\t".join(header))
-    for variant, report, epochs, fp in rows:
+    for variant, (report, epochs, fp) in results.items():
         print("\t".join([variant, str(epochs),
                          f"{report.hr5:.6f}", f"{report.hr10:.6f}",
                          f"{report.ndcg5:.6f}", f"{report.ndcg10:.6f}", fp]))
@@ -211,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate",
-                       help="train full / sequential-only / graph-only variants")
+                       help="train and test the full, sequential and graph variants")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--data", type=Path, default=None)

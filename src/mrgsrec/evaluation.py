@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import SplitDataset
 from .embeddings import build_batch
-from .errors import ProtocolError
+from .errors import DataError, ProtocolError
 from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
 from .model import ModelParams, encoder_paths, forward_states, score_batch
 
@@ -134,9 +134,15 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
     """Score every user against the full catalog and average the metrics.
 
     ``hyper`` supplies c, k, scoring_head, layer_mean and exclude_seen.
+    Parameters sized for another dataset raise DataError before any scoring.
     """
     if split not in ("validation", "test"):
         raise ValueError("split must be 'validation' or 'test'")
+    tables = params.tables
+    if (tables.n_users, tables.n_items) != (dataset.n_users, dataset.n_items):
+        raise DataError(
+            f"model has {tables.n_users} users x {tables.n_items} items, "
+            f"dataset has {dataset.n_users} users x {dataset.n_items} items")
     head = hyper.scoring_head
     need_seq, need_graph, need_fused = encoder_paths(head)
     nodes = None

@@ -16,6 +16,9 @@ from .errors import DimensionError
 
 SCORING_HEADS = ("fused", "sequential", "graph")
 
+# ``init_fusion_params``' share of e_g in e_f and its weight-noise scale.
+INIT_MIX, INIT_NOISE = 0.005, 0.01
+
 
 @dataclass
 class FusionParams:
@@ -26,14 +29,13 @@ class FusionParams:
         return {"fusion.w1": self.w1, "fusion.w2": self.w2}
 
 
-def init_fusion_params(d: int, seed: int, mix: float = 0.005,
-                       noise: float = 0.01) -> FusionParams:
-    """Near-identity initialization: e_f starts as e_l + mix * e_g.
+def init_fusion_params(d: int, seed: int) -> FusionParams:
+    """Near-identity initialization: e_f starts as e_l + INIT_MIX * e_g.
 
     A bias-free ReLU pair represents identity exactly (relu(x) - relu(-x)),
     so the fused head opens at the quality of the local state instead of
-    collapsing everything to near-zero scores; ``noise`` keeps every weight
-    trainable.
+    collapsing everything to near-zero scores; ``INIT_NOISE`` keeps every
+    weight trainable.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     eye = np.eye(d)
@@ -45,10 +47,10 @@ def init_fusion_params(d: int, seed: int, mix: float = 0.005,
     w2 = np.zeros((d, 4 * d))
     w2[:, 0 * d:1 * d] = eye
     w2[:, 1 * d:2 * d] = -eye
-    w2[:, 2 * d:3 * d] = mix * eye
-    w2[:, 3 * d:4 * d] = -mix * eye
-    w1 += rng.normal(0.0, noise, w1.shape)
-    w2 += rng.normal(0.0, noise, w2.shape)
+    w2[:, 2 * d:3 * d] = INIT_MIX * eye
+    w2[:, 3 * d:4 * d] = -INIT_MIX * eye
+    w1 += rng.normal(0.0, INIT_NOISE, w1.shape)
+    w2 += rng.normal(0.0, INIT_NOISE, w2.shape)
     return FusionParams(w1=ad.parameter(w1), w2=ad.parameter(w2))
 
 

@@ -2,6 +2,11 @@
 oracle, restricted-vs-full graph propagation, ranking-metric oracle, and
 state-only-vs-full encoder parity. The CLI ``verify`` subcommand runs all
 five and fails on any mismatch; the test suite reuses the same functions.
+
+The paper's ablation lives here too: ``ablate`` trains and tests the
+variants ``ablation_configs`` derives from one run, for ``mrgsrec ablate``,
+demo 05 and the acceptance suite. It trains models, so ``verify`` does not
+run it.
 """
 
 from __future__ import annotations
@@ -9,21 +14,33 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .config import fingerprint, to_hyperparams
 from .data import SplitDataset
 from .embeddings import EmbeddingTables, build_batch, init_tables
-from .evaluation import hr_at_k, ndcg_at_k, rank_targets
+from .evaluation import MetricsReport, evaluate, hr_at_k, ndcg_at_k, rank_targets
 from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
 from .losses import LossWeights
 from .model import forward_states, init_model
 from .seqenc import ATTENTION_MODES, USER_STATES, SeqEncoderConfig
-from .training import (Hyperparams, build_examples, fewest_unseen, step_inputs,
-                       step_losses)
+from .training import (Hyperparams, build_examples, fewest_unseen, fit,
+                       step_inputs, step_losses)
 
 # The oracles' fixed settings; ``verify`` and the tests run exactly these.
 GRAPH_ORACLE_GRAPHS, GRAPH_ORACLE_SEED, GRAPH_ORACLE_TOL = 20, 11, 1e-10
 GRAPH_ORACLE_MAX_USERS, GRAPH_ORACLE_MAX_ITEMS, GRAPH_ORACLE_K = 50, 80, 3
 METRIC_ORACLE_USERS, METRIC_ORACLE_ITEMS, METRIC_ORACLE_SEED = 100, 50, 13
 STATE_ONLY_TOL = 1e-12
+
+# The synthetic ablation check: ``generate_clustered_markov(seed=
+# ABLATION_DATA_SEED)`` (600 users x 240 items) and this base run.
+ABLATION_DATA_SEED = 5
+ABLATION_RUN = {
+    "window_length": 8, "embedding_dim": 32, "graph_layers": 2,
+    "encoder_layers": 1, "attention_heads": 2, "dropout_rate": 0.1,
+    "user_state": "last_position", "negative_samples": 200,
+    "batch_size": 128, "max_epochs": 120, "patience": 20, "learning_rate": 5e-3,
+    "alpha": 1.0, "beta": 0.1, "gamma": 0.05, "delta": 0.2,
+}
 
 
 def random_dataset(m: int, n: int, seed: int,
@@ -316,3 +333,29 @@ def run_all(quick: bool = False) -> tuple[bool, str]:
     lines.append(f"encoder/state-only: max_abs_error {gaps} "
                  f"{'PASS' if states['passed'] else 'FAIL'}")
     return ok, "\n".join(lines)
+
+
+def ablation_configs(run: dict) -> dict[str, dict]:
+    """The ablation of a resolved run: ``full`` is the run scored by the
+    fused head; ``sequential`` (SASRec-style) and ``graph`` (LightGCN-style)
+    train the local or the global loss alone, at weight 1.0 (under Adam a
+    lone loss's weight only rescales its gradient), scored by their own
+    head. Every other key is the run's."""
+    lone = {**run, "alpha": 0.0, "beta": 0.0, "gamma": 0.0, "delta": 0.0}
+    return {"full": {**run, "scoring_head": "fused"},
+            "sequential": {**lone, "alpha": 1.0, "scoring_head": "sequential"},
+            "graph": {**lone, "beta": 1.0, "scoring_head": "graph"}}
+
+
+def ablate(dataset: SplitDataset, run: dict
+           ) -> dict[str, tuple[MetricsReport, int, str]]:
+    """Train each of ``ablation_configs(run)`` on ``dataset`` and evaluate it
+    on the test split: variant -> (report, epochs run, config fingerprint)."""
+    results = {}
+    for name, variant in ablation_configs(run).items():
+        fp = fingerprint(variant)
+        hyper = to_hyperparams(variant)
+        params, history = fit(dataset, hyper, fingerprint=fp)
+        report = evaluate(params, dataset, "test", hyper, fingerprint=fp)
+        results[name] = (report, len(history), fp)
+    return results

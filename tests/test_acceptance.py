@@ -6,7 +6,6 @@ The directional-ablation criterion trains 9 models and dominates the
 runtime (a few minutes of CPU).
 """
 
-import dataclasses
 import math
 import os
 import time
@@ -19,6 +18,7 @@ from mrgsrec import data as dp
 from mrgsrec import evaluation as ev
 from mrgsrec import losses as ls
 from mrgsrec import verification as vf
+from mrgsrec.config import resolve_config
 from mrgsrec.graph import build_adjacency, check_leakage
 from mrgsrec.losses import LossWeights
 from mrgsrec.synthetic import generate_clustered_markov
@@ -135,39 +135,24 @@ def test_criterion_5_benchmark_statistics(name):
     report(f"5 table1-{name}", bool(matched), f"matching modes: {matched}")
 
 
-ABLATION_HYPER = dict(
-    c=8, d=32, k=2, n_layers=1, n_heads=2, dropout_rate=0.1,
-    user_state="last_position", n_negatives=200, batch_size=128,
-    max_epochs=120, patience=20, learning_rate=5e-3)
-
-ABLATION_VARIANTS = {
-    "full": ("fused", LossWeights(1.0, 0.1, 0.05, 0.2)),
-    "sequential": ("sequential", LossWeights(1.0, 0.0, 0.0, 0.0)),
-    "graph": ("graph", LossWeights(0.0, 1.0, 0.0, 0.0)),
-}
-
-
 def test_criterion_6_directional_ablation():
-    dataset = generate_clustered_markov(seed=5)  # 600 users, 240 items
+    dataset = generate_clustered_markov(seed=vf.ABLATION_DATA_SEED)
     assert dataset.n_users >= 500 and dataset.n_items >= 200
     started = time.perf_counter()
-    means = {}
     per_seed = {}
-    for name, (head, weights) in ABLATION_VARIANTS.items():
-        values = []
-        for seed in (0, 1, 2):
-            hyper = Hyperparams(scoring_head=head, weights=weights,
-                                seed=seed, **ABLATION_HYPER)
-            params, _ = fit(dataset, hyper)
-            values.append(ev.evaluate(params, dataset, "test", hyper).ndcg10)
-        means[name] = float(np.mean(values))
-        per_seed[name] = [round(v, 4) for v in values]
+    for seed in (0, 1, 2):
+        run = resolve_config({**vf.ABLATION_RUN, "seed": seed})
+        for name, (test, _, _) in vf.ablate(dataset, run).items():
+            per_seed.setdefault(name, []).append(test.ndcg10)
     elapsed = time.perf_counter() - started
+    means = {name: float(np.mean(values)) for name, values in per_seed.items()}
     full = means["full"]
-    ok = (full >= means["sequential"] - 0.005
-          and full >= means["graph"] - 0.005
-          and (full > means["sequential"] or full > means["graph"])
+    singles = [mean for name, mean in means.items() if name != "full"]
+    ok = (all(full >= single - 0.005 for single in singles)
+          and any(full > single for single in singles)
           and elapsed < 900)
+    per_seed = {name: [round(v, 4) for v in values]
+                for name, values in per_seed.items()}
     report("6 directional-ablation", ok,
            f"means={ {k: round(v, 4) for k, v in means.items()} } "
            f"per-seed={per_seed} runtime={elapsed:.0f}s")

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from mrgsrec import cli
+from mrgsrec import config as cfg
 from mrgsrec import data as dp
+from mrgsrec import verification
 from mrgsrec.errors import ParseError
 from mrgsrec.model import init_model, load_checkpoint, save_checkpoint
 from mrgsrec.seqenc import SeqEncoderConfig
@@ -306,11 +308,14 @@ def bad_inputs(tmp_path):
     (["prepare", "{ckpt}", "{folder}/out.snap"], 2),
     (["train", "--config", "{folder}"], 3),
     (["eval", "{ckpt}", "{folder}"], 3),
+    *[(["eval", "{ckpt}", "{snapshot}", "--head", head], 3)
+      for head in ("fused", "sequential", "graph")],
 ], ids=["binary_config", "binary_snapshot", "snapshot_bad_json",
         "eval_binary_snapshot", "binary_raw_log", "config_is_directory",
-        "snapshot_is_directory"])
-def test_unreadable_input_exits_cleanly(tmp_path, argv, code):
-    paths = bad_inputs(tmp_path)
+        "snapshot_is_directory", "more_users_fused", "more_users_sequential",
+        "more_users_graph"])
+def test_unreadable_input_exits_cleanly(tmp_path, snapshot, argv, code):
+    paths = {**bad_inputs(tmp_path), "snapshot": snapshot}
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     result = subprocess.run(
@@ -320,6 +325,7 @@ def test_unreadable_input_exits_cleanly(tmp_path, argv, code):
     assert result.returncode == code, result.stderr
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
 
 
 class TestAblate:
@@ -335,6 +341,9 @@ class TestAblate:
         assert len(body) == 3
         # all three variants evaluated on the same snapshot
         assert len({ln.split("\t")[0] for ln in body}) == 3
+        variants = verification.ablation_configs(cfg.load_config(config))
+        assert {ln.split("\t")[0]: ln.split("\t")[-1] for ln in body} == \
+            {name: cfg.fingerprint(run) for name, run in variants.items()}
 
 
 class TestVerify:

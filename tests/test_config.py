@@ -11,6 +11,7 @@ from mrgsrec.losses import LossWeights
 from mrgsrec.model import encoder_paths
 from mrgsrec.seqenc import SeqEncoderConfig
 from mrgsrec.training import Hyperparams
+from mrgsrec.verification import ablation_configs
 
 
 def test_default_config_fingerprint_and_key_count_unchanged():
@@ -67,3 +68,29 @@ def test_encoder_paths_match_oracle():
         for pattern in itertools.product((0.0, 0.5), repeat=4):
             weights = LossWeights(*pattern)
             assert encoder_paths(head, weights) == training_paths_oracle(weights, head)
+
+
+ABLATED_KEYS = ("scoring_head", "alpha", "beta", "gamma", "delta")
+
+
+def test_default_config_ablation_fingerprints():
+    variants = ablation_configs(cfg.resolve_config({}))
+    assert {name: cfg.fingerprint(run) for name, run in variants.items()} == {
+        "full": "becf6282e1d62615", "sequential": "32c602db1a7a6a34",
+        "graph": "1f71533286bd587b"}
+
+
+@pytest.mark.parametrize("head", SCORING_HEADS)
+def test_ablation_changes_only_the_head_and_the_four_weights(head):
+    base = cfg.resolve_config({
+        "scoring_head": head, "alpha": 0.3, "beta": 0.0, "gamma": 0.7,
+        "delta": 0.0, "lambda_reg": 0.5, "embedding_dim": 12, "seed": 9})
+    variants = ablation_configs(base)
+    for run in variants.values():
+        assert run.keys() == base.keys()
+        assert all(run[key] == base[key] for key in base
+                   if key not in ABLATED_KEYS)
+    assert variants["full"] == {**base, "scoring_head": "fused"}
+    assert [variants[name][key] for name in ("sequential", "graph")
+            for key in ABLATED_KEYS] == [
+        "sequential", 1.0, 0.0, 0.0, 0.0, "graph", 0.0, 1.0, 0.0, 0.0]

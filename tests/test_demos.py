@@ -1,8 +1,11 @@
 """The quick demos run end to end, so an API change cannot break one silently.
 
-Demos 04 and 05 train for minutes and are run by hand.
+Demos 04 and 05 train for minutes and are run by hand; every demo, those two
+included, is parsed, compiled and has its ``mrgsrec`` imports resolved.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -22,3 +25,26 @@ def test_demo_runs(tmp_path, name):
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def mrgsrec_imports(tree: ast.AST):
+    """(module, name) for each ``from mrgsrec... import name`` in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "mrgsrec":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_demo_compiles_and_its_imports_resolve(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    compile(tree, str(path), "exec")
+    imports = list(mrgsrec_imports(tree))
+    assert imports
+    for module_name, name in imports:
+        module = importlib.import_module(module_name)
+        if not hasattr(module, name):  # a submodule of a package
+            importlib.import_module(f"{module_name}.{name}")
+        assert hasattr(module, name), f"{module_name} has no {name}"

@@ -71,9 +71,11 @@ class TestFuse:
             fu.fuse(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((2, 4))),
                     params)
 
-    def test_identity_init_passes_local_state_through(self):
+    def test_identity_init_passes_local_state_through(self, monkeypatch):
+        monkeypatch.setattr(fu, "INIT_MIX", 0.0)
+        monkeypatch.setattr(fu, "INIT_NOISE", 0.0)
         d = 6
-        params = fu.init_fusion_params(d, seed=0, mix=0.0, noise=0.0)
+        params = fu.init_fusion_params(d, seed=0)
         e_l = ad.Tensor(rng(8).normal(size=(5, d)))
         e_g = ad.Tensor(rng(9).normal(size=(5, d)))
         np.testing.assert_allclose(fu.fuse(e_l, e_g, params).data, e_l.data,
