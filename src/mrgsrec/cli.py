@@ -110,6 +110,7 @@ def cmd_eval(args) -> int:
     params, meta = load_checkpoint(args.checkpoint)
     dataset, _, _ = data_mod.load_snapshot(args.data)
     run_config = cfg.resolve_config(meta.get("config") or {})
+    run_config["window_length"] = params.tables.c
     if args.head:
         run_config["scoring_head"] = args.head
     if args.include_seen:

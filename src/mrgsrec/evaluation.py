@@ -134,7 +134,8 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
     """Score every user against the full catalog and average the metrics.
 
     ``hyper`` supplies c, k, scoring_head, layer_mean and exclude_seen.
-    Parameters sized for another dataset raise DataError before any scoring.
+    Parameters sized for another dataset, or a ``hyper.c`` other than the
+    model's window length, raise DataError before any scoring.
     """
     if split not in ("validation", "test"):
         raise ValueError("split must be 'validation' or 'test'")
@@ -143,6 +144,9 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         raise DataError(
             f"model has {tables.n_users} users x {tables.n_items} items, "
             f"dataset has {dataset.n_users} users x {dataset.n_items} items")
+    if hyper.c != tables.c:
+        raise DataError(f"window length c = {hyper.c} does not match the "
+                        f"model's positional table, built for c = {tables.c}")
     head = hyper.scoring_head
     need_seq, need_graph, need_fused = encoder_paths(head)
     nodes = None

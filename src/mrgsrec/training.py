@@ -72,8 +72,28 @@ class Hyperparams(SeqEncoderConfig):
                                    for f in fields(SeqEncoderConfig)})
 
 
+ADAM_CHUNK = 16_384  # values per chunk: 128 KB per array, so a chunk stays in L2
+
+
 class Adam:
-    """Plain Adam with bias correction; moment shapes mirror the parameters."""
+    """Plain Adam with bias correction; moment shapes mirror the parameters.
+
+    ``step`` walks each flattened block in chunks of ``ADAM_CHUNK`` values
+    with two scratch buffers and ``out=`` ufuncs, so every intermediate
+    stays in cache instead of taking its own pass over the whole block. The
+    operation order is fixed, so each value is bit-identical to the
+    unchunked closed form:
+
+        m = β1·m + (1−β1)·g
+        v = β2·v + (1−β2)·(g·g)
+        p −= (lr·(m/b1c)) / (√(v/b2c) + ε)
+
+    Parameters are updated in place and must be C-contiguous. The new ``m``
+    and ``v`` of a block go into fresh arrays that replace the old ones in
+    the lists: updating them in place leaves nothing long-lived to
+    reallocate, so glibc trims the freed top of the heap after each step
+    and the next backward pass faults it back in.
+    """
 
     def __init__(self, params: list[ad.Tensor],
                  lr: float = Hyperparams.learning_rate,
@@ -88,20 +108,44 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
+        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def step(self) -> None:
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
         for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / b1c
-            v_hat = self.v[i] / b2c
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"Adam: parameter block {i} is not "
+                                 "C-contiguous, so it cannot be updated in place")
+            m, v = np.empty_like(p.data), np.empty_like(p.data)
+            self._step_block(p.data.reshape(-1), p.grad.reshape(-1),
+                             self.m[i].reshape(-1), self.v[i].reshape(-1),
+                             m.reshape(-1), v.reshape(-1), b1c, b2c)
+            self.m[i], self.v[i] = m, v
+
+    def _step_block(self, p, g, m_old, v_old, m, v, b1c, b2c) -> None:
+        """One block's update over flat views; ``p``, ``m``, ``v`` are written."""
+        for start in range(0, p.size, ADAM_CHUNK):
+            s = slice(start, start + ADAM_CHUNK)
+            gs, ms, vs = g[s], m[s], v[s]
+            a, b = (buf[:gs.size] for buf in self._scratch)
+            np.multiply(m_old[s], self.beta1, out=ms)
+            np.multiply(gs, 1.0 - self.beta1, out=a)
+            np.add(ms, a, out=ms)
+            np.multiply(gs, gs, out=a)
+            np.multiply(a, 1.0 - self.beta2, out=a)
+            np.multiply(v_old[s], self.beta2, out=vs)
+            np.add(vs, a, out=vs)
+            np.divide(vs, b2c, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, self.eps, out=a)
+            np.divide(ms, b1c, out=b)
+            np.multiply(b, self.lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(p[s], b, out=p[s])
 
 
 def sample_negatives(forbidden: np.ndarray, n_items: int, size: int,

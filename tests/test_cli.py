@@ -16,9 +16,11 @@ from mrgsrec import cli
 from mrgsrec import config as cfg
 from mrgsrec import data as dp
 from mrgsrec import verification
-from mrgsrec.errors import ParseError
+from mrgsrec.errors import DataError, ParseError
+from mrgsrec.evaluation import evaluate
 from mrgsrec.model import init_model, load_checkpoint, save_checkpoint
 from mrgsrec.seqenc import SeqEncoderConfig
+from mrgsrec.training import Hyperparams
 
 
 @pytest.fixture
@@ -326,6 +328,19 @@ def test_unreadable_input_exits_cleanly(tmp_path, snapshot, argv, code):
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_eval_takes_window_length_from_the_model(tmp_path, snapshot):
+    # No config in the meta: c comes from the positional table, not the
+    # default 50; evaluate rejects a hyper.c that differs from it.
+    dataset, _, _ = dp.load_snapshot(snapshot)
+    params = init_model(dataset.n_users, dataset.n_items, 4,
+                        SeqEncoderConfig(d=8), seed=0)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, params, {"fingerprint": "", "seed": 0})
+    assert cli.main(["eval", str(ckpt), str(snapshot)]) == 0
+    with pytest.raises(DataError, match=r"c = 50 .* c = 4$"):
+        evaluate(params, dataset, "validation", Hyperparams(c=50))
 
 
 class TestAblate:

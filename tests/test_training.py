@@ -45,24 +45,75 @@ def setup_instance(seed=0, m=6, n=12, **hyper_overrides):
     return hyper, dataset, params, adjacency, examples, optimizer, rng
 
 
+def adam_reference(theta, m, v, grad, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Unchunked closed form of one Adam step: (theta, m, v) after step t."""
+    m = b1 * m + (1.0 - b1) * grad
+    v = b2 * v + (1.0 - b2) * (grad * grad)
+    theta = theta - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    return theta, m, v
+
+
 class TestAdam:
     def test_matches_reference_formula(self):
+        # Blocks straddling the chunk size, a 2-D block over several chunks,
+        # and a block without a gradient; the chunk walk must not move a bit.
         g = np.random.Generator(np.random.PCG64(0))
-        p = ad.parameter(g.normal(size=(3, 2)))
-        start = p.data.copy()
-        grads = [g.normal(size=(3, 2)) for _ in range(4)]
-        opt = tr.Adam([p], lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-        m = np.zeros_like(start)
-        v = np.zeros_like(start)
-        theta = start.copy()
-        for t, grad in enumerate(grads, start=1):
-            p.grad = grad.copy()
+        shapes = [(tr.ADAM_CHUNK - 1,), (tr.ADAM_CHUNK,), (tr.ADAM_CHUNK + 1,),
+                  (300, 129), (3, 2)]
+        params = [ad.parameter(g.normal(size=s)) for s in shapes]
+        frozen = params[-1]
+        opt = tr.Adam(params, lr=0.01)
+        state = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
+                 for p in params[:-1]]
+        frozen_data, frozen_m, frozen_v = frozen.data.copy(), opt.m[-1], opt.v[-1]
+        for t in range(1, 5):
+            grads = [g.normal(size=p.shape) for p in params[:-1]]
+            for p, grad in zip(params[:-1], grads):
+                p.grad = grad.copy()
             opt.step()
-            m = 0.9 * m + 0.1 * grad
-            v = 0.999 * v + 0.001 * grad * grad
-            theta = theta - 0.01 * (m / (1 - 0.9 ** t)) / (
-                np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-        np.testing.assert_allclose(p.data, theta, atol=1e-14)
+            state = [adam_reference(*s, grad, t, lr=0.01)
+                     for s, grad in zip(state, grads)]
+        for p, m, v, (theta, m_ref, v_ref) in zip(params, opt.m, opt.v, state):
+            assert np.array_equal(p.data, theta)
+            assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(frozen.data, frozen_data)
+        assert opt.m[-1] is frozen_m and opt.v[-1] is frozen_v
+        assert not frozen_m.any() and not frozen_v.any()
+
+    def test_state_hand_off_continues_bitwise(self):
+        # perfbench copies step_count, m and v into a fresh optimizer over
+        # copied parameters; both must then take identical steps.
+        g = np.random.Generator(np.random.PCG64(3))
+        shapes = [(tr.ADAM_CHUNK + 5,), (7, 11)]
+        params = [ad.parameter(g.normal(size=s)) for s in shapes]
+        opt = tr.Adam(params, lr=0.02)
+        for _ in range(2):
+            for p in params:
+                p.grad = g.normal(size=p.shape)
+            opt.step()
+        copies = [ad.parameter(p.data) for p in params]
+        twin = tr.Adam(copies, lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2,
+                       eps=opt.eps)
+        twin.step_count = opt.step_count
+        twin.m = [m.copy() for m in opt.m]
+        twin.v = [v.copy() for v in opt.v]
+        for _ in range(3):
+            for p, q in zip(params, copies):
+                p.grad = g.normal(size=p.shape)
+                q.grad = p.grad.copy()
+            opt.step()
+            twin.step()
+        mine = [p.data for p in params] + opt.m + opt.v
+        theirs = [q.data for q in copies] + twin.m + twin.v
+        for x, y in zip(mine, theirs, strict=True):
+            assert np.array_equal(x, y)
+
+    def test_non_contiguous_parameter_is_rejected(self):
+        p = ad.parameter(np.ones((4, 3)).T)
+        assert not p.data.flags.c_contiguous
+        p.grad = np.ones(p.shape)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            tr.Adam([p]).step()
 
     def test_zero_lr_is_noop(self):
         p = ad.parameter(np.ones((2, 2)))
