@@ -8,7 +8,12 @@ accumulates vector-Jacobian products into ``Tensor.grad``. Conventions:
 * ReLU'(0) = 0,
 * masked_softmax, cross_entropy and linear_cross_entropy subtract the row
   max before exponentiating, so logits of any magnitude stay finite,
-* graph replay order is construction order, so gradients are bit-reproducible.
+* replay order is the reverse of a depth-first post-order that visits a
+  node's parents last to first: every closure runs after all consumers of
+  its output, and a node's first parent's subtree runs before its later
+  parents' (for ``tsum(add(a, b))``, ``a``'s closure runs before ``b``'s,
+  whichever was built first). The order depends only on the graph's
+  structure, so gradients are bit-reproducible.
 
 Inside ``with no_grad():`` every op returns a plain leaf, so a forward pass
 (evaluation, the finite-difference probes) keeps no tape and no closure.

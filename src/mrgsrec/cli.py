@@ -150,6 +150,13 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
+def _min_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrgsrec",
@@ -163,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="preprocess a raw interaction file")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
-    p.add_argument("--min-count", type=int, default=data_mod.MIN_COUNT)
+    p.add_argument("--min-count", type=_min_count, default=data_mod.MIN_COUNT)
     p.add_argument("--mode", choices=data_mod.FILTER_MODES,
                    default=data_mod.FILTER_MODES[0])
     p.add_argument("--delimiter", default=None,

@@ -34,7 +34,6 @@ from .errors import DataError, GraphError
 @dataclass
 class NormalizedAdjacency:
     adj: sp.csr_matrix        # (M+N, M+N) symmetric-normalized
-    interactions: sp.csr_matrix  # R, (M, N) binary, train edges only
     n_users: int
     n_items: int
 
@@ -68,7 +67,7 @@ def build_adjacency(train: list[list[int]], n_users: int, n_items: int
     d_half = sp.diags(inv_sqrt)
     normalized = (d_half @ adj @ d_half).tocsr()
     normalized.sort_indices()
-    return NormalizedAdjacency(normalized, r, n_users, n_items)
+    return NormalizedAdjacency(normalized, n_users, n_items)
 
 
 def propagate(embeddings: ad.Tensor, adjacency: NormalizedAdjacency) -> ad.Tensor:
@@ -168,13 +167,14 @@ def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
 
 
 def check_leakage(adjacency: NormalizedAdjacency, dataset: SplitDataset) -> None:
-    """Raise if any validation/test target has an edge in R that the user's
-    own train interactions do not explain."""
+    """Raise if any validation/test target has an edge in the graph's
+    user-item block that the user's own train interactions do not explain."""
+    graph = adjacency.adj[:adjacency.n_users, adjacency.n_users:]
     train = interaction_matrix(dataset.train, dataset.n_users, dataset.n_items)
     users = np.arange(dataset.n_users)
     for split, targets in (("validation", dataset.val), ("test", dataset.test)):
         targets = np.asarray(targets, dtype=np.int64)
-        in_graph = np.asarray(adjacency.interactions[users, targets]).ravel()
+        in_graph = np.asarray(graph[users, targets]).ravel()
         in_train = np.asarray(train[users, targets]).ravel()
         leaked = np.flatnonzero((in_graph > 0) & (in_train == 0))
         if leaked.size:

@@ -8,6 +8,7 @@ defaults from these declarations.
 from __future__ import annotations
 
 from dataclasses import Field, field, fields
+from numbers import Integral, Real
 
 
 def setting(key: str, default, help: str, minimum=None, choices=None):
@@ -21,18 +22,35 @@ def settings(cls) -> list[Field]:
     return [f for f in fields(cls) if "key" in f.metadata]
 
 
+def _kind(default) -> tuple[tuple[type, ...], str]:
+    """The types a setting's value may have, by the kind of its default: a
+    None default stands for an optional integer."""
+    if isinstance(default, bool):
+        return (bool,), "true or false"
+    if default is None:
+        return (Integral, type(None)), "an integer or null"
+    if isinstance(default, int):
+        return (Integral,), "an integer"
+    if isinstance(default, float):
+        return (Real,), "a number"
+    return (type(default),), f"a {type(default).__name__}"
+
+
 def check_settings(obj) -> None:
     """Raise ValueError naming the config key of the first setting of ``obj``
-    whose value breaks its rule (a value of the wrong type breaks any rule)."""
+    whose value is not of its default's kind (a bool is no number) or breaks
+    its rule."""
     for f in settings(obj):
         value, rule = getattr(obj, f.name), f.metadata
-        try:
-            ok = ((rule["choices"] is None or value in rule["choices"])
-                  and (rule["minimum"] is None or value >= rule["minimum"]))
-        except TypeError:
-            ok = False
-        if not ok:
-            name = rule["key"] if rule["key"] == f.name else f"{rule['key']} ({f.name})"
-            wanted = (f"one of {rule['choices']}" if rule["choices"] is not None
-                      else f">= {rule['minimum']}")
-            raise ValueError(f"{name} must be {wanted}, got {value!r}")
+        types, kind = _kind(f.default)
+        if not (isinstance(value, types)
+                and isinstance(value, bool) == isinstance(f.default, bool)):
+            wanted = kind
+        elif rule["choices"] is not None and value not in rule["choices"]:
+            wanted = f"one of {rule['choices']}"
+        elif rule["minimum"] is not None and not value >= rule["minimum"]:
+            wanted = f">= {rule['minimum']}"
+        else:
+            continue
+        name = rule["key"] if rule["key"] == f.name else f"{rule['key']} ({f.name})"
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")

@@ -2,9 +2,10 @@
 
 The input per user is a (c+1) x d matrix: user embedding first, then the
 padded item window. Blocks are pre-layer-norm residual (attention, then a
-two-layer ReLU feed-forward); the output keeps the input shape, with the
-first row read as the local behavioral representation and the remaining c
-rows as the local enriched embeddings.
+two-layer ReLU feed-forward); the output keeps the input shape. Its item
+rows are the local enriched embeddings, and the ``user_state`` row is the
+local behavioral representation: the final window slot by default
+(``last_position``), or the user-token row (``first_token``).
 
 Attention policy: items attend causally over valid item positions and may
 always see the user token; in causal mode the user token attends only to
@@ -48,7 +49,7 @@ class SeqEncoderConfig:
     attention_mode: str = setting("attention_mode", "causal", choices=ATTENTION_MODES,
                                   help="causal or bidirectional")
     user_state: str = setting(
-        "user_state", "first_token", choices=USER_STATES,
+        "user_state", "last_position", choices=USER_STATES,
         help="row read as the user state: first_token or last_position")
 
     def __post_init__(self):

@@ -12,7 +12,6 @@ bit-for-bit at a fixed thread count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -27,7 +26,7 @@ from .errors import DataError, NumericError
 from .evaluation import evaluate
 from .fusion import SCORING_HEADS
 from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
-                    node_positions)
+                    interaction_matrix, node_positions)
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
 from .model import (ModelParams, encoder_paths, forward_states, init_model,
@@ -176,26 +175,14 @@ class TrainExample:
 def build_examples(dataset: SplitDataset) -> list[TrainExample]:
     """One example per user with at least 2 train interactions.
 
-    Every user's ``forbidden`` set comes out of one lexsort of all (user,
-    item) pairs of train, validation and test: repeated pairs drop out, and
-    each user's sorted items are one slice of the result.
+    A user's ``forbidden`` set is their row of the interaction matrix over
+    train, validation and test: sorted, distinct item ids.
     """
-    n_users = dataset.n_users
-    lengths = np.fromiter(map(len, dataset.train), dtype=np.int64,
-                          count=n_users)
-    users = np.concatenate([np.repeat(np.arange(n_users), lengths),
-                            np.arange(n_users), np.arange(n_users)])
-    items = np.concatenate([
-        np.fromiter(itertools.chain.from_iterable(dataset.train),
-                    dtype=np.int64, count=int(lengths.sum())),
-        np.asarray(dataset.val, dtype=np.int64),
-        np.asarray(dataset.test, dtype=np.int64)])
-    order = np.lexsort((items, users))
-    users, items = users[order], items[order]
-    first = np.ones(users.size, dtype=bool)
-    first[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
-    users, items = users[first], items[first]
-    bounds = np.searchsorted(users, np.arange(n_users + 1)).tolist()
+    seen = interaction_matrix(
+        [seq + [v, t] for seq, v, t in
+         zip(dataset.train, dataset.val, dataset.test)],
+        dataset.n_users, dataset.n_items)
+    items, bounds = seen.indices.astype(np.int64), seen.indptr.tolist()
     examples = [
         TrainExample(user=u, inputs=seq[:-1], step_targets=seq[1:],
                      positive=seq[-1], forbidden=items[bounds[u]:bounds[u + 1]])

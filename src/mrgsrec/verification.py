@@ -63,6 +63,7 @@ def make_gradient_instance(d: int = 8, c: int = 5, m: int = 7, n: int = 11,
     """A tiny end-to-end model plus one fixed batch for gradient checking."""
     hyper = Hyperparams(
         c=c, d=d, k=k, n_layers=n_layers, n_heads=2, dropout_rate=0.0,
+        user_state="first_token",  # the recorded reference losses read row 0
         weights=LossWeights(alpha=1.0, beta=0.7, gamma=0.9, delta=0.5,
                             lambda_reg=1e-3),
         n_negatives=3, batch_size=m, max_epochs=1, patience=1, seed=seed)

@@ -22,7 +22,8 @@ FIXTURE_META = {
 def fixture_model():
     """5 users, 7 items, c=3, d=4, one encoder layer; block i holds
     (size // 2 - arange(size)) * 0.1 + i in row-major order."""
-    params = init_model(5, 7, 3, SeqEncoderConfig(d=4, n_layers=1, n_heads=2),
+    params = init_model(5, 7, 3, SeqEncoderConfig(d=4, n_layers=1, n_heads=2,
+                                                  user_state="first_token"),
                         seed=3)
     for i, tensor in enumerate(params.named().values()):
         size = tensor.data.size

@@ -80,6 +80,18 @@ class TestPrepare:
                          str(tmp_path / "o.snap")])
         assert code == 3
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_min_count_below_one_exit_code_2(self, tmp_path, raw_log, capsys,
+                                             count):
+        out = tmp_path / "o.snap"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prepare", str(raw_log), str(out), "--min-count", count])
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if "error:" in ln]
+        assert len(errors) == 1 and "--min-count" in errors[0]
+        assert not out.exists()
+
     def test_malformed_line_exit_code_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("u1 i1 notatimestamp\n", encoding="utf-8")
@@ -139,7 +151,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("key,value", [
         ("patience", 0), ("user_state", "last"), ("window_length", "5"),
-        ("scoring_head", "fuse"), ("negative_samples", 0)])
+        ("scoring_head", "fuse"), ("negative_samples", 0), ("batch_size", 2.5),
+        ("window_length", 2.5), ("seed", 1.5), ("learning_rate", "0.1"),
+        ("graph_layer_mean", "yes"), ("exclude_seen", 0)])
     def test_bad_config_value_exit_code_2_before_training(
             self, tmp_path, snapshot, monkeypatch, capsys, key, value):
         def no_training(*args, **kwargs):

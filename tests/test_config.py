@@ -17,7 +17,7 @@ from mrgsrec.verification import ablation_configs
 def test_default_config_fingerprint_and_key_count_unchanged():
     resolved = cfg.resolve_config({})
     assert len(resolved) == 29
-    assert cfg.fingerprint(resolved) == "becf6282e1d62615"
+    assert cfg.fingerprint(resolved) == "bb334bbffd7a1c83"
 
 
 def test_default_config_builds_default_hyperparams():
@@ -43,7 +43,10 @@ def test_every_setting_reaches_hyperparams():
 @pytest.mark.parametrize("key,value", [
     ("embedding_dim", 0), ("alpha", -1.0), ("dropout_rate", "0.2"),
     ("attention_mode", "none"), ("graph_layers", None), ("attention_heads", 3),
-    ("dropout_rate", 1.0), ("negative_samples", 0)])
+    ("dropout_rate", 1.0), ("negative_samples", 0), ("batch_size", 2.5),
+    ("window_length", 2.5), ("seed", 1.5), ("learning_rate", "0.1"),
+    ("graph_layer_mean", "yes"), ("exclude_seen", 0), ("alpha", True),
+    ("feed_forward_dim", 2.0)])
 def test_bad_value_raises_parse_error_naming_key(key, value):
     with pytest.raises(ParseError, match=key):
         cfg.to_hyperparams(cfg.resolve_config({key: value}))
@@ -76,8 +79,8 @@ ABLATED_KEYS = ("scoring_head", "alpha", "beta", "gamma", "delta")
 def test_default_config_ablation_fingerprints():
     variants = ablation_configs(cfg.resolve_config({}))
     assert {name: cfg.fingerprint(run) for name, run in variants.items()} == {
-        "full": "becf6282e1d62615", "sequential": "32c602db1a7a6a34",
-        "graph": "1f71533286bd587b"}
+        "full": "bb334bbffd7a1c83", "sequential": "d25085bb948b4822",
+        "graph": "59f67bff1dc7c9d4"}
 
 
 @pytest.mark.parametrize("head", SCORING_HEADS)

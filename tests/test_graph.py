@@ -36,8 +36,10 @@ class TestBuild:
         assert dense[1, 3] == pytest.approx(1 / np.sqrt(2))
 
     def test_duplicates_collapse_to_binary(self):
+        assert gr.interaction_matrix([[0, 0, 0]], 1, 1).toarray().tolist() \
+            == [[1.0]]
         adjacency = gr.build_adjacency([[0, 0, 0]], 1, 1)
-        assert adjacency.interactions.toarray().tolist() == [[1.0]]
+        assert adjacency.adj[:1, 1:].toarray().tolist() == [[1.0]]
 
     def test_empty_graph_raises(self):
         with pytest.raises(GraphError):

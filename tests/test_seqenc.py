@@ -61,7 +61,8 @@ class TestShapes:
         assert E_l.shape == E_u.shape
 
     def test_zero_layers_is_identity(self):
-        cfg = se.SeqEncoderConfig(d=8, n_layers=0, n_heads=2, dropout_rate=0.0)
+        cfg = se.SeqEncoderConfig(d=8, n_layers=0, n_heads=2, dropout_rate=0.0,
+                                  user_state="first_token")
         params = se.init_seq_params(cfg, seed=0)
         e_u, E_u, lengths = make_inputs(d=8)
         e_l, E_l = se.seq_encode(e_u, E_u, params, cfg, lengths)
@@ -122,7 +123,7 @@ class TestOracle:
     def test_single_layer_single_head_matches_scalar_oracle(self, seed):
         d, c = 4, 2
         cfg = se.SeqEncoderConfig(d=d, n_layers=1, n_heads=1, d_ff=6,
-                                  dropout_rate=0.0)
+                                  dropout_rate=0.0, user_state="first_token")
         params = se.init_seq_params(cfg, seed=seed)
         g = np.random.Generator(np.random.PCG64(seed + 50))
         for tensor in params.layers[0].values():
@@ -141,7 +142,8 @@ class TestOracle:
 class TestCausality:
     def setup_method(self):
         self.cfg = se.SeqEncoderConfig(d=8, n_layers=2, n_heads=2,
-                                       dropout_rate=0.0)
+                                       dropout_rate=0.0,
+                                       user_state="first_token")
         self.params = se.init_seq_params(self.cfg, seed=4)
         for layer in self.params.layers:
             for key in ("wq", "wk", "wv", "wo", "w1", "w2"):

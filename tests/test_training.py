@@ -337,6 +337,7 @@ def test_first_step_losses_are_pinned():
                                         min_len=24, max_len=30, seed=3)
     hyper = tr.Hyperparams(
         c=20, d=16, k=2, n_layers=2, n_heads=2, dropout_rate=0.1,
+        user_state="first_token",
         weights=LossWeights(1.0, 0.5, 1.0, 0.5, lambda_reg=1e-3),
         n_negatives=5, batch_size=80, seed=3)
     params = init_model(dataset.n_users, dataset.n_items, hyper.c,
