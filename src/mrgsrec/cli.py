@@ -1,41 +1,55 @@
 """Command-line entry point: prepare, train, eval, ablate, verify.
 
-Thread caps must be set before numpy loads, so this module inspects
-``sys.argv`` for ``--deterministic`` / ``--threads`` at import time.
+Thread caps must be set before numpy loads, so this module parses
+``--deterministic`` / ``--threads`` out of ``sys.argv`` at import time,
+with the same parser the full command line inherits them from.
 Exit codes: 0 success, 2 parse/config, 3 data/graph or an unreadable
 path, 4 numeric/shape, 5 protocol, 1 anything else.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# Errors raise here instead of exiting: ``main`` reports them.
+THREAD_FLAGS = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+THREAD_FLAGS.add_argument("--threads", type=_at_least_one, default=None,
+                          help="cap math library threads")
+THREAD_FLAGS.add_argument("--deterministic", action="store_true",
+                          help="single-threaded, bit-reproducible mode")
+
+
 def _cap_threads(argv: list[str]) -> None:
-    count = None
-    if "--deterministic" in argv:
-        count = "1"
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv):
-            count = argv[idx + 1]
+    try:
+        flags, _ = THREAD_FLAGS.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return
+    count = flags.threads or (1 if flags.deterministic else None)
     if count is not None and "numpy" not in sys.modules:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = count
+            os.environ[var] = str(count)
 
 
-_cap_threads(sys.argv)
+_cap_threads(sys.argv[1:])
 
-import argparse
 from pathlib import Path
 
 from . import config as cfg
 from . import data as data_mod
 from .errors import (DataError, DimensionError, GraphError, MrgsError,
                      NumericError, ParseError, ProtocolError)
-from .fusion import SCORING_HEADS
+from .model import SCORING_HEADS
 
 EXIT_CODES = (
     (ParseError, 2),
@@ -110,7 +124,6 @@ def cmd_eval(args) -> int:
     params, meta = load_checkpoint(args.checkpoint)
     dataset, _, _ = data_mod.load_snapshot(args.data)
     run_config = cfg.resolve_config(meta.get("config") or {})
-    run_config["window_length"] = params.tables.c
     if args.head:
         run_config["scoring_head"] = args.head
     if args.include_seen:
@@ -150,27 +163,16 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
-def _min_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mrgsrec",
+        prog="mrgsrec", parents=[THREAD_FLAGS],
         description="Train and evaluate the fused sequential+graph recommender.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap math library threads")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="single-threaded, bit-reproducible mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="preprocess a raw interaction file")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
-    p.add_argument("--min-count", type=_min_count, default=data_mod.MIN_COUNT)
+    p.add_argument("--min-count", type=_at_least_one, default=data_mod.MIN_COUNT)
     p.add_argument("--mode", choices=data_mod.FILTER_MODES,
                    default=data_mod.FILTER_MODES[0])
     p.add_argument("--delimiter", default=None,

@@ -133,9 +133,9 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
              fingerprint: str = "") -> MetricsReport:
     """Score every user against the full catalog and average the metrics.
 
-    ``hyper`` supplies c, k, scoring_head, layer_mean and exclude_seen.
-    Parameters sized for another dataset, or a ``hyper.c`` other than the
-    model's window length, raise DataError before any scoring.
+    ``hyper`` supplies k, scoring_head, layer_mean and exclude_seen; the
+    window length is the model's (``params.tables.c``). Parameters sized
+    for another dataset raise DataError before any scoring.
     """
     if split not in ("validation", "test"):
         raise ValueError("split must be 'validation' or 'test'")
@@ -144,9 +144,6 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         raise DataError(
             f"model has {tables.n_users} users x {tables.n_items} items, "
             f"dataset has {dataset.n_users} users x {dataset.n_items} items")
-    if hyper.c != tables.c:
-        raise DataError(f"window length c = {hyper.c} does not match the "
-                        f"model's positional table, built for c = {tables.c}")
     head = hyper.scoring_head
     need_seq, need_graph, need_fused = encoder_paths(head)
     nodes = None
@@ -154,10 +151,9 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         if adjacency is None:
             adjacency = build_adjacency(dataset.train, dataset.n_users,
                                         dataset.n_items)
-        nodes = propagated_embeddings(params.tables, adjacency, hyper.k,
+        nodes = propagated_embeddings(tables, adjacency, hyper.k,
                                       layer_mean=hyper.layer_mean,
                                       rows=np.arange(dataset.n_users))
-    pad = params.tables.padding_id
     users = list(range(dataset.n_users))
     totals = {"hr5": 0.0, "hr10": 0.0, "ndcg5": 0.0, "ndcg10": 0.0}
     for start in range(0, len(users), EVAL_BATCH):
@@ -169,7 +165,7 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         else:
             sequences = [dataset.train[u] + [dataset.val[u]] for u in chunk]
             targets = np.array([dataset.test[u] for u in chunk], dtype=np.int64)
-        batch = build_batch(chunk, sequences, hyper.c, pad)
+        batch = build_batch(chunk, sequences, tables.c, tables.padding_id)
         states = forward_states(params, batch, adjacency, hyper.k,
                                 need_seq=need_seq, need_graph=need_graph,
                                 need_fused=need_fused,

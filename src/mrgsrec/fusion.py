@@ -14,8 +14,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DimensionError
 
-SCORING_HEADS = ("fused", "sequential", "graph")
-
 # ``init_fusion_params``' share of e_g in e_f and its weight-noise scale.
 INIT_MIX, INIT_NOISE = 0.005, 0.01
 

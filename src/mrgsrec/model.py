@@ -23,6 +23,10 @@ from .seqenc import SeqEncoderConfig, SeqEncoderParams, init_seq_params, seq_enc
 
 CHECKPOINT_MAGIC = b"MRGS-CKPT-v1\n"
 
+# Each scoring head and the ``ForwardStates`` field it scores from.
+HEAD_STATES = {"fused": "e_f", "sequential": "e_l", "graph": "e_g"}
+SCORING_HEADS = tuple(HEAD_STATES)
+
 
 @dataclass
 class ModelParams:
@@ -161,8 +165,7 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
 
 def score_batch(params: ModelParams, states: ForwardStates, head: str) -> ad.Tensor:
     """(B, N) full-catalog scores from the selected head embedding."""
-    chosen = {"fused": states.e_f, "sequential": states.e_l,
-              "graph": states.e_g}.get(head)
+    chosen = getattr(states, HEAD_STATES.get(head, ""), None)
     if chosen is None:
         raise ValueError(f"scoring head {head!r} unavailable or unknown")
     return score_items(chosen, params.tables.item_rows())

@@ -48,7 +48,8 @@ def check_settings(obj) -> None:
             wanted = kind
         elif rule["choices"] is not None and value not in rule["choices"]:
             wanted = f"one of {rule['choices']}"
-        elif rule["minimum"] is not None and not value >= rule["minimum"]:
+        elif (rule["minimum"] is not None and value is not None
+              and not value >= rule["minimum"]):
             wanted = f">= {rule['minimum']}"
         else:
             continue

@@ -42,7 +42,7 @@ class SeqEncoderConfig:
                             help="transformer blocks in the sequential encoder")
     n_heads: int = setting("attention_heads", 2, minimum=1,
                            help="heads per attention layer")
-    d_ff: int | None = setting("feed_forward_dim", None,
+    d_ff: int | None = setting("feed_forward_dim", None, minimum=1,
                                help="FFN width; null means 4x embedding_dim")
     dropout_rate: float = setting("dropout_rate", 0.2, minimum=0.0,
                                   help="dropout on attention probs and block outputs")

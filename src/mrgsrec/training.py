@@ -21,16 +21,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import SequenceBatch, build_batch
+from .embeddings import EmbeddingTables, SequenceBatch, build_batch
 from .errors import DataError, NumericError
 from .evaluation import evaluate
-from .fusion import SCORING_HEADS
 from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
                     interaction_matrix, node_positions)
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
-from .model import (ModelParams, encoder_paths, forward_states, init_model,
-                    reads_positions)
+from .model import (SCORING_HEADS, ModelParams, encoder_paths, forward_states,
+                    init_model, reads_positions)
 from .schema import setting
 from .seqenc import SeqEncoderConfig
 
@@ -40,7 +39,8 @@ class Hyperparams(SeqEncoderConfig):
     """Every run setting, flat: the encoder's own settings are inherited."""
 
     c: int = setting("window_length", 50, minimum=1,
-                     help="c: most recent interactions kept per user")
+                     help="c: most recent interactions kept per user; sizes "
+                          "a new model, whose positional table then fixes it")
     k: int = setting("graph_layers", 2, minimum=0,
                      help="k: propagation steps over the interaction graph")
     scoring_head: str = setting("scoring_head", "fused", choices=SCORING_HEADS,
@@ -51,9 +51,12 @@ class Hyperparams(SeqEncoderConfig):
     weights: LossWeights = field(default_factory=LossWeights)
     n_negatives: int = setting("negative_samples", 100, minimum=1,
                                help="negatives drawn per user per step")
-    learning_rate: float = setting("learning_rate", 1e-3, help="Adam step size")
-    beta1: float = setting("adam_beta1", 0.9, help="Adam first-moment decay")
-    beta2: float = setting("adam_beta2", 0.999, help="Adam second-moment decay")
+    learning_rate: float = setting("learning_rate", 1e-3, minimum=0.0,
+                                   help="Adam step size")
+    beta1: float = setting("adam_beta1", 0.9, minimum=0.0,
+                           help="Adam first-moment decay")
+    beta2: float = setting("adam_beta2", 0.999, minimum=0.0,
+                           help="Adam second-moment decay")
     epsilon: float = setting("adam_epsilon", 1e-8, help="Adam denominator floor")
     batch_size: int = setting("batch_size", 256, minimum=1,
                               help="users per training step")
@@ -65,6 +68,19 @@ class Hyperparams(SeqEncoderConfig):
                         help="seed for init, shuffling, sampling, dropout")
     exclude_seen: bool = setting("exclude_seen", True,
                                  help="mask already-consumed items at evaluation")
+
+    def __post_init__(self):
+        super().__post_init__()
+        for key, beta in (("adam_beta1", self.beta1), ("adam_beta2", self.beta2)):
+            if beta >= 1.0:
+                raise ValueError(f"{key} must be in [0, 1), got {beta!r}")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"adam_epsilon must be > 0, got {self.epsilon!r}")
+        if self.attention_mode == "bidirectional" and self.weights.alpha > 0:
+            # Window slot s would attend slot s+1, its own next-item target.
+            raise ValueError("attention_mode 'bidirectional' shows the local "
+                             "loss its targets; it needs alpha = 0, got "
+                             f"alpha = {self.weights.alpha!r}")
 
     def seq_config(self) -> SeqEncoderConfig:
         return SeqEncoderConfig(**{f.name: getattr(self, f.name)
@@ -197,18 +213,18 @@ def fewest_unseen(examples: list[TrainExample], n_items: int) -> int:
     return min(n_items - ex.forbidden.size for ex in examples)
 
 
-def step_inputs(batch_examples: list[TrainExample], n_items: int,
-                hyper: Hyperparams, pad: int, rng: np.random.Generator
+def step_inputs(batch_examples: list[TrainExample], tables: EmbeddingTables,
+                n_negatives: int, rng: np.random.Generator
                 ) -> tuple[SequenceBatch, np.ndarray, np.ndarray]:
-    """(batch, targets, negatives): left-padded input windows, their
-    next-item targets, and ``n_negatives`` unseen items per user."""
+    """(batch, targets, negatives): windows left-padded to the model's c,
+    their next-item targets, and ``n_negatives`` unseen items per user."""
     users = [ex.user for ex in batch_examples]
     batch = build_batch(users, [ex.inputs for ex in batch_examples],
-                        hyper.c, pad)
+                        tables.c, tables.padding_id)
     targets = build_batch(users, [ex.step_targets for ex in batch_examples],
-                          hyper.c, 0).item_windows
+                          tables.c, 0).item_windows
     negatives = np.stack([
-        sample_negatives(ex.forbidden, n_items, hyper.n_negatives, rng)
+        sample_negatives(ex.forbidden, tables.n_items, n_negatives, rng)
         for ex in batch_examples])
     return batch, targets, negatives
 
@@ -262,7 +278,7 @@ def train_step(batch_examples: list[TrainExample], params: ModelParams,
     """One forward/backward/Adam update; returns the component loss values."""
     pad = params.tables.padding_id
     batch, targets, negatives = step_inputs(
-        batch_examples, params.tables.n_items, hyper, pad, rng)
+        batch_examples, params.tables, hyper.n_negatives, rng)
     components, loss = step_losses(
         params, adjacency, hyper, batch_examples, batch, targets, negatives,
         train_mode=True, rng=rng)

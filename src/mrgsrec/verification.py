@@ -20,7 +20,7 @@ from .embeddings import EmbeddingTables, build_batch, init_tables
 from .evaluation import MetricsReport, evaluate, hr_at_k, ndcg_at_k, rank_targets
 from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
 from .losses import LossWeights
-from .model import forward_states, init_model
+from .model import HEAD_STATES, forward_states, init_model
 from .seqenc import ATTENTION_MODES, USER_STATES, SeqEncoderConfig
 from .training import (Hyperparams, build_examples, fewest_unseen, fit,
                        step_inputs, step_losses)
@@ -80,7 +80,7 @@ def make_gradient_instance(d: int = 8, c: int = 5, m: int = 7, n: int = 11,
     hyper.n_negatives = min(hyper.n_negatives, fewest_unseen(examples, n))
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     batch, targets, negatives = step_inputs(
-        examples, n, hyper, params.tables.padding_id, rng)
+        examples, params.tables, hyper.n_negatives, rng)
     return hyper, params, adjacency, examples, batch, targets, negatives
 
 
@@ -249,9 +249,6 @@ def metric_suite() -> dict:
     return {"passed": True}
 
 
-HEAD_STATES = (("fused", "e_f"), ("sequential", "e_l"), ("graph", "e_g"))
-
-
 def state_only_gaps(user_state: str = "first_token",
                     attention_mode: str = "causal", n_layers: int = 2,
                     seed: int = 5) -> dict[str, float]:
@@ -277,16 +274,16 @@ def state_only_gaps(user_state: str = "first_token",
         full = forward_states(params, batch, adjacency, k=2)
         state = forward_states(params, batch, adjacency, k=2, positions=False)
     if state.E_l is not None or state.E_g is not None:
-        return {head: float("inf") for head, _ in HEAD_STATES}
+        return {head: float("inf") for head in HEAD_STATES}
     return {head: float(np.abs(getattr(state, name).data
                                - getattr(full, name).data).max())
-            for head, name in HEAD_STATES}
+            for head, name in HEAD_STATES.items()}
 
 
 def state_only_suite() -> dict:
     """``state_only_gaps`` over both user states and attention modes; the
     worst gap per scoring head."""
-    worst = {head: 0.0 for head, _ in HEAD_STATES}
+    worst = {head: 0.0 for head in HEAD_STATES}
     for user_state in USER_STATES:
         for mode in ATTENTION_MODES:
             for head, gap in state_only_gaps(user_state, mode).items():

@@ -1,6 +1,8 @@
 """CLI subcommands: prepare, train, eval, ablate, verify; exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ from mrgsrec import cli
 from mrgsrec import config as cfg
 from mrgsrec import data as dp
 from mrgsrec import verification
-from mrgsrec.errors import DataError, ParseError
+from mrgsrec.errors import ParseError
 from mrgsrec.evaluation import evaluate
 from mrgsrec.model import init_model, load_checkpoint, save_checkpoint
 from mrgsrec.seqenc import SeqEncoderConfig
@@ -153,7 +155,11 @@ class TestTrain:
         ("patience", 0), ("user_state", "last"), ("window_length", "5"),
         ("scoring_head", "fuse"), ("negative_samples", 0), ("batch_size", 2.5),
         ("window_length", 2.5), ("seed", 1.5), ("learning_rate", "0.1"),
-        ("graph_layer_mean", "yes"), ("exclude_seen", 0)])
+        ("graph_layer_mean", "yes"), ("exclude_seen", 0),
+        ("feed_forward_dim", -1), ("feed_forward_dim", 0),
+        ("learning_rate", -1.0), ("adam_beta1", 2.0), ("adam_beta1", -0.1),
+        ("adam_beta2", 1.0), ("adam_epsilon", -1.0), ("adam_epsilon", 0.0),
+        ("attention_mode", "bidirectional")])
     def test_bad_config_value_exit_code_2_before_training(
             self, tmp_path, snapshot, monkeypatch, capsys, key, value):
         def no_training(*args, **kwargs):
@@ -346,15 +352,48 @@ def test_unreadable_input_exits_cleanly(tmp_path, snapshot, argv, code):
 
 def test_eval_takes_window_length_from_the_model(tmp_path, snapshot):
     # No config in the meta: c comes from the positional table, not the
-    # default 50; evaluate rejects a hyper.c that differs from it.
+    # default 50, and evaluate never reads hyper.c.
     dataset, _, _ = dp.load_snapshot(snapshot)
     params = init_model(dataset.n_users, dataset.n_items, 4,
                         SeqEncoderConfig(d=8), seed=0)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, params, {"fingerprint": "", "seed": 0})
     assert cli.main(["eval", str(ckpt), str(snapshot)]) == 0
-    with pytest.raises(DataError, match=r"c = 50 .* c = 4$"):
-        evaluate(params, dataset, "validation", Hyperparams(c=50))
+    assert (evaluate(params, dataset, "validation", Hyperparams(c=50))
+            == evaluate(params, dataset, "validation", Hyperparams(c=4)))
+
+
+def run_fresh(*args):
+    """Run a fresh interpreter with ``args`` and no thread cap inherited
+    from this process's environment."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--threads=1", "verify"], "1"), (["--threads", "3", "verify"], "3"),
+    (["--deterministic", "verify"], "1"),
+    (["--deterministic", "--threads=2", "verify"], "2"), (["verify"], "unset"),
+    (["--threads=0", "verify"], "unset")])
+def test_thread_flags_cap_blas_at_import(argv, expected):
+    # Under ``-c`` the argv after the code is ``argv``, as for ``mrgsrec``.
+    result = run_fresh(
+        "-c", "import os, mrgsrec.cli; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))", *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == expected
+
+
+@pytest.mark.parametrize("argv", [["--threads", "0", "verify"],
+                                  ["--threads=0", "verify"],
+                                  ["--threads=-2", "verify"]])
+def test_thread_count_below_one_exit_code_2(argv):
+    result = run_fresh("-m", "mrgsrec.cli", *argv)
+    assert result.returncode == 2
+    assert "argument --threads: must be >= 1" in result.stderr
 
 
 class TestAblate:
@@ -376,13 +415,22 @@ class TestAblate:
 
 
 class TestVerify:
-    def test_quick_verify_passes(self, capsys):
-        assert cli.main(["verify", "--quick"]) == 0
-        assert "PASS" in capsys.readouterr().out
+    @pytest.fixture(scope="class")
+    def quick(self):
+        """One ``mrgsrec verify --quick`` run: (exit code, printed output)."""
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = cli.main(["verify", "--quick"])
+        return code, printed.getvalue()
 
-    def test_quick_verify_lists_every_block(self, capsys):
-        assert cli.main(["verify", "--quick"]) == 0
-        out = capsys.readouterr().out
+    def test_quick_verify_passes(self, quick):
+        code, out = quick
+        assert code == 0
+        assert "PASS" in out
+
+    def test_quick_verify_lists_every_block(self, quick):
+        code, out = quick
+        assert code == 0
         blocks = init_model(5, 7, 3, SeqEncoderConfig(d=4, n_layers=1),
                             seed=0).named()
         for loss in ("local", "global", "fused", "contrastive", "total"):
@@ -391,18 +439,20 @@ class TestVerify:
                 assert f"gradient/{loss}/{block}: max_rel_error=" in out
 
 
-    def test_verify_reports_state_only_parity(self, capsys):
-        assert cli.main(["verify", "--quick"]) == 0
-        line = next(ln for ln in capsys.readouterr().out.splitlines()
+    def test_verify_reports_state_only_parity(self, quick):
+        code, out = quick
+        assert code == 0
+        line = next(ln for ln in out.splitlines()
                     if ln.startswith("encoder/state-only:"))
         for head in ("fused", "sequential", "graph"):
             assert f"{head}=" in line
         assert line.endswith("PASS")
 
 
-    def test_verify_reports_restricted_rows_parity(self, capsys):
-        assert cli.main(["verify", "--quick"]) == 0
-        line = next(ln for ln in capsys.readouterr().out.splitlines()
+    def test_verify_reports_restricted_rows_parity(self, quick):
+        code, out = quick
+        assert code == 0
+        line = next(ln for ln in out.splitlines()
                     if ln.startswith("graph/rows:"))
         assert line == "graph/rows: max_abs_error=0.000e+00 over 160 cases PASS"
 

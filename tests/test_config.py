@@ -6,9 +6,8 @@ import pytest
 
 from mrgsrec import config as cfg
 from mrgsrec.errors import ParseError
-from mrgsrec.fusion import SCORING_HEADS
 from mrgsrec.losses import LossWeights
-from mrgsrec.model import encoder_paths
+from mrgsrec.model import SCORING_HEADS, encoder_paths
 from mrgsrec.seqenc import SeqEncoderConfig
 from mrgsrec.training import Hyperparams
 from mrgsrec.verification import ablation_configs
@@ -46,7 +45,9 @@ def test_every_setting_reaches_hyperparams():
     ("dropout_rate", 1.0), ("negative_samples", 0), ("batch_size", 2.5),
     ("window_length", 2.5), ("seed", 1.5), ("learning_rate", "0.1"),
     ("graph_layer_mean", "yes"), ("exclude_seen", 0), ("alpha", True),
-    ("feed_forward_dim", 2.0)])
+    ("feed_forward_dim", 2.0), ("feed_forward_dim", -1), ("feed_forward_dim", 0),
+    ("learning_rate", -1.0), ("adam_beta1", 2.0), ("adam_beta1", -0.1),
+    ("adam_beta2", 1.0), ("adam_epsilon", -1.0), ("adam_epsilon", 0.0)])
 def test_bad_value_raises_parse_error_naming_key(key, value):
     with pytest.raises(ParseError, match=key):
         cfg.to_hyperparams(cfg.resolve_config({key: value}))
@@ -97,3 +98,20 @@ def test_ablation_changes_only_the_head_and_the_four_weights(head):
     assert [variants[name][key] for name in ("sequential", "graph")
             for key in ABLATED_KEYS] == [
         "sequential", 1.0, 0.0, 0.0, 0.0, "graph", 0.0, 1.0, 0.0, 0.0]
+
+
+def test_bidirectional_attention_needs_alpha_zero():
+    # Under bidirectional attention slot s sees slot s+1, its own target.
+    with pytest.raises(ParseError, match="attention_mode.*alpha"):
+        cfg.to_hyperparams(cfg.resolve_config({"attention_mode": "bidirectional"}))
+    hyper = cfg.to_hyperparams(cfg.resolve_config(
+        {"attention_mode": "bidirectional", "alpha": 0.0}))
+    assert hyper.attention_mode == "bidirectional"
+
+
+def test_range_edges_stay_legal():
+    hyper = cfg.to_hyperparams(cfg.resolve_config({
+        "feed_forward_dim": None, "learning_rate": 0.0, "adam_beta1": 0.0,
+        "adam_beta2": 0.0, "adam_epsilon": 1e-300}))
+    assert hyper.d_ff == 4 * hyper.d
+    assert cfg.to_hyperparams(cfg.resolve_config({"feed_forward_dim": 1})).d_ff == 1
