@@ -50,7 +50,7 @@ assert len(split.train[u]) + 2 == sum(
 
 # --- versioned snapshot ---------------------------------------------------
 snap = raw.parent / "toy.snap"
-dp.save_snapshot(snap, split, stats, fingerprint="demo", seed=None)
+dp.save_snapshot(snap, split, stats, fingerprint="demo")
 reloaded, _, meta = dp.load_snapshot(snap)
 assert reloaded.train == split.train
 print(f"snapshot round-trips; header line: "

@@ -3,7 +3,7 @@
 The synthetic generator plants two signals: users stick to a few item
 clusters (visible to the graph encoder through co-occurrence) and items
 inside a cluster follow a cyclic chain (visible to the sequential
-encoder). A couple of minutes of CPU is enough to learn both.
+encoder). A few seconds of CPU are enough to learn both.
 """
 
 import time

@@ -6,8 +6,8 @@ weights and the scoring head change, by the one rule in
 LightGCN-style recommender (BPR on propagated embeddings), the sequential
 variant a SASRec-style one (full cross-entropy over the catalog), and the
 full model trains all four objectives and scores with the fused state.
-This is the acceptance suite's ablation check at one seed. Expect a few
-minutes of CPU.
+This is the acceptance suite's ablation check at one seed. Expect about
+20 s of CPU.
 """
 
 import time

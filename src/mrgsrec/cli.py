@@ -83,10 +83,11 @@ def _load_run(args) -> tuple[dict, str]:
     run_config = cfg.load_config(args.config)
     if args.seed is not None:
         run_config["seed"] = args.seed
-    if getattr(args, "data", None):
+    if args.data:
         run_config["data"] = str(args.data)
-    config_fp = cfg.fingerprint(run_config)
-    return run_config, config_fp
+    if not run_config["data"]:
+        raise ParseError("config needs a 'data' snapshot path")
+    return run_config, cfg.fingerprint(run_config)
 
 
 def cmd_train(args) -> int:
@@ -94,8 +95,6 @@ def cmd_train(args) -> int:
     from .training import fit
 
     run_config, fp = _load_run(args)
-    if not run_config.get("data"):
-        raise ParseError("config needs a 'data' snapshot path")
     hyper = cfg.to_hyperparams(run_config)
     dataset, _, _ = data_mod.load_snapshot(run_config["data"])
     ckpt_path = args.out or run_config.get("checkpoint") or "model.ckpt"
@@ -140,8 +139,6 @@ def cmd_ablate(args) -> int:
     from .verification import ablate
 
     base, _ = _load_run(args)
-    if not base.get("data"):
-        raise ParseError("config needs a 'data' snapshot path")
     dataset, _, meta = data_mod.load_snapshot(base["data"])
     results = ablate(dataset, base)
     print(f"data fingerprint: {meta.get('fingerprint', '')}")

@@ -3,9 +3,9 @@
 The keys, defaults and help texts of the model and training settings are
 declared on the fields of ``Hyperparams`` (which inherits the encoder's
 ``SeqEncoderConfig``) and ``LossWeights``; only the three artifact paths are
-listed here. Unknown keys are rejected so typos fail loudly. The
-fingerprint of the fully resolved config is embedded in every artifact a
-run writes.
+listed here, each a string or null. Unknown keys are rejected so typos fail
+loudly. The fingerprint of the fully resolved config is embedded in every
+artifact a run writes.
 """
 
 from __future__ import annotations
@@ -19,21 +19,30 @@ from .losses import LossWeights
 from .schema import settings
 from .training import Hyperparams
 
+# path key -> description; each value is a string or null (the default)
+PATHS = {
+    "data": "path to a MRGS-DATA-v1 dataset snapshot",
+    "checkpoint": "path to write/read the model checkpoint",
+    "log": "path of the append-only epoch log (JSON lines)",
+}
 # key -> (default, description)
 DEFAULTS: dict[str, tuple] = {
-    "data": (None, "path to a MRGS-DATA-v1 dataset snapshot"),
-    "checkpoint": (None, "path to write/read the model checkpoint"),
-    "log": (None, "path of the append-only epoch log (JSON lines)"),
+    **{key: (None, help) for key, help in PATHS.items()},
     **{f.metadata["key"]: (f.default, f.metadata["help"])
        for cls in (Hyperparams, LossWeights) for f in settings(cls)},
 }
 
 
 def resolve_config(overrides: dict) -> dict:
-    """Apply defaults and reject unknown keys."""
+    """Apply defaults; reject unknown keys and a path that is not a string
+    or null."""
     unknown = set(overrides) - set(DEFAULTS)
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
+    for key in PATHS:
+        if not isinstance(overrides.get(key), (str, type(None))):
+            raise ParseError(f"{key} must be a string or null, "
+                             f"got {overrides[key]!r}")
     resolved = {key: default for key, (default, _) in DEFAULTS.items()}
     resolved.update(overrides)
     return resolved

@@ -9,7 +9,7 @@ versioned text files starting with the magic line ``MRGS-DATA-v1``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import DataError, ParseError
@@ -18,8 +18,6 @@ SNAPSHOT_MAGIC = "MRGS-DATA-v1"
 MIN_USER_LENGTH = 3  # one train item plus the validation and test targets
 MIN_COUNT = 5  # prepare's default user and item minimum-count threshold
 FILTER_MODES = ("fixpoint", "single_pass")  # the first is the default
-_SNAPSHOT_KEYS = ("n_users", "n_items", "user_tokens", "item_tokens",
-                  "train", "val", "test", "stats")
 
 
 @dataclass(frozen=True)
@@ -58,6 +56,13 @@ class DatasetStats:
     avg_length: float
 
 
+def _per(count: str, ids_below: str = "", nested: bool = False, **kwargs):
+    """A list field with one entry per ``count``: with ``ids_below``, an item
+    id below that count, or with ``nested`` a non-empty list of them."""
+    return field(metadata={"per": count, "ids_below": ids_below,
+                           "nested": nested}, **kwargs)
+
+
 @dataclass
 class SplitDataset:
     """Per-user chronological sequences under leave-one-out.
@@ -67,11 +72,11 @@ class SplitDataset:
 
     n_users: int
     n_items: int
-    train: list[list[int]]
-    val: list[int]
-    test: list[int]
-    user_tokens: list[str] = field(default_factory=list)
-    item_tokens: list[str] = field(default_factory=list)
+    train: list[list[int]] = _per("n_users", "n_items", nested=True)
+    val: list[int] = _per("n_users", "n_items")
+    test: list[int] = _per("n_users", "n_items")
+    user_tokens: list[str] = _per("n_users", default_factory=list)
+    item_tokens: list[str] = _per("n_items", default_factory=list)
 
 
 def _index_tokens(interactions: list[RawInteraction]) -> InteractionLog:
@@ -216,28 +221,14 @@ def compute_stats(log: InteractionLog) -> DatasetStats:
 
 
 def save_snapshot(path: str | Path, dataset: SplitDataset, stats: DatasetStats,
-                  fingerprint: str, seed: int | None = None,
-                  extra: dict | None = None) -> None:
-    """Write a dataset snapshot; reruns with identical inputs are byte-identical."""
-    payload = {
-        "fingerprint": fingerprint,
-        "seed": seed,
-        "n_users": dataset.n_users,
-        "n_items": dataset.n_items,
-        "user_tokens": dataset.user_tokens,
-        "item_tokens": dataset.item_tokens,
-        "train": dataset.train,
-        "val": dataset.val,
-        "test": dataset.test,
-        "stats": {
-            "n_users": stats.n_users,
-            "n_items": stats.n_items,
-            "n_interactions": stats.n_interactions,
-            "avg_length": stats.avg_length,
-        },
-    }
+                  fingerprint: str, extra: dict | None = None) -> None:
+    """Write a dataset snapshot that passes the reader's rule (else ParseError,
+    and nothing is written); reruns with identical inputs are byte-identical."""
+    payload = {**asdict(dataset), "stats": asdict(stats),
+               "fingerprint": fingerprint}
     if extra:
         payload["extra"] = extra
+    _check_payload(path, payload)
     text = SNAPSHOT_MAGIC + "\n" + json.dumps(
         payload, sort_keys=True, separators=(",", ":")) + "\n"
     Path(path).write_text(text, encoding="utf-8")
@@ -245,33 +236,39 @@ def save_snapshot(path: str | Path, dataset: SplitDataset, stats: DatasetStats,
 
 def _check_payload(path, payload) -> None:
     """Reject a snapshot payload that would load only partly or break later:
-    missing keys, per-user or per-item lists of the wrong length, and item
-    ids outside [0, n_items)."""
+    a ``SplitDataset`` or ``DatasetStats`` field missing, or a value that
+    breaks its field's rule (counts, declared first, are positive integers)."""
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: snapshot payload is not a JSON object")
-    missing = sorted(set(_SNAPSHOT_KEYS) - payload.keys())
+    stats = payload.get("stats")
+    missing = sorted({f.name for f in fields(SplitDataset)} - payload.keys()) + [
+        f"stats.{f.name}" for f in fields(DatasetStats)
+        if not isinstance(stats, dict) or f.name not in stats]
     if missing:
         raise ParseError(f"{path}: snapshot is missing keys {missing}")
-    n_users, n_items = payload["n_users"], payload["n_items"]
-    if not all(type(n) is int and n >= 1 for n in (n_users, n_items)):
-        raise ParseError(f"{path}: n_users and n_items must be positive integers")
-    for key, want in (("train", n_users), ("val", n_users), ("test", n_users),
-                      ("user_tokens", n_users), ("item_tokens", n_items)):
-        if not isinstance(payload[key], list) or len(payload[key]) != want:
-            raise ParseError(f"{path}: {key!r} must be a list of {want} entries")
-    if not all(isinstance(seq, list) for seq in payload["train"]):
-        raise ParseError(f"{path}: every 'train' entry must be a list")
-    ids = [i for seq in payload["train"] for i in seq]
-    ids += payload["val"] + payload["test"]
-    if not all(type(i) is int and 0 <= i < n_items for i in ids):
-        raise ParseError(f"{path}: item ids must be integers in [0, {n_items})")
+    for f in fields(SplitDataset):
+        value, rule = payload[f.name], f.metadata
+        if not rule:
+            if type(value) is not int or value < 1:
+                raise ParseError(f"{path}: {f.name!r} must be a positive integer")
+            continue
+        want = payload[rule["per"]]
+        if not isinstance(value, list) or len(value) != want:
+            raise ParseError(f"{path}: {f.name!r} must be a list of {want} entries")
+        if rule["nested"]:
+            if not all(isinstance(seq, list) and seq for seq in value):
+                raise ParseError(f"{path}: {f.name!r} entries must be non-empty lists")
+            value = [i for seq in value for i in seq]
+        bound = rule["ids_below"] and payload[rule["ids_below"]]
+        if bound and not all(type(i) is int and 0 <= i < bound for i in value):
+            raise ParseError(f"{path}: item ids must be integers in [0, {bound})")
 
 
 def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:
     """Read a snapshot written by ``save_snapshot``; returns (dataset, stats, meta).
 
     The payload is validated whole before anything is built from it; a
-    malformed one raises ParseError.
+    malformed one raises ParseError. Unknown keys are ignored.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -282,24 +279,10 @@ def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: not UTF-8 JSON text ({exc})") from exc
     _check_payload(path, payload)
-    dataset = SplitDataset(
-        n_users=payload["n_users"],
-        n_items=payload["n_items"],
-        train=payload["train"],
-        val=payload["val"],
-        test=payload["test"],
-        user_tokens=payload["user_tokens"],
-        item_tokens=payload["item_tokens"],
-    )
-    try:
-        s = payload["stats"]
-        stats = DatasetStats(s["n_users"], s["n_items"],
-                             s["n_interactions"], s["avg_length"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: bad snapshot stats ({exc!r})") from exc
-    meta = {"fingerprint": payload.get("fingerprint"),
-            "seed": payload.get("seed"),
-            "extra": payload.get("extra")}
+    dataset = SplitDataset(**{f.name: payload[f.name] for f in fields(SplitDataset)})
+    stats = DatasetStats(**{f.name: payload["stats"][f.name]
+                            for f in fields(DatasetStats)})
+    meta = {key: payload.get(key) for key in ("fingerprint", "extra")}
     return dataset, stats, meta
 
 

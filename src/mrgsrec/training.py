@@ -64,7 +64,7 @@ class Hyperparams(SeqEncoderConfig):
                               help="upper bound on training epochs")
     patience: int = setting("patience", 10, minimum=1,
                             help="non-improving validation epochs before stopping")
-    seed: int = setting("seed", 0,
+    seed: int = setting("seed", 0, minimum=0,
                         help="seed for init, shuffling, sampling, dropout")
     exclude_seen: bool = setting("exclude_seen", True,
                                  help="mask already-consumed items at evaluation")

@@ -17,6 +17,7 @@ from . import autodiff as ad
 from .config import fingerprint, to_hyperparams
 from .data import SplitDataset
 from .embeddings import EmbeddingTables, build_batch, init_tables
+from .errors import ParseError
 from .evaluation import MetricsReport, evaluate, hr_at_k, ndcg_at_k, rank_targets
 from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
 from .losses import LossWeights
@@ -348,11 +349,17 @@ def ablation_configs(run: dict) -> dict[str, dict]:
 def ablate(dataset: SplitDataset, run: dict
            ) -> dict[str, tuple[MetricsReport, int, str]]:
     """Train each of ``ablation_configs(run)`` on ``dataset`` and evaluate it
-    on the test split: variant -> (report, epochs run, config fingerprint)."""
-    results = {}
+    on the test split: variant -> (report, epochs run, config fingerprint).
+    Every variant's settings are checked before the first one trains; a
+    variant that breaks a rule raises ParseError naming it."""
+    hypers = {}
     for name, variant in ablation_configs(run).items():
-        fp = fingerprint(variant)
-        hyper = to_hyperparams(variant)
+        try:
+            hypers[name] = (to_hyperparams(variant), fingerprint(variant))
+        except ParseError as exc:
+            raise ParseError(f"ablation variant {name!r}: {exc}") from exc
+    results = {}
+    for name, (hyper, fp) in hypers.items():
         params, history = fit(dataset, hyper, fingerprint=fp)
         report = evaluate(params, dataset, "test", hyper, fingerprint=fp)
         results[name] = (report, len(history), fp)

@@ -159,7 +159,8 @@ class TestTrain:
         ("feed_forward_dim", -1), ("feed_forward_dim", 0),
         ("learning_rate", -1.0), ("adam_beta1", 2.0), ("adam_beta1", -0.1),
         ("adam_beta2", 1.0), ("adam_epsilon", -1.0), ("adam_epsilon", 0.0),
-        ("attention_mode", "bidirectional")])
+        ("attention_mode", "bidirectional"), ("seed", -1), ("data", 5),
+        ("log", 1), ("checkpoint", ["m.ckpt"])])
     def test_bad_config_value_exit_code_2_before_training(
             self, tmp_path, snapshot, monkeypatch, capsys, key, value):
         def no_training(*args, **kwargs):
@@ -295,7 +296,8 @@ def rewrite_payload(path, change):
     lambda p: p.pop("val"),
     lambda p: p["train"][0].append(999),
     lambda p: p["val"].pop(),
-], ids=["missing_val", "item_out_of_range", "short_val"])
+    lambda p: p["train"][0].clear(),
+], ids=["missing_val", "item_out_of_range", "short_val", "empty_train"])
 def test_damaged_snapshot_rejected_exit_code_2(tmp_path, snapshot, change):
     rewrite_payload(snapshot, change)
     with pytest.raises(ParseError):
@@ -412,6 +414,19 @@ class TestAblate:
         variants = verification.ablation_configs(cfg.load_config(config))
         assert {ln.split("\t")[0]: ln.split("\t")[-1] for ln in body} == \
             {name: cfg.fingerprint(run) for name, run in variants.items()}
+
+    def test_variant_breaking_a_rule_exit_code_2_before_training(
+            self, tmp_path, snapshot, monkeypatch, capsys):
+        # Legal for the run; the sequential variant sets alpha = 1.0, which
+        # bidirectional attention forbids.
+        def no_training(*args, **kwargs):
+            raise AssertionError("a variant trained before all were checked")
+
+        monkeypatch.setattr(verification, "fit", no_training)
+        config = tiny_config(tmp_path, snapshot, alpha=0.0,
+                             attention_mode="bidirectional")
+        assert cli.main(["ablate", "--config", str(config)]) == 2
+        assert "'sequential'" in capsys.readouterr().err
 
 
 class TestVerify:

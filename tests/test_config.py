@@ -47,7 +47,8 @@ def test_every_setting_reaches_hyperparams():
     ("graph_layer_mean", "yes"), ("exclude_seen", 0), ("alpha", True),
     ("feed_forward_dim", 2.0), ("feed_forward_dim", -1), ("feed_forward_dim", 0),
     ("learning_rate", -1.0), ("adam_beta1", 2.0), ("adam_beta1", -0.1),
-    ("adam_beta2", 1.0), ("adam_epsilon", -1.0), ("adam_epsilon", 0.0)])
+    ("adam_beta2", 1.0), ("adam_epsilon", -1.0), ("adam_epsilon", 0.0),
+    ("seed", -1), ("data", 5), ("log", 1), ("checkpoint", ["m.ckpt"])])
 def test_bad_value_raises_parse_error_naming_key(key, value):
     with pytest.raises(ParseError, match=key):
         cfg.to_hyperparams(cfg.resolve_config({key: value}))

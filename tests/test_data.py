@@ -253,6 +253,16 @@ def test_filter_postcondition_property(rows):
     assert all(n >= 2 for n in counts_i.values())
 
 
+# Written by ``save_snapshot`` when snapshots still carried a ``seed`` key.
+EARLIER_SNAPSHOT = (
+    'MRGS-DATA-v1\n{"extra":{"dropped_short_users":0,"filter_mode":"fixpoint"},'
+    '"fingerprint":"0123456789abcdef","item_tokens":["item0","item1","item2",'
+    '"item3"],"n_items":4,"n_users":3,"seed":3,"stats":{"avg_length":4.0,'
+    '"n_interactions":12,"n_items":4,"n_users":3},"test":[2,0,2],'
+    '"train":[[0],[1,2],[2,3,0]],"user_tokens":["user0","user1","user2"],'
+    '"val":[1,3,1]}\n')
+
+
 class TestSnapshot:
     def test_roundtrip_and_idempotence(self, tmp_path):
         log, _ = dp.drop_short_users(
@@ -260,8 +270,8 @@ class TestSnapshot:
         split = dp.chronological_split(log)
         stats = dp.compute_stats(log)
         p1, p2 = tmp_path / "a.snap", tmp_path / "b.snap"
-        dp.save_snapshot(p1, split, stats, fingerprint="fp", seed=3)
-        dp.save_snapshot(p2, split, stats, fingerprint="fp", seed=3)
+        dp.save_snapshot(p1, split, stats, fingerprint="fp")
+        dp.save_snapshot(p2, split, stats, fingerprint="fp")
         assert hashlib.sha256(p1.read_bytes()).hexdigest() == \
             hashlib.sha256(p2.read_bytes()).hexdigest()
         loaded, lstats, meta = dp.load_snapshot(p1)
@@ -270,13 +280,39 @@ class TestSnapshot:
         assert loaded.test == split.test
         assert lstats.n_interactions == stats.n_interactions
         assert meta["fingerprint"] == "fp"
-        assert meta["seed"] == 3
 
     def test_magic_header_checked(self, tmp_path):
         path = tmp_path / "bogus"
         path.write_text("NOT-A-SNAPSHOT\n{}", encoding="utf-8")
         with pytest.raises(ParseError):
             dp.load_snapshot(path)
+
+    def test_earlier_format_with_seed_key_loads(self, tmp_path):
+        path = tmp_path / "earlier.snap"
+        path.write_text(EARLIER_SNAPSHOT, encoding="utf-8")
+        dataset, stats, meta = dp.load_snapshot(path)
+        assert dataset == dp.SplitDataset(
+            3, 4, [[0], [1, 2], [2, 3, 0]], [1, 3, 1], [2, 0, 2],
+            ["user0", "user1", "user2"], ["item0", "item1", "item2", "item3"])
+        assert stats == dp.DatasetStats(3, 4, 12, 4.0)
+        assert meta == {"fingerprint": "0123456789abcdef", "extra": {
+            "dropped_short_users": 0, "filter_mode": "fixpoint"}}
+        again = tmp_path / "again.snap"
+        dp.save_snapshot(again, dataset, stats, **meta)
+        assert again.read_text(encoding="utf-8") == \
+            EARLIER_SNAPSHOT.replace('"seed":3,', "")
+
+    @pytest.mark.parametrize("dataset", [
+        dp.SplitDataset(2, 3, [[0], [1]], [1, 2], [2, 0]),
+        dp.SplitDataset(2, 3, [[0], []], [1, 2], [2, 0], ["a", "b"],
+                        ["x", "y", "z"]),
+    ], ids=["no_tokens", "empty_train"])
+    def test_save_refuses_what_load_rejects(self, tmp_path, dataset):
+        path = tmp_path / "bad.snap"
+        with pytest.raises(ParseError):
+            dp.save_snapshot(path, dataset, dp.DatasetStats(2, 3, 6, 3.0),
+                             fingerprint="x")
+        assert not path.exists()
 
     def test_header_line_is_magic(self, tmp_path):
         log, _ = dp.drop_short_users(
