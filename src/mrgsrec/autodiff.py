@@ -2,7 +2,13 @@
 
 Every operation records its inputs and a backward closure on the value it
 produces; ``backward()`` replays the graph in reverse topological order and
-accumulates vector-Jacobian products into ``Tensor.grad``. Conventions:
+accumulates vector-Jacobian products into ``Tensor.grad``. The sweep
+consumes the tape: once a node's closure has handed its gradients on, the
+node drops its closure and parents, so an intermediate that only the tape
+holds is freed as the sweep passes it, with its ``grad`` and the arrays its
+closure captured. Only leaves and the nodes the caller holds keep a
+``grad``; a later ``backward()`` that reaches a consumed node raises
+GraphError. Conventions:
 
 * all values are float64 (gradient checks need the headroom),
 * ReLU'(0) = 0,
@@ -21,11 +27,12 @@ Inside ``with no_grad():`` every op returns a plain leaf, so a forward pass
 Closure contract: ``backward(g)`` returns one gradient per parent, in
 ``_parents`` order, and writes nothing. Each is a view of ``g`` (or ``g``)
 or an array allocated for that parent alone, never one the closure keeps,
-or None for a parent that needs no graph (a constant: dropout keep-masks,
-padding masks, loss scales), whose gradient is then never computed.
-``Tensor.backward`` alone writes ``grad``: constants take none, and a first
-gradient sharing no memory with ``g`` is adopted, any other copied, so no
-two tensors share a ``grad`` buffer.
+or None for a parent that needs no graph (a constant: padding masks, loss
+scales), whose gradient is then never computed. A closure runs at most
+once: ``Tensor.backward`` drops it after the call. ``Tensor.backward``
+alone writes ``grad``: constants take none, and a first gradient sharing
+no memory with ``g`` is adopted, any other copied, so no two tensors share
+a ``grad`` buffer.
 
 ``linear_cross_entropy`` is the one op that computes its gradient in the
 forward pass: it streams fixed row tiles of the logits, and while a tile's
@@ -79,7 +86,11 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-mode sweep seeding d(self)/d(self) = 1. Scalar outputs only."""
+        """Reverse-mode sweep seeding d(self)/d(self) = 1. Scalar outputs only.
+
+        Consumes the graph: each node is popped off the post-order list and
+        dropped once its gradients are handed on (see the module docstring).
+        """
         if self.data.size != 1:
             raise GraphError("backward() requires a scalar output")
         order: list[Tensor] = []
@@ -98,19 +109,28 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            g = node.grad
-            if node._backward is None or g is None:
+        while order:
+            order.pop()._propagate()
+
+    def _propagate(self) -> None:
+        """Hand this node's gradient to its parents and consume the node: its
+        closure and parents go, so what only the tape held is freed here."""
+        closure, parents = self._backward, self._parents
+        if closure is None:
+            return
+        self._backward, self._parents = _consumed, ()
+        g = self.grad
+        if g is None:
+            return
+        for parent, pg in zip(parents, closure(g), strict=True):
+            if pg is None or not _needs_graph(parent):
                 continue
-            for parent, pg in zip(node._parents, node._backward(g), strict=True):
-                if pg is None or not _needs_graph(parent):
-                    continue
-                if parent.grad is not None:
-                    parent.grad += pg
-                elif isinstance(pg, np.ndarray) and not np.may_share_memory(pg, g):
-                    parent.grad = pg
-                else:  # a view of g, or a numpy scalar from a 0-d ufunc
-                    parent.grad = np.array(pg, dtype=np.float64)
+            if parent.grad is not None:
+                parent.grad += pg
+            elif isinstance(pg, np.ndarray) and not np.may_share_memory(pg, g):
+                parent.grad = pg
+            else:  # a view of g, or a numpy scalar from a 0-d ufunc
+                parent.grad = np.array(pg, dtype=np.float64)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -126,7 +146,12 @@ def parameter(data) -> Tensor:
 
 
 def _needs_graph(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t._parents for t in tensors)
+    return any(t.requires_grad or t._backward is not None for t in tensors)
+
+
+def _consumed(g):
+    raise GraphError("backward() reached a node that an earlier backward() "
+                     "consumed; rebuild the graph to differentiate it again")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -444,11 +469,22 @@ def spmm(adj: sp.spmatrix, x) -> Tensor:
 
 
 def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is 0."""
+    """Inverted dropout; identity when not training or rate is 0.
+
+    The closure keeps a bool keep-mask, not a float64 one; forward and
+    backward each scale by 1/(1 - rate) or 0 in one rounding.
+    """
+    a = as_tensor(a)
     if not train or rate == 0.0:
-        return as_tensor(a)
-    keep = rng.random(as_tensor(a).data.shape) >= rate
-    return mul(a, keep.astype(np.float64) / (1.0 - rate))
+        return a
+    keep = rng.random(a.data.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+    out = a.data * np.where(keep, scale, 0.0)
+
+    def backward(g):
+        return (g * np.where(keep, scale, 0.0),)
+
+    return _make(out, (a,), backward)
 
 
 def grad(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

@@ -236,8 +236,10 @@ def save_snapshot(path: str | Path, dataset: SplitDataset, stats: DatasetStats,
 
 def _check_payload(path, payload) -> None:
     """Reject a snapshot payload that would load only partly or break later:
-    a ``SplitDataset`` or ``DatasetStats`` field missing, or a value that
-    breaks its field's rule (counts, declared first, are positive integers)."""
+    a ``SplitDataset`` or ``DatasetStats`` field missing, a value that breaks
+    its field's rule (counts, declared first, are positive integers), or
+    stats that differ from the dataset's own counts (each user's train
+    sequence plus its two held-out items)."""
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: snapshot payload is not a JSON object")
     stats = payload.get("stats")
@@ -262,6 +264,13 @@ def _check_payload(path, payload) -> None:
         bound = rule["ids_below"] and payload[rule["ids_below"]]
         if bound and not all(type(i) is int and 0 <= i < bound for i in value):
             raise ParseError(f"{path}: item ids must be integers in [0, {bound})")
+    n = sum(len(seq) + 2 for seq in payload["train"])
+    implied = asdict(DatasetStats(payload["n_users"], payload["n_items"], n,
+                                  n / payload["n_users"]))
+    if any(type(stats[k]) is not type(v) or stats[k] != v
+           for k, v in implied.items()):
+        raise ParseError(f"{path}: stats must be {implied}, what the dataset "
+                         "implies")
 
 
 def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:

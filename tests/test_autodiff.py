@@ -1,6 +1,7 @@
 """Gradient engine checks: op-level VJPs, cross-entropy safety, FD harness."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -313,6 +314,53 @@ def test_closure_computes_no_gradient_for_a_constant(op):
         assert [pg is not None for pg in grads] == list(wanted)
 
 
+def test_backward_frees_the_intermediates_the_caller_does_not_hold():
+    x = ad.parameter(rng(3).normal(size=(4, 3)))
+    hidden = ad.relu(ad.mul(x, 2.0))
+    alive = weakref.ref(hidden.data)  # lives exactly as long as the node
+    loss = ad.tsum(ad.square(hidden))
+    del hidden
+    assert alive() is not None  # the tape still holds it
+    loss.backward()
+    assert alive() is None
+    np.testing.assert_array_equal(x.grad, 8.0 * np.maximum(x.data, 0.0))
+
+
+def test_a_held_intermediate_keeps_its_grad():
+    # perfbench/traced.py reads each layer output's grad after the backward
+    x = ad.parameter(rng(4).normal(size=(2, 3)))
+    hidden = ad.mul(x, 3.0)
+    ad.tsum(ad.square(hidden)).backward()
+    assert hidden._parents == ()  # consumed, its grad kept
+    np.testing.assert_array_equal(hidden.grad, 2.0 * hidden.data)
+
+
+def test_backward_through_a_consumed_graph_raises():
+    x = ad.parameter(np.arange(3.0))
+    hidden = ad.square(x)
+    loss = ad.tsum(hidden)
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(GraphError):
+        loss.backward()
+    with pytest.raises(GraphError):
+        ad.tsum(ad.mul(hidden, 2.0)).backward()
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_product():
+    a = ad.parameter(rng(5).normal(size=(6, 7)))
+    a.data[rng(6).random(a.shape) < 0.2] *= 0.0  # signed zeros must match too
+    rate = 0.3
+    out = ad.dropout(a, rate, rng(7), train=True)
+    keep = rng(7).random(a.shape) >= rate
+    mask = keep.astype(np.float64) / (1.0 - rate)
+    g = rng(8).normal(size=a.shape)
+    assert out.data.tobytes() == (a.data * mask).tobytes()
+    assert out._backward(g)[0].tobytes() == (g * mask).tobytes()
+    assert out._parents == (a,)
+
+
 def test_relu_forward_maps_negative_zero_to_zero_and_keeps_nan():
     out = ad.relu(np.array([-0.0, -1.0, np.nan, 2.0])).data
     assert not np.signbit(out[:2]).any()
@@ -435,13 +483,14 @@ def test_random_dag_gradients_are_unaliased_and_match_fd(steps, shapes,
     constants = [ad.Tensor(values[k % len(values)] * 0.5)
                  for k in range(n_constants)]
     loss, pool = build_dag(steps, params.values(), constants, seed)
+    # picked before backward(), which consumes every node it passes
+    pool_constants = [t for t in pool if not (t.requires_grad or t._parents)]
     loss.backward()
     grads = [t.grad for t in pool if t.grad is not None]
     for k, first in enumerate(grads):
         assert not any(np.shares_memory(first, other) for other in grads[k + 1:])
-    for t in pool:
-        if not (t.requires_grad or t._parents):
-            assert t.grad is None
+    for t in pool_constants:
+        assert t.grad is None
     report = ad.finite_difference_check(
         lambda: build_dag(steps, params.values(), constants, seed)[0], params)
     for name, entry in report.items():

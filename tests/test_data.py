@@ -1,5 +1,6 @@
 """Data pipeline: parsing, filtering to a fixpoint, splitting, snapshots."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -313,6 +314,28 @@ class TestSnapshot:
             dp.save_snapshot(path, dataset, dp.DatasetStats(2, 3, 6, 3.0),
                              fingerprint="x")
         assert not path.exists()
+
+    @pytest.mark.parametrize("wrong", [
+        {"n_users": 4}, {"n_items": 3}, {"n_interactions": 13},
+        {"n_interactions": 12.0}, {"avg_length": 4},
+        {"avg_length": 4.000000000000001}, {"n_users": True},
+    ], ids=str)
+    def test_stats_the_dataset_does_not_imply_are_rejected(self, tmp_path,
+                                                           wrong):
+        doc = json.loads(EARLIER_SNAPSHOT.partition("\n")[2])
+        doc["stats"].update(wrong)
+        path = tmp_path / "wrong.snap"
+        path.write_text("MRGS-DATA-v1\n" + json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="stats"):
+            dp.load_snapshot(path)
+        good = tmp_path / "good.snap"
+        good.write_text(EARLIER_SNAPSHOT, encoding="utf-8")
+        dataset, stats, meta = dp.load_snapshot(good)
+        again = tmp_path / "again.snap"
+        with pytest.raises(ParseError, match="stats"):
+            dp.save_snapshot(again, dataset,
+                             dataclasses.replace(stats, **wrong), **meta)
+        assert not again.exists()
 
     def test_header_line_is_magic(self, tmp_path):
         log, _ = dp.drop_short_users(

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mrgsrec import autodiff as ad
+from mrgsrec import config as cfg
 from mrgsrec import model as md
 from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
@@ -354,6 +356,44 @@ def test_first_step_losses_are_pinned():
         "contrastive": "0x1.df4964f3abce2p+5",
         "total": "0x1.21810ec1be1b1p+5",
     }
+
+
+def test_backward_adds_little_to_the_forward_peak():
+    # catalog_wide's model on 300 users x 480 items, one 64-user batch. The
+    # backward frees each node's gradient and closure as the sweep passes
+    # it, so the step peaks near its forward; keeping them all until the
+    # step returns about doubles the peak.
+    spec = json.loads(WORKLOADS.read_text())["workloads"]["catalog_wide"]
+    dataset = generate_clustered_markov(
+        **{**spec["generator"], "n_users": 300, "n_items": 480}, seed=0)
+    hyper = cfg.to_hyperparams(
+        cfg.resolve_config({**spec["config"], "batch_size": 64}))
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), hyper.seed)
+    adjacency = build_adjacency(dataset.train, dataset.n_users, dataset.n_items)
+    chunk = tr.build_examples(dataset)[:hyper.batch_size]
+    optimizer = tr.Adam(params.parameters())
+
+    def forward():
+        rng = np.random.Generator(np.random.PCG64(1))
+        inputs = tr.step_inputs(chunk, params.tables, hyper.n_negatives, rng)
+        tr.step_losses(params, adjacency, hyper, chunk, *inputs,
+                       train_mode=True, rng=rng)
+
+    def step():
+        tr.train_step(chunk, params, adjacency, hyper, optimizer,
+                      np.random.Generator(np.random.PCG64(1)))
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forward_peak = peak_bytes(forward)
+    assert peak_bytes(step) <= 1.25 * forward_peak
 
 
 class TestStepComposition:
