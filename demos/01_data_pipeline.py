@@ -22,36 +22,36 @@ raw = Path(tempfile.mkdtemp()) / "toy.tsv"
 raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 log = dp.load_interactions(raw)
-print(f"loaded: {log.n_users} users, {log.n_items} items, "
-      f"{log.n_interactions} interactions")
+print(f"loaded: {len({r.user for r in log})} users, "
+      f"{len({r.item for r in log})} items, {len(log)} interactions")
 
 # --- minimum-count filtering, iterated to a fixpoint ---------------------
 filtered = dp.min_count_filter(log, threshold=3)
-print(f"after 3-core filter: {filtered.n_users} users, "
-      f"{filtered.n_items} items (sparse users gone, ids re-compacted)")
+print(f"after 3-core filter: {len({r.user for r in filtered})} users, "
+      f"{len({r.item for r in filtered})} items (sparse users gone)")
 
 # filtering is idempotent: a second pass changes nothing
-again = dp.min_count_filter(filtered, threshold=3)
-assert again.interactions == filtered.interactions
+assert dp.min_count_filter(filtered, threshold=3) == filtered
 
-# --- leave-one-out split --------------------------------------------------
+# --- leave-one-out split: ids are assigned here, once ---------------------
 filtered, dropped = dp.drop_short_users(filtered)
 split = dp.chronological_split(filtered)
-stats = dp.compute_stats(filtered)
+stats = dp.dataset_stats(split)
 print(f"split: {split.n_users} users; dropped {dropped} too-short users")
 print(f"stats: avg {stats.avg_length:.2f} interactions per user")
 u = 0
-print(f"user 0 -> train={split.train[u]}, val={split.val[u]}, "
-      f"test={split.test[u]}")
+print(f"user 0 ({split.user_tokens[u]}) -> train={split.train[u]}, "
+      f"val={split.val[u]}, test={split.test[u]}")
 # rejoining the pieces reproduces the full chronological sequence
-assert len(split.train[u]) + 2 == sum(
-    1 for r in filtered.interactions
-    if filtered.user_index[r.user] == u)
+sequence = split.train[u] + [split.val[u], split.test[u]]
+assert [split.item_tokens[i] for i in sequence] == [
+    r.item for r in sorted(filtered, key=lambda r: r.timestamp)
+    if r.user == split.user_tokens[u]]
 
-# --- versioned snapshot ---------------------------------------------------
+# --- versioned snapshot: the writer derives the stats it stores -----------
 snap = raw.parent / "toy.snap"
-dp.save_snapshot(snap, split, stats, fingerprint="demo")
-reloaded, _, meta = dp.load_snapshot(snap)
-assert reloaded.train == split.train
+dp.save_snapshot(snap, split, fingerprint="demo")
+reloaded, meta = dp.load_snapshot(snap)
+assert reloaded == split
 print(f"snapshot round-trips; header line: "
       f"{snap.read_text().splitlines()[0]!r}")

@@ -63,12 +63,13 @@ def cmd_prepare(args) -> int:
     run = {"input": str(args.input), "min_count": args.min_count,
            "mode": args.mode, "delimiter": args.delimiter}
     fp = cfg.fingerprint(run)
-    dataset, stats, dropped = data_mod.prepare(
+    dataset, dropped = data_mod.prepare(
         args.input, threshold=args.min_count, mode=args.mode,
         delimiter=args.delimiter)
-    data_mod.save_snapshot(args.output, dataset, stats, fingerprint=fp,
+    data_mod.save_snapshot(args.output, dataset, fingerprint=fp,
                            extra={"dropped_short_users": dropped,
                                   "filter_mode": args.mode})
+    stats = data_mod.dataset_stats(dataset)
     print(f"users: {stats.n_users}")
     print(f"items: {stats.n_items}")
     print(f"interactions: {stats.n_interactions}")
@@ -96,7 +97,7 @@ def cmd_train(args) -> int:
 
     run_config, fp = _load_run(args)
     hyper = cfg.to_hyperparams(run_config)
-    dataset, _, _ = data_mod.load_snapshot(run_config["data"])
+    dataset, _ = data_mod.load_snapshot(run_config["data"])
     ckpt_path = args.out or run_config.get("checkpoint") or "model.ckpt"
     log_path = run_config.get("log")
     params, history = fit(dataset, hyper, log_path=log_path, fingerprint=fp)
@@ -121,7 +122,7 @@ def cmd_eval(args) -> int:
     from .model import load_checkpoint
 
     params, meta = load_checkpoint(args.checkpoint)
-    dataset, _, _ = data_mod.load_snapshot(args.data)
+    dataset, _ = data_mod.load_snapshot(args.data)
     run_config = cfg.resolve_config(meta.get("config") or {})
     if args.head:
         run_config["scoring_head"] = args.head
@@ -139,7 +140,7 @@ def cmd_ablate(args) -> int:
     from .verification import ablate
 
     base, _ = _load_run(args)
-    dataset, _, meta = data_mod.load_snapshot(base["data"])
+    dataset, meta = data_mod.load_snapshot(base["data"])
     results = ablate(dataset, base)
     print(f"data fingerprint: {meta.get('fingerprint', '')}")
     header = ("variant", "epochs", "hr5", "hr10", "ndcg5", "ndcg10", "config")

@@ -1,9 +1,13 @@
 """Interaction-log ingestion, minimum-count filtering, and leave-one-out splits.
 
 The pipeline is: ``load_interactions`` -> ``min_count_filter`` ->
-``drop_short_users`` -> ``chronological_split``. Every step returns a new
-immutable-ish value; nothing mutates its input. Dataset snapshots are
-versioned text files starting with the magic line ``MRGS-DATA-v1``.
+``drop_short_users`` -> ``chronological_split``. The first three take and
+return plain lists of ``RawInteraction`` records and never mutate their
+input; ``chronological_split`` assigns the contiguous user and item ids,
+once, on the final records. ``leave_one_out`` is the one split rule: the
+synthetic and verification generators call it too. Dataset snapshots are
+versioned text files starting with the magic line ``MRGS-DATA-v1``; their
+``stats`` are what ``dataset_stats`` derives from the dataset.
 """
 
 from __future__ import annotations
@@ -28,27 +32,6 @@ class RawInteraction:
 
 
 @dataclass
-class InteractionLog:
-    """Ordered interaction records plus contiguous user/item index maps."""
-
-    interactions: list[RawInteraction]
-    user_index: dict[str, int]
-    item_index: dict[str, int]
-
-    @property
-    def n_users(self) -> int:
-        return len(self.user_index)
-
-    @property
-    def n_items(self) -> int:
-        return len(self.item_index)
-
-    @property
-    def n_interactions(self) -> int:
-        return len(self.interactions)
-
-
-@dataclass
 class DatasetStats:
     n_users: int
     n_items: int
@@ -56,11 +39,12 @@ class DatasetStats:
     avg_length: float
 
 
-def _per(count: str, ids_below: str = "", nested: bool = False, **kwargs):
-    """A list field with one entry per ``count``: with ``ids_below``, an item
-    id below that count, or with ``nested`` a non-empty list of them."""
-    return field(metadata={"per": count, "ids_below": ids_below,
-                           "nested": nested}, **kwargs)
+def _per(count: str, entries: str | type, nested: bool = False, **kwargs):
+    """A list field with one entry per ``count``: each an item id below the
+    count named by ``entries``, or a token when ``entries`` is ``str``; with
+    ``nested``, a non-empty list of them."""
+    return field(metadata={"per": count, "entries": entries, "nested": nested},
+                 **kwargs)
 
 
 @dataclass
@@ -75,23 +59,19 @@ class SplitDataset:
     train: list[list[int]] = _per("n_users", "n_items", nested=True)
     val: list[int] = _per("n_users", "n_items")
     test: list[int] = _per("n_users", "n_items")
-    user_tokens: list[str] = _per("n_users", default_factory=list)
-    item_tokens: list[str] = _per("n_items", default_factory=list)
+    user_tokens: list[str] = _per("n_users", str, default_factory=list)
+    item_tokens: list[str] = _per("n_items", str, default_factory=list)
 
 
-def _index_tokens(interactions: list[RawInteraction]) -> InteractionLog:
-    """Assign contiguous ids in first-appearance order."""
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    for rec in interactions:
-        if rec.user not in user_index:
-            user_index[rec.user] = len(user_index)
-        if rec.item not in item_index:
-            item_index[rec.item] = len(item_index)
-    return InteractionLog(interactions, user_index, item_index)
+def dataset_stats(dataset: SplitDataset) -> DatasetStats:
+    """The counts a dataset implies: each user's train sequence plus its two
+    held-out items."""
+    n = sum(len(seq) + 2 for seq in dataset.train)
+    return DatasetStats(dataset.n_users, dataset.n_items, n, n / dataset.n_users)
 
 
-def load_interactions(path: str | Path, delimiter: str | None = None) -> InteractionLog:
+def load_interactions(path: str | Path, delimiter: str | None = None
+                      ) -> list[RawInteraction]:
     """Parse a delimited text file of (user, item, timestamp) records.
 
     ``delimiter=None`` splits on any whitespace. Four-column records
@@ -108,13 +88,10 @@ def load_interactions(path: str | Path, delimiter: str | None = None) -> Interac
                 if not line:
                     continue
                 fields = line.split(delimiter)
-                if len(fields) == 3:
-                    user, item, ts_text = fields
-                elif len(fields) == 4:
-                    user, item, _rating, ts_text = fields
-                else:
+                if len(fields) not in (3, 4):
                     raise ParseError(
                         f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
+                user, item, ts_text = fields[0], fields[1], fields[-1]
                 if not user or not item:
                     raise ParseError(f"{path}:{lineno}: empty user or item token")
                 try:
@@ -129,23 +106,22 @@ def load_interactions(path: str | Path, delimiter: str | None = None) -> Interac
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not interactions:
         raise DataError(f"{path}: no interactions found")
-    return _index_tokens(interactions)
+    return interactions
 
 
-def min_count_filter(log: InteractionLog, threshold: int,
-                     mode: str = FILTER_MODES[0]) -> InteractionLog:
+def min_count_filter(records: list[RawInteraction], threshold: int,
+                     mode: str = FILTER_MODES[0]) -> list[RawInteraction]:
     """Drop users and items with fewer than ``threshold`` interactions.
 
     ``mode="fixpoint"`` repeats the sweep until stable (removals can push
     other entities under the threshold); ``mode="single_pass"`` applies one
-    simultaneous sweep against the original counts. Surviving indices are
-    re-compacted in first-appearance order.
+    simultaneous sweep against the original counts. Surviving records keep
+    their order.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
-    records = log.interactions
     while True:
         user_counts: dict[str, int] = {}
         item_counts: dict[str, int] = {}
@@ -155,97 +131,87 @@ def min_count_filter(log: InteractionLog, threshold: int,
         kept = [rec for rec in records
                 if user_counts[rec.user] >= threshold
                 and item_counts[rec.item] >= threshold]
-        stable = len(kept) == len(records)
-        records = kept
-        if not records:
+        if not kept:
             raise DataError(f"no interactions survive threshold {threshold}")
-        if stable or mode == "single_pass":
-            break
-    return _index_tokens(records)
+        if len(kept) == len(records) or mode == "single_pass":
+            return kept
+        records = kept
 
 
-def drop_short_users(log: InteractionLog) -> tuple[InteractionLog, int]:
+def drop_short_users(records: list[RawInteraction]
+                     ) -> tuple[list[RawInteraction], int]:
     """Remove users too short to supply validation and test targets.
 
-    Returns the compacted log and the number of dropped users.
+    Returns the kept records and the number of dropped users.
     """
     counts: dict[str, int] = {}
-    for rec in log.interactions:
+    for rec in records:
         counts[rec.user] = counts.get(rec.user, 0) + 1
     dropped = sum(1 for n in counts.values() if n < MIN_USER_LENGTH)
-    if dropped == 0:
-        return log, 0
-    kept = [rec for rec in log.interactions if counts[rec.user] >= MIN_USER_LENGTH]
+    kept = [rec for rec in records if counts[rec.user] >= MIN_USER_LENGTH]
     if not kept:
         raise DataError(f"no users have >= {MIN_USER_LENGTH} interactions")
-    return _index_tokens(kept), dropped
+    return kept, dropped
 
 
-def chronological_split(log: InteractionLog) -> SplitDataset:
-    """Sort each user's sequence by timestamp (stable on record order) and
-    peel off the last item as test target, the second-to-last as validation.
+def leave_one_out(sequences: list[list[int]], n_items: int,
+                  user_tokens: list[str] | None = None,
+                  item_tokens: list[str] | None = None) -> SplitDataset:
+    """Split each user's chronological item sequence: the last item is the
+    test target, the one before it the validation target, the rest train.
 
-    Every user needs ``MIN_USER_LENGTH`` interactions; see ``drop_short_users``.
+    Every user needs ``MIN_USER_LENGTH`` items (else DataError naming the
+    user). Tokens default to ``u{i}`` / ``i{i}``.
     """
-    per_user: list[list[tuple[int, int]]] = [[] for _ in range(log.n_users)]
-    for rec in log.interactions:
-        u = log.user_index[rec.user]
-        per_user[u].append((rec.timestamp, log.item_index[rec.item]))
-    train: list[list[int]] = []
-    val: list[int] = []
-    test: list[int] = []
-    for u, events in enumerate(per_user):
-        if len(events) < MIN_USER_LENGTH:
-            raise DataError(f"user id {u} has {len(events)} interactions; "
+    for u, seq in enumerate(sequences):
+        if len(seq) < MIN_USER_LENGTH:
+            raise DataError(f"user id {u} has {len(seq)} interactions; "
                             f"need >= {MIN_USER_LENGTH} to split")
-        events.sort(key=lambda pair: pair[0])  # stable: ties keep record order
-        items = [item for _, item in events]
-        train.append(items[:-2])
-        val.append(items[-2])
-        test.append(items[-1])
-    user_tokens = sorted(log.user_index, key=log.user_index.get)
-    item_tokens = sorted(log.item_index, key=log.item_index.get)
-    return SplitDataset(log.n_users, log.n_items, train, val, test,
-                        user_tokens, item_tokens)
+    n_users = len(sequences)
+    return SplitDataset(
+        n_users, n_items, [seq[:-2] for seq in sequences],
+        [seq[-2] for seq in sequences], [seq[-1] for seq in sequences],
+        [f"u{i}" for i in range(n_users)] if user_tokens is None else user_tokens,
+        [f"i{i}" for i in range(n_items)] if item_tokens is None else item_tokens)
 
 
-def compute_stats(log: InteractionLog) -> DatasetStats:
-    if log.n_interactions == 0:
-        raise DataError("cannot compute stats of an empty log")
-    return DatasetStats(
-        n_users=log.n_users,
-        n_items=log.n_items,
-        n_interactions=log.n_interactions,
-        avg_length=log.n_interactions / log.n_users,
-    )
+def chronological_split(records: list[RawInteraction]) -> SplitDataset:
+    """Assign contiguous ids in first-appearance order, sort each user's
+    sequence by timestamp (stable on record order) and split it by
+    ``leave_one_out``; see ``drop_short_users`` for users too short to split.
+    """
+    items: dict[str, int] = {}
+    per_user: dict[str, list[tuple[int, int]]] = {}
+    for rec in records:
+        per_user.setdefault(rec.user, []).append(
+            (rec.timestamp, items.setdefault(rec.item, len(items))))
+    sequences = [[item for _, item in sorted(events, key=lambda pair: pair[0])]
+                 for events in per_user.values()]
+    return leave_one_out(sequences, len(items), list(per_user), list(items))
 
 
-def save_snapshot(path: str | Path, dataset: SplitDataset, stats: DatasetStats,
-                  fingerprint: str, extra: dict | None = None) -> None:
-    """Write a dataset snapshot that passes the reader's rule (else ParseError,
-    and nothing is written); reruns with identical inputs are byte-identical."""
-    payload = {**asdict(dataset), "stats": asdict(stats),
-               "fingerprint": fingerprint}
+def save_snapshot(path: str | Path, dataset: SplitDataset, fingerprint: str,
+                  extra: dict | None = None) -> None:
+    """Write a dataset snapshot with the stats the dataset implies. A dataset
+    the reader's rule rejects raises ParseError, and nothing is written;
+    reruns with identical inputs are byte-identical."""
+    payload = {**asdict(dataset), "fingerprint": fingerprint}
     if extra:
         payload["extra"] = extra
-    _check_payload(path, payload)
+    payload["stats"] = asdict(dataset_stats(_checked_dataset(path, payload)))
     text = SNAPSHOT_MAGIC + "\n" + json.dumps(
         payload, sort_keys=True, separators=(",", ":")) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _check_payload(path, payload) -> None:
-    """Reject a snapshot payload that would load only partly or break later:
-    a ``SplitDataset`` or ``DatasetStats`` field missing, a value that breaks
-    its field's rule (counts, declared first, are positive integers), or
-    stats that differ from the dataset's own counts (each user's train
-    sequence plus its two held-out items)."""
+def _checked_dataset(path, payload) -> SplitDataset:
+    """The ``SplitDataset`` a snapshot payload holds, or ParseError when it
+    would load only partly or break later: a field missing, or a value that
+    breaks its field's rule (counts, declared first, are positive integers;
+    ids are integers below their count; tokens are strings)."""
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: snapshot payload is not a JSON object")
-    stats = payload.get("stats")
-    missing = sorted({f.name for f in fields(SplitDataset)} - payload.keys()) + [
-        f"stats.{f.name}" for f in fields(DatasetStats)
-        if not isinstance(stats, dict) or f.name not in stats]
+    missing = sorted({f.name for f in fields(SplitDataset)} - payload.keys())
     if missing:
         raise ParseError(f"{path}: snapshot is missing keys {missing}")
     for f in fields(SplitDataset):
@@ -261,23 +227,22 @@ def _check_payload(path, payload) -> None:
             if not all(isinstance(seq, list) and seq for seq in value):
                 raise ParseError(f"{path}: {f.name!r} entries must be non-empty lists")
             value = [i for seq in value for i in seq]
-        bound = rule["ids_below"] and payload[rule["ids_below"]]
-        if bound and not all(type(i) is int and 0 <= i < bound for i in value):
+        if rule["entries"] is str:
+            if not all(type(token) is str for token in value):
+                raise ParseError(f"{path}: {f.name!r} entries must be strings")
+            continue
+        bound = payload[rule["entries"]]
+        if not all(type(i) is int and 0 <= i < bound for i in value):
             raise ParseError(f"{path}: item ids must be integers in [0, {bound})")
-    n = sum(len(seq) + 2 for seq in payload["train"])
-    implied = asdict(DatasetStats(payload["n_users"], payload["n_items"], n,
-                                  n / payload["n_users"]))
-    if any(type(stats[k]) is not type(v) or stats[k] != v
-           for k, v in implied.items()):
-        raise ParseError(f"{path}: stats must be {implied}, what the dataset "
-                         "implies")
+    return SplitDataset(**{f.name: payload[f.name] for f in fields(SplitDataset)})
 
 
-def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:
-    """Read a snapshot written by ``save_snapshot``; returns (dataset, stats, meta).
+def load_snapshot(path: str | Path) -> tuple[SplitDataset, dict]:
+    """Read a snapshot written by ``save_snapshot``; returns (dataset, meta).
 
-    The payload is validated whole before anything is built from it; a
-    malformed one raises ParseError. Unknown keys are ignored.
+    The payload is validated whole before anything is built from it: a
+    dataset that breaks the writer's rule, or ``stats`` other than what it
+    implies (with exact types), raise ParseError. Unknown keys are ignored.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -287,23 +252,24 @@ def load_snapshot(path: str | Path) -> tuple[SplitDataset, DatasetStats, dict]:
         payload = json.loads(body)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: not UTF-8 JSON text ({exc})") from exc
-    _check_payload(path, payload)
-    dataset = SplitDataset(**{f.name: payload[f.name] for f in fields(SplitDataset)})
-    stats = DatasetStats(**{f.name: payload["stats"][f.name]
-                            for f in fields(DatasetStats)})
-    meta = {key: payload.get(key) for key in ("fingerprint", "extra")}
-    return dataset, stats, meta
+    dataset = _checked_dataset(path, payload)
+    implied, stats = asdict(dataset_stats(dataset)), payload.get("stats")
+    if not isinstance(stats, dict) or any(
+            type(stats.get(k)) is not type(v) or stats[k] != v
+            for k, v in implied.items()):
+        raise ParseError(f"{path}: stats must be {implied}, what the dataset "
+                         "implies")
+    return dataset, {key: payload.get(key) for key in ("fingerprint", "extra")}
 
 
 def prepare(path: str | Path, threshold: int = MIN_COUNT,
             mode: str = FILTER_MODES[0], delimiter: str | None = None
-            ) -> tuple[SplitDataset, DatasetStats, int]:
+            ) -> tuple[SplitDataset, int]:
     """Full preprocessing pipeline: load, filter, drop short users, split.
 
-    Returns (split dataset, post-filter stats, dropped-short-user count).
+    Returns (split dataset, dropped-short-user count).
     """
-    log = load_interactions(path, delimiter=delimiter)
-    log = min_count_filter(log, threshold, mode=mode)
-    log, dropped = drop_short_users(log)
-    stats = compute_stats(log)
-    return chronological_split(log), stats, dropped
+    records = load_interactions(path, delimiter=delimiter)
+    records = min_count_filter(records, threshold, mode=mode)
+    records, dropped = drop_short_users(records)
+    return chronological_split(records), dropped

@@ -106,8 +106,10 @@ def total_loss(components: dict[str, ad.Tensor | None],
                weights: LossWeights) -> ad.Tensor:
     """Weighted sum alpha*local + beta*global + gamma*fused + delta*contrastive.
 
-    Zero-weighted components are skipped entirely (no gradient dependence);
-    a NaN component aborts with its name.
+    Zero-weighted components are skipped entirely (no gradient dependence).
+    A total that is not finite raises NumericError with every component's
+    value, naming the ones that are not finite (none when finite components
+    overflow the weighted sum).
     """
     pairs = (("local", weights.alpha), ("global", weights.beta),
              ("fused", weights.gamma), ("contrastive", weights.delta))
@@ -118,8 +120,16 @@ def total_loss(components: dict[str, ad.Tensor | None],
         term = components.get(name)
         if term is None:
             raise ValueError(f"{name} loss has weight {weight} but was not computed")
-        if not np.isfinite(term.data):
-            raise NumericError(f"{name} loss is not finite")
         weighted = ad.mul(term, weight) if weight != 1.0 else term
         total = weighted if total is None else ad.add(total, weighted)
-    return total if total is not None else ad.Tensor(0.0)
+    if total is None:
+        return ad.Tensor(0.0)
+    if not np.isfinite(total.data):
+        values = {name: None if components.get(name) is None
+                  else float(components[name].data) for name, _ in pairs}
+        bad = [name for name, v in values.items()
+               if v is not None and not np.isfinite(v)]
+        raise NumericError(f"total loss is {float(total.data)}; not finite: "
+                           f"{', '.join(bad) or 'no component'}; "
+                           f"components: {values}")
+    return total

@@ -3,6 +3,7 @@ and the checkpoint format."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import struct
@@ -176,32 +177,35 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
 
     Layout: the ``CHECKPOINT_MAGIC`` line, the header length as a
     little-endian u64, the sorted-key JSON header (``meta`` with the model
-    header under ``"model"``, and each block's name and shape), then each
-    block's little-endian float64 values, row-major, in ``params.named()``
-    order.
+    header under ``"model"``, each block's name and shape, and the sha256 of
+    all block bytes), then each block's little-endian float64 values,
+    row-major, in ``params.named()`` order.
     """
     t = params.tables
     meta = {**meta, "model": {"n_users": t.n_users, "n_items": t.n_items,
                               "c": t.c, **asdict(params.seq_config)}}
     named = params.named()
+    blocks = b"".join(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
+                      for tensor in named.values())
     header = json.dumps(
         {"meta": meta, "arrays": [{"name": name, "shape": list(tensor.shape)}
-                                  for name, tensor in named.items()]},
+                                  for name, tensor in named.items()],
+         "sha256": hashlib.sha256(blocks).hexdigest()},
         sort_keys=True, separators=(",", ":")).encode("utf-8")
     with Path(path).open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for tensor in named.values():
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+        fh.write(blocks)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Rebuild the model a checkpoint describes; returns (params, meta).
 
     The header's (name, shape) block list must equal the rebuilt model's,
-    and the file must hold exactly the bytes that list describes; anything
-    else raises ParseError before a single block is copied.
+    the file must hold exactly the bytes that list describes, and their
+    sha256 must equal the header's (files written before the checksum have
+    none); anything else raises ParseError before a single block is copied.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -229,6 +233,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     size = offset + 8 * sum(tensor.data.size for tensor in named.values())
     if len(raw) != size:
         raise ParseError(f"{path}: {len(raw)} bytes, header describes {size}")
+    if ("sha256" in header and header["sha256"]
+            != hashlib.sha256(memoryview(raw)[offset:]).hexdigest()):
+        raise ParseError(f"{path}: block bytes do not match the header's sha256")
     for tensor in named.values():
         tensor.data[...] = np.frombuffer(raw, "<f8", tensor.data.size,
                                          offset).reshape(tensor.shape)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SplitDataset
+from .data import SplitDataset, leave_one_out
+
+PREFERRED_WEIGHTS = (0.5, 0.3, 0.2)  # primary, secondary, tertiary cluster
 
 
 def generate_clustered_markov(n_users: int = 600, n_items: int = 240,
@@ -25,20 +27,25 @@ def generate_clustered_markov(n_users: int = 600, n_items: int = 240,
     Each step: with ``p_switch`` jump to a random item of one of the user's
     preferred clusters (weighted toward the primary); otherwise stay in the
     current cluster and take the chain-next item with ``p_chain`` or a
-    uniform cluster item.
+    uniform cluster item. ``n_preferred`` is at most
+    ``len(PREFERRED_WEIGHTS)``; a ``min_len`` below ``MIN_USER_LENGTH``
+    raises DataError when a user that short is drawn.
     """
     if n_items % n_clusters != 0:
         raise ValueError("n_items must be divisible by n_clusters")
     if n_preferred > n_clusters:
         raise ValueError("n_preferred cannot exceed n_clusters")
+    if n_preferred > len(PREFERRED_WEIGHTS):
+        raise ValueError(f"n_preferred must be <= {len(PREFERRED_WEIGHTS)}, "
+                         "the number of preferred-cluster weights")
     cluster_size = n_items // n_clusters
-    pref_weights = np.array([0.5, 0.3, 0.2][:n_preferred], dtype=np.float64)
+    pref_weights = np.array(PREFERRED_WEIGHTS[:n_preferred], dtype=np.float64)
     # rng.choice(n_preferred, p=<normalised pref_weights>) builds this cdf on
     # every call and searches it with one rng.random(): same index and state.
     pref_cdf = (pref_weights / pref_weights.sum()).cumsum()
     pref_cdf /= pref_cdf[-1]
     rng = np.random.Generator(np.random.PCG64(seed))
-    train, val, test = [], [], []
+    sequences = []
     for _ in range(n_users):
         preferred = rng.choice(n_clusters, size=n_preferred, replace=False)
         length = int(rng.integers(min_len, max_len + 1))
@@ -56,13 +63,8 @@ def generate_clustered_markov(n_users: int = 600, n_items: int = 240,
             else:
                 item = base + int(rng.integers(cluster_size))
             seq.append(item)
-        train.append(seq[:-2])
-        val.append(seq[-2])
-        test.append(seq[-1])
-    return SplitDataset(
-        n_users=n_users, n_items=n_items, train=train, val=val, test=test,
-        user_tokens=[f"u{i}" for i in range(n_users)],
-        item_tokens=[f"i{i}" for i in range(n_items)])
+        sequences.append(seq)
+    return leave_one_out(sequences, n_items)
 
 
 def popularity_hr_at_k(dataset: SplitDataset, k: int = 10) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import SplitDataset
 from .embeddings import EmbeddingTables, SequenceBatch, build_batch
-from .errors import DataError, NumericError
+from .errors import DataError
 from .evaluation import evaluate
 from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
                     interaction_matrix, node_positions)
@@ -283,11 +283,6 @@ def train_step(batch_examples: list[TrainExample], params: ModelParams,
     components, loss = step_losses(
         params, adjacency, hyper, batch_examples, batch, targets, negatives,
         train_mode=True, rng=rng)
-    if not np.isfinite(loss.data):
-        raise NumericError(
-            "total loss is not finite; components: "
-            + json.dumps({k: (None if v is None else float(v.data))
-                          for k, v in components.items()}))
     params.zero_grad()
     loss.backward()
     if params.tables.item.grad is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import fingerprint, to_hyperparams
-from .data import SplitDataset
+from .data import SplitDataset, leave_one_out
 from .embeddings import EmbeddingTables, build_batch, init_tables
 from .errors import ParseError
 from .evaluation import MetricsReport, evaluate, hr_at_k, ndcg_at_k, rank_targets
@@ -47,16 +47,11 @@ ABLATION_RUN = {
 def random_dataset(m: int, n: int, seed: int,
                    min_len: int = 4, max_len: int = 9) -> SplitDataset:
     rng = np.random.Generator(np.random.PCG64(seed))
-    train, val, test = [], [], []
+    sequences = []
     for _ in range(m):
         length = int(rng.integers(min_len, max_len + 1))
-        seq = rng.integers(0, n, size=length).tolist()
-        train.append(seq[:-2])
-        val.append(seq[-2])
-        test.append(seq[-1])
-    return SplitDataset(m, n, train, val, test,
-                        [f"u{i}" for i in range(m)],
-                        [f"i{i}" for i in range(n)])
+        sequences.append(rng.integers(0, n, size=length).tolist())
+    return leave_one_out(sequences, n)
 
 
 def make_gradient_instance(d: int = 8, c: int = 5, m: int = 7, n: int = 11,

@@ -1,5 +1,9 @@
-"""Checkpoint format: round trip, magic line, and a pinned earlier file."""
+"""Checkpoint format: round trip, magic line, and pinned files from before
+and after the block checksum."""
 
+import hashlib
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,9 @@ from mrgsrec.seqenc import SeqEncoderConfig
 # mrgsrec.embeddings (save_arrays / load_arrays), from the model and meta
 # that fixture_model() and FIXTURE_META rebuild below.
 FIXTURE = Path(__file__).parent / "fixtures" / "tiny_v1.ckpt"
+# The same model and meta as save_checkpoint writes them now: the header
+# also holds the sha256 of the block bytes.
+CHECKSUMMED = Path(__file__).parent / "fixtures" / "tiny_v1_sha256.ckpt"
 FIXTURE_META = {
     "fingerprint": "0f1e2d3c4b5a6978", "seed": 3, "epochs_run": 0,
     "config": {"window_length": 3, "embedding_dim": 4, "encoder_layers": 1,
@@ -30,6 +37,17 @@ def fixture_model():
         tensor.data[...] = ((size // 2 - np.arange(size)) * 0.1
                             + i).reshape(tensor.shape)
     return params
+
+
+def header(path):
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, len(b"MRGS-CKPT-v1\n"))
+    start = len(b"MRGS-CKPT-v1\n") + 8
+    return json.loads(raw[start:start + length])
+
+
+def blocks_size(path):
+    return sum(8 * int(np.prod(entry["shape"])) for entry in header(path)["arrays"])
 
 
 class TestCheckpointIO:
@@ -73,9 +91,21 @@ class TestEarlierFixture:
         assert params.seq_config == expected.seq_config
 
     def test_resaves_byte_for_byte(self, tmp_path):
+        # Re-saving adds only the checksum: the same blocks, the same meta.
         params, meta = load_checkpoint(FIXTURE)
         path = tmp_path / "again.ckpt"
         save_checkpoint(path, params, meta)
-        assert path.read_bytes() == FIXTURE.read_bytes()
+        assert path.read_bytes() == CHECKSUMMED.read_bytes()
         save_checkpoint(path, fixture_model(), FIXTURE_META)
-        assert path.read_bytes() == FIXTURE.read_bytes()
+        assert path.read_bytes() == CHECKSUMMED.read_bytes()
+        assert header(FIXTURE).keys() == {"meta", "arrays"}
+        blocks = FIXTURE.read_bytes()[-blocks_size(FIXTURE):]
+        assert header(CHECKSUMMED) == {
+            **header(FIXTURE), "sha256": hashlib.sha256(blocks).hexdigest()}
+
+    def test_checksummed_fixture_loads(self):
+        params, meta = load_checkpoint(CHECKSUMMED)
+        assert meta == load_checkpoint(FIXTURE)[1]
+        for name, tensor in fixture_model().named().items():
+            np.testing.assert_array_equal(params.named()[name].data,
+                                          tensor.data)

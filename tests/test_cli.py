@@ -109,7 +109,7 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config),
                          "--out", str(ckpt)]) == 0
         params, meta = load_checkpoint(ckpt)
-        dataset, _, _ = dp.load_snapshot(snapshot)
+        dataset, _ = dp.load_snapshot(snapshot)
         fresh = init_model(dataset.n_users, dataset.n_items, 4,
                            params.seq_config, seed=1)
         for name, tensor in fresh.named().items():
@@ -257,6 +257,13 @@ def corrupt_reordered_blocks(path):
     rewrite_checkpoint(path, change)
 
 
+def corrupt_float_byte(path):
+    def change(header, blobs):  # one value changes, and every byte still parses
+        i = block_index(header, "tables.user")
+        blobs[i] = blobs[i][:5] + bytes([blobs[i][5] ^ 0x10]) + blobs[i][6:]
+    rewrite_checkpoint(path, change)
+
+
 def corrupt_unreadable_header(path):
     raw = bytearray(path.read_bytes())
     raw[len(b"MRGS-CKPT-v1\n") + 8] = ord("[")  # '{' -> '[': invalid JSON
@@ -274,7 +281,7 @@ def corrupt_trailing_bytes(path):
 @pytest.mark.parametrize("corrupt", [
     corrupt_missing_block, corrupt_block_shape, corrupt_truncate,
     corrupt_trailing_bytes, corrupt_repeated_block_name, corrupt_negative_shape,
-    corrupt_reordered_blocks, corrupt_unreadable_header])
+    corrupt_reordered_blocks, corrupt_unreadable_header, corrupt_float_byte])
 def test_damaged_checkpoint_rejected_exit_code_2(tmp_path, snapshot, corrupt):
     ckpt = tmp_path / "model.ckpt"
     config = tiny_config(tmp_path, snapshot, max_epochs=0)
@@ -297,7 +304,9 @@ def rewrite_payload(path, change):
     lambda p: p["train"][0].append(999),
     lambda p: p["val"].pop(),
     lambda p: p["train"][0].clear(),
-], ids=["missing_val", "item_out_of_range", "short_val", "empty_train"])
+    lambda p: p["user_tokens"].__setitem__(slice(0, 3), [1, None, {"a": 2}]),
+], ids=["missing_val", "item_out_of_range", "short_val", "empty_train",
+        "non_string_tokens"])
 def test_damaged_snapshot_rejected_exit_code_2(tmp_path, snapshot, change):
     rewrite_payload(snapshot, change)
     with pytest.raises(ParseError):
@@ -355,7 +364,7 @@ def test_unreadable_input_exits_cleanly(tmp_path, snapshot, argv, code):
 def test_eval_takes_window_length_from_the_model(tmp_path, snapshot):
     # No config in the meta: c comes from the positional table, not the
     # default 50, and evaluate never reads hyper.c.
-    dataset, _, _ = dp.load_snapshot(snapshot)
+    dataset, _ = dp.load_snapshot(snapshot)
     params = init_model(dataset.n_users, dataset.n_items, 4,
                         SeqEncoderConfig(d=8), seed=0)
     ckpt = tmp_path / "model.ckpt"

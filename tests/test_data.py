@@ -1,6 +1,5 @@
 """Data pipeline: parsing, filtering to a fixpoint, splitting, snapshots."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -30,21 +29,28 @@ def random_records(n_users, n_items, n_rows, seed):
 
 
 def log_from_records(records):
-    return dp._index_tokens(
-        [dp.RawInteraction(u, i, t) for u, i, t in records])
+    return [dp.RawInteraction(u, i, t) for u, i, t in records]
+
+
+def as_tuples(records):
+    return [(r.user, r.item, r.timestamp) for r in records]
 
 
 class TestLoad:
     def test_three_line_example(self, tmp_path):
         path = write_log(tmp_path, ["u1 i1 10", "u1 i2 20", "u2 i1 15"])
         log = dp.load_interactions(path)
-        assert (log.n_users, log.n_items, log.n_interactions) == (2, 2, 3)
+        assert as_tuples(log) == [("u1", "i1", 10), ("u1", "i2", 20),
+                                  ("u2", "i1", 15)]
 
     def test_first_appearance_indexing(self, tmp_path):
-        path = write_log(tmp_path, ["b x 1", "a y 2", "b z 3"])
-        log = dp.load_interactions(path)
-        assert log.user_index == {"b": 0, "a": 1}
-        assert log.item_index == {"x": 0, "y": 1, "z": 2}
+        path = write_log(tmp_path, ["b x 1", "a y 2", "b z 3", "a x 4",
+                                    "b y 5", "a z 6"])
+        split = dp.chronological_split(dp.load_interactions(path))
+        assert split.user_tokens == ["b", "a"]
+        assert split.item_tokens == ["x", "y", "z"]
+        assert (split.train, split.val, split.test) == ([[0], [1]], [2, 0],
+                                                        [1, 2])
 
     def test_missing_timestamp_reports_line(self, tmp_path):
         path = write_log(tmp_path, ["u1 i1 10", "u1 i1"])
@@ -60,7 +66,7 @@ class TestLoad:
         path = write_log(tmp_path, ["u1,i1,5.0,10", "u2,i1,1.0,20"],
                          name="r.csv")
         log = dp.load_interactions(path, delimiter=",")
-        assert log.n_interactions == 2
+        assert as_tuples(log) == [("u1", "i1", 10), ("u2", "i1", 20)]
 
     def test_empty_file_raises(self, tmp_path):
         path = write_log(tmp_path, [""])
@@ -99,16 +105,14 @@ class TestFilter:
                     ("u3", "ib", 17), ("u3", "ib", 18), ("u3", "ib", 19)]
         log = log_from_records(records)
         filtered = dp.min_count_filter(log, 5)
-        assert "u1" not in filtered.user_index
-        assert {"u2", "u3"} <= set(filtered.user_index)
+        assert {r.user for r in filtered} == {"u2", "u3"}
 
     def test_already_satisfying_unchanged(self):
         records = [("u1", "i1", 1), ("u1", "i1", 2), ("u2", "i1", 3),
                    ("u2", "i1", 4)]
         log = log_from_records(records)
         filtered = dp.min_count_filter(log, 2)
-        assert [(r.user, r.item, r.timestamp) for r in filtered.interactions] \
-            == records
+        assert as_tuples(filtered) == records
 
     def test_everything_removed_raises(self):
         log = log_from_records([("u1", "i1", 1)])
@@ -126,16 +130,14 @@ class TestFilter:
         log = log_from_records(records)
         expect = brute_force_filter(records, 3)
         got = dp.min_count_filter(log, 3)
-        assert [(r.user, r.item, r.timestamp) for r in got.interactions] \
-            == expect
+        assert as_tuples(got) == expect
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fixpoint_idempotent(self, seed):
         log = log_from_records(random_records(20, 15, 150, seed))
         once = dp.min_count_filter(log, 3)
         twice = dp.min_count_filter(once, 3)
-        assert once.interactions == twice.interactions
-        assert once.user_index == twice.user_index
+        assert once == twice
 
     def test_single_pass_differs_when_cascade_exists(self):
         # u1 dies on the first sweep; only then does i1 fall below the
@@ -148,16 +150,18 @@ class TestFilter:
         log = log_from_records(records)
         single = dp.min_count_filter(log, 3, mode="single_pass")
         fixed = dp.min_count_filter(log, 3, mode="fixpoint")
-        assert "i1" in single.item_index
-        assert "i1" not in fixed.item_index
+        assert "i1" in {r.item for r in single}
+        assert "i1" not in {r.item for r in fixed}
 
     def test_index_compaction_no_gaps(self):
         log = log_from_records(random_records(30, 20, 200, 9))
-        filtered = dp.min_count_filter(log, 3)
-        assert sorted(filtered.user_index.values()) == \
-            list(range(filtered.n_users))
-        assert sorted(filtered.item_index.values()) == \
-            list(range(filtered.n_items))
+        filtered, _ = dp.drop_short_users(dp.min_count_filter(log, 3))
+        split = dp.chronological_split(filtered)
+        ids = {i for seq in split.train for i in seq} | set(split.val) \
+            | set(split.test)
+        assert ids == set(range(split.n_items))
+        assert sorted(split.user_tokens) == sorted({r.user for r in filtered})
+        assert sorted(split.item_tokens) == sorted({r.item for r in filtered})
 
 
 def split_oracle(records):
@@ -185,13 +189,13 @@ class TestSplit:
     def test_timestamp_ties_keep_record_order(self):
         log = log_from_records([("u", "a", 5), ("u", "b", 5), ("u", "c", 5)])
         split = dp.chronological_split(log)
-        assert split.train[0] == [log.item_index["a"]]
-        assert split.val[0] == log.item_index["b"]
-        assert split.test[0] == log.item_index["c"]
+        assert split.train[0] == [split.item_tokens.index("a")]
+        assert split.val[0] == split.item_tokens.index("b")
+        assert split.test[0] == split.item_tokens.index("c")
 
     def test_short_user_raises(self):
         log = log_from_records([("u", "a", 1), ("u", "b", 2)])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="user id 0 has 2"):
             dp.chronological_split(log)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -199,39 +203,45 @@ class TestSplit:
         records = [r for r in random_records(20, 25, 300, seed)]
         log = log_from_records(records)
         log, _ = dp.drop_short_users(log)
-        kept = [(r.user, r.item, r.timestamp) for r in log.interactions]
         split = dp.chronological_split(log)
-        oracle = split_oracle(kept)
-        for token, u in log.user_index.items():
+        oracle = split_oracle(as_tuples(log))
+        assert split.user_tokens == list(oracle)
+        tokens = split.item_tokens
+        for u, token in enumerate(split.user_tokens):
             train_o, val_o, test_o = oracle[token]
-            assert split.train[u] == [log.item_index[i] for i in train_o]
-            assert split.val[u] == log.item_index[val_o]
-            assert split.test[u] == log.item_index[test_o]
+            assert [tokens[i] for i in split.train[u]] == train_o
+            assert tokens[split.val[u]] == val_o
+            assert tokens[split.test[u]] == test_o
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reconstruction_property(self, seed):
         log, _ = dp.drop_short_users(
             log_from_records(random_records(15, 20, 200, seed)))
         split = dp.chronological_split(log)
-        per_user = [[] for _ in range(log.n_users)]
-        for pos, rec in enumerate(log.interactions):
-            u = log.user_index[rec.user]
-            per_user[u].append((rec.timestamp, pos, log.item_index[rec.item]))
-        for u in range(log.n_users):
-            per_user[u].sort(key=lambda r: (r[0], r[1]))
-            full = [i for _, _, i in per_user[u]]
-            assert split.train[u] + [split.val[u], split.test[u]] == full
+        per_user = {}
+        for pos, rec in enumerate(log):
+            per_user.setdefault(rec.user, []).append(
+                (rec.timestamp, pos, rec.item))
+        assert len(per_user) == split.n_users
+        for u, token in enumerate(split.user_tokens):
+            full = [i for _, _, i in sorted(per_user[token])]
+            assert [split.item_tokens[i] for i in
+                    split.train[u] + [split.val[u], split.test[u]]] == full
 
 
 class TestStats:
     def test_single_interaction(self):
-        stats = dp.compute_stats(log_from_records([("u", "i", 0)]))
+        stats = dp.dataset_stats(dp.SplitDataset(1, 3, [[0]], [1], [2]))
         assert (stats.n_users, stats.n_items, stats.n_interactions,
-                stats.avg_length) == (1, 1, 1, 1.0)
+                stats.avg_length) == (1, 3, 3, 3.0)
 
     def test_consistency_identity(self):
-        log = log_from_records(random_records(12, 9, 123, 3))
-        stats = dp.compute_stats(log)
+        log, _ = dp.drop_short_users(
+            log_from_records(random_records(12, 9, 123, 3)))
+        stats = dp.dataset_stats(dp.chronological_split(log))
+        assert stats.n_interactions == len(log)
+        assert stats.n_users == len({r.user for r in log})
+        assert stats.n_items == len({r.item for r in log})
         assert abs(stats.avg_length * stats.n_users - stats.n_interactions) \
             <= 1e-9 * stats.n_interactions
 
@@ -247,7 +257,7 @@ def test_filter_postcondition_property(rows):
     except DataError:
         return
     counts_u, counts_i = {}, {}
-    for rec in filtered.interactions:
+    for rec in filtered:
         counts_u[rec.user] = counts_u.get(rec.user, 0) + 1
         counts_i[rec.item] = counts_i.get(rec.item, 0) + 1
     assert all(n >= 2 for n in counts_u.values())
@@ -269,17 +279,15 @@ class TestSnapshot:
         log, _ = dp.drop_short_users(
             log_from_records(random_records(10, 12, 120, 5)))
         split = dp.chronological_split(log)
-        stats = dp.compute_stats(log)
         p1, p2 = tmp_path / "a.snap", tmp_path / "b.snap"
-        dp.save_snapshot(p1, split, stats, fingerprint="fp")
-        dp.save_snapshot(p2, split, stats, fingerprint="fp")
+        dp.save_snapshot(p1, split, fingerprint="fp")
+        dp.save_snapshot(p2, split, fingerprint="fp")
         assert hashlib.sha256(p1.read_bytes()).hexdigest() == \
             hashlib.sha256(p2.read_bytes()).hexdigest()
-        loaded, lstats, meta = dp.load_snapshot(p1)
-        assert loaded.train == split.train
-        assert loaded.val == split.val
-        assert loaded.test == split.test
-        assert lstats.n_interactions == stats.n_interactions
+        loaded, meta = dp.load_snapshot(p1)
+        assert loaded == split
+        written = json.loads(p1.read_text(encoding="utf-8").partition("\n")[2])
+        assert written["stats"]["n_interactions"] == len(log)
         assert meta["fingerprint"] == "fp"
 
     def test_magic_header_checked(self, tmp_path):
@@ -291,15 +299,15 @@ class TestSnapshot:
     def test_earlier_format_with_seed_key_loads(self, tmp_path):
         path = tmp_path / "earlier.snap"
         path.write_text(EARLIER_SNAPSHOT, encoding="utf-8")
-        dataset, stats, meta = dp.load_snapshot(path)
+        dataset, meta = dp.load_snapshot(path)
         assert dataset == dp.SplitDataset(
             3, 4, [[0], [1, 2], [2, 3, 0]], [1, 3, 1], [2, 0, 2],
             ["user0", "user1", "user2"], ["item0", "item1", "item2", "item3"])
-        assert stats == dp.DatasetStats(3, 4, 12, 4.0)
+        assert dp.dataset_stats(dataset) == dp.DatasetStats(3, 4, 12, 4.0)
         assert meta == {"fingerprint": "0123456789abcdef", "extra": {
             "dropped_short_users": 0, "filter_mode": "fixpoint"}}
         again = tmp_path / "again.snap"
-        dp.save_snapshot(again, dataset, stats, **meta)
+        dp.save_snapshot(again, dataset, **meta)
         assert again.read_text(encoding="utf-8") == \
             EARLIER_SNAPSHOT.replace('"seed":3,', "")
 
@@ -311,8 +319,7 @@ class TestSnapshot:
     def test_save_refuses_what_load_rejects(self, tmp_path, dataset):
         path = tmp_path / "bad.snap"
         with pytest.raises(ParseError):
-            dp.save_snapshot(path, dataset, dp.DatasetStats(2, 3, 6, 3.0),
-                             fingerprint="x")
+            dp.save_snapshot(path, dataset, fingerprint="x")
         assert not path.exists()
 
     @pytest.mark.parametrize("wrong", [
@@ -328,21 +335,13 @@ class TestSnapshot:
         path.write_text("MRGS-DATA-v1\n" + json.dumps(doc), encoding="utf-8")
         with pytest.raises(ParseError, match="stats"):
             dp.load_snapshot(path)
-        good = tmp_path / "good.snap"
-        good.write_text(EARLIER_SNAPSHOT, encoding="utf-8")
-        dataset, stats, meta = dp.load_snapshot(good)
-        again = tmp_path / "again.snap"
-        with pytest.raises(ParseError, match="stats"):
-            dp.save_snapshot(again, dataset,
-                             dataclasses.replace(stats, **wrong), **meta)
-        assert not again.exists()
 
     def test_header_line_is_magic(self, tmp_path):
         log, _ = dp.drop_short_users(
             log_from_records(random_records(5, 8, 60, 6)))
         split = dp.chronological_split(log)
         path = tmp_path / "c.snap"
-        dp.save_snapshot(path, split, dp.compute_stats(log), fingerprint="x")
+        dp.save_snapshot(path, split, fingerprint="x")
         assert path.read_text(encoding="utf-8").splitlines()[0] == "MRGS-DATA-v1"
 
 
@@ -352,9 +351,9 @@ def test_prepare_pipeline_end_to_end(tmp_path):
         for j in range(6):
             rows.append(f"user{u} item{(u + j) % 7} {j * 10}")
     path = write_log(tmp_path, rows)
-    split, stats, dropped = dp.prepare(path, threshold=5)
+    split, dropped = dp.prepare(path, threshold=5)
     assert dropped == 0
-    assert stats.n_users == split.n_users
+    assert dp.dataset_stats(split) == dp.DatasetStats(8, 7, 48, 6.0)
     assert all(len(t) >= 1 for t in split.train)
 
 
@@ -367,3 +366,25 @@ def test_synthetic_dataset_pinned():
         json.dumps([ds.train, ds.val, ds.test]).encode()).hexdigest()
     assert digest == ("2fd93123c704d8bf72abc5b0f3417e56"
                       "743c7a15aa29c7aa287d183b75555459")
+
+
+class TestLeaveOneOut:
+    def test_splits_and_names_by_default(self):
+        split = dp.leave_one_out([[4, 0, 1], [2, 3, 4, 0]], 5)
+        assert split == dp.SplitDataset(
+            2, 5, [[4], [2, 3]], [0, 4], [1, 0], ["u0", "u1"],
+            ["i0", "i1", "i2", "i3", "i4"])
+
+    def test_short_user_named(self):
+        with pytest.raises(DataError, match="user id 1 has 2"):
+            dp.leave_one_out([[0, 1, 2], [0, 1]], 3)
+
+
+def test_generator_rejects_more_preferred_clusters_than_weights():
+    with pytest.raises(ValueError, match="n_preferred must be <= 3"):
+        generate_clustered_markov(n_users=5, n_preferred=4)
+
+
+def test_generator_rejects_users_too_short_to_split():
+    with pytest.raises(DataError, match="need >= 3"):
+        generate_clustered_markov(n_users=50, min_len=2, max_len=3, seed=0)

@@ -269,6 +269,24 @@ class TestTotalLoss:
         with pytest.raises(NumericError, match="fused"):
             ls.total_loss(comps, ls.LossWeights())
 
+    def test_overflowing_total_lists_every_component(self):
+        comps = {"local": ad.Tensor(1e308), "global": ad.Tensor(1e308),
+                 "fused": None, "contrastive": ad.Tensor(1e308)}
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+            ls.total_loss(comps, ls.LossWeights(alpha=1.0, beta=1.0,
+                                                gamma=0.0, delta=0.5))
+        message = str(exc.value)
+        assert "total loss is inf; not finite: no component" in message
+        assert ("{'local': 1e+308, 'global': 1e+308, 'fused': None, "
+                "'contrastive': 1e+308}") in message
+
+    def test_non_finite_total_names_each_bad_component(self):
+        comps = self.components()
+        comps["local"] = ad.Tensor(float("inf"))
+        comps["contrastive"] = ad.Tensor(float("nan"))
+        with pytest.raises(NumericError, match="not finite: local, contrastive;"):
+            ls.total_loss(comps, ls.LossWeights())
+
     def test_missing_weighted_component_rejected(self):
         with pytest.raises(ValueError, match="contrastive"):
             ls.total_loss({"local": ad.Tensor(1.0), "global": ad.Tensor(1.0),

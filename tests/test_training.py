@@ -13,7 +13,7 @@ from mrgsrec import config as cfg
 from mrgsrec import model as md
 from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
-from mrgsrec.errors import DataError, GraphError
+from mrgsrec.errors import DataError, GraphError, NumericError
 from mrgsrec.evaluation import evaluate
 from mrgsrec.graph import build_adjacency
 from mrgsrec.losses import LossWeights
@@ -232,6 +232,20 @@ class TestTrainStep:
         opt = tr.Adam(params.parameters(), lr=0.0)
         before = {k: t.data.copy() for k, t in params.named().items()}
         tr.train_step(examples, params, adjacency, hyper, opt, rng)
+        for name, tensor in params.named().items():
+            np.testing.assert_array_equal(tensor.data, before[name])
+
+    def test_overflowing_total_stops_the_step_before_any_update(self):
+        # Finite components whose weighted sum overflows: one NumericError,
+        # from total_loss, and no parameter moves.
+        hyper, _, params, adjacency, examples, opt, rng = setup_instance(
+            weights=LossWeights(1e308, 1e308, 0.0, 0.0))
+        before = {k: t.data.copy() for k, t in params.named().items()}
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="not finite: no component; components: "
+                "{'local': [0-9.]+, 'global': [0-9.]+, 'fused': None, "
+                "'contrastive': None}"):
+            tr.train_step(examples, params, adjacency, hyper, opt, rng)
         for name, tensor in params.named().items():
             np.testing.assert_array_equal(tensor.data, before[name])
 

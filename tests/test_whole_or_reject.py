@@ -44,8 +44,8 @@ def written_files() -> dict[str, bytes]:
         raw_log.write_text("".join(f"user{u}\titem{(u + 2 * j) % 9}\t{j * 100 + u}\n"
                                    for u in range(12) for j in range(7)),
                            encoding="utf-8")
-        dataset, stats, dropped = dp.prepare(raw_log, threshold=3)
-        dp.save_snapshot(snap, dataset, stats, fingerprint="0123456789abcdef",
+        dataset, dropped = dp.prepare(raw_log, threshold=3)
+        dp.save_snapshot(snap, dataset, fingerprint="0123456789abcdef",
                          extra={"dropped_short_users": dropped,
                                 "filter_mode": "fixpoint"})
         params = init_model(5, 7, 3, SeqEncoderConfig(d=4, n_layers=1), seed=0)
@@ -130,11 +130,11 @@ def test_snapshot_loads_whole_or_is_rejected(raw):
         path, again = Path(tmp) / "data.snap", Path(tmp) / "again.snap"
         path.write_bytes(raw)
         try:
-            dataset, stats, meta = dp.load_snapshot(path)
+            dataset, meta = dp.load_snapshot(path)
         except ParseError:
             return
-        dp.save_snapshot(again, dataset, stats, **meta)
-        assert dp.load_snapshot(again) == (dataset, stats, meta)
+        dp.save_snapshot(again, dataset, **meta)
+        assert dp.load_snapshot(again) == (dataset, meta)
 
 
 @given(damaged("config", config_document))
