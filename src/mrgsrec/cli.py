@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=data_mod.FILTER_MODES,
                    default=data_mod.FILTER_MODES[0])
     p.add_argument("--delimiter", default=None,
-                   help="field separator; default: any whitespace")
+                   help="field separator, non-empty; default: any whitespace")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train from a config file")

@@ -13,6 +13,7 @@ versioned text files starting with the magic line ``MRGS-DATA-v1``; their
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -74,11 +75,15 @@ def load_interactions(path: str | Path, delimiter: str | None = None
                       ) -> list[RawInteraction]:
     """Parse a delimited text file of (user, item, timestamp) records.
 
-    ``delimiter=None`` splits on any whitespace. Four-column records
-    (user, item, rating, timestamp) are accepted with the rating ignored,
-    since all interactions count as positives. Raises ParseError with the
-    offending line number on malformed input, DataError on an empty file.
+    ``delimiter=None`` splits on any whitespace; an empty delimiter raises
+    ParseError. Four-column records (user, item, rating, timestamp) are
+    accepted with the rating ignored, since all interactions count as
+    positives. Raises ParseError with the offending line number on malformed
+    input, DataError on an empty file.
     """
+    if delimiter == "":
+        raise ParseError("delimiter must not be empty; omit it to split on "
+                         "whitespace")
     path = Path(path)
     interactions: list[RawInteraction] = []
     try:
@@ -208,7 +213,7 @@ def _checked_dataset(path, payload) -> SplitDataset:
     """The ``SplitDataset`` a snapshot payload holds, or ParseError when it
     would load only partly or break later: a field missing, or a value that
     breaks its field's rule (counts, declared first, are positive integers;
-    ids are integers below their count; tokens are strings)."""
+    ids are integers below their count; tokens are distinct strings)."""
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: snapshot payload is not a JSON object")
     missing = sorted({f.name for f in fields(SplitDataset)} - payload.keys())
@@ -230,6 +235,10 @@ def _checked_dataset(path, payload) -> SplitDataset:
         if rule["entries"] is str:
             if not all(type(token) is str for token in value):
                 raise ParseError(f"{path}: {f.name!r} entries must be strings")
+            token, count = Counter(value).most_common(1)[0]
+            if count > 1:
+                raise ParseError(f"{path}: {f.name!r} entries must be distinct; "
+                                 f"{token!r} appears {count} times")
             continue
         bound = payload[rule["entries"]]
         if not all(type(i) is int and 0 <= i < bound for i in value):

@@ -9,9 +9,9 @@ item id.
 The parameters are fixed during a pass, so the graph is propagated once
 per pass, for the user rows alone (no head reads an item's propagated row),
 and every chunk of ``EVAL_BATCH`` users gathers its user rows from that
-table. No head reads a per-position output, so each chunk builds the
-user states alone (``positions=False``): the final encoder block runs on
-the state row only and no window items are gathered.
+table. No head reads a per-position output, so ``encoder_paths`` turns
+``positions`` off: each chunk builds the user states alone, the final
+encoder block runs on the state row only and no window items are gathered.
 Each chunk's (B, N) score block is ranked in one vectorised step, with the
 seen items given as CSR-style (indptr, items) arrays. The pass runs under
 ``autodiff.no_grad``, so it records no tape.
@@ -145,9 +145,9 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
             f"model has {tables.n_users} users x {tables.n_items} items, "
             f"dataset has {dataset.n_users} users x {dataset.n_items} items")
     head = hyper.scoring_head
-    need_seq, need_graph, need_fused = encoder_paths(head)
+    paths = encoder_paths(head)
     nodes = None
-    if need_graph:
+    if paths["need_graph"]:
         if adjacency is None:
             adjacency = build_adjacency(dataset.train, dataset.n_users,
                                         dataset.n_items)
@@ -167,10 +167,8 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
             targets = np.array([dataset.test[u] for u in chunk], dtype=np.int64)
         batch = build_batch(chunk, sequences, tables.c, tables.padding_id)
         states = forward_states(params, batch, adjacency, hyper.k,
-                                need_seq=need_seq, need_graph=need_graph,
-                                need_fused=need_fused,
-                                layer_mean=hyper.layer_mean, train_mode=False,
-                                node_embeddings=nodes, positions=False)
+                                layer_mean=hyper.layer_mean,
+                                node_embeddings=nodes, **paths)
         scores = score_batch(params, states, head).data
         excluded = _seen_items(sequences, targets) if hyper.exclude_seen else None
         # Per-user sums in user order keep the totals' rounding unchanged.

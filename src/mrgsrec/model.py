@@ -1,5 +1,5 @@
-"""Full parameter set, the forward passes shared by training and evaluation,
-and the checkpoint format."""
+"""Full parameter set, what a pass builds (``encoder_paths``), the forward
+passes shared by training and evaluation, and the checkpoint format."""
 
 from __future__ import annotations
 
@@ -71,6 +71,17 @@ def init_model(n_users: int, n_items: int, c: int,
     return ModelParams(tables, encoder, fusion, seq_config)
 
 
+def n_values(n_users: int, n_items: int, c: int,
+             seq_config: SeqEncoderConfig) -> int:
+    """How many values ``init_model`` allocates for these sizes, found
+    without allocating any: the tables (with the padding row), each encoder
+    layer and the fusion block."""
+    d, d_ff = seq_config.d, seq_config.d_ff
+    layer = 4 * d * d + 2 * d * d_ff + d_ff + 5 * d
+    return ((n_users + n_items + 1 + c) * d + seq_config.n_layers * layer
+            + 12 * d * d)
+
+
 @dataclass
 class ForwardStates:
     """Per-batch encoder outputs; entries are None when a path was skipped."""
@@ -87,21 +98,18 @@ class ForwardStates:
 
 
 def encoder_paths(head: str, weights: LossWeights | None = None
-                  ) -> tuple[bool, bool, bool]:
-    """(need_seq, need_graph, need_fused): the encoder paths that the scoring
-    head and the losses with a non-zero weight read. Evaluation passes no
-    weights, so only the head counts."""
+                  ) -> dict[str, bool]:
+    """``forward_states``' path arguments for a pass: the encoder paths that
+    the scoring head and the losses with a non-zero weight read (the fused
+    path needs both encoders), and ``positions``, whether such a loss reads
+    per-position outputs (``E_l`` or ``E_g``). Evaluation passes no weights,
+    so only the head counts and user states alone are built."""
     w = weights or LossWeights(0.0, 0.0, 0.0, 0.0)
-    need_fused = w.gamma > 0 or head == "fused"
-    need_seq = w.alpha > 0 or w.delta > 0 or need_fused or head == "sequential"
-    need_graph = w.beta > 0 or w.delta > 0 or need_fused or head == "graph"
-    return need_seq, need_graph, need_fused
-
-
-def reads_positions(weights: LossWeights) -> bool:
-    """Whether a loss with a non-zero weight reads per-position outputs
-    (``E_l`` or ``E_g``); when none does, training builds user states only."""
-    return weights.alpha > 0 or weights.delta > 0
+    positions = w.alpha > 0 or w.delta > 0
+    fused = w.gamma > 0 or head == "fused"
+    return {"need_seq": positions or fused or head == "sequential",
+            "need_graph": w.beta > 0 or w.delta > 0 or fused or head == "graph",
+            "need_fused": fused, "positions": positions}
 
 
 def forward_states(params: ModelParams, batch: SequenceBatch,
@@ -113,7 +121,7 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
                    node_embeddings: ad.Tensor | None = None,
                    positions: bool = True,
                    node_rows: np.ndarray | None = None) -> ForwardStates:
-    """Run the requested encoder paths for one batch.
+    """Run the encoder paths that ``encoder_paths`` requests for one batch.
 
     The graph path re-propagates from the current tables so gradients reach
     them; ``initial_nodes`` exposes the layer-0 matrix for regularization.
@@ -129,13 +137,13 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
     ``seqenc.seq_encode``): ``E_l`` and ``E_g`` stay None.
     """
     states = ForwardStates()
-    if need_seq or need_fused:
+    if need_seq:
         e_u, E_u = embed_sequence(batch, params.tables)
         states.e_l, states.E_l = seq_encode(
             e_u, E_u, params.encoder, params.seq_config,
             batch.valid_lengths, train_mode=train_mode, rng=rng,
             positions=positions)
-    if need_graph or need_fused:
+    if need_graph:
         n_users = params.tables.n_users
         if node_embeddings is None:
             if adjacency is None:
@@ -202,10 +210,11 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Rebuild the model a checkpoint describes; returns (params, meta).
 
-    The header's (name, shape) block list must equal the rebuilt model's,
-    the file must hold exactly the bytes that list describes, and their
-    sha256 must equal the header's (files written before the checksum have
-    none); anything else raises ParseError before a single block is copied.
+    The file must hold exactly the bytes of the model its header describes
+    (checked before that model is built), the header's (name, shape) block
+    list must equal the rebuilt model's, and the block bytes' sha256 must
+    equal the header's (files written before the checksum have none);
+    anything else raises ParseError before a single block is copied.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -218,7 +227,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         blocks = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
         spec = dict(meta["model"])
         sizes = (spec.pop("n_users"), spec.pop("n_items"), spec.pop("c"))
-        params = init_model(*sizes, SeqEncoderConfig(**spec), seed=0)
+        seq_config = SeqEncoderConfig(**spec)
+        offset += header_len
+        size = offset + 8 * n_values(*sizes, seq_config)
+        if len(raw) != size:
+            raise ParseError(f"{path}: {len(raw)} bytes, header describes {size}")
+        params = init_model(*sizes, seq_config, seed=0)
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
     named = params.named()
@@ -229,10 +243,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise ParseError(f"{path}: block list differs from the model's: "
                          f"{got or 'no block'} where {want or 'no block'} "
                          "is expected")
-    offset += header_len
-    size = offset + 8 * sum(tensor.data.size for tensor in named.values())
-    if len(raw) != size:
-        raise ParseError(f"{path}: {len(raw)} bytes, header describes {size}")
     if ("sha256" in header and header["sha256"]
             != hashlib.sha256(memoryview(raw)[offset:]).hexdigest()):
         raise ParseError(f"{path}: block bytes do not match the header's sha256")

@@ -7,6 +7,7 @@ defaults from these declarations.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import Field, field, fields
 from numbers import Integral, Real
 
@@ -38,14 +39,17 @@ def _kind(default) -> tuple[tuple[type, ...], str]:
 
 def check_settings(obj) -> None:
     """Raise ValueError naming the config key of the first setting of ``obj``
-    whose value is not of its default's kind (a bool is no number) or breaks
-    its rule."""
+    whose value is not of its default's kind (a bool is no number; a number
+    is finite and fits a float) or breaks its rule."""
     for f in settings(obj):
         value, rule = getattr(obj, f.name), f.metadata
         types, kind = _kind(f.default)
         if not (isinstance(value, types)
                 and isinstance(value, bool) == isinstance(f.default, bool)):
             wanted = kind
+        elif (isinstance(f.default, float)
+              and not -sys.float_info.max <= value <= sys.float_info.max):
+            wanted = "a finite number"
         elif rule["choices"] is not None and value not in rule["choices"]:
             wanted = f"one of {rule['choices']}"
         elif (rule["minimum"] is not None and value is not None

@@ -29,7 +29,7 @@ from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
 from .model import (SCORING_HEADS, ModelParams, encoder_paths, forward_states,
-                    init_model, reads_positions)
+                    init_model)
 from .schema import setting
 from .seqenc import SeqEncoderConfig
 
@@ -238,16 +238,14 @@ def step_losses(params: ModelParams, adjacency: NormalizedAdjacency | None,
     """(components, total): each of the four losses its weight turns on
     (None when off) over the encoder paths it reads, and their weighted sum."""
     w = hyper.weights
-    need_seq, need_graph, need_fused = encoder_paths(hyper.scoring_head, w)
     n_users = params.tables.n_users
     positives = np.asarray([ex.positive for ex in batch_examples], dtype=np.int64)
     bpr_nodes = n_users + np.stack([positives, negatives[:, 0]])
     states = forward_states(
         params, batch, adjacency, hyper.k,
-        need_seq=need_seq, need_graph=need_graph, need_fused=need_fused,
         layer_mean=hyper.layer_mean, train_mode=train_mode, rng=rng,
-        positions=reads_positions(w),
-        node_rows=bpr_nodes if w.beta > 0 else None)
+        node_rows=bpr_nodes if w.beta > 0 else None,
+        **encoder_paths(hyper.scoring_head, w))
     valid_mask = batch.valid_mask()
     components: dict[str, ad.Tensor | None] = {
         "local": None, "global": None, "fused": None, "contrastive": None}
@@ -318,9 +316,8 @@ def fit(dataset: SplitDataset, hyper: Hyperparams,
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     params = init_model(dataset.n_users, dataset.n_items, hyper.c,
                         hyper.seq_config(), hyper.seed)
-    need_graph = encoder_paths(hyper.scoring_head, hyper.weights)[1]
     adjacency = None
-    if need_graph:
+    if encoder_paths(hyper.scoring_head, hyper.weights)["need_graph"]:
         adjacency = build_adjacency(dataset.train, dataset.n_users,
                                     dataset.n_items)
         check_leakage(adjacency, dataset)

@@ -4,13 +4,15 @@ and after the block checksum."""
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mrgsrec.errors import ParseError
-from mrgsrec.model import init_model, load_checkpoint, save_checkpoint
+from mrgsrec.model import (init_model, load_checkpoint, n_values,
+                           save_checkpoint)
 from mrgsrec.seqenc import SeqEncoderConfig
 
 # Written by save_checkpoint when the byte layout still lived in
@@ -74,6 +76,37 @@ class TestCheckpointIO:
         path = tmp_path / "ok.ckpt"
         save_checkpoint(path, params, {})
         assert path.read_bytes().startswith(b"MRGS-CKPT-v1\n")
+
+
+@pytest.mark.parametrize("sizes,config", [
+    ((4, 6, 3), SeqEncoderConfig(d=4, n_layers=1)),
+    ((2, 3, 2), SeqEncoderConfig(d=2, n_layers=0, n_heads=1)),
+    ((7, 11, 5), SeqEncoderConfig(d=6, n_layers=3, n_heads=3, d_ff=5)),
+])
+def test_n_values_counts_what_init_model_allocates(sizes, config):
+    params = init_model(*sizes, config, seed=0)
+    assert n_values(*sizes, config) == sum(t.data.size
+                                           for t in params.parameters())
+
+
+def test_header_of_a_larger_model_is_rejected_before_it_is_built(tmp_path):
+    # A 5-user checkpoint whose header claims 2 000 000 users: building
+    # that model would allocate about 1 GB.
+    path = tmp_path / "edited.ckpt"
+    raw = CHECKSUMMED.read_bytes()
+    edited = raw.replace(b'"n_users":5,', b'"n_users":2000000,')
+    magic = len(b"MRGS-CKPT-v1\n")
+    (length,) = struct.unpack_from("<Q", raw, magic)
+    path.write_bytes(edited[:magic] + struct.pack("<Q", length + 6)
+                     + edited[magic + 8:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="header describes"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 class TestEarlierFixture:

@@ -160,7 +160,9 @@ class TestTrain:
         ("learning_rate", -1.0), ("adam_beta1", 2.0), ("adam_beta1", -0.1),
         ("adam_beta2", 1.0), ("adam_epsilon", -1.0), ("adam_epsilon", 0.0),
         ("attention_mode", "bidirectional"), ("seed", -1), ("data", 5),
-        ("log", 1), ("checkpoint", ["m.ckpt"])])
+        ("log", 1), ("checkpoint", ["m.ckpt"]), ("adam_epsilon", math.inf),
+        ("learning_rate", math.inf), ("lambda_reg", math.inf),
+        ("alpha", math.inf)])
     def test_bad_config_value_exit_code_2_before_training(
             self, tmp_path, snapshot, monkeypatch, capsys, key, value):
         def no_training(*args, **kwargs):
@@ -264,6 +266,12 @@ def corrupt_float_byte(path):
     rewrite_checkpoint(path, change)
 
 
+def corrupt_larger_model_header(path):
+    def change(header, blobs):  # the blocks still hold the original model
+        header["meta"]["model"]["n_users"] = 2_000_000
+    rewrite_checkpoint(path, change)
+
+
 def corrupt_unreadable_header(path):
     raw = bytearray(path.read_bytes())
     raw[len(b"MRGS-CKPT-v1\n") + 8] = ord("[")  # '{' -> '[': invalid JSON
@@ -281,7 +289,8 @@ def corrupt_trailing_bytes(path):
 @pytest.mark.parametrize("corrupt", [
     corrupt_missing_block, corrupt_block_shape, corrupt_truncate,
     corrupt_trailing_bytes, corrupt_repeated_block_name, corrupt_negative_shape,
-    corrupt_reordered_blocks, corrupt_unreadable_header, corrupt_float_byte])
+    corrupt_reordered_blocks, corrupt_unreadable_header, corrupt_float_byte,
+    corrupt_larger_model_header])
 def test_damaged_checkpoint_rejected_exit_code_2(tmp_path, snapshot, corrupt):
     ckpt = tmp_path / "model.ckpt"
     config = tiny_config(tmp_path, snapshot, max_epochs=0)
@@ -305,8 +314,9 @@ def rewrite_payload(path, change):
     lambda p: p["val"].pop(),
     lambda p: p["train"][0].clear(),
     lambda p: p["user_tokens"].__setitem__(slice(0, 3), [1, None, {"a": 2}]),
+    lambda p: p["item_tokens"].__setitem__(1, p["item_tokens"][0]),
 ], ids=["missing_val", "item_out_of_range", "short_val", "empty_train",
-        "non_string_tokens"])
+        "non_string_tokens", "duplicate_tokens"])
 def test_damaged_snapshot_rejected_exit_code_2(tmp_path, snapshot, change):
     rewrite_payload(snapshot, change)
     with pytest.raises(ParseError):
@@ -339,16 +349,18 @@ def bad_inputs(tmp_path):
     (["train", "--config", "{broken_data}"], 2),
     (["eval", "{ckpt}", "{ckpt}"], 2),
     (["prepare", "{ckpt}", "{folder}/out.snap"], 2),
+    (["prepare", "{raw_log}", "{folder}/out.snap", "--delimiter", ""], 2),
     (["train", "--config", "{folder}"], 3),
     (["eval", "{ckpt}", "{folder}"], 3),
     *[(["eval", "{ckpt}", "{snapshot}", "--head", head], 3)
       for head in ("fused", "sequential", "graph")],
 ], ids=["binary_config", "binary_snapshot", "snapshot_bad_json",
-        "eval_binary_snapshot", "binary_raw_log", "config_is_directory",
-        "snapshot_is_directory", "more_users_fused", "more_users_sequential",
-        "more_users_graph"])
-def test_unreadable_input_exits_cleanly(tmp_path, snapshot, argv, code):
-    paths = {**bad_inputs(tmp_path), "snapshot": snapshot}
+        "eval_binary_snapshot", "binary_raw_log", "empty_delimiter",
+        "config_is_directory", "snapshot_is_directory", "more_users_fused",
+        "more_users_sequential", "more_users_graph"])
+def test_unreadable_input_exits_cleanly(tmp_path, raw_log, snapshot, argv,
+                                       code):
+    paths = {**bad_inputs(tmp_path), "raw_log": raw_log, "snapshot": snapshot}
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     result = subprocess.run(

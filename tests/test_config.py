@@ -1,6 +1,7 @@
 """Run settings: config keys, defaults and derived structures stay pinned."""
 
 import itertools
+import math
 
 import pytest
 
@@ -48,7 +49,10 @@ def test_every_setting_reaches_hyperparams():
     ("feed_forward_dim", 2.0), ("feed_forward_dim", -1), ("feed_forward_dim", 0),
     ("learning_rate", -1.0), ("adam_beta1", 2.0), ("adam_beta1", -0.1),
     ("adam_beta2", 1.0), ("adam_epsilon", -1.0), ("adam_epsilon", 0.0),
-    ("seed", -1), ("data", 5), ("log", 1), ("checkpoint", ["m.ckpt"])])
+    ("seed", -1), ("data", 5), ("log", 1), ("checkpoint", ["m.ckpt"]),
+    ("adam_epsilon", math.inf), ("learning_rate", math.inf),
+    ("lambda_reg", math.inf), ("alpha", math.inf), ("beta", math.nan),
+    ("dropout_rate", -math.inf), ("gamma", 10 ** 400)])
 def test_bad_value_raises_parse_error_naming_key(key, value):
     with pytest.raises(ParseError, match=key):
         cfg.to_hyperparams(cfg.resolve_config({key: value}))
@@ -56,20 +60,24 @@ def test_bad_value_raises_parse_error_naming_key(key, value):
 
 def training_paths_oracle(weights, head):
     """A path runs when the head reads it or a loss with non-zero weight
-    does; the fused path needs both encoders."""
+    does; the fused path needs both encoders. Positions are built when the
+    local or contrastive loss, which read ``E_l`` / ``E_g``, is on."""
     need_fused = weights.gamma > 0 or head == "fused"
     need_seq = (weights.alpha > 0 or weights.delta > 0 or need_fused
                 or head == "sequential")
     need_graph = (weights.beta > 0 or weights.delta > 0 or need_fused
                   or head == "graph")
-    return need_seq, need_graph, need_fused
+    return {"need_seq": need_seq, "need_graph": need_graph,
+            "need_fused": need_fused,
+            "positions": weights.alpha > 0 or weights.delta > 0}
 
 
 def test_encoder_paths_match_oracle():
     for head in SCORING_HEADS:
-        assert encoder_paths(head) == (head in ("fused", "sequential"),
-                                       head in ("fused", "graph"),
-                                       head == "fused")
+        assert encoder_paths(head) == {
+            "need_seq": head in ("fused", "sequential"),
+            "need_graph": head in ("fused", "graph"),
+            "need_fused": head == "fused", "positions": False}
         for pattern in itertools.product((0.0, 0.5), repeat=4):
             weights = LossWeights(*pattern)
             assert encoder_paths(head, weights) == training_paths_oracle(weights, head)

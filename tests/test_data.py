@@ -315,7 +315,9 @@ class TestSnapshot:
         dp.SplitDataset(2, 3, [[0], [1]], [1, 2], [2, 0]),
         dp.SplitDataset(2, 3, [[0], []], [1, 2], [2, 0], ["a", "b"],
                         ["x", "y", "z"]),
-    ], ids=["no_tokens", "empty_train"])
+        dp.leave_one_out([[0, 1, 2], [1, 2, 0]], 3, ["a", "a"],
+                         ["x", "x", "y"]),
+    ], ids=["no_tokens", "empty_train", "duplicate_tokens"])
     def test_save_refuses_what_load_rejects(self, tmp_path, dataset):
         path = tmp_path / "bad.snap"
         with pytest.raises(ParseError):

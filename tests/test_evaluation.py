@@ -263,8 +263,7 @@ def _recomposed(params, dataset, split, hyper):
     """``evaluate`` rebuilt from its public calls: one ``forward_states``
     (which propagates the graph itself) per chunk, one ``rank_target`` per
     user, totals added per user in user order."""
-    paths = dict(zip(("need_seq", "need_graph", "need_fused"),
-                     md.encoder_paths(hyper.scoring_head)))
+    paths = md.encoder_paths(hyper.scoring_head)
     adjacency = build_adjacency(dataset.train, dataset.n_users,
                                 dataset.n_items) if paths["need_graph"] else None
     totals = [0.0, 0.0, 0.0, 0.0]
@@ -278,8 +277,7 @@ def _recomposed(params, dataset, split, hyper):
             targets = [dataset.test[u] for u in chunk]
         batch = build_batch(chunk, sequences, hyper.c, params.tables.padding_id)
         states = md.forward_states(params, batch, adjacency, hyper.k,
-                                   layer_mean=hyper.layer_mean,
-                                   positions=False, **paths)
+                                   layer_mean=hyper.layer_mean, **paths)
         scores = md.score_batch(params, states, hyper.scoring_head).data
         for row, seq, target in zip(scores, sequences, targets):
             seen = set(seq) - {target} if hyper.exclude_seen else set()

@@ -1,6 +1,7 @@
 """Trainer: Adam, negative sampling, step/fit behavior, determinism."""
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -344,6 +345,38 @@ def test_step_without_position_losses_builds_user_states_only(monkeypatch):
     scalars = tr.train_step(examples, params, adjacency, hyper, opt, rng)
     assert encoded == [None]
     assert np.isfinite(scalars["total"]) and scalars["fused"] > 0
+
+
+# The ForwardStates fields each weighted loss reads.
+LOSS_READS = {"alpha": ("E_l",), "beta": ("e_g",), "gamma": ("e_f",),
+              "delta": ("E_l", "E_g")}
+# The fields each flag of ``encoder_paths`` builds; off, they stay None.
+PATH_FIELDS = {"need_seq": ("e_l", "E_l"),
+               "need_graph": ("e_g", "E_g", "node_embeddings", "initial_nodes"),
+               "need_fused": ("e_f",), "positions": ("E_l", "E_g")}
+
+
+@pytest.mark.parametrize("pattern", list(itertools.product((0.0, 0.5), repeat=4)))
+@pytest.mark.parametrize("head", md.SCORING_HEADS)
+def test_encoder_paths_build_what_the_head_and_weighted_losses_read(head, pattern):
+    weights = LossWeights(*pattern, lambda_reg=1e-3)
+    hyper, _, params, adjacency, examples, _, rng = setup_instance(
+        weights=weights, scoring_head=head)
+    batch, targets, negatives = tr.step_inputs(
+        examples, params.tables, hyper.n_negatives, rng)
+    paths = md.encoder_paths(head, weights)
+    states = md.forward_states(params, batch, adjacency, hyper.k, **paths)
+    read = {md.HEAD_STATES[head]}
+    for name, weight in zip(LOSS_READS, pattern):
+        if weight > 0:
+            read.update(LOSS_READS[name])
+    assert all(getattr(states, name) is not None for name in read)
+    skipped = {name for flag, on in paths.items() if not on
+               for name in PATH_FIELDS[flag]}
+    assert all(getattr(states, name) is None for name in skipped)
+    _, total = tr.step_losses(params, adjacency, hyper, examples, batch,
+                              targets, negatives)
+    assert np.isfinite(total.data)
 
 
 def test_first_step_losses_are_pinned():
