@@ -9,9 +9,9 @@ item id.
 The parameters are fixed during a pass, so the graph is propagated once
 per pass, for the user rows alone (no head reads an item's propagated row),
 and every chunk of ``EVAL_BATCH`` users gathers its user rows from that
-table. No head reads a per-position output, so ``encoder_paths`` turns
-``positions`` off: each chunk builds the user states alone, the final
-encoder block runs on the state row only and no window items are gathered.
+table. No head reads ``E_l``, so ``encoder_paths`` turns ``positions`` off:
+each chunk builds the user states alone, and the final encoder block runs
+on the state row only.
 Each chunk's (B, N) score block is ranked in one vectorised step, with the
 seen items given as CSR-style (indptr, items) arrays. The pass runs under
 ``autodiff.no_grad``, so it records no tape.
@@ -29,7 +29,8 @@ from . import autodiff as ad
 from .data import SplitDataset
 from .embeddings import build_batch
 from .errors import DataError, ProtocolError
-from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
+from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
+                    propagated_embeddings)
 from .model import ModelParams, encoder_paths, forward_states, score_batch
 
 EVAL_BATCH = 512
@@ -135,7 +136,8 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
 
     ``hyper`` supplies k, scoring_head, layer_mean and exclude_seen; the
     window length is the model's (``params.tables.c``). Parameters sized
-    for another dataset raise DataError before any scoring.
+    for another dataset raise DataError before any scoring. A graph it
+    builds itself (no ``adjacency``) is checked for leakage, as in ``fit``.
     """
     if split not in ("validation", "test"):
         raise ValueError("split must be 'validation' or 'test'")
@@ -151,6 +153,7 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         if adjacency is None:
             adjacency = build_adjacency(dataset.train, dataset.n_users,
                                         dataset.n_items)
+            check_leakage(adjacency, dataset)
         nodes = propagated_embeddings(tables, adjacency, hyper.k,
                                       layer_mean=hyper.layer_mean,
                                       rows=np.arange(dataset.n_users))

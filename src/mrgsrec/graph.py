@@ -7,7 +7,8 @@ get zero rows (0^{-1/2} is taken as 0), so with one or more propagation
 layers their global embedding is zero.
 
 A training step reads only a few node rows of the propagated table: the
-batch's users, its window items and the BPR items. ``propagated_embeddings``
+batch's users, plus the BPR items when the global loss is on and the window
+items when the contrastive loss is on. ``propagated_embeddings``
 with ``rows`` computes its last hop for those rows alone, as the sparse
 product of the adjacency's row block with the full previous layer (the
 per-batch computation graph of PinSage, Ying et al., KDD 2018). Each row's
@@ -142,28 +143,30 @@ def gather_users(node_embeddings: ad.Tensor, batch: SequenceBatch,
 
 
 def window_nodes(batch: SequenceBatch, n_users: int) -> np.ndarray:
-    """(B, c) node ids that ``gather_batch`` reads for the window slots;
+    """(B, c) node ids that ``gather_windows`` reads for the window slots;
     padding slots read item 0's node and are zeroed."""
     return n_users + np.where(batch.valid_mask(), batch.item_windows, 0)
+
+
+def gather_windows(node_embeddings: ad.Tensor, batch: SequenceBatch,
+                   n_users: int, n_items: int, rows: np.ndarray | None = None
+                   ) -> ad.Tensor:
+    """E_g of shape (B, c, d): the window items' rows of the node table,
+    which holds the nodes ``rows`` (None: all M+N); padding slots gather
+    zeros."""
+    nodes = window_nodes(batch, n_users)
+    if nodes.max(initial=n_users) >= n_users + n_items:
+        raise IndexError("item id out of range")
+    gathered = ad.lookup(node_embeddings, node_positions(rows, nodes))
+    return ad.mul(gathered, batch.valid_mask().astype(np.float64)[:, :, None])
 
 
 def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
                  n_users: int, n_items: int, rows: np.ndarray | None = None
                  ) -> tuple[ad.Tensor, ad.Tensor]:
-    """Pick user rows and per-window item rows out of the node table, which
-    holds the nodes ``rows`` (None: all M+N).
-
-    Returns (e_g of shape (B, d), E_g of shape (B, c, d)); padding slots
-    gather zeros.
-    """
-    e_g = gather_users(node_embeddings, batch, n_users, rows)
-    mask = batch.valid_mask()
-    nodes = window_nodes(batch, n_users)
-    if nodes.max(initial=n_users) >= n_users + n_items:
-        raise IndexError("item id out of range")
-    gathered = ad.lookup(node_embeddings, node_positions(rows, nodes))
-    E_g = ad.mul(gathered, mask.astype(np.float64)[:, :, None])
-    return e_g, E_g
+    """(e_g, E_g): ``gather_users`` and ``gather_windows`` of one batch."""
+    return (gather_users(node_embeddings, batch, n_users, rows),
+            gather_windows(node_embeddings, batch, n_users, n_items, rows))
 
 
 def check_leakage(adjacency: NormalizedAdjacency, dataset: SplitDataset) -> None:

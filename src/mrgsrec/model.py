@@ -17,8 +17,7 @@ from . import autodiff as ad
 from .embeddings import EmbeddingTables, SequenceBatch, embed_sequence, init_tables
 from .errors import ParseError
 from .fusion import FusionParams, fuse, init_fusion_params, score_items
-from .graph import (NormalizedAdjacency, gather_batch, gather_users,
-                    propagated_embeddings, window_nodes)
+from .graph import NormalizedAdjacency, gather_users, propagated_embeddings
 from .losses import LossWeights
 from .seqenc import SeqEncoderConfig, SeqEncoderParams, init_seq_params, seq_encode
 
@@ -84,12 +83,12 @@ def n_values(n_users: int, n_items: int, c: int,
 
 @dataclass
 class ForwardStates:
-    """Per-batch encoder outputs; entries are None when a path was skipped."""
+    """Per-batch encoder outputs; entries are None when a path was skipped.
+    The contrastive loss gathers ``E_g`` itself (``graph.gather_windows``)."""
 
     e_l: ad.Tensor | None = None
     E_l: ad.Tensor | None = None
     e_g: ad.Tensor | None = None
-    E_g: ad.Tensor | None = None
     e_f: ad.Tensor | None = None
     node_embeddings: ad.Tensor | None = None
     initial_nodes: ad.Tensor | None = None
@@ -102,8 +101,8 @@ def encoder_paths(head: str, weights: LossWeights | None = None
     """``forward_states``' path arguments for a pass: the encoder paths that
     the scoring head and the losses with a non-zero weight read (the fused
     path needs both encoders), and ``positions``, whether such a loss reads
-    per-position outputs (``E_l`` or ``E_g``). Evaluation passes no weights,
-    so only the head counts and user states alone are built."""
+    the sequence path's per-position output ``E_l``. Evaluation passes no
+    weights, so only the head counts and user states alone are built."""
     w = weights or LossWeights(0.0, 0.0, 0.0, 0.0)
     positions = w.alpha > 0 or w.delta > 0
     fused = w.gamma > 0 or head == "fused"
@@ -125,16 +124,16 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
 
     The graph path re-propagates from the current tables so gradients reach
     them; ``initial_nodes`` exposes the layer-0 matrix for regularization.
-    It propagates only the node rows the batch reads: the batch's users, its
-    window items when ``positions`` is set, and the extra node ids
-    ``node_rows`` (the BPR items); ``states.node_rows`` records that sorted
-    set, and ``graph.node_positions`` maps node ids into it.
+    It propagates only the batch's users and the caller's extra node ids
+    ``node_rows`` (the rows its losses read); ``states.node_rows`` records
+    that sorted set, and ``graph.node_positions`` maps node ids into it.
+    It gathers the user rows ``e_g`` alone.
     A caller whose tables do not change between batches (evaluation) may
     pass the propagated ``node_embeddings`` once computed, a table whose
     row i is node i; the graph path then only gathers from it and
     ``initial_nodes`` and ``node_rows`` stay None.
-    ``positions=False`` builds the user states alone (see
-    ``seqenc.seq_encode``): ``E_l`` and ``E_g`` stay None.
+    ``positions`` concerns the sequence path alone: off, it builds the user
+    states alone (see ``seqenc.seq_encode``) and ``E_l`` stays None.
     """
     states = ForwardStates()
     if need_seq:
@@ -144,29 +143,20 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
             batch.valid_lengths, train_mode=train_mode, rng=rng,
             positions=positions)
     if need_graph:
-        n_users = params.tables.n_users
         if node_embeddings is None:
             if adjacency is None:
                 raise ValueError("graph path requested without an adjacency")
-            read = [batch.user_ids]
-            if positions:
-                read.append(window_nodes(batch, n_users).ravel())
-            if node_rows is not None:
-                read.append(np.asarray(node_rows).ravel())
-            states.node_rows = np.unique(np.concatenate(read).astype(np.int64))
+            extra = () if node_rows is None else np.ravel(node_rows)
+            states.node_rows = np.unique(
+                np.concatenate([batch.user_ids, extra]).astype(np.int64))
             states.initial_nodes = ad.concat(
                 [params.tables.user, params.tables.item_rows()], axis=0)
             node_embeddings = propagated_embeddings(
                 params.tables, adjacency, k, layer_mean=layer_mean,
                 initial=states.initial_nodes, rows=states.node_rows)
         states.node_embeddings = node_embeddings
-        if positions:
-            states.e_g, states.E_g = gather_batch(
-                states.node_embeddings, batch, n_users,
-                params.tables.n_items, states.node_rows)
-        else:
-            states.e_g = gather_users(states.node_embeddings, batch,
-                                      n_users, states.node_rows)
+        states.e_g = gather_users(node_embeddings, batch,
+                                  params.tables.n_users, states.node_rows)
     if need_fused:
         states.e_f = fuse(states.e_l, states.e_g, params.fusion)
     return states

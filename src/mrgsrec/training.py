@@ -5,7 +5,7 @@ train item is the positive, the preceding items form the input window).
 The adjacency is fixed per run but propagation is recomputed from the
 current tables every step, so the graph path stays differentiable; its last
 hop builds only the node rows the step's losses read (see ``graph``), and
-when no loss reads per-position outputs the step builds user states alone.
+when no loss reads ``E_l`` the sequence path builds user states alone.
 All randomness comes from one seeded generator; runs are reproducible
 bit-for-bit at a fixed thread count.
 """
@@ -25,7 +25,8 @@ from .embeddings import EmbeddingTables, SequenceBatch, build_batch
 from .errors import DataError
 from .evaluation import evaluate
 from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
-                    interaction_matrix, node_positions)
+                    gather_windows, interaction_matrix, node_positions,
+                    window_nodes)
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
 from .model import (SCORING_HEADS, ModelParams, encoder_paths, forward_states,
@@ -94,23 +95,15 @@ class Adam:
     """Plain Adam with bias correction; moment shapes mirror the parameters.
 
     ``step`` walks each flattened block in chunks of ``ADAM_CHUNK`` values
-    with two scratch buffers and ``out=`` ufuncs, so every intermediate
-    stays in cache instead of taking its own pass over the whole block. The
-    operation order is fixed, so each value is bit-identical to the
-    unchunked closed form:
+    with two scratch buffers and ``out=`` ufuncs, in the fixed order of the
+    closed form, so each value is bit-identical to it:
 
         m = β1·m + (1−β1)·g
         v = β2·v + (1−β2)·(g·g)
         p −= (lr·(m/b1c)) / (√(v/b2c) + ε)
 
     Parameters and moments are updated in place; parameters must be
-    C-contiguous. Fresh moment arrays per step once kept glibc from trimming
-    the heap between steps, but since the backward frees the tape as it
-    goes, both versions re-fault about 8 000 pages per catalog_wide step.
-    Over 6 alternating process pairs per benchmark workload (2-vCPU VM, one
-    BLAS thread) the in-place median step was level with the fresh one:
-    1.89 against 1.88 s on catalog_wide, 0.137 against 0.142 s on
-    graph_many_users.
+    C-contiguous.
     """
 
     def __init__(self, params: list[ad.Tensor],
@@ -216,9 +209,10 @@ def fewest_unseen(examples: list[TrainExample], n_items: int) -> int:
 
 def step_inputs(batch_examples: list[TrainExample], tables: EmbeddingTables,
                 n_negatives: int, rng: np.random.Generator
-                ) -> tuple[SequenceBatch, np.ndarray, np.ndarray]:
-    """(batch, targets, negatives): windows left-padded to the model's c,
-    their next-item targets, and ``n_negatives`` unseen items per user."""
+                ) -> tuple[SequenceBatch, np.ndarray, np.ndarray, np.ndarray]:
+    """(batch, targets, positives, negatives): windows left-padded to the
+    model's c, their next-item targets, each user's positive, and
+    ``n_negatives`` unseen items per user."""
     users = [ex.user for ex in batch_examples]
     batch = build_batch(users, [ex.inputs for ex in batch_examples],
                         tables.c, tables.padding_id)
@@ -227,46 +221,52 @@ def step_inputs(batch_examples: list[TrainExample], tables: EmbeddingTables,
     negatives = np.stack([
         sample_negatives(ex.forbidden, tables.n_items, n_negatives, rng)
         for ex in batch_examples])
-    return batch, targets, negatives
+    positives = np.asarray([ex.positive for ex in batch_examples], dtype=np.int64)
+    return batch, targets, positives, negatives
 
 
 def step_losses(params: ModelParams, adjacency: NormalizedAdjacency | None,
-                hyper: Hyperparams, batch_examples: list[TrainExample],
-                batch: SequenceBatch, targets: np.ndarray, negatives: np.ndarray,
+                hyper: Hyperparams, batch: SequenceBatch, targets: np.ndarray,
+                positives: np.ndarray, negatives: np.ndarray,
                 train_mode: bool = False, rng: np.random.Generator | None = None
                 ) -> tuple[dict[str, ad.Tensor | None], ad.Tensor]:
     """(components, total): each of the four losses its weight turns on
-    (None when off) over the encoder paths it reads, and their weighted sum."""
+    (None when off) over the encoder paths it reads, and their weighted sum.
+    The graph path propagates the users plus the rows the losses name."""
     w = hyper.weights
-    n_users = params.tables.n_users
-    positives = np.asarray([ex.positive for ex in batch_examples], dtype=np.int64)
-    bpr_nodes = n_users + np.stack([positives, negatives[:, 0]])
+    tables = params.tables
+    bpr_nodes = tables.n_users + np.stack([positives, negatives[:, 0]])
+    node_rows = [np.empty(0, dtype=np.int64)]
+    if w.beta > 0:
+        node_rows.append(bpr_nodes.ravel())
+    if w.delta > 0:
+        node_rows.append(window_nodes(batch, tables.n_users).ravel())
     states = forward_states(
         params, batch, adjacency, hyper.k,
         layer_mean=hyper.layer_mean, train_mode=train_mode, rng=rng,
-        node_rows=bpr_nodes if w.beta > 0 else None,
+        node_rows=np.concatenate(node_rows),
         **encoder_paths(hyper.scoring_head, w))
     valid_mask = batch.valid_mask()
     components: dict[str, ad.Tensor | None] = {
         "local": None, "global": None, "fused": None, "contrastive": None}
     if w.alpha > 0:
         components["local"] = local_loss(
-            states.E_l, targets, params.tables.item_rows(), valid_mask)
+            states.E_l, targets, tables.item_rows(), valid_mask)
     if w.beta > 0:
         pos_rows, neg_rows = node_positions(states.node_rows, bpr_nodes)
         pos_emb = ad.lookup(states.node_embeddings, pos_rows)
         neg_emb = ad.lookup(states.node_embeddings, neg_rows)
-        user_ids = np.asarray([ex.user for ex in batch_examples], dtype=np.int64)
-        ego_ids = np.concatenate([user_ids, *bpr_nodes])
+        ego_ids = np.concatenate([batch.user_ids, *bpr_nodes])
         ego_rows = ad.lookup(states.initial_nodes, ego_ids)
         components["global"] = global_loss(
             states.e_g, pos_emb, neg_emb, ego_rows, w.lambda_reg)
     if w.gamma > 0:
         components["fused"] = fused_loss(
-            states.e_f, positives, negatives, params.tables.item_rows())
+            states.e_f, positives, negatives, tables.item_rows())
     if w.delta > 0:
-        components["contrastive"] = contrastive_loss(
-            states.E_l, states.E_g, valid_mask)
+        E_g = gather_windows(states.node_embeddings, batch, tables.n_users,
+                             tables.n_items, states.node_rows)
+        components["contrastive"] = contrastive_loss(states.E_l, E_g, valid_mask)
     return components, total_loss(components, w)
 
 
@@ -276,10 +276,9 @@ def train_step(batch_examples: list[TrainExample], params: ModelParams,
                ) -> dict[str, float]:
     """One forward/backward/Adam update; returns the component loss values."""
     pad = params.tables.padding_id
-    batch, targets, negatives = step_inputs(
-        batch_examples, params.tables, hyper.n_negatives, rng)
     components, loss = step_losses(
-        params, adjacency, hyper, batch_examples, batch, targets, negatives,
+        params, adjacency, hyper,
+        *step_inputs(batch_examples, params.tables, hyper.n_negatives, rng),
         train_mode=True, rng=rng)
     params.zero_grad()
     loss.backward()

@@ -56,7 +56,8 @@ def random_dataset(m: int, n: int, seed: int,
 
 def make_gradient_instance(d: int = 8, c: int = 5, m: int = 7, n: int = 11,
                            k: int = 2, n_layers: int = 2, seed: int = 7):
-    """A tiny end-to-end model plus one fixed batch for gradient checking."""
+    """A tiny end-to-end model plus one fixed batch of all its users, for
+    gradient checking: (hyper, params, adjacency, *step_inputs)."""
     hyper = Hyperparams(
         c=c, d=d, k=k, n_layers=n_layers, n_heads=2, dropout_rate=0.0,
         user_state="first_token",  # the recorded reference losses read row 0
@@ -75,18 +76,15 @@ def make_gradient_instance(d: int = 8, c: int = 5, m: int = 7, n: int = 11,
     examples = build_examples(dataset)
     hyper.n_negatives = min(hyper.n_negatives, fewest_unseen(examples, n))
     rng = np.random.Generator(np.random.PCG64(seed + 1))
-    batch, targets, negatives = step_inputs(
-        examples, params.tables, hyper.n_negatives, rng)
-    return hyper, params, adjacency, examples, batch, targets, negatives
+    return (hyper, params, adjacency,
+            *step_inputs(examples, params.tables, hyper.n_negatives, rng))
 
 
-def component_loss_fn(name: str, hyper, params, adjacency, examples,
-                      batch, targets, negatives):
+def component_loss_fn(name: str, hyper, params, adjacency, *inputs):
     """A pure function of the current parameter data for one loss component
     or ``"total"``, by ``training.step_losses`` as in ``train_step``."""
     def loss_fn() -> ad.Tensor:
-        components, total = step_losses(params, adjacency, hyper, examples,
-                                        batch, targets, negatives)
+        components, total = step_losses(params, adjacency, hyper, *inputs)
         return total if name == "total" else components[name]
 
     return loss_fn
@@ -242,7 +240,7 @@ def metric_suite() -> dict:
             expected = 1.0 / np.log2(want + 1) if want <= k else 0.0
             if abs(ndcg_at_k(got, k) - expected) > 1e-15:
                 return {"passed": False, "reason": "ndcg mismatch"}
-    return {"passed": True}
+    return {"passed": True, "ranks": n_users}
 
 
 def state_only_gaps(user_state: str = "first_token",
@@ -252,7 +250,7 @@ def state_only_gaps(user_state: str = "first_token",
     ``forward_states`` builds with ``positions=False`` and those of the full
     pass, on a small random fused model. The windows hold 1 to c+2 items, so
     both padded and full windows occur. A state-only pass that still builds
-    ``E_l`` or ``E_g`` reads inf on every head."""
+    ``E_l`` reads inf on every head."""
     c, m, n = 5, 9, 13
     config = SeqEncoderConfig(d=8, n_layers=n_layers, n_heads=2,
                               dropout_rate=0.0, attention_mode=attention_mode,
@@ -269,7 +267,7 @@ def state_only_gaps(user_state: str = "first_token",
     with ad.no_grad():
         full = forward_states(params, batch, adjacency, k=2)
         state = forward_states(params, batch, adjacency, k=2, positions=False)
-    if state.E_l is not None or state.E_g is not None:
+    if state.E_l is not None:
         return {head: float("inf") for head in HEAD_STATES}
     return {head: float(np.abs(getattr(state, name).data
                                - getattr(full, name).data).max())
@@ -286,6 +284,14 @@ def state_only_suite() -> dict:
                 worst[head] = max(worst[head], gap)
     return {"passed": max(worst.values()) <= STATE_ONLY_TOL,
             "max_abs_error": worst}
+
+
+def report_line(name: str, record: dict) -> str:
+    """``name: key=value ... PASS|FAIL`` from a suite's record."""
+    entries = " ".join(f"{key}={value:.3e}" if isinstance(value, float)
+                       else f"{key}={value}"
+                       for key, value in record.items() if key != "passed")
+    return f"{name}: {entries} {'PASS' if record['passed'] else 'FAIL'}"
 
 
 def run_all(quick: bool = False) -> tuple[bool, str]:
@@ -309,8 +315,7 @@ def run_all(quick: bool = False) -> tuple[bool, str]:
                 f"{'PASS' if record['passed'] else 'FAIL'}")
     sparse = sparse_dense_suite()
     ok &= sparse["passed"]
-    lines.append(f"graph/sparse-vs-dense: {sparse} "
-                 f"{'PASS' if sparse['passed'] else 'FAIL'}")
+    lines.append(report_line("graph/sparse-vs-dense", sparse))
     restricted = rows_suite()
     ok &= restricted["passed"]
     lines.append(f"graph/rows: max_abs_error={restricted['max_abs_error']:.3e} "
@@ -318,8 +323,7 @@ def run_all(quick: bool = False) -> tuple[bool, str]:
                  f"{'PASS' if restricted['passed'] else 'FAIL'}")
     metrics = metric_suite()
     ok &= metrics["passed"]
-    lines.append(f"metrics/sort-oracle: {metrics} "
-                 f"{'PASS' if metrics['passed'] else 'FAIL'}")
+    lines.append(report_line("metrics/sort-oracle", metrics))
     states = state_only_suite()
     ok &= states["passed"]
     gaps = " ".join(f"{head}={gap:.3e}"

@@ -17,6 +17,7 @@ import pytest
 from mrgsrec import cli
 from mrgsrec import config as cfg
 from mrgsrec import data as dp
+from mrgsrec import evaluation as ev
 from mrgsrec import verification
 from mrgsrec.errors import ParseError
 from mrgsrec.evaluation import evaluate
@@ -194,6 +195,24 @@ class TestEval:
         assert cli.main(["eval", str(ckpt), str(snapshot),
                          "--split", "validation",
                          "--head", "sequential"]) == 0
+
+    def test_eval_rejects_a_leaking_graph(self, tmp_path, snapshot,
+                                          monkeypatch, capsys):
+        config = tiny_config(tmp_path, snapshot, max_epochs=0)
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", "--config", str(config), "--out", str(ckpt)]) == 0
+        dataset, _ = dp.load_snapshot(snapshot)
+        original = ev.build_adjacency
+
+        def leaking(train, m, n):  # validation targets become graph edges
+            return original([seq + [dataset.val[u]]
+                             for u, seq in enumerate(train)], m, n)
+
+        monkeypatch.setattr(ev, "build_adjacency", leaking)
+        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), str(snapshot),
+                         "--split", "validation"]) == 3
+        assert "leaked into the graph" in capsys.readouterr().err
 
 
 def rewrite_checkpoint(path, change):
@@ -484,6 +503,23 @@ class TestVerify:
             assert f"{head}=" in line
         assert line.endswith("PASS")
 
+
+    def test_verify_prints_no_raw_records(self, quick):
+        code, out = quick
+        assert code == 0
+        assert not [line for line in out.splitlines() if "{" in line]
+        for name in ("graph/sparse-vs-dense", "metrics/sort-oracle"):
+            line = next(ln for ln in out.splitlines()
+                        if ln.startswith(f"{name}: "))
+            assert "=" in line and line.endswith(" PASS")
+
+    def test_verify_names_the_failure_reason(self, monkeypatch):
+        monkeypatch.setattr(verification, "metric_suite", lambda: {
+            "passed": False, "reason": "rank mismatch: 2 vs oracle 1"})
+        ok, report = verification.run_all(quick=True)
+        assert not ok
+        assert ("metrics/sort-oracle: reason=rank mismatch: 2 vs oracle 1 "
+                "FAIL") in report.splitlines()
 
     def test_verify_reports_restricted_rows_parity(self, quick):
         code, out = quick

@@ -61,7 +61,7 @@ def test_bad_value_raises_parse_error_naming_key(key, value):
 def training_paths_oracle(weights, head):
     """A path runs when the head reads it or a loss with non-zero weight
     does; the fused path needs both encoders. Positions are built when the
-    local or contrastive loss, which read ``E_l`` / ``E_g``, is on."""
+    local or contrastive loss, which read ``E_l``, is on."""
     need_fused = weights.gamma > 0 or head == "fused"
     need_seq = (weights.alpha > 0 or weights.delta > 0 or need_fused
                 or head == "sequential")

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from mrgsrec import autodiff as ad
 from mrgsrec import evaluation as ev
+from mrgsrec import graph as gr
 from mrgsrec import model as md
 from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
 from mrgsrec.embeddings import build_batch
-from mrgsrec.errors import ProtocolError
+from mrgsrec.errors import GraphError, ProtocolError
 from mrgsrec.graph import build_adjacency
 from mrgsrec.losses import LossWeights
 from mrgsrec.model import init_model
@@ -343,7 +344,7 @@ def test_evaluate_builds_no_per_position_output(monkeypatch, head):
         states.append(original_forward(*args, **kwargs))
         return states[-1]
 
-    monkeypatch.setattr(md, "gather_batch", no_gather)
+    monkeypatch.setattr(gr, "gather_windows", no_gather)
     monkeypatch.setattr(md, "seq_encode", encode)
     monkeypatch.setattr(ev, "forward_states", forward)
     monkeypatch.setattr(ev, "EVAL_BATCH", 4)
@@ -353,9 +354,26 @@ def test_evaluate_builds_no_per_position_output(monkeypatch, head):
                         hyper.seq_config(), seed=0)
     ev.evaluate(params, dataset, "validation", hyper)
     assert len(states) == 4
-    assert all(s.E_l is None and s.E_g is None for s in states)
+    assert all(s.E_l is None for s in states)
     assert len(encoded) == (0 if head == "graph" else 4)
     assert not any(E_l is not None for E_l in encoded)
+
+
+@pytest.mark.parametrize("head", ["fused", "graph"])
+def test_evaluate_rejects_a_leaking_graph_it_builds(monkeypatch, head):
+    dataset = random_dataset(13, 10, seed=9)
+    original = ev.build_adjacency
+
+    def leaking(train, m, n):  # test targets become graph edges
+        return original([seq + [dataset.test[u]]
+                         for u, seq in enumerate(train)], m, n)
+
+    monkeypatch.setattr(ev, "build_adjacency", leaking)
+    hyper = eval_hyper(scoring_head=head, k=2, n_layers=1)
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), seed=0)
+    with pytest.raises(GraphError, match="leaked into the graph"):
+        ev.evaluate(params, dataset, "test", hyper)
 
 
 def test_evaluate_records_no_tape(monkeypatch):

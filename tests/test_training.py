@@ -16,7 +16,7 @@ from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
 from mrgsrec.errors import DataError, GraphError, NumericError
 from mrgsrec.evaluation import evaluate
-from mrgsrec.graph import build_adjacency
+from mrgsrec.graph import build_adjacency, window_nodes
 from mrgsrec.losses import LossWeights
 from mrgsrec.model import init_model
 from mrgsrec.synthetic import generate_clustered_markov, popularity_hr_at_k
@@ -347,13 +347,15 @@ def test_step_without_position_losses_builds_user_states_only(monkeypatch):
     assert np.isfinite(scalars["total"]) and scalars["fused"] > 0
 
 
-# The ForwardStates fields each weighted loss reads.
-LOSS_READS = {"alpha": ("E_l",), "beta": ("e_g",), "gamma": ("e_f",),
-              "delta": ("E_l", "E_g")}
+# The ForwardStates fields each weighted loss reads; the contrastive loss
+# gathers ``E_g`` from the node table itself.
+LOSS_READS = {"alpha": ("E_l",), "beta": ("e_g", "node_embeddings"),
+              "gamma": ("e_f",), "delta": ("E_l", "node_embeddings")}
 # The fields each flag of ``encoder_paths`` builds; off, they stay None.
 PATH_FIELDS = {"need_seq": ("e_l", "E_l"),
-               "need_graph": ("e_g", "E_g", "node_embeddings", "initial_nodes"),
-               "need_fused": ("e_f",), "positions": ("E_l", "E_g")}
+               "need_graph": ("e_g", "node_embeddings", "initial_nodes",
+                              "node_rows"),
+               "need_fused": ("e_f",), "positions": ("E_l",)}
 
 
 @pytest.mark.parametrize("pattern", list(itertools.product((0.0, 0.5), repeat=4)))
@@ -362,8 +364,8 @@ def test_encoder_paths_build_what_the_head_and_weighted_losses_read(head, patter
     weights = LossWeights(*pattern, lambda_reg=1e-3)
     hyper, _, params, adjacency, examples, _, rng = setup_instance(
         weights=weights, scoring_head=head)
-    batch, targets, negatives = tr.step_inputs(
-        examples, params.tables, hyper.n_negatives, rng)
+    inputs = tr.step_inputs(examples, params.tables, hyper.n_negatives, rng)
+    batch = inputs[0]
     paths = md.encoder_paths(head, weights)
     states = md.forward_states(params, batch, adjacency, hyper.k, **paths)
     read = {md.HEAD_STATES[head]}
@@ -374,9 +376,52 @@ def test_encoder_paths_build_what_the_head_and_weighted_losses_read(head, patter
     skipped = {name for flag, on in paths.items() if not on
                for name in PATH_FIELDS[flag]}
     assert all(getattr(states, name) is None for name in skipped)
-    _, total = tr.step_losses(params, adjacency, hyper, examples, batch,
-                              targets, negatives)
+    _, total = tr.step_losses(params, adjacency, hyper, *inputs)
     assert np.isfinite(total.data)
+
+
+# Every on/off pattern, and a fused run without the contrastive loss.
+WEIGHT_PATTERNS = [*itertools.product((0.0, 0.5), repeat=4), (1.0, 0.5, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("pattern", WEIGHT_PATTERNS)
+@pytest.mark.parametrize("head", md.SCORING_HEADS)
+def test_step_propagates_the_rows_its_weighted_losses_read(
+        monkeypatch, head, pattern):
+    weights = LossWeights(*pattern, lambda_reg=1e-3)
+    hyper, _, params, adjacency, examples, _, rng = setup_instance(
+        weights=weights, scoring_head=head)
+    batch, targets, positives, negatives = tr.step_inputs(
+        examples, params.tables, hyper.n_negatives, rng)
+    propagated, gathered = [], []
+    propagate, gather = md.propagated_embeddings, tr.gather_windows
+
+    def propagating(*args, rows=None, **kwargs):
+        propagated.append(rows)
+        return propagate(*args, rows=rows, **kwargs)
+
+    def gathering(*args, **kwargs):
+        gathered.append(args)
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(md, "propagated_embeddings", propagating)
+    monkeypatch.setattr(tr, "gather_windows", gathering)
+    _, total = tr.step_losses(params, adjacency, hyper, batch, targets,
+                              positives, negatives)
+    assert np.isfinite(total.data)
+    n_users = params.tables.n_users
+    read = [batch.user_ids]
+    if weights.beta > 0:
+        read += [n_users + positives, n_users + negatives[:, 0]]
+    if weights.delta > 0:
+        read.append(window_nodes(batch, n_users).ravel())
+    if md.encoder_paths(head, weights)["need_graph"]:
+        assert len(propagated) == 1
+        np.testing.assert_array_equal(propagated[0],
+                                      np.unique(np.concatenate(read)))
+    else:
+        assert propagated == []
+    assert len(gathered) == (1 if weights.delta > 0 else 0)
 
 
 def test_first_step_losses_are_pinned():
@@ -424,7 +469,7 @@ def test_backward_adds_little_to_the_forward_peak():
     def forward():
         rng = np.random.Generator(np.random.PCG64(1))
         inputs = tr.step_inputs(chunk, params.tables, hyper.n_negatives, rng)
-        tr.step_losses(params, adjacency, hyper, chunk, *inputs,
+        tr.step_losses(params, adjacency, hyper, *inputs,
                        train_mode=True, rng=rng)
 
     def step():
@@ -449,7 +494,8 @@ class TestStepComposition:
     @pytest.mark.parametrize("layer_mean", [False, True])
     def test_oracle_total_equals_train_step_total(self, layer_mean):
         instance = make_gradient_instance()
-        hyper, params, adjacency, examples = instance[:4]
+        hyper, params, adjacency = instance[:3]
+        examples = tr.build_examples(random_dataset(7, 11, 7))  # its defaults
         hyper.layer_mean = layer_mean
         oracle = float(component_loss_fn("total", *instance)().data)
         # the instance draws its negatives from PCG64(seed + 1) = PCG64(8)
