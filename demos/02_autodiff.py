@@ -33,10 +33,12 @@ extreme = ad.Tensor(np.array([[700.0, -700.0, 0.0]]))
 print("cross-entropy at |x|=700 is finite:",
       ad.cross_entropy(extreme, np.array([1])).item())
 
-# --- masked softmax: probability mass only on allowed entries --------------
+# --- masked attention: probability mass only on allowed keys ---------------
+# ad.attention is one op with a closed-form backward; with identity keys and
+# values its output rows are the attention probabilities themselves
 scores = ad.Tensor(rng.normal(size=(2, 4)) * 30)
 mask = np.array([[True, False, True, True], [True, True, False, False]])
-mp = ad.masked_softmax(scores, mask).data
+mp = ad.attention(scores, np.eye(4), np.eye(4), mask).data
 print("masked entries get exactly 0:", bool((mp[~mask] == 0).all()))
 
 # --- the finite-difference oracle ------------------------------------------

@@ -12,8 +12,8 @@ GraphError. Conventions:
 
 * all values are float64 (gradient checks need the headroom),
 * ReLU'(0) = 0,
-* masked_softmax, cross_entropy and linear_cross_entropy subtract the row
-  max before exponentiating, so logits of any magnitude stay finite,
+* attention, cross_entropy and linear_cross_entropy subtract the row max
+  before exponentiating, so logits of any magnitude stay finite,
 * replay order is the reverse of a depth-first post-order that visits a
   node's parents last to first: every closure runs after all consumers of
   its output, and a node's first parent's subtree runs before its later
@@ -25,20 +25,26 @@ Inside ``with no_grad():`` every op returns a plain leaf, so a forward pass
 (evaluation, the finite-difference probes) keeps no tape and no closure.
 
 Closure contract: ``backward(g)`` returns one gradient per parent, in
-``_parents`` order, and writes nothing. Each is a view of ``g`` (or ``g``)
-or an array allocated for that parent alone, never one the closure keeps,
-or None for a parent that needs no graph (a constant: padding masks, loss
-scales), whose gradient is then never computed. A closure runs at most
-once: ``Tensor.backward`` drops it after the call. ``Tensor.backward``
-alone writes ``grad``: constants take none, and a first gradient sharing
-no memory with ``g`` is adopted, any other copied, so no two tensors share
-a ``grad`` buffer.
+``_parents`` order, writing only to arrays it allocates. Each is a view of
+``g`` (or ``g``) or an array allocated for that parent alone, never one the
+closure keeps, or None for a parent that needs no graph (a constant:
+padding masks, loss scales), whose gradient is then never computed. A
+closure runs at most once: ``Tensor.backward`` drops it after the call.
+``Tensor.backward`` alone writes ``grad``: constants take none, and a first
+gradient sharing no memory with ``g`` is adopted, any other copied, so no
+two tensors share a ``grad`` buffer.
 
 ``linear_cross_entropy`` is the one op that computes its gradient in the
 forward pass: it streams fixed row tiles of the logits, and while a tile's
 softmax is live it turns it into that tile's input and weight gradients.
 The (R, N) logits never exist, and backward only scales the stored
 gradients by the incoming scalar.
+
+``attention`` and ``feed_forward`` fuse an encoder block's two halves.
+Each replays, in both passes, the arithmetic of the primitive ops it
+replaces, so values and gradients are bit-identical to theirs, but keeps
+only what its backward reads: q, k, v, the probabilities and a bool
+keep-mask; the FFN's pre-activation, from which the ReLU is recomputed.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .errors import DimensionError, GraphError
 # Rows per tile in linear_cross_entropy: about 29 MB of logits at N = 3 600.
 LCE_TILE_ROWS = 1024
 FD_STEP, FD_TOL = 1e-5, 1e-4  # finite_difference_check's step and tolerance
+Keep = tuple[np.ndarray, float]  # a dropout keep-mask (bool) and 1/(1 - rate)
 
 _recording = True
 
@@ -261,26 +268,6 @@ def tsum(a, axis=None) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def masked_softmax(a, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis restricted to entries where ``mask`` is True.
-
-    Disallowed entries get probability exactly 0; every slice along the last
-    axis must contain at least one allowed entry.
-    """
-    a = as_tensor(a)
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-    neg = np.where(mask, a.data, -np.inf)
-    mx = neg.max(axis=-1, keepdims=True)
-    e = np.exp(np.where(mask, a.data - mx, -np.inf))
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return _make(out, (a,), backward)
-
-
 def _shifted_exp(e: np.ndarray, rows: np.ndarray, targets: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Overwrite the (R, K) logits ``e`` with exp(e - row max); return each
@@ -468,23 +455,72 @@ def spmm(adj: sp.spmatrix, x) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is 0.
+def keep_mask(shape: tuple, rate: float, rng, train: bool) -> Keep | None:
+    """Draw a dropout keep-mask; None, and no draw, when off."""
+    return ((rng.random(shape) >= rate, 1.0 / (1.0 - rate))
+            if train and rate != 0.0 else None)
 
-    The closure keeps a bool keep-mask, not a float64 one; forward and
-    backward each scale by 1/(1 - rate) or 0 in one rounding.
-    """
+
+def _drop(a: np.ndarray, keep: Keep | None) -> np.ndarray:
+    """``a`` times 1/(1 - rate) where kept, 0 elsewhere, in one rounding."""
+    return a if keep is None else a * np.where(*keep, 0.0)
+
+
+def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
+    """Inverted dropout; identity when not training or rate is 0."""
     a = as_tensor(a)
-    if not train or rate == 0.0:
+    keep = keep_mask(a.data.shape, rate, rng, train)
+    if keep is None:
         return a
-    keep = rng.random(a.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    out = a.data * np.where(keep, scale, 0.0)
 
     def backward(g):
-        return (g * np.where(keep, scale, 0.0),)
+        return (_drop(g, keep),)
 
-    return _make(out, (a,), backward)
+    return _make(_drop(a.data, keep), (a,), backward)
+
+
+def attention(q, k, v, mask: np.ndarray, keep: Keep | None = None) -> Tensor:
+    """``dropout(masked softmax(q kᵀ / sqrt(dh))) v`` over the last two axes;
+    every row of the bool ``mask`` (broadcast to the scores) allows a key."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    mx = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+    probs = np.exp(np.where(mask, scores - mx, -np.inf))
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gv = np.matmul(np.swapaxes(_drop(probs, keep), -1, -2), g)
+        gp = _drop(np.matmul(g, np.swapaxes(v.data, -1, -2)), keep)
+        gp -= (gp * probs).sum(axis=-1, keepdims=True)
+        gp *= probs
+        gp *= scale
+        gk_t = _unbroadcast(np.matmul(np.swapaxes(q.data, -1, -2), gp),
+                            k.data.shape[:-2] + k.data.shape[:-3:-1])
+        return (_unbroadcast(np.matmul(gp, k.data), q.data.shape),
+                np.swapaxes(gk_t, -1, -2), _unbroadcast(gv, v.data.shape))
+
+    return _make(np.matmul(_drop(probs, keep), v.data), (q, k, v), backward)
+
+
+def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None) -> Tensor:
+    """``dropout(relu(x w1ᵀ + b1) w2ᵀ + b2)`` with w1 (d_ff, d), w2 (d, d_ff)."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    pre = np.matmul(x.data, w1.data.T) + b1.data
+    out = np.matmul(np.maximum(pre, 0.0), w2.data.T) + b2.data
+
+    def backward(g):
+        g = _drop(g, keep)
+        gw2 = _unbroadcast(np.matmul(np.maximum(pre, 0.0).swapaxes(-1, -2), g),
+                           w2.data.shape[::-1]).T
+        gpre = np.matmul(g, w2.data)
+        gpre *= pre > 0.0
+        gw1 = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gpre),
+                           w1.data.shape[::-1]).T
+        return (np.matmul(gpre, w1.data), gw1, _unbroadcast(gpre, b1.data.shape),
+                gw2, _unbroadcast(g, b2.data.shape))
+
+    return _make(_drop(out, keep), (x, w1, b1, w2, b2), backward)
 
 
 def grad(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

@@ -101,7 +101,7 @@ def load_interactions(path: str | Path, delimiter: str | None = None
                     raise ParseError(f"{path}:{lineno}: empty user or item token")
                 try:
                     ts = int(float(ts_text))
-                except ValueError as exc:
+                except (ValueError, OverflowError) as exc:  # nan, inf
                     raise ParseError(
                         f"{path}:{lineno}: bad timestamp {ts_text!r}") from exc
                 if ts < 0:

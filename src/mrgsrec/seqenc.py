@@ -1,10 +1,12 @@
 """Transformer encoder over the user-token-prefixed item window.
 
 The input per user is a (c+1) x d matrix: user embedding first, then the
-padded item window. Blocks are pre-layer-norm residual (attention, then a
-two-layer ReLU feed-forward); the output keeps the input shape. Its item
-rows are the local enriched embeddings, and the ``user_state`` row is the
-local behavioral representation: the final window slot by default
+padded item window. Blocks are pre-layer-norm residual: attention, then a
+two-layer ReLU feed-forward, each around one fused op (``ad.attention``,
+``ad.feed_forward``; dropout included, bit-identical to the primitive ops
+they replace). The output keeps the input shape. Its item rows are the
+local enriched embeddings, and the ``user_state`` row is the local
+behavioral representation: the final window slot by default
 (``last_position``), or the user-token row (``first_token``).
 
 Attention policy: items attend causally over valid item positions and may
@@ -126,35 +128,26 @@ def causal_attention_mask(c_plus_1: int, valid_lengths: np.ndarray,
 
 
 def _attention(x: ad.Tensor, layer: dict[str, ad.Tensor], mask: np.ndarray,
-               n_heads: int, dropout_rate: float, train: bool,
-               rng: np.random.Generator | None,
-               row: int | None = None) -> ad.Tensor:
+               config: SeqEncoderConfig, train: bool,
+               rng: np.random.Generator | None, row: int | None) -> ad.Tensor:
     """Multi-head attention of every row of ``x``, or of ``row`` alone
     (keys and values still span every row); returns (B, rows, d)."""
     b, _, d = x.shape
-    dh = d // n_heads
+    dh = d // config.n_heads
     queries = x
     if row is not None:
         queries, mask = ad.narrow(x, 1, row, 1), mask[:, row:row + 1, :]
 
     def heads(source, proj):
         n = source.shape[1]
-        h = ad.reshape(ad.matmul(source, proj), (b, n, n_heads, dh))
+        h = ad.reshape(ad.matmul(source, proj), (b, n, config.n_heads, dh))
         return ad.swapaxes(h, 1, 2)  # (B, H, n, dh)
 
     q, k, v = heads(queries, layer["wq"]), heads(x, layer["wk"]), heads(x, layer["wv"])
-    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
-    probs = ad.masked_softmax(scores, mask[:, None, :, :])
-    probs = ad.dropout(probs, dropout_rate, rng, train)
-    out = ad.matmul(probs, v)  # (B, H, n, dh)
+    keep = ad.keep_mask(q.shape[:3] + (x.shape[1],), config.dropout_rate, rng, train)
+    out = ad.attention(q, k, v, mask[:, None, :, :], keep)  # (B, H, n, dh)
     out = ad.reshape(ad.swapaxes(out, 1, 2), (b, queries.shape[1], d))
     return ad.matmul(out, layer["wo"])
-
-
-def _feed_forward(x: ad.Tensor, layer: dict[str, ad.Tensor]) -> ad.Tensor:
-    hidden = ad.relu(ad.add(ad.matmul(x, ad.swapaxes(layer["w1"], 0, 1)),
-                            layer["b1"]))
-    return ad.add(ad.matmul(hidden, ad.swapaxes(layer["w2"], 0, 1)), layer["b2"])
 
 
 def seq_encode(e_u: ad.Tensor, E_u: ad.Tensor, params: SeqEncoderParams,
@@ -186,14 +179,15 @@ def seq_encode(e_u: ad.Tensor, E_u: ad.Tensor, params: SeqEncoderParams,
         # Without positions the final block's outputs are needed at one row.
         row = None if positions or i < len(params.layers) - 1 else state_row
         attn = _attention(ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"]),
-                          layer, mask, config.n_heads,
-                          config.dropout_rate, train_mode, rng, row)
+                          layer, mask, config, train_mode, rng, row)
         attn = ad.dropout(attn, config.dropout_rate, rng, train_mode)
         if row is not None:
             x = ad.narrow(x, 1, row, 1)
         x = ad.add(x, attn)
-        ff = _feed_forward(ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer)
-        ff = ad.dropout(ff, config.dropout_rate, rng, train_mode)
+        ff = ad.feed_forward(
+            ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["w1"],
+            layer["b1"], layer["w2"], layer["b2"],
+            ad.keep_mask(x.shape, config.dropout_rate, rng, train_mode))
         x = ad.add(x, ff)
     # x is the state row alone once a final block ran without positions
     e_l = ad.reshape(x if x.shape[1] == 1 else ad.narrow(x, 1, state_row, 1),

@@ -8,12 +8,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import composed_ops
 from mrgsrec import autodiff as ad
 from mrgsrec.errors import DimensionError, GraphError
+from mrgsrec.seqenc import causal_attention_mask
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def masked_softmax(x, mask):
+    """Softmax of ``x`` over its last axis where ``mask`` allows: attention
+    with identity keys and values, the queries scaled by sqrt(m) to undo its
+    1/sqrt(dh)."""
+    eye = np.eye(x.shape[-1])
+    return ad.attention(x * np.sqrt(x.shape[-1]), eye, eye, mask).data
 
 
 def test_quadratic_gradient_is_x():
@@ -43,7 +53,7 @@ def test_backward_requires_scalar():
         ad.mul(x, 2.0).backward()
 
 
-def test_cross_entropy_matches_masked_softmax_log_at_scale_700():
+def test_cross_entropy_matches_attention_softmax_log_at_scale_700():
     mask = rng(4).random((16, 9)) > 0.4
     mask[:, 0] = True
     rows = np.arange(16)
@@ -53,7 +63,7 @@ def test_cross_entropy_matches_masked_softmax_log_at_scale_700():
         # at scale 700 only the allowed argmax keeps the oracle's p above 0
         targets = (np.zeros(16, dtype=int) if scale == 1.0
                    else allowed.argmax(axis=1))
-        probs = ad.masked_softmax(ad.Tensor(logits), mask).data
+        probs = masked_softmax(logits, mask)
         got = ad.cross_entropy(logits, targets, mask=mask).item()
         np.testing.assert_allclose(got, -np.log(probs[rows, targets]).sum(),
                                    rtol=1e-12, atol=1e-12)
@@ -69,7 +79,7 @@ def test_softmax_rows_sum_to_one_and_no_overflow():
     everything = np.ones((16, 9), dtype=bool)
     for scale in (1.0, 700.0):
         x = rng(1).normal(size=(16, 9)) * scale
-        y = ad.masked_softmax(ad.Tensor(x), everything).data
+        y = masked_softmax(x, everything)
         assert np.all(np.isfinite(y))
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
         # the row argmin underflows the softmax; loss and gradient stay finite
@@ -81,7 +91,7 @@ def test_softmax_rows_sum_to_one_and_no_overflow():
 
 def test_log_softmax_matches_softmax_log():
     x = rng(2).normal(size=(5, 7))
-    probs = ad.masked_softmax(ad.Tensor(x), np.ones(x.shape, dtype=bool)).data
+    probs = masked_softmax(x, np.ones(x.shape, dtype=bool))
     # one row at a time, cross_entropy is -log_softmax at the target
     log_softmax = np.array([[-ad.cross_entropy(x[r:r + 1], [j]).item()
                              for j in range(x.shape[1])]
@@ -89,11 +99,11 @@ def test_log_softmax_matches_softmax_log():
     np.testing.assert_allclose(log_softmax, np.log(probs), atol=1e-12)
 
 
-def test_masked_softmax_normalizes_over_allowed():
-    x = ad.Tensor(rng(3).normal(size=(4, 6)) * 50)
+def test_attention_softmax_normalizes_over_allowed():
+    x = rng(3).normal(size=(4, 6)) * 50
     mask = rng(4).random((4, 6)) > 0.4
     mask[:, 0] = True  # every row keeps one allowed slot
-    y = ad.masked_softmax(x, mask).data
+    y = masked_softmax(x, mask)
     assert np.all(y[~np.broadcast_to(mask, y.shape)] == 0.0)
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -133,15 +143,19 @@ def test_corrupted_backward_fails_check(monkeypatch):
     monkeypatch.setattr(ad, "relu", original)
 
 
+MASK_3x4 = np.array([[True, False, True, True],
+                     [True, True, False, True],
+                     [False, True, True, False]])
+KEEP_2x3x3 = ad.keep_mask((2, 3, 3), 0.3, rng(12), train=True)
+KEEP_2x3x4 = ad.keep_mask((2, 3, 4), 0.3, rng(13), train=True)
+
+
 @pytest.mark.parametrize("name,builder", [
     ("matmul", lambda p: ad.tsum(ad.matmul(p["a"], p["b"]))),
     ("batched_matmul", lambda p: ad.tsum(ad.matmul(p["t3"], p["b"]))),
     ("cross_entropy", lambda p: ad.cross_entropy(p["a"], np.array([0, 3, 1]))),
     ("masked_cross_entropy", lambda p: ad.cross_entropy(
-        ad.mul(p["a"], 3.0), np.array([2, 1, 2]),
-        mask=np.array([[True, False, True, True],
-                       [True, True, False, True],
-                       [False, True, True, False]]))),
+        ad.mul(p["a"], 3.0), np.array([2, 1, 2]), mask=MASK_3x4)),
     ("layer_norm", lambda p: ad.tsum(ad.square(
         ad.layer_norm(p["t3"], p["g"], p["bias"])))),
     ("lookup", lambda p: ad.tsum(ad.square(
@@ -149,10 +163,13 @@ def test_corrupted_backward_fails_check(monkeypatch):
     ("concat_narrow", lambda p: ad.tsum(ad.square(ad.narrow(
         ad.concat([p["a"], p["a"]], axis=1), 1, 2, 3)))),
     ("swapaxes", lambda p: ad.tsum(ad.square(ad.swapaxes(p["t3"], 1, 2)))),
-    ("masked_softmax", lambda p: ad.tsum(ad.square(ad.masked_softmax(
-        p["a"], np.array([[True, False, True, True],
-                          [True, True, False, True],
-                          [False, True, True, False]]))))),
+    ("attention_softmax", lambda p: ad.tsum(ad.square(ad.attention(
+        p["a"], np.eye(4), np.eye(4), MASK_3x4)))),
+    ("attention", lambda p: ad.tsum(ad.square(ad.attention(
+        p["t3"], p["a"], ad.swapaxes(ad.narrow(p["b"], 1, 0, 3), 0, 1),
+        MASK_3x4[:, :3], KEEP_2x3x3)))),
+    ("feed_forward", lambda p: ad.tsum(ad.square(ad.feed_forward(
+        p["t3"], p["w1"], p["b1"], p["b"], p["bias"], KEEP_2x3x4)))),
     ("linear_cross_entropy", lambda p: ad.linear_cross_entropy(
         p["a"], ad.swapaxes(p["b"], 0, 1), np.array([4, 0, 2]))),
 ])
@@ -164,6 +181,8 @@ def test_op_gradients_match_finite_differences(name, builder):
         "t3": ad.parameter(g.normal(size=(2, 3, 4))),
         "g": ad.parameter(g.normal(size=(4,)) + 1.0),
         "bias": ad.parameter(g.normal(size=(4,))),
+        "w1": ad.parameter(g.normal(size=(5, 4))),
+        "b1": ad.parameter(g.normal(size=(5,))),
     }
     report = ad.finite_difference_check(lambda: builder(params), params)
     for block, entry in report.items():
@@ -227,6 +246,55 @@ def test_linear_cross_entropy_equals_unfused_composition(n_rows):
     assert fused.item() == unfused.item()
     np.testing.assert_allclose(x.grad, x_ref.grad, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(w.grad, w_ref.grad, rtol=1e-12, atol=1e-12)
+
+
+def replay(op, composed, inputs, seed):
+    """(value, every input's gradient) of ``op`` and of ``composed`` under
+    the same random output weights."""
+    results = []
+    for fn in (op, composed):
+        params = [ad.parameter(x) for x in inputs]
+        out = fn(*params)
+        ad.tsum(ad.mul(out, rng(seed).normal(size=out.shape))).backward()
+        results.append([out.data] + [p.grad for p in params])
+    return results
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("layout", ["2d", "4d", "one_row"])
+def test_attention_replays_the_composition_bit_for_bit(layout, rate):
+    g = rng(51)
+    b, heads, m, dh = 3, 2, 6, 3  # 1/sqrt(dh) is inexact, so its place shows
+    # user token plus a causal window of 5 with 5, 2 and 1 valid items
+    mask = causal_attention_mask(m, np.array([5, 2, 1]))[:, None]
+    keys = (b, heads, m, dh)
+    queries = {"2d": (m, dh), "4d": keys, "one_row": (b, heads, 1, dh)}[layout]
+    if layout == "2d":
+        keys, mask = keys[2:], mask[1, 0]
+    elif layout == "one_row":
+        mask = mask[:, :, m - 1:]
+    inputs = [g.normal(size=queries), g.normal(size=keys), g.normal(size=keys)]
+    keep = ad.keep_mask(queries[:-1] + (m,), rate, rng(52), train=True)
+    fused, composed = replay(
+        lambda q, k, v: ad.attention(q, k, v, mask, keep),
+        lambda q, k, v: composed_ops.attention(q, k, v, mask, keep), inputs, 53)
+    for got, want in zip(fused, composed, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("rows", [(6,), (3, 6)])
+def test_feed_forward_replays_the_composition_bit_for_bit(rows, rate):
+    g = rng(61)
+    d, d_ff = 4, 10
+    inputs = [g.normal(size=rows + (d,)), g.normal(size=(d_ff, d)),
+              g.normal(size=d_ff), g.normal(size=(d, d_ff)), g.normal(size=d)]
+    keep = ad.keep_mask(rows + (d,), rate, rng(62), train=True)
+    fused, composed = replay(
+        lambda *p: ad.feed_forward(*p, keep),
+        lambda *p: composed_ops.feed_forward(*p, keep), inputs, 63)
+    for got, want in zip(fused, composed, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_linear_cross_entropy_finite_at_logit_scale_700():
@@ -424,14 +492,27 @@ class TestLookupScatter:
 # Operand indices are taken modulo the pool of tensors built so far, and a
 # binary op's partner is drawn among the compatible tensors, the first
 # operand included, so add(x, x), mul(x, x) and concat([x, x]) all occur.
+# The fused ops draw each further operand the same way, falling back to one
+# derived from an earlier operand; the extra ints give their mask and, for
+# an odd axis choice, a keep-mask.
 DAG_OPS = ("add", "mul", "concat", "reshape", "swapaxes", "tsum", "narrow",
-           "lookup")
+           "lookup", "attention", "feed_forward")
 dag_steps = st.lists(st.tuples(
     st.sampled_from(DAG_OPS), st.integers(0, 63), st.integers(0, 63),
     st.integers(0, 2), st.lists(st.integers(0, 63), min_size=1, max_size=4)),
     min_size=1, max_size=6)
 leaf_shapes = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
                        min_size=1, max_size=4)
+
+
+def pick(pool, fits, fallback, j):
+    """The ``j``-th pool tensor whose shape ``fits``, else ``fallback``."""
+    options = [t for t in pool if fits(t.shape)] or [fallback]
+    return options[j % len(options)]
+
+
+def dag_keep(bits, axis):
+    return (bits != 1, 2.0) if axis % 2 else None
 
 
 def build_dag(steps, params, constants, seed):
@@ -460,6 +541,22 @@ def build_dag(steps, params, constants, seed):
             ax = axis % 2
             start = extra[0] % x.shape[ax]
             out = ad.narrow(x, ax, start, 1 + j % (x.shape[ax] - start))
+        elif op == "attention":
+            k = pick(pool, lambda s: s[1] == cols, x, j)
+            v = pick(pool, lambda s: s[0] == k.shape[0], k, j)
+            bits = np.resize(extra, (rows, k.shape[0])) % 3
+            mask = bits > 0
+            mask[:, 0] = True  # every query keeps one key
+            out = ad.attention(x, k, v, mask, dag_keep(bits, axis))
+        elif op == "feed_forward":
+            w1 = pick(pool, lambda s: s[1] == cols, x, j)
+            w2 = pick(pool, lambda s: s[1] == w1.shape[0],
+                      ad.swapaxes(w1, 0, 1), j)
+            b1, b2 = (pick(pool, lambda s, n=w.shape[0]: s in ((1, n), (rows, n)),
+                           ad.reshape(ad.tsum(w, axis=1), (1, w.shape[0])), j)
+                      for w in (w1, w2))
+            bits = np.resize(extra, (rows, w2.shape[0])) % 3
+            out = ad.feed_forward(x, w1, b1, w2, b2, dag_keep(bits, axis))
         else:
             out = ad.lookup(x, np.array(extra) % rows)
         pool.append(out)

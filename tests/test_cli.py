@@ -355,6 +355,10 @@ def bad_inputs(tmp_path):
     folder = tmp_path / "folder"
     folder.mkdir()
     paths = {"ckpt": ckpt, "folder": folder}
+    for ts in ("nan", "inf", "-inf", "1e999"):
+        paths[f"{ts}_log"] = tmp_path / f"{ts}.tsv"
+        paths[f"{ts}_log"].write_text(f"u1\ti1\t10\nu1\ti2\t{ts}\n",
+                                      encoding="utf-8")
     for name, data in (("ckpt_data", ckpt), ("broken_data", broken)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"data": str(data)}),
@@ -369,12 +373,16 @@ def bad_inputs(tmp_path):
     (["eval", "{ckpt}", "{ckpt}"], 2),
     (["prepare", "{ckpt}", "{folder}/out.snap"], 2),
     (["prepare", "{raw_log}", "{folder}/out.snap", "--delimiter", ""], 2),
+    *[(["prepare", f"{{{ts}_log}}", "{folder}/out.snap"], 2)
+      for ts in ("nan", "inf", "-inf", "1e999")],
     (["train", "--config", "{folder}"], 3),
     (["eval", "{ckpt}", "{folder}"], 3),
     *[(["eval", "{ckpt}", "{snapshot}", "--head", head], 3)
       for head in ("fused", "sequential", "graph")],
 ], ids=["binary_config", "binary_snapshot", "snapshot_bad_json",
         "eval_binary_snapshot", "binary_raw_log", "empty_delimiter",
+        "nan_timestamp", "inf_timestamp", "neg_inf_timestamp",
+        "huge_timestamp",
         "config_is_directory", "snapshot_is_directory", "more_users_fused",
         "more_users_sequential", "more_users_graph"])
 def test_unreadable_input_exits_cleanly(tmp_path, raw_log, snapshot, argv,

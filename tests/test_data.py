@@ -57,9 +57,10 @@ class TestLoad:
         with pytest.raises(ParseError, match=":2:"):
             dp.load_interactions(path)
 
-    def test_bad_timestamp_reports_line(self, tmp_path):
-        path = write_log(tmp_path, ["u1 i1 abc"])
-        with pytest.raises(ParseError, match=":1:"):
+    @pytest.mark.parametrize("ts", ["abc", "nan", "inf", "-inf", "1e999"])
+    def test_bad_timestamp_reports_line(self, tmp_path, ts):
+        path = write_log(tmp_path, ["u1 i2 10", f"u1 i1 {ts}"])
+        with pytest.raises(ParseError, match=f":2: bad timestamp '{ts}'"):
             dp.load_interactions(path)
 
     def test_four_column_rating_ignored(self, tmp_path):

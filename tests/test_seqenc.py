@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composed_ops
 from mrgsrec import autodiff as ad
 from mrgsrec import seqenc as se
 from mrgsrec.embeddings import build_batch, embed_sequence, init_tables
@@ -38,11 +39,12 @@ class TestMask:
         assert set(np.flatnonzero(mask[0, 3])) == {0, 2, 3}
         assert set(np.flatnonzero(mask[0, 2])) == {0, 2, 3}
 
-    def test_masked_softmax_normalizes_with_neg_inf_fill(self):
+    def test_attention_normalizes_with_neg_inf_fill(self):
         mask = se.causal_attention_mask(4, np.array([2, 3]))
         g = np.random.Generator(np.random.PCG64(1))
-        scores = ad.Tensor(g.normal(size=(2, 4, 4)) * 30)
-        probs = ad.masked_softmax(scores, mask).data
+        scores = g.normal(size=(2, 4, 4)) * 30
+        # identity keys and values: the output rows are the probabilities
+        probs = ad.attention(scores, np.eye(4), np.eye(4), mask).data
         np.testing.assert_allclose(probs.sum(-1), 1.0, atol=1e-12)
         assert np.all(probs[~mask] == 0.0)
 
@@ -210,9 +212,10 @@ class TestDeterminism:
             se.seq_encode(e_u, E_u, params, cfg, lengths, train_mode=True)
 
 
-def test_encoder_gradients_match_finite_differences():
+@pytest.mark.parametrize("rate,train_mode", [(0.0, False), (0.3, True)])
+def test_encoder_gradients_match_finite_differences(rate, train_mode):
     cfg = se.SeqEncoderConfig(d=4, n_layers=1, n_heads=2, d_ff=8,
-                              dropout_rate=0.0)
+                              dropout_rate=rate)
     params = se.init_seq_params(cfg, seed=9)
     g = np.random.Generator(np.random.PCG64(10))
     for tensor in params.layers[0].values():
@@ -224,12 +227,42 @@ def test_encoder_gradients_match_finite_differences():
     blocks.update(params.named())
 
     def loss_fn():
-        e_l, E_l = se.seq_encode(e_u, E_u, params, cfg, lengths)
+        # a fresh generator per call: every probe drops the same entries
+        rng = np.random.Generator(np.random.PCG64(11))
+        e_l, E_l = se.seq_encode(e_u, E_u, params, cfg, lengths,
+                                 train_mode=train_mode, rng=rng)
         return ad.add(ad.tsum(ad.square(e_l)), ad.tsum(ad.square(E_l)))
 
     report = ad.finite_difference_check(loss_fn, blocks)
     for name, entry in report.items():
         assert entry["passed"], f"{name}: {entry}"
+
+
+@pytest.mark.parametrize("positions", [True, False])
+def test_fused_blocks_replay_the_composed_encoder(monkeypatch, positions):
+    # values and every gradient, dropout on, bit for bit
+    cfg = se.SeqEncoderConfig(d=6, n_layers=2, n_heads=2, d_ff=12,
+                              dropout_rate=0.3)
+    params = se.init_seq_params(cfg, seed=3)
+    e_u, E_u, lengths = make_inputs(b=4, c=5, d=6, lengths=[5, 2, 1, 3])
+
+    def run():
+        inputs = {"e_u": ad.parameter(e_u.data), "E_u": ad.parameter(E_u.data)}
+        e_l, E_l = se.seq_encode(*inputs.values(), params, cfg, lengths,
+                                 train_mode=True, positions=positions,
+                                 rng=np.random.Generator(np.random.PCG64(5)))
+        loss = ad.tsum(ad.square(e_l))
+        if positions:
+            loss = ad.add(loss, ad.tsum(ad.square(E_l)))
+        blocks = {**inputs, **params.named()}
+        grads = ad.grad(loss, list(blocks.values()))
+        return [e_l.data, None if E_l is None else E_l.data, *grads]
+
+    fused = run()
+    composed_ops.patch_into(monkeypatch)
+    composed = run()
+    for got, want in zip(fused, composed, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_config_validation():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import composed_ops
 from mrgsrec import autodiff as ad
 from mrgsrec import config as cfg
 from mrgsrec import model as md
@@ -450,11 +451,18 @@ def test_first_step_losses_are_pinned():
     }
 
 
-def test_backward_adds_little_to_the_forward_peak():
-    # catalog_wide's model on 300 users x 480 items, one 64-user batch. The
-    # backward frees each node's gradient and closure as the sweep passes
-    # it, so the step peaks near its forward; keeping them all until the
-    # step returns about doubles the peak.
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def catalog_wide_step():
+    """(forward, step) of catalog_wide's model on 300 users x 480 items, one
+    64-user batch: ``step_losses`` alone, and ``train_step``."""
     spec = json.loads(WORKLOADS.read_text())["workloads"]["catalog_wide"]
     dataset = generate_clustered_markov(
         **{**spec["generator"], "n_users": 300, "n_items": 480}, seed=0)
@@ -476,16 +484,24 @@ def test_backward_adds_little_to_the_forward_peak():
         tr.train_step(chunk, params, adjacency, hyper, optimizer,
                       np.random.Generator(np.random.PCG64(1)))
 
-    def peak_bytes(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    return forward, step
 
-    forward_peak = peak_bytes(forward)
-    assert peak_bytes(step) <= 1.25 * forward_peak
+
+def test_backward_adds_little_to_the_forward_peak():
+    # The backward frees each node's gradient and closure as the sweep
+    # passes it, so the step peaks near its forward; keeping them all until
+    # the step returns about doubles the peak.
+    forward, step = catalog_wide_step()
+    assert peak_bytes(step) <= 1.25 * peak_bytes(forward)
+
+
+def test_fused_encoder_ops_shrink_the_forward_peak(monkeypatch):
+    # ad.attention and ad.feed_forward keep only what their backward reads;
+    # the compositions they replace keep every intermediate on the tape.
+    forward, _ = catalog_wide_step()
+    fused = peak_bytes(forward)
+    composed_ops.patch_into(monkeypatch)
+    assert fused <= 0.75 * peak_bytes(forward)
 
 
 class TestStepComposition:
