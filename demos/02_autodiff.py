@@ -34,11 +34,13 @@ print("cross-entropy at |x|=700 is finite:",
       ad.cross_entropy(extreme, np.array([1])).item())
 
 # --- masked attention: probability mass only on allowed keys ---------------
-# ad.attention is one op with a closed-form backward; with identity keys and
-# values its output rows are the attention probabilities themselves
+# ad.attention is one op with a closed-form backward; with one head and
+# identity keys, values and output projection its output rows are the
+# attention probabilities themselves
 scores = ad.Tensor(rng.normal(size=(2, 4)) * 30)
 mask = np.array([[True, False, True, True], [True, True, False, False]])
-mp = ad.attention(scores, np.eye(4), np.eye(4), mask).data
+eye = np.eye(4)
+mp = ad.attention(scores, eye, eye, eye, mask, n_heads=1).data
 print("masked entries get exactly 0:", bool((mp[~mask] == 0).all()))
 
 # --- the finite-difference oracle ------------------------------------------

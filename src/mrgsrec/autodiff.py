@@ -40,11 +40,12 @@ softmax is live it turns it into that tile's input and weight gradients.
 The (R, N) logits never exist, and backward only scales the stored
 gradients by the incoming scalar.
 
-``attention`` and ``feed_forward`` fuse an encoder block's two halves.
-Each replays, in both passes, the arithmetic of the primitive ops it
-replaces, so values and gradients are bit-identical to theirs, but keeps
-only what its backward reads: q, k, v, the probabilities and a bool
-keep-mask; the FFN's pre-activation, from which the ReLU is recomputed.
+``attention`` and ``feed_forward`` fuse the two halves of an encoder block
+after its q, k, v projections, dropouts included as bool keep-masks
+(``keep_mask``). Each replays, in both passes, the arithmetic of the
+primitive ops it replaces, so values and gradients are bit-identical to
+theirs, but keeps only what its backward reads: q, k, v, the probabilities
+and merged heads; the FFN's pre-activation, whose ReLU is recomputed.
 """
 
 from __future__ import annotations
@@ -466,41 +467,46 @@ def _drop(a: np.ndarray, keep: Keep | None) -> np.ndarray:
     return a if keep is None else a * np.where(*keep, 0.0)
 
 
-def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is 0."""
-    a = as_tensor(a)
-    keep = keep_mask(a.data.shape, rate, rng, train)
-    if keep is None:
-        return a
-
-    def backward(g):
-        return (_drop(g, keep),)
-
-    return _make(_drop(a.data, keep), (a,), backward)
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:  # (..., H, n, d/H) view
+    return np.swapaxes(a.reshape(a.shape[:-1] + (n_heads, -1)), -3, -2)
 
 
-def attention(q, k, v, mask: np.ndarray, keep: Keep | None = None) -> Tensor:
-    """``dropout(masked softmax(q kᵀ / sqrt(dh))) v`` over the last two axes;
-    every row of the bool ``mask`` (broadcast to the scores) allows a key."""
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+def _merge(a: np.ndarray) -> np.ndarray:  # _heads' inverse, as a copy
+    return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
+
+
+def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
+              keep: Keep | None = None, keep_out: Keep | None = None) -> Tensor:
+    """``dropout(merge(dropout(masked softmax(q kᵀ / sqrt(dh))) v) wo)`` over
+    ``n_heads`` heads split from q (..., n, d), k and v (..., m, d). Each row
+    of the bool (..., n, m) ``mask`` allows a key; ``keep`` drops the
+    probabilities and ``keep_out`` the output."""
+    q, k, v, wo = (as_tensor(t) for t in (q, k, v, wo))
+    qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
+    mask = mask[..., None, :, :]
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
     mx = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
     probs = np.exp(np.where(mask, scores - mx, -np.inf))
     probs /= probs.sum(axis=-1, keepdims=True)
+    merged = _merge(np.matmul(_drop(probs, keep), vh))
 
     def backward(g):
+        g = _drop(g, keep_out)
+        gwo = _unbroadcast(np.matmul(np.swapaxes(merged, -1, -2), g), wo.data.shape)
+        g = _heads(np.matmul(g, np.swapaxes(wo.data, -1, -2)), n_heads)
         gv = np.matmul(np.swapaxes(_drop(probs, keep), -1, -2), g)
-        gp = _drop(np.matmul(g, np.swapaxes(v.data, -1, -2)), keep)
+        gp = _drop(np.matmul(g, np.swapaxes(vh, -1, -2)), keep)
         gp -= (gp * probs).sum(axis=-1, keepdims=True)
         gp *= probs
         gp *= scale
-        gk_t = _unbroadcast(np.matmul(np.swapaxes(q.data, -1, -2), gp),
-                            k.data.shape[:-2] + k.data.shape[:-3:-1])
-        return (_unbroadcast(np.matmul(gp, k.data), q.data.shape),
-                np.swapaxes(gk_t, -1, -2), _unbroadcast(gv, v.data.shape))
+        gk_t = _unbroadcast(np.matmul(np.swapaxes(qh, -1, -2), gp),
+                            kh.shape[:-2] + kh.shape[:-3:-1])
+        return (_merge(_unbroadcast(np.matmul(gp, kh), qh.shape)),
+                _merge(np.swapaxes(gk_t, -1, -2)),
+                _merge(_unbroadcast(gv, vh.shape)), gwo)
 
-    return _make(np.matmul(_drop(probs, keep), v.data), (q, k, v), backward)
+    return _make(_drop(np.matmul(merged, wo.data), keep_out), (q, k, v, wo), backward)
 
 
 def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None) -> Tensor:

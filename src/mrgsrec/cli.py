@@ -10,6 +10,7 @@ path, 4 numeric/shape, 5 protocol, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -98,7 +99,10 @@ def cmd_train(args) -> int:
     run_config, fp = _load_run(args)
     hyper = cfg.to_hyperparams(run_config)
     dataset, _ = data_mod.load_snapshot(run_config["data"])
-    ckpt_path = args.out or run_config.get("checkpoint") or "model.ckpt"
+    ckpt_path = Path(args.out or run_config.get("checkpoint") or "model.ckpt")
+    if ckpt_path.is_dir() or not ckpt_path.parent.is_dir():  # before training
+        code = errno.EISDIR if ckpt_path.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(ckpt_path))
     log_path = run_config.get("log")
     params, history = fit(dataset, hyper, log_path=log_path, fingerprint=fp)
     save_checkpoint(ckpt_path, params,

@@ -177,11 +177,13 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
     little-endian u64, the sorted-key JSON header (``meta`` with the model
     header under ``"model"``, each block's name and shape, and the sha256 of
     all block bytes), then each block's little-endian float64 values,
-    row-major, in ``params.named()`` order.
+    row-major, in ``params.named()`` order. A ``meta`` that ``load_checkpoint``
+    would reject raises ParseError, and nothing is written.
     """
     t = params.tables
-    meta = {**meta, "model": {"n_users": t.n_users, "n_items": t.n_items,
-                              "c": t.c, **asdict(params.seq_config)}}
+    meta = {**_checked_meta(path, meta),
+            "model": {"n_users": t.n_users, "n_items": t.n_items, "c": t.c,
+                      **asdict(params.seq_config)}}
     named = params.named()
     blocks = b"".join(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
                       for tensor in named.values())
@@ -197,14 +199,24 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
         fh.write(blocks)
 
 
+def _checked_meta(path, meta) -> dict:
+    """``meta``, or ParseError unless its ``config`` is an object or null and
+    its ``fingerprint`` a string, as ``eval`` reads them."""
+    if not (isinstance(meta, dict) and isinstance(meta.get("fingerprint", ""), str)
+            and isinstance(meta.get("config"), (dict, type(None)))):
+        raise ParseError(f"{path}: checkpoint meta needs an object or null "
+                         "'config' and a string 'fingerprint'")
+    return meta
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Rebuild the model a checkpoint describes; returns (params, meta).
 
-    The file must hold exactly the bytes of the model its header describes
-    (checked before that model is built), the header's (name, shape) block
-    list must equal the rebuilt model's, and the block bytes' sha256 must
-    equal the header's (files written before the checksum have none);
-    anything else raises ParseError before a single block is copied.
+    The meta must pass ``_checked_meta``, the file must hold exactly the
+    bytes of the model its header describes (checked before it is built),
+    the header's (name, shape) block list must equal the rebuilt model's,
+    and the block bytes' sha256 must equal the header's (files older than
+    the checksum have none); else ParseError, before any block is copied.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -213,7 +225,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     try:
         (header_len,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC))
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-        meta = header["meta"]
+        meta = _checked_meta(path, header["meta"])
         blocks = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
         spec = dict(meta["model"])
         sizes = (spec.pop("n_users"), spec.pop("n_items"), spec.pop("c"))

@@ -2,9 +2,9 @@
 
 The input per user is a (c+1) x d matrix: user embedding first, then the
 padded item window. Blocks are pre-layer-norm residual: attention, then a
-two-layer ReLU feed-forward, each around one fused op (``ad.attention``,
-``ad.feed_forward``; dropout included, bit-identical to the primitive ops
-they replace). The output keeps the input shape. Its item rows are the
+two-layer ReLU feed-forward. Each is one fused op (``ad.attention`` after
+the q, k, v projections, ``ad.feed_forward``) that takes the keep-masks
+drawn here. The output keeps the input shape. Its item rows are the
 local enriched embeddings, and the ``user_state`` row is the local
 behavioral representation: the final window slot by default
 (``last_position``), or the user-token row (``first_token``).
@@ -72,11 +72,8 @@ class SeqEncoderParams:
     layers: list[dict[str, ad.Tensor]] = field(default_factory=list)
 
     def named(self) -> dict[str, ad.Tensor]:
-        out: dict[str, ad.Tensor] = {}
-        for i, layer in enumerate(self.layers):
-            for key, tensor in layer.items():
-                out[f"encoder.layer{i}.{key}"] = tensor
-        return out
+        return {f"encoder.layer{i}.{key}": tensor
+                for i, layer in enumerate(self.layers) for key, tensor in layer.items()}
 
 
 def init_seq_params(config: SeqEncoderConfig, seed: int) -> SeqEncoderParams:
@@ -127,29 +124,6 @@ def causal_attention_mask(c_plus_1: int, valid_lengths: np.ndarray,
     return j_is_user | pair_valid
 
 
-def _attention(x: ad.Tensor, layer: dict[str, ad.Tensor], mask: np.ndarray,
-               config: SeqEncoderConfig, train: bool,
-               rng: np.random.Generator | None, row: int | None) -> ad.Tensor:
-    """Multi-head attention of every row of ``x``, or of ``row`` alone
-    (keys and values still span every row); returns (B, rows, d)."""
-    b, _, d = x.shape
-    dh = d // config.n_heads
-    queries = x
-    if row is not None:
-        queries, mask = ad.narrow(x, 1, row, 1), mask[:, row:row + 1, :]
-
-    def heads(source, proj):
-        n = source.shape[1]
-        h = ad.reshape(ad.matmul(source, proj), (b, n, config.n_heads, dh))
-        return ad.swapaxes(h, 1, 2)  # (B, H, n, dh)
-
-    q, k, v = heads(queries, layer["wq"]), heads(x, layer["wk"]), heads(x, layer["wv"])
-    keep = ad.keep_mask(q.shape[:3] + (x.shape[1],), config.dropout_rate, rng, train)
-    out = ad.attention(q, k, v, mask[:, None, :, :], keep)  # (B, H, n, dh)
-    out = ad.reshape(ad.swapaxes(out, 1, 2), (b, queries.shape[1], d))
-    return ad.matmul(out, layer["wo"])
-
-
 def seq_encode(e_u: ad.Tensor, E_u: ad.Tensor, params: SeqEncoderParams,
                config: SeqEncoderConfig, valid_lengths: np.ndarray,
                train_mode: bool = False,
@@ -171,24 +145,28 @@ def seq_encode(e_u: ad.Tensor, E_u: ad.Tensor, params: SeqEncoderParams,
             f"shape mismatch: e_u {e_u.shape}, E_u {E_u.shape}, d={config.d}")
     if train_mode and config.dropout_rate > 0.0 and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
-    c = E_u.shape[1]
+    c, rate = E_u.shape[1], config.dropout_rate
     state_row = c if config.user_state == "last_position" else 0
     x = ad.concat([ad.reshape(e_u, (b, 1, d)), E_u], axis=1)
     mask = causal_attention_mask(c + 1, valid_lengths, config.attention_mode)
     for i, layer in enumerate(params.layers):
-        # Without positions the final block's outputs are needed at one row.
-        row = None if positions or i < len(params.layers) - 1 else state_row
-        attn = _attention(ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"]),
-                          layer, mask, config, train_mode, rng, row)
-        attn = ad.dropout(attn, config.dropout_rate, rng, train_mode)
-        if row is not None:
-            x = ad.narrow(x, 1, row, 1)
-        x = ad.add(x, attn)
-        ff = ad.feed_forward(
+        h = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
+        queries = h
+        if not positions and i == len(params.layers) - 1:
+            # The final block's queries and residual at the state row alone;
+            # keys and values still span every row.
+            queries = ad.narrow(h, 1, state_row, 1)
+            x, mask = ad.narrow(x, 1, state_row, 1), mask[:, state_row:state_row + 1]
+        keep = ad.keep_mask((b, config.n_heads, x.shape[1], c + 1), rate, rng,
+                            train_mode)
+        x = ad.add(x, ad.attention(
+            ad.matmul(queries, layer["wq"]), ad.matmul(h, layer["wk"]),
+            ad.matmul(h, layer["wv"]), layer["wo"], mask, config.n_heads, keep,
+            ad.keep_mask(x.shape, rate, rng, train_mode)))
+        x = ad.add(x, ad.feed_forward(
             ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["w1"],
             layer["b1"], layer["w2"], layer["b2"],
-            ad.keep_mask(x.shape, config.dropout_rate, rng, train_mode))
-        x = ad.add(x, ff)
+            ad.keep_mask(x.shape, rate, rng, train_mode)))
     # x is the state row alone once a final block ran without positions
     e_l = ad.reshape(x if x.shape[1] == 1 else ad.narrow(x, 1, state_row, 1),
                      (b, d))

@@ -26,7 +26,7 @@ def masked_softmax(a, mask):
 
 
 def dropped(a, keep):
-    """``ad.dropout`` with a given keep-mask, which its closure keeps alone."""
+    """Inverted dropout by a given keep-mask, which its closure keeps alone."""
     if keep is None:
         return a
     a = ad.as_tensor(a)
@@ -37,10 +37,18 @@ def dropped(a, keep):
     return ad._make(a.data * np.where(*keep, 0.0), (a,), backward)
 
 
-def attention(q, k, v, mask, keep=None):
+def attention(q, k, v, wo, mask, n_heads, keep=None, keep_out=None):
+    def heads(t):  # (..., n, d) -> (..., n_heads, n, dh)
+        split = ad.reshape(t, t.shape[:-1] + (n_heads, t.shape[-1] // n_heads))
+        return ad.swapaxes(split, -3, -2)
+
+    q, k, v = heads(q), heads(k), heads(v)
     scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)),
                     1.0 / np.sqrt(q.shape[-1]))
-    return ad.matmul(dropped(masked_softmax(scores, mask), keep), v)
+    probs = dropped(masked_softmax(scores, mask[..., None, :, :]), keep)
+    out = ad.swapaxes(ad.matmul(probs, v), -3, -2)  # (..., n, n_heads, dh)
+    merged = ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
+    return dropped(ad.matmul(merged, wo), keep_out)
 
 
 def feed_forward(x, w1, b1, w2, b2, keep=None):

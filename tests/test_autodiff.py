@@ -19,11 +19,11 @@ def rng(seed=0):
 
 
 def masked_softmax(x, mask):
-    """Softmax of ``x`` over its last axis where ``mask`` allows: attention
-    with identity keys and values, the queries scaled by sqrt(m) to undo its
-    1/sqrt(dh)."""
+    """Softmax of ``x`` over its last axis where ``mask`` allows: one-head
+    attention with identity keys, values and output projection, the queries
+    scaled by sqrt(m) to undo its 1/sqrt(dh)."""
     eye = np.eye(x.shape[-1])
-    return ad.attention(x * np.sqrt(x.shape[-1]), eye, eye, mask).data
+    return ad.attention(x * np.sqrt(x.shape[-1]), eye, eye, eye, mask, 1).data
 
 
 def test_quadratic_gradient_is_x():
@@ -146,7 +146,8 @@ def test_corrupted_backward_fails_check(monkeypatch):
 MASK_3x4 = np.array([[True, False, True, True],
                      [True, True, False, True],
                      [False, True, True, False]])
-KEEP_2x3x3 = ad.keep_mask((2, 3, 3), 0.3, rng(12), train=True)
+KEEP_2x2x3x3 = ad.keep_mask((2, 2, 3, 3), 0.3, rng(12), train=True)
+KEEP_2x3x5 = ad.keep_mask((2, 3, 5), 0.3, rng(14), train=True)
 KEEP_2x3x4 = ad.keep_mask((2, 3, 4), 0.3, rng(13), train=True)
 
 
@@ -164,10 +165,11 @@ KEEP_2x3x4 = ad.keep_mask((2, 3, 4), 0.3, rng(13), train=True)
         ad.concat([p["a"], p["a"]], axis=1), 1, 2, 3)))),
     ("swapaxes", lambda p: ad.tsum(ad.square(ad.swapaxes(p["t3"], 1, 2)))),
     ("attention_softmax", lambda p: ad.tsum(ad.square(ad.attention(
-        p["a"], np.eye(4), np.eye(4), MASK_3x4)))),
+        p["a"], np.eye(4), np.eye(4), np.eye(4), MASK_3x4, 1)))),
     ("attention", lambda p: ad.tsum(ad.square(ad.attention(
         p["t3"], p["a"], ad.swapaxes(ad.narrow(p["b"], 1, 0, 3), 0, 1),
-        MASK_3x4[:, :3], KEEP_2x3x3)))),
+        ad.swapaxes(p["w1"], 0, 1), MASK_3x4[:, :3], 2, KEEP_2x2x3x3,
+        KEEP_2x3x5)))),
     ("feed_forward", lambda p: ad.tsum(ad.square(ad.feed_forward(
         p["t3"], p["w1"], p["b1"], p["b"], p["bias"], KEEP_2x3x4)))),
     ("linear_cross_entropy", lambda p: ad.linear_cross_entropy(
@@ -261,23 +263,29 @@ def replay(op, composed, inputs, seed):
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
-@pytest.mark.parametrize("layout", ["2d", "4d", "one_row"])
-def test_attention_replays_the_composition_bit_for_bit(layout, rate):
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("layout", ["2d", "3d", "one_row"])
+def test_attention_replays_the_composition_bit_for_bit(layout, n_heads, rate):
     g = rng(51)
-    b, heads, m, dh = 3, 2, 6, 3  # 1/sqrt(dh) is inexact, so its place shows
+    b, m, d, d_out = 3, 6, 6, 5  # 1/sqrt(dh) is inexact, so its place shows
     # user token plus a causal window of 5 with 5, 2 and 1 valid items
-    mask = causal_attention_mask(m, np.array([5, 2, 1]))[:, None]
-    keys = (b, heads, m, dh)
-    queries = {"2d": (m, dh), "4d": keys, "one_row": (b, heads, 1, dh)}[layout]
+    mask = causal_attention_mask(m, np.array([5, 2, 1]))
+    keys = (b, m, d)
+    queries = {"2d": (m, d), "3d": keys, "one_row": (b, 1, d)}[layout]
     if layout == "2d":
-        keys, mask = keys[2:], mask[1, 0]
+        keys, mask = keys[1:], mask[1]
     elif layout == "one_row":
-        mask = mask[:, :, m - 1:]
-    inputs = [g.normal(size=queries), g.normal(size=keys), g.normal(size=keys)]
-    keep = ad.keep_mask(queries[:-1] + (m,), rate, rng(52), train=True)
+        mask = mask[:, m - 1:]
+    inputs = [g.normal(size=queries), g.normal(size=keys), g.normal(size=keys),
+              g.normal(size=(d, d_out))]
+    # both dropouts at the rate: the probabilities', then the output's
+    keep = ad.keep_mask(queries[:-2] + (n_heads, queries[-2], m), rate, rng(52),
+                        train=True)
+    keep_out = ad.keep_mask(queries[:-1] + (d_out,), rate, rng(54), train=True)
     fused, composed = replay(
-        lambda q, k, v: ad.attention(q, k, v, mask, keep),
-        lambda q, k, v: composed_ops.attention(q, k, v, mask, keep), inputs, 53)
+        lambda *p: ad.attention(*p, mask, n_heads, keep, keep_out),
+        lambda *p: composed_ops.attention(*p, mask, n_heads, keep, keep_out),
+        inputs, 53)
     for got, want in zip(fused, composed, strict=True):
         assert np.array_equal(got, want)
 
@@ -417,16 +425,26 @@ def test_backward_through_a_consumed_graph_raises():
 
 
 def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_product():
-    a = ad.parameter(rng(5).normal(size=(6, 7)))
-    a.data[rng(6).random(a.shape) < 0.2] *= 0.0  # signed zeros must match too
+    # ad.attention's output dropout, applied by keep_out in both passes
+    g = rng(5)
+    q, k, v = (ad.parameter(g.normal(size=(2, 6, 4))) for _ in range(3))
+    wo = ad.parameter(g.normal(size=(4, 7)))
+    wo.data[:, 0] *= 0.0  # signed zeros in the undropped output, too
+    mask = causal_attention_mask(6, np.array([5, 3]))
     rate = 0.3
-    out = ad.dropout(a, rate, rng(7), train=True)
-    keep = rng(7).random(a.shape) >= rate
-    mask = keep.astype(np.float64) / (1.0 - rate)
-    g = rng(8).normal(size=a.shape)
-    assert out.data.tobytes() == (a.data * mask).tobytes()
-    assert out._backward(g)[0].tobytes() == (g * mask).tobytes()
-    assert out._parents == (a,)
+    keep_out = ad.keep_mask((2, 6, 7), rate, rng(7), train=True)
+    assert keep_out[0].dtype == bool
+    plain = ad.attention(q, k, v, wo, mask, 2)
+    out = ad.attention(q, k, v, wo, mask, 2, keep_out=keep_out)
+    factor = (rng(7).random(out.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    # a dropped negative entry is -0.0, as the product makes it
+    assert np.signbit(out.data[~keep_out[0]]).any()
+    assert out.data.tobytes() == (plain.data * factor).tobytes()
+    grad_out = rng(8).normal(size=out.shape)
+    for got, want in zip(out._backward(grad_out), plain._backward(grad_out * factor),
+                         strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert out._parents == (q, k, v, wo)
 
 
 def test_relu_forward_maps_negative_zero_to_zero_and_keeps_nan():
@@ -494,7 +512,8 @@ class TestLookupScatter:
 # operand included, so add(x, x), mul(x, x) and concat([x, x]) all occur.
 # The fused ops draw each further operand the same way, falling back to one
 # derived from an earlier operand; the extra ints give their mask and, for
-# an odd axis choice, a keep-mask.
+# an odd axis choice, keep-masks; attention splits the largest common
+# number of heads when the last extra int is odd, else one.
 DAG_OPS = ("add", "mul", "concat", "reshape", "swapaxes", "tsum", "narrow",
            "lookup", "attention", "feed_forward")
 dag_steps = st.lists(st.tuples(
@@ -544,10 +563,15 @@ def build_dag(steps, params, constants, seed):
         elif op == "attention":
             k = pick(pool, lambda s: s[1] == cols, x, j)
             v = pick(pool, lambda s: s[0] == k.shape[0], k, j)
+            wo = pick(pool, lambda s: s[0] == v.shape[1], ad.swapaxes(v, 0, 1), j)
+            n_heads = math.gcd(cols, v.shape[1]) if extra[-1] % 2 else 1
             bits = np.resize(extra, (rows, k.shape[0])) % 3
             mask = bits > 0
             mask[:, 0] = True  # every query keeps one key
-            out = ad.attention(x, k, v, mask, dag_keep(bits, axis))
+            head_bits = np.broadcast_to(bits, (n_heads,) + bits.shape)
+            out_bits = np.resize(extra[::-1], (rows, wo.shape[1])) % 3
+            out = ad.attention(x, k, v, wo, mask, n_heads,
+                               dag_keep(head_bits, axis), dag_keep(out_bits, axis))
         elif op == "feed_forward":
             w1 = pick(pool, lambda s: s[1] == cols, x, j)
             w2 = pick(pool, lambda s: s[1] == w1.shape[0],

@@ -70,6 +70,17 @@ class TestCheckpointIO:
         with pytest.raises(ParseError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("meta", [
+        {"config": 5}, {"config": "run.json"}, {"fingerprint": 5},
+        {"fingerprint": None}, {"fingerprint": ["a"]}])
+    def test_meta_eval_cannot_read_is_not_written(self, tmp_path, meta):
+        params = init_model(2, 3, 2, SeqEncoderConfig(d=2, n_layers=0,
+                                                      n_heads=1), seed=0)
+        path = tmp_path / "meta.ckpt"
+        with pytest.raises(ParseError, match="checkpoint meta"):
+            save_checkpoint(path, params, meta)
+        assert not path.exists()
+
     def test_file_starts_with_magic(self, tmp_path):
         params = init_model(2, 3, 2, SeqEncoderConfig(d=2, n_layers=0,
                                                       n_heads=1), seed=0)

@@ -174,6 +174,22 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out,reason", [
+        ("missing/dir/m.ckpt", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory")])
+    def test_unwritable_checkpoint_path_exit_code_3_before_training(
+            self, tmp_path, snapshot, monkeypatch, capsys, out, reason):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started with nowhere to save")
+
+        monkeypatch.setattr("mrgsrec.training.fit", no_training)
+        config = tiny_config(tmp_path, snapshot)
+        out = tmp_path / out
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 3
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.splitlines() == [f"error: {reason}: '{out}'"]
+
 
 class TestEval:
     def test_eval_prints_report(self, tmp_path, snapshot, capsys):
@@ -213,6 +229,26 @@ class TestEval:
         assert cli.main(["eval", str(ckpt), str(snapshot),
                          "--split", "validation"]) == 3
         assert "leaked into the graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("config", 5), ("config", "run.json"), ("config", [{}]),
+    ("fingerprint", 5), ("fingerprint", None), ("fingerprint", ["a"])])
+def test_eval_rejects_meta_it_cannot_read_exit_code_2(tmp_path, snapshot,
+                                                      capsys, key, value):
+    ckpt = tmp_path / "model.ckpt"
+    config = tiny_config(tmp_path, snapshot, max_epochs=0)
+    assert cli.main(["train", "--config", str(config), "--out", str(ckpt)]) == 0
+
+    def change(header, blobs):
+        header["meta"][key] = value
+    rewrite_checkpoint(ckpt, change)
+    capsys.readouterr()
+    assert cli.main(["eval", str(ckpt), str(snapshot)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error:") and "checkpoint meta" in printed.err
+    assert len(printed.err.splitlines()) == 1
 
 
 def rewrite_checkpoint(path, change):

@@ -43,8 +43,10 @@ class TestMask:
         mask = se.causal_attention_mask(4, np.array([2, 3]))
         g = np.random.Generator(np.random.PCG64(1))
         scores = g.normal(size=(2, 4, 4)) * 30
-        # identity keys and values: the output rows are the probabilities
-        probs = ad.attention(scores, np.eye(4), np.eye(4), mask).data
+        # one head, identity keys, values and output projection: the output
+        # rows are the probabilities
+        eye = np.eye(4)
+        probs = ad.attention(scores, eye, eye, eye, mask, 1).data
         np.testing.assert_allclose(probs.sum(-1), 1.0, atol=1e-12)
         assert np.all(probs[~mask] == 0.0)
 

@@ -160,8 +160,11 @@ def test_checkpoint_loads_whole_or_is_rejected(raw):
         path.write_bytes(raw)
         try:
             params, meta = load_checkpoint(path)
+            # what eval reads of the meta: its run settings and fingerprint
+            cfg.to_hyperparams(cfg.resolve_config(meta.get("config") or {}))
         except ParseError:
             return
+        assert isinstance(meta.get("fingerprint", ""), str)
         save_checkpoint(again, params, meta)
         reloaded, _ = load_checkpoint(again)
     assert list(reloaded.named()) == list(params.named())
