@@ -554,7 +554,8 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
 
     Coordinates where both gradients sit below the difference-quotient noise
     floor (cancellation error ~ eps * |loss| / h) are unmeasurable by this
-    method and are not scored.
+    method and are not scored. A coordinate where either gradient is not
+    finite scores inf.
     """
     tensors = list(params.values())
     base_loss = loss_fn()
@@ -579,9 +580,12 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
             flat[i] = saved
             fd[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
         ana_flat = ana.reshape(-1)
+        finite = np.isfinite(ana_flat) & np.isfinite(fd)
+        ana_flat, fd = np.where(finite, ana_flat, 0.0), np.where(finite, fd, 0.0)
         denom = np.maximum(np.abs(ana_flat), np.abs(fd))
         err = np.where(denom > floor,
                        np.abs(ana_flat - fd) / np.maximum(denom, 1e-300), 0.0)
+        err[~finite] = np.inf
         max_err = float(err.max()) if err.size else 0.0
         report[name] = {"max_rel_error": max_err, "passed": max_err <= FD_TOL}
     return report

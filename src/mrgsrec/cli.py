@@ -54,7 +54,7 @@ from .model import SCORING_HEADS
 
 EXIT_CODES = (
     (ParseError, 2),
-    ((DataError, GraphError), 3),
+    ((DataError, GraphError, OSError), 3),
     ((NumericError, DimensionError), 4),
     (ProtocolError, 5),
 )
@@ -215,16 +215,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MrgsError as exc:
-        for classes, code in EXIT_CODES:
-            if isinstance(exc, classes):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (MrgsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next((code for classes, code in EXIT_CODES
+                     if isinstance(exc, classes)), 1)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ from .training import Hyperparams
 # path key -> description; each value is a string or null (the default)
 PATHS = {
     "data": "path to a MRGS-DATA-v1 dataset snapshot",
-    "checkpoint": "path to write/read the model checkpoint",
+    "checkpoint": "path to write/read the model checkpoint; mrgsrec train "
+                  "writes model.ckpt when neither --out nor this is set",
     "log": "path of the append-only epoch log (JSON lines)",
 }
 # key -> (default, description)

@@ -1,7 +1,9 @@
 """Self-check suites: gradient finite differences, sparse-vs-dense graph
 oracle, restricted-vs-full graph propagation, ranking-metric oracle, and
-state-only-vs-full encoder parity. The CLI ``verify`` subcommand runs all
-five and fails on any mismatch; the test suite reuses the same functions.
+state-only-vs-full encoder parity. Each returns flat ``{measure: scalar,
+..., "passed": bool}`` records; ``mrgsrec verify`` prints one line per record
+(``report_line``) and fails unless all pass. A non-finite difference scores
+inf, so a NaN never passes. The test suite reuses the same functions.
 
 The paper's ablation lives here too: ``ablate`` trains and tests the
 variants ``ablation_configs`` derives from one run, for ``mrgsrec ablate``,
@@ -31,6 +33,8 @@ GRAPH_ORACLE_GRAPHS, GRAPH_ORACLE_SEED, GRAPH_ORACLE_TOL = 20, 11, 1e-10
 GRAPH_ORACLE_MAX_USERS, GRAPH_ORACLE_MAX_ITEMS, GRAPH_ORACLE_K = 50, 80, 3
 METRIC_ORACLE_USERS, METRIC_ORACLE_ITEMS, METRIC_ORACLE_SEED = 100, 50, 13
 STATE_ONLY_TOL = 1e-12
+# The gradient instance of ``verify --quick`` (``make_gradient_instance``).
+QUICK_GRADIENT_INSTANCE = dict(d=4, c=3, m=5, n=7, k=1, n_layers=1)
 
 # The synthetic ablation check: ``generate_clustered_markov(seed=
 # ABLATION_DATA_SEED)`` (600 users x 240 items) and this base run.
@@ -91,22 +95,31 @@ def component_loss_fn(name: str, hyper, params, adjacency, *inputs):
 
 
 def gradient_suite(**instance_kwargs) -> dict[str, dict]:
-    """Finite-difference check of each loss and the total; one record per
-    loss, with the worst block and the per-block report under ``blocks``."""
+    """Finite-difference check of each loss and the total: a record
+    ``gradient/<loss>`` naming the worst block, then ``gradient/<loss>/<b>``."""
     instance = make_gradient_instance(**instance_kwargs)
-    hyper, params = instance[0], instance[1]
-    results: dict[str, dict] = {}
+    records: dict[str, dict] = {}
     for name in ("local", "global", "fused", "contrastive", "total"):
-        loss_fn = component_loss_fn(name, *instance)
-        report = ad.finite_difference_check(loss_fn, params.named())
+        report = ad.finite_difference_check(component_loss_fn(name, *instance),
+                                            instance[1].named())
         worst_block = max(report, key=lambda b: report[b]["max_rel_error"])
-        results[name] = {
+        records[f"gradient/{name}"] = {
             "max_rel_error": report[worst_block]["max_rel_error"],
             "worst_block": worst_block,
             "passed": all(entry["passed"] for entry in report.values()),
-            "blocks": report,
         }
-    return results
+        records.update((f"gradient/{name}/{block}", entry)
+                       for block, entry in report.items())
+    return records
+
+
+def max_abs_difference(pairs) -> float:
+    """The largest ``|a - b|`` over the (a, b) array pairs, 0.0 for none;
+    any non-finite difference makes it inf."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = [float(np.abs(np.subtract(a, b)).max(initial=0.0))
+                for a, b in pairs]
+    return max(gaps, default=0.0) if np.isfinite(gaps).all() else np.inf
 
 
 def dense_normalized_adjacency(train: list[list[int]], m: int, n: int) -> np.ndarray:
@@ -138,26 +151,23 @@ def oracle_graphs():
 
 def sparse_dense_suite() -> dict:
     """Compare sparse construction/propagation with the dense oracle."""
-    worst = 0.0
+    pairs = []
     for train, m, n, x in oracle_graphs():
         adjacency = build_adjacency(train, m, n)
         dense = dense_normalized_adjacency(train, m, n)
-        diff = np.abs(adjacency.adj.toarray() - dense).max()
-        worst = max(worst, float(diff))
         # structural assertions: exact symmetry, zero diagonal blocks
-        transpose_gap = (adjacency.adj - adjacency.adj.T)
-        if transpose_gap.nnz and np.abs(transpose_gap.data).max() != 0.0:
-            return {"passed": False, "reason": "adjacency not symmetric"}
         blocks = adjacency.adj.toarray()
+        if not np.array_equal(blocks, blocks.T):
+            return {"reason": "adjacency not symmetric", "passed": False}
         if blocks[:m, :m].any() or blocks[m:, m:].any():
-            return {"passed": False, "reason": "diagonal blocks not zero"}
-        sparse_prop = x.copy()
-        dense_prop = x.copy()
+            return {"reason": "diagonal blocks not zero", "passed": False}
+        sparse_prop = dense_prop = x
         for _ in range(GRAPH_ORACLE_K):
             sparse_prop = adjacency.adj @ sparse_prop
             dense_prop = dense @ dense_prop
-        worst = max(worst, float(np.abs(sparse_prop - dense_prop).max()))
-    return {"passed": worst <= GRAPH_ORACLE_TOL, "max_abs_error": worst}
+        pairs += [(blocks, dense), (sparse_prop, dense_prop)]
+    worst = max_abs_difference(pairs)
+    return {"max_abs_error": worst, "passed": worst <= GRAPH_ORACLE_TOL}
 
 
 def restricted_and_full(tables: EmbeddingTables, adjacency: NormalizedAdjacency,
@@ -186,7 +196,7 @@ def rows_suite() -> dict:
     for k in 0..GRAPH_ORACLE_K, with and without the layer mean, each on a
     random node subset; values and both table gradients must be equal."""
     rng = np.random.Generator(np.random.PCG64(GRAPH_ORACLE_SEED + 1))
-    worst, cases = 0.0, 0
+    cases = []
     for train, m, n, x in oracle_graphs():
         adjacency = build_adjacency(train, m, n)
         tables = init_tables(m, n, 1, x.shape[1], seed=0)
@@ -194,14 +204,12 @@ def rows_suite() -> dict:
         tables.item.data[:n] = x[m:]
         rows = np.flatnonzero(rng.random(m + n) < 0.3)
         weights = rng.normal(size=(rows.size, x.shape[1]))
-        for k in range(GRAPH_ORACLE_K + 1):
-            for layer_mean in (False, True):
-                full, restricted = restricted_and_full(
-                    tables, adjacency, k, layer_mean, rows, weights)
-                for a, b in zip(full, restricted):
-                    worst = max(worst, float(np.abs(a - b).max(initial=0.0)))
-                cases += 1
-    return {"passed": worst == 0.0, "max_abs_error": worst, "cases": cases}
+        cases += [(tables, adjacency, k, layer_mean, rows, weights)
+                  for k in range(GRAPH_ORACLE_K + 1)
+                  for layer_mean in (False, True)]
+    worst = max_abs_difference(pair for case in cases
+                               for pair in zip(*restricted_and_full(*case)))
+    return {"max_abs_error": worst, "cases": len(cases), "passed": worst == 0.0}
 
 
 def metric_oracle_rank(scores: np.ndarray, target: int, excluded=()) -> int:
@@ -232,15 +240,15 @@ def metric_suite() -> dict:
     for got, row, target, excluded in zip(ranks, scores, targets, exclusions):
         want = metric_oracle_rank(row, int(target), excluded)
         if got != want:
-            return {"passed": False,
-                    "reason": f"rank mismatch: {got} vs oracle {want}"}
+            return {"reason": f"rank mismatch: {got} vs oracle {want}",
+                    "passed": False}
         for k in (5, 10):
             if hr_at_k(got, k) != (1.0 if want <= k else 0.0):
-                return {"passed": False, "reason": "hr mismatch"}
+                return {"reason": "hr mismatch", "passed": False}
             expected = 1.0 / np.log2(want + 1) if want <= k else 0.0
             if abs(ndcg_at_k(got, k) - expected) > 1e-15:
-                return {"passed": False, "reason": "ndcg mismatch"}
-    return {"passed": True, "ranks": n_users}
+                return {"reason": "ndcg mismatch", "passed": False}
+    return {"ranks": n_users, "passed": True}
 
 
 def state_only_gaps(user_state: str = "first_token",
@@ -269,21 +277,18 @@ def state_only_gaps(user_state: str = "first_token",
         state = forward_states(params, batch, adjacency, k=2, positions=False)
     if state.E_l is not None:
         return {head: float("inf") for head in HEAD_STATES}
-    return {head: float(np.abs(getattr(state, name).data
-                               - getattr(full, name).data).max())
+    return {head: max_abs_difference([(getattr(state, name).data,
+                                       getattr(full, name).data)])
             for head, name in HEAD_STATES.items()}
 
 
 def state_only_suite() -> dict:
     """``state_only_gaps`` over both user states and attention modes; the
     worst gap per scoring head."""
-    worst = {head: 0.0 for head in HEAD_STATES}
-    for user_state in USER_STATES:
-        for mode in ATTENTION_MODES:
-            for head, gap in state_only_gaps(user_state, mode).items():
-                worst[head] = max(worst[head], gap)
-    return {"passed": max(worst.values()) <= STATE_ONLY_TOL,
-            "max_abs_error": worst}
+    runs = [state_only_gaps(user_state, mode)
+            for user_state in USER_STATES for mode in ATTENTION_MODES]
+    worst = {head: max(gaps[head] for gaps in runs) for head in HEAD_STATES}
+    return {**worst, "passed": max(worst.values()) <= STATE_ONLY_TOL}
 
 
 def report_line(name: str, record: dict) -> str:
@@ -295,42 +300,17 @@ def report_line(name: str, record: dict) -> str:
 
 
 def run_all(quick: bool = False) -> tuple[bool, str]:
-    """Run every suite; returns (all passed, printable report)."""
-    lines = []
-    if quick:
-        grads = gradient_suite(d=4, c=3, m=5, n=7, k=1, n_layers=1)
-    else:
-        grads = gradient_suite()
-    ok = True
-    for name, entry in grads.items():
-        ok &= entry["passed"]
-        lines.append(
-            f"gradient/{name}: max_rel_error={entry['max_rel_error']:.3e} "
-            f"(worst block {entry['worst_block']}) "
-            f"{'PASS' if entry['passed'] else 'FAIL'}")
-        for block, record in entry["blocks"].items():
-            lines.append(
-                f"  gradient/{name}/{block}: "
-                f"max_rel_error={record['max_rel_error']:.3e} "
-                f"{'PASS' if record['passed'] else 'FAIL'}")
-    sparse = sparse_dense_suite()
-    ok &= sparse["passed"]
-    lines.append(report_line("graph/sparse-vs-dense", sparse))
-    restricted = rows_suite()
-    ok &= restricted["passed"]
-    lines.append(f"graph/rows: max_abs_error={restricted['max_abs_error']:.3e} "
-                 f"over {restricted['cases']} cases "
-                 f"{'PASS' if restricted['passed'] else 'FAIL'}")
-    metrics = metric_suite()
-    ok &= metrics["passed"]
-    lines.append(report_line("metrics/sort-oracle", metrics))
-    states = state_only_suite()
-    ok &= states["passed"]
-    gaps = " ".join(f"{head}={gap:.3e}"
-                    for head, gap in states["max_abs_error"].items())
-    lines.append(f"encoder/state-only: max_abs_error {gaps} "
-                 f"{'PASS' if states['passed'] else 'FAIL'}")
-    return ok, "\n".join(lines)
+    """Run every suite; returns (every record passed, one line per record)."""
+    records = {
+        **gradient_suite(**(QUICK_GRADIENT_INSTANCE if quick else {})),
+        "graph/sparse-vs-dense": sparse_dense_suite(),
+        "graph/rows": rows_suite(),
+        "metrics/sort-oracle": metric_suite(),
+        "encoder/state-only": state_only_suite(),
+    }
+    return (all(record["passed"] for record in records.values()),
+            "\n".join(report_line(name, record)
+                      for name, record in records.items()))
 
 
 def ablation_configs(run: dict) -> dict[str, dict]:

@@ -32,12 +32,13 @@ def report(name, passed, detail=""):
 
 def test_criterion_1_gradient_suite():
     started = time.perf_counter()
-    results = vf.gradient_suite()
+    records = vf.gradient_suite()  # gradient/<loss> and gradient/<loss>/<block>
     elapsed = time.perf_counter() - started
-    worst = max(entry["max_rel_error"] for entry in results.values())
-    ok = all(entry["passed"] for entry in results.values()) and elapsed < 120
+    worst = max(records, key=lambda name: records[name]["max_rel_error"])
+    ok = all(record["passed"] for record in records.values()) and elapsed < 120
     report("1 gradient-suite", ok,
-           f"max_rel_error={worst:.2e} runtime={elapsed:.1f}s")
+           f"max_rel_error={records[worst]['max_rel_error']:.2e} ({worst}) "
+           f"runtime={elapsed:.1f}s")
 
 
 def test_criterion_2_graph_oracle():

@@ -143,6 +143,38 @@ def test_corrupted_backward_fails_check(monkeypatch):
     monkeypatch.setattr(ad, "relu", original)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_backward_fails_check(bad):
+    def poisoned(a):  # identity whose backward closure returns ``bad``
+        return ad._make(a.data.copy(), (a,),
+                        lambda g: (np.full_like(a.data, bad),))
+
+    x = ad.parameter(rng(8).normal(size=(4,)))
+    y = ad.parameter(rng(9).normal(size=(3,)))
+    report = ad.finite_difference_check(
+        lambda: ad.add(ad.tsum(ad.square(poisoned(x))), ad.tsum(ad.square(y))),
+        {"x": x, "y": y})
+    assert report["x"] == {"max_rel_error": np.inf, "passed": False}
+    assert report["y"]["passed"]
+    assert max(report, key=lambda b: report[b]["max_rel_error"]) == "x"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_loss_fails_check(bad):
+    x = ad.parameter(rng(10).normal(size=(3,)))
+    perturbed = []
+
+    def loss_fn():  # finite at the base point, ``bad`` once perturbed
+        loss = ad.tsum(ad.square(x))
+        if perturbed:
+            loss.data[...] = bad
+        perturbed.append(True)
+        return loss
+
+    report = ad.finite_difference_check(loss_fn, {"x": x})
+    assert report["x"] == {"max_rel_error": np.inf, "passed": False}
+
+
 MASK_3x4 = np.array([[True, False, True, True],
                      [True, True, False, True],
                      [False, True, True, False]])

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mrgsrec import autodiff as ad
 from mrgsrec import cli
 from mrgsrec import config as cfg
 from mrgsrec import data as dp
@@ -530,13 +532,54 @@ class TestVerify:
     def test_quick_verify_lists_every_block(self, quick):
         code, out = quick
         assert code == 0
-        blocks = init_model(5, 7, 3, SeqEncoderConfig(d=4, n_layers=1),
-                            seed=0).named()
-        for loss in ("local", "global", "fused", "contrastive", "total"):
-            assert f"gradient/{loss}: max_rel_error=" in out  # worst block
-            for block in blocks:
-                assert f"gradient/{loss}/{block}: max_rel_error=" in out
+        q = verification.QUICK_GRADIENT_INSTANCE
+        blocks = init_model(q["m"], q["n"], q["c"], SeqEncoderConfig(
+            d=q["d"], n_layers=q["n_layers"]), seed=0).named()
+        names = [ln.split(":")[0] for ln in out.splitlines()
+                 if ln.startswith("gradient/")]
+        losses = ("local", "global", "fused", "contrastive", "total")
+        assert names == [name for loss in losses for name in (
+            f"gradient/{loss}", *(f"gradient/{loss}/{block}" for block in blocks))]
+        for loss in losses:
+            line = next(ln for ln in out.splitlines()
+                        if ln.startswith(f"gradient/{loss}: "))
+            assert re.fullmatch(rf"gradient/{loss}: max_rel_error=\S+ "
+                                rf"worst_block=({'|'.join(blocks)}) PASS", line)
 
+    def test_every_line_is_one_record(self, quick):
+        code, out = quick
+        *records, verdict = out.splitlines()
+        assert verdict == "verification: PASS"
+        names = [line.split(": ")[0] for line in records]
+        assert len(set(names)) == len(names) == len(records)
+        for line in records:
+            assert re.fullmatch(r"[\w./-]+: ([\w.]+=\S+ )+(PASS|FAIL)", line), line
+        assert names[-4:] == ["graph/sparse-vs-dense", "graph/rows",
+                              "metrics/sort-oracle", "encoder/state-only"]
+
+    @pytest.mark.parametrize("failing", [None, "gradient/local",
+                                         "gradient/local/tables.user",
+                                         "graph/rows", "encoder/state-only"])
+    def test_ok_is_every_record_passing(self, monkeypatch, failing):
+        def record(name):
+            return {"max_abs_error": 0.0, "passed": name != failing}
+
+        monkeypatch.setattr(verification, "gradient_suite", lambda **kw: {
+            name: record(name)
+            for name in ("gradient/local", "gradient/local/tables.user")})
+        for suite, name in (("sparse_dense_suite", "graph/sparse-vs-dense"),
+                            ("rows_suite", "graph/rows"),
+                            ("metric_suite", "metrics/sort-oracle"),
+                            ("state_only_suite", "encoder/state-only")):
+            monkeypatch.setattr(verification, suite,
+                                lambda name=name: record(name))
+        ok, report = verification.run_all(quick=True)
+        lines = report.splitlines()
+        assert len(lines) == 6
+        assert ok == all(line.endswith(" PASS") for line in lines)
+        assert ok == (failing is None)
+        if failing:
+            assert f"{failing}: max_abs_error=0.000e+00 FAIL" in lines
 
     def test_verify_reports_state_only_parity(self, quick):
         code, out = quick
@@ -570,7 +613,46 @@ class TestVerify:
         assert code == 0
         line = next(ln for ln in out.splitlines()
                     if ln.startswith("graph/rows:"))
-        assert line == "graph/rows: max_abs_error=0.000e+00 over 160 cases PASS"
+        assert line == "graph/rows: max_abs_error=0.000e+00 cases=160 PASS"
+
+    def test_verify_exits_4_on_a_nan(self, monkeypatch, capsys):
+        monkeypatch.setattr(verification, "gradient_suite", lambda **kw: {})
+        monkeypatch.setattr(verification, "dense_normalized_adjacency",
+                            lambda train, m, n: np.full((m + n, m + n), np.nan))
+        assert cli.main(["verify", "--quick"]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert "graph/sparse-vs-dense: max_abs_error=inf FAIL" in out
+        assert out[-1] == "verification: FAIL"
+
+    def test_sparse_dense_suite_fails_on_a_nan(self, monkeypatch):
+        monkeypatch.setattr(verification, "dense_normalized_adjacency",
+                            lambda train, m, n: np.full((m + n, m + n), np.nan))
+        assert verification.sparse_dense_suite() == {
+            "max_abs_error": math.inf, "passed": False}
+
+    def test_rows_suite_fails_on_a_nan(self, monkeypatch):
+        original = verification.restricted_and_full
+
+        def nan_rows(*args):
+            full, (nodes, user_grad, item_grad) = original(*args)
+            return [full, (np.full_like(nodes, np.nan), user_grad, item_grad)]
+
+        monkeypatch.setattr(verification, "restricted_and_full", nan_rows)
+        assert verification.rows_suite() == {
+            "max_abs_error": math.inf, "cases": 160, "passed": False}
+
+    def test_state_only_suite_fails_on_a_nan(self, monkeypatch):
+        original = verification.forward_states
+
+        def nan_states(*args, positions=True, **kwargs):
+            states = original(*args, positions=positions, **kwargs)
+            if not positions:
+                states.e_f = ad.Tensor(np.full_like(states.e_f.data, np.nan))
+            return states
+
+        monkeypatch.setattr(verification, "forward_states", nan_states)
+        record = verification.state_only_suite()
+        assert not record["passed"] and record["fused"] == math.inf
 
 
 def test_checkpoint_roundtrip_preserves_everything(tmp_path):
