@@ -34,18 +34,23 @@ closure runs at most once: ``Tensor.backward`` drops it after the call.
 gradient sharing no memory with ``g`` is adopted, any other copied, so no
 two tensors share a ``grad`` buffer.
 
+In place: an op writes only into arrays it allocated, never into its
+inputs or an incoming gradient; elementwise chains run in place on those,
+rounding as the out-of-place expression would.
+
 ``linear_cross_entropy`` is the one op that computes its gradient in the
 forward pass: it streams fixed row tiles of the logits, and while a tile's
 softmax is live it turns it into that tile's input and weight gradients.
-The (R, N) logits never exist, and backward only scales the stored
-gradients by the incoming scalar.
+The w gradient accumulates ``xtᵀ e`` in a (d, N) buffer, handed on
+transposed. The (R, N) logits never exist, and backward only scales the
+stored gradients by the incoming scalar.
 
 ``attention`` and ``feed_forward`` fuse the two halves of an encoder block
 after its q, k, v projections, dropouts included as bool keep-masks
 (``keep_mask``). Each replays, in both passes, the arithmetic of the
 primitive ops it replaces, so values and gradients are bit-identical to
 theirs, but keeps only what its backward reads: q, k, v, the probabilities
-and merged heads; the FFN's pre-activation, whose ReLU is recomputed.
+and merged heads; the FFN's hidden activation.
 """
 
 from __future__ import annotations
@@ -325,7 +330,7 @@ def linear_cross_entropy(x, w, targets: np.ndarray) -> Tensor:
     losses = np.empty(n_rows)
     record = _records(x, w)
     gx = np.empty_like(x.data) if record else None
-    gw = np.zeros_like(w.data) if record else None
+    gw = np.zeros(w.shape[::-1]) if record else None  # (d, N): wᵀ's gradient
     buffer = np.empty((min(n_rows, LCE_TILE_ROWS), w.shape[0]))
     for start in range(0, n_rows, LCE_TILE_ROWS):
         tile = slice(start, start + LCE_TILE_ROWS)
@@ -337,11 +342,11 @@ def linear_cross_entropy(x, w, targets: np.ndarray) -> Tensor:
             e /= total
             e[rows, tt] -= 1.0
             np.matmul(e, w.data, out=gx[tile])
-            gw += np.matmul(e.T, xt)
+            gw += np.matmul(xt.T, e)
     out = losses.sum()
 
     def backward(g):
-        return gx * g, gw * g
+        return gx * g, gw.T * g
 
     return _make(out, (x, w), backward)
 
@@ -349,19 +354,23 @@ def linear_cross_entropy(x, w, targets: np.ndarray) -> Tensor:
 def layer_norm(a, gain, bias) -> Tensor:
     """Normalize over the last axis (eps 1e-6), then apply gain and bias."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-6)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    var += 1e-6
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    out = np.multiply(xhat, gain.data, out=None if _records(a, gain, bias) else xhat)
+    out += bias.data
 
     def backward(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (dxhat - m1 - xhat * m2),
-                _unbroadcast(g * xhat, gain.data.shape),
+        dx = g * gain.data
+        m1 = dx.mean(axis=-1, keepdims=True)
+        t = dx * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=t)
+        dx *= inv
+        return (dx, _unbroadcast(g * xhat, gain.data.shape),
                 _unbroadcast(g, bias.data.shape))
 
     return _make(out, (a, gain, bias), backward)
@@ -463,8 +472,14 @@ def keep_mask(shape: tuple, rate: float, rng, train: bool) -> Keep | None:
 
 
 def _drop(a: np.ndarray, keep: Keep | None) -> np.ndarray:
-    """``a`` times 1/(1 - rate) where kept, 0 elsewhere, in one rounding."""
-    return a if keep is None else a * np.where(*keep, 0.0)
+    """``a`` times 1/(1 - rate) where kept, a signed 0 elsewhere, as a new
+    array. Each kept value takes one rounding, ``a * (1/(1 - rate))``; the
+    bool mask then multiplies by an exact 1 or 0."""
+    if keep is None:
+        return a
+    out = a * keep[1]
+    out *= keep[0]
+    return out
 
 
 def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:  # (..., H, n, d/H) view
@@ -485,9 +500,11 @@ def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
     qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
     mask = mask[..., None, :, :]
     scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
-    mx = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
-    probs = np.exp(np.where(mask, scores - mx, -np.inf))
+    probs = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, until exp
+    probs *= scale
+    np.copyto(probs, -np.inf, where=~mask)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     merged = _merge(np.matmul(_drop(probs, keep), vh))
 
@@ -512,15 +529,18 @@ def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
 def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None) -> Tensor:
     """``dropout(relu(x w1ᵀ + b1) w2ᵀ + b2)`` with w1 (d_ff, d), w2 (d, d_ff)."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    pre = np.matmul(x.data, w1.data.T) + b1.data
-    out = np.matmul(np.maximum(pre, 0.0), w2.data.T) + b2.data
+    hidden = np.matmul(x.data, w1.data.T)
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)  # relu(pre) > 0 exactly where pre > 0
+    out = np.matmul(hidden, w2.data.T)
+    out += b2.data
 
     def backward(g):
         g = _drop(g, keep)
-        gw2 = _unbroadcast(np.matmul(np.maximum(pre, 0.0).swapaxes(-1, -2), g),
+        gw2 = _unbroadcast(np.matmul(hidden.swapaxes(-1, -2), g),
                            w2.data.shape[::-1]).T
         gpre = np.matmul(g, w2.data)
-        gpre *= pre > 0.0
+        gpre *= hidden > 0.0
         gw1 = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gpre),
                            w1.data.shape[::-1]).T
         return (np.matmul(gpre, w1.data), gw1, _unbroadcast(gpre, b1.data.shape),

@@ -1,13 +1,17 @@
-"""The encoder blocks as compositions of primitive ops, kept as oracles.
+"""Reference ops, kept as oracles for the optimised ones in ``autodiff``.
 
-``ad.attention`` and ``ad.feed_forward`` must replay these compositions bit
-for bit, values and every parent's gradient. Patched into ``autodiff``, they
-also give ``seq_encode`` the tape the fused ops replace.
+``ad.attention`` and ``ad.feed_forward`` must replay the encoder blocks'
+compositions of primitive ops below, and ``ad.layer_norm`` and
+``ad.linear_cross_entropy`` the out-of-place forms kept below, bit for bit:
+values and every parent's gradient. Patched into ``autodiff``, they also
+give ``seq_encode`` and the local loss the arithmetic the optimised ops
+replace.
 """
 
 import numpy as np
 
 from mrgsrec import autodiff as ad
+from mrgsrec.errors import DimensionError
 
 
 def masked_softmax(a, mask):
@@ -56,7 +60,61 @@ def feed_forward(x, w1, b1, w2, b2, keep=None):
     return dropped(ad.add(ad.matmul(hidden, ad.swapaxes(w2, 0, 1)), b2), keep)
 
 
+def layer_norm(a, gain, bias):
+    """Normalize over the last axis (eps 1e-6), then apply gain and bias."""
+    a, gain, bias = ad.as_tensor(a), ad.as_tensor(gain), ad.as_tensor(bias)
+    mu = a.data.mean(axis=-1, keepdims=True)
+    xc = a.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-6)
+    xhat = xc * inv
+    out = xhat * gain.data + bias.data
+
+    def backward(g):
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (dxhat - m1 - xhat * m2),
+                ad._unbroadcast(g * xhat, gain.data.shape),
+                ad._unbroadcast(g, bias.data.shape))
+
+    return ad._make(out, (a, gain, bias), backward)
+
+
+def linear_cross_entropy(x, w, targets):
+    """The tiled local loss with its w gradient accumulated as (N, d)."""
+    x, w = ad.as_tensor(x), ad.as_tensor(w)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise DimensionError(
+            f"linear_cross_entropy needs (R, d) and (N, d), got {x.shape}, {w.shape}")
+    targets = np.asarray(targets)
+    n_rows = x.shape[0]
+    losses = np.empty(n_rows)
+    record = ad._records(x, w)
+    gx = np.empty_like(x.data) if record else None
+    gw = np.zeros_like(w.data) if record else None
+    buffer = np.empty((min(n_rows, ad.LCE_TILE_ROWS), w.shape[0]))
+    for start in range(0, n_rows, ad.LCE_TILE_ROWS):
+        tile = slice(start, start + ad.LCE_TILE_ROWS)
+        xt, tt = x.data[tile], targets[tile]
+        rows = np.arange(xt.shape[0])
+        e = np.matmul(xt, w.data.T, out=buffer[:xt.shape[0]])
+        total, losses[tile] = ad._shifted_exp(e, rows, tt)
+        if record:
+            e /= total
+            e[rows, tt] -= 1.0
+            np.matmul(e, w.data, out=gx[tile])
+            gw += np.matmul(e.T, xt)
+    out = losses.sum()
+
+    def backward(g):
+        return gx * g, gw * g
+
+    return ad._make(out, (x, w), backward)
+
+
 def patch_into(monkeypatch):
-    """Make every ``ad.attention`` / ``ad.feed_forward`` call the composition."""
-    monkeypatch.setattr(ad, "attention", attention)
-    monkeypatch.setattr(ad, "feed_forward", feed_forward)
+    """Make every ``ad`` call of an optimised op call its reference here."""
+    for name in ("attention", "feed_forward", "layer_norm",
+                 "linear_cross_entropy"):
+        monkeypatch.setattr(ad, name, globals()[name])

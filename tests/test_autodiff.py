@@ -337,6 +337,57 @@ def test_feed_forward_replays_the_composition_bit_for_bit(rows, rate):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_rows", [5, TILE, 2 * TILE, TILE + 37])
+def test_linear_cross_entropy_replays_the_reference_bit_for_bit(n_rows):
+    g = rng(71)
+    inputs = [g.normal(size=(n_rows, 16)), g.normal(size=(50, 16))]
+    targets = g.integers(0, 50, size=n_rows)
+    fused, reference = replay(
+        lambda *p: ad.linear_cross_entropy(*p, targets),
+        lambda *p: composed_ops.linear_cross_entropy(*p, targets), inputs, 72)
+    for got, want in zip(fused, reference, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", [(7,), (3, 7)])
+def test_layer_norm_replays_the_reference_bit_for_bit(rows):
+    g = rng(81)
+    d = 6
+    inputs = [g.normal(size=rows + (d,)) * 3.0 + 1.0, g.normal(size=d),
+              g.normal(size=d)]
+    fused, reference = replay(ad.layer_norm, composed_ops.layer_norm, inputs, 82)
+    for got, want in zip(fused, reference, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["attention", "feed_forward", "layer_norm"])
+def test_no_tape_forward_matches_recording_and_leaves_inputs(name):
+    # An op may write into the arrays it allocated, never into its inputs.
+    g = rng(91)
+    b, m, d, d_ff = 3, 6, 6, 10
+    mask = causal_attention_mask(m, np.array([5, 2, 1]))
+    rows = [g.normal(size=(b, m, d)) for _ in range(3)]
+    op, inputs = {
+        "attention": (lambda *p: ad.attention(*p, mask, 2),
+                      rows + [g.normal(size=(d, d))]),
+        "feed_forward": (ad.feed_forward, rows[:1] + [
+            g.normal(size=(d_ff, d)), g.normal(size=d_ff),
+            g.normal(size=(d, d_ff)), g.normal(size=d)]),
+        "layer_norm": (ad.layer_norm, rows[:1] + [g.normal(size=d),
+                                                  g.normal(size=d)]),
+    }[name]
+    saved = [x.copy() for x in inputs]
+    params = [ad.parameter(x) for x in inputs]
+    recorded = op(*params)
+    ad.tsum(ad.mul(recorded, rng(92).normal(size=recorded.shape))).backward()
+    with ad.no_grad():
+        plain = op(*inputs)
+    assert plain._backward is None
+    assert plain.data.tobytes() == recorded.data.tobytes()
+    for x, p, before in zip(inputs, params, saved, strict=True):
+        assert np.array_equal(x, before) and np.array_equal(p.data, before)
+
+
 def test_linear_cross_entropy_finite_at_logit_scale_700():
     g = rng(42)
     x = ad.parameter(g.normal(size=(16, 4)) * 700.0 / 4.0)

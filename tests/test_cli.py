@@ -601,6 +601,7 @@ class TestVerify:
             assert "=" in line and line.endswith(" PASS")
 
     def test_verify_names_the_failure_reason(self, monkeypatch):
+        monkeypatch.setattr(verification, "gradient_suite", lambda **kw: {})
         monkeypatch.setattr(verification, "metric_suite", lambda: {
             "passed": False, "reason": "rank mismatch: 2 vs oracle 1"})
         ok, report = verification.run_all(quick=True)

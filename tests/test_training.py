@@ -504,6 +504,39 @@ def test_fused_encoder_ops_shrink_the_forward_peak(monkeypatch):
     assert fused <= 0.75 * peak_bytes(forward)
 
 
+def test_train_steps_replay_the_reference_ops_bit_for_bit(monkeypatch):
+    # Whole steps with every optimised op against its reference form in
+    # composed_ops: dropout on, all four losses, a local loss over two row
+    # tiles. Two runs are compared rather than a pinned hash, since OpenBLAS
+    # picks its kernels per CPU.
+    dataset = generate_clustered_markov(n_users=64, seed=3)
+    hyper = small_hyper(c=20, n_layers=2, dropout_rate=0.2, batch_size=64)
+    examples = tr.build_examples(dataset)
+    assert sum(min(len(e.inputs), hyper.c) for e in examples) > ad.LCE_TILE_ROWS
+
+    def run():
+        params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                            hyper.seq_config(), hyper.seed)
+        adjacency = build_adjacency(dataset.train, dataset.n_users,
+                                    dataset.n_items)
+        optimizer = tr.Adam(params.parameters(), lr=1e-2)
+        rng = np.random.Generator(np.random.PCG64(5))
+        losses = [tr.train_step(examples, params, adjacency, hyper, optimizer,
+                                rng) for _ in range(3)]
+        report = evaluate(params, dataset, "validation", hyper,
+                          adjacency=adjacency)
+        return (losses, [p.data for p in params.parameters()],
+                optimizer.m + optimizer.v, report)
+
+    fused_losses, fused_params, fused_moments, fused_report = run()
+    composed_ops.patch_into(monkeypatch)
+    losses, params, moments, report = run()
+    assert fused_losses == losses and fused_report == report
+    for got, want in zip(fused_params + fused_moments, params + moments,
+                         strict=True):
+        assert np.array_equal(got, want)
+
+
 class TestStepComposition:
     """The finite-difference oracle differentiates the step train_step takes."""
 
