@@ -44,14 +44,19 @@ mp = ad.attention(scores, eye, eye, eye, mask, n_heads=1).data
 print("masked entries get exactly 0:", bool((mp[~mask] == 0).all()))
 
 # --- the finite-difference oracle ------------------------------------------
-params = {"w": ad.parameter(rng.normal(size=(3, 3))),
-          "b": ad.parameter(rng.normal(size=(3,)))}
+# checked here on ad.feed_forward, the two-layer ReLU block that both the
+# encoder's feed-forward sub-layer and the fusion block run on
+params = {"w1": ad.parameter(rng.normal(size=(5, 3))),
+          "b1": ad.parameter(rng.normal(size=(5,))),
+          "w2": ad.parameter(rng.normal(size=(2, 5))),
+          "b2": ad.parameter(rng.normal(size=(2,)))}
 # the loss must be a pure function of the parameter data, so fix the input
 fixed_input = ad.Tensor(rng.normal(size=(4, 3)))
 
 
 def pure_loss():
-    h = ad.relu(ad.add(ad.matmul(fixed_input, params["w"]), params["b"]))
+    h = ad.feed_forward(fixed_input, params["w1"], params["b1"],
+                        params["w2"], params["b2"])
     return ad.tsum(ad.square(h))
 
 

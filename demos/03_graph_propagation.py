@@ -26,9 +26,10 @@ assert abs(dense[0, M + 1] - 0.5) < 1e-12
 assert (adjacency.adj != adjacency.adj.T).nnz == 0
 
 # --- propagation -----------------------------------------------------------
+# one layer is one sparse product with the normalized adjacency
 tables = init_tables(M, N, c=2, d=4, seed=0)
 nodes0 = np.concatenate([tables.user.data, tables.item.data[:N]])
-one_hop = gr.propagate(ad.Tensor(nodes0), adjacency).data
+one_hop = ad.spmm(adjacency.adj, nodes0).data
 print("\nuser 2 only touched item 3, so one hop copies item 3's embedding:")
 print("user2 after 1 hop:", np.round(one_hop[2], 4))
 print("item3 before     :", np.round(nodes0[M + 3], 4))
@@ -43,5 +44,5 @@ print("padding slots gather zeros:",
 
 # zero-degree nodes stay zero after propagation (0^{-1/2} := 0)
 lonely = gr.build_adjacency([[0], []], 2, 2)
-out = gr.propagate(ad.Tensor(np.ones((4, 3))), lonely).data
+out = ad.spmm(lonely.adj, np.ones((4, 3))).data
 print("isolated user row after propagation:", out[1].tolist())

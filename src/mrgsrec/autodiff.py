@@ -11,7 +11,7 @@ closure captured. Only leaves and the nodes the caller holds keep a
 GraphError. Conventions:
 
 * all values are float64 (gradient checks need the headroom),
-* ReLU'(0) = 0,
+* ReLU (``feed_forward``): ReLU'(0) = 0, -0.0 maps to +0.0, NaN stays NaN,
 * attention, cross_entropy and linear_cross_entropy subtract the row max
   before exponentiating, so logits of any magnitude stay finite,
 * replay order is the reverse of a depth-first post-order that visits a
@@ -47,10 +47,11 @@ stored gradients by the incoming scalar.
 
 ``attention`` and ``feed_forward`` fuse the two halves of an encoder block
 after its q, k, v projections, dropouts included as bool keep-masks
-(``keep_mask``). Each replays, in both passes, the arithmetic of the
-primitive ops it replaces, so values and gradients are bit-identical to
-theirs, but keeps only what its backward reads: q, k, v, the probabilities
-and merged heads; the FFN's hidden activation.
+(``keep_mask``); the fusion block runs on ``feed_forward`` too. Each
+replays, in both passes, the arithmetic of the primitive ops it replaces,
+so values and gradients are bit-identical to theirs, but keeps only what
+its backward reads: q, k, v, the probabilities and merged heads; the FFN's
+hidden activation.
 """
 
 from __future__ import annotations
@@ -240,16 +241,6 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _make(out, (a, b), backward)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        return (g * (a.data > 0.0),)
-
-    return _make(out, (a,), backward)
 
 
 def square(a) -> Tensor:
@@ -527,7 +518,8 @@ def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
 
 
 def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None) -> Tensor:
-    """``dropout(relu(x w1ᵀ + b1) w2ᵀ + b2)`` with w1 (d_ff, d), w2 (d, d_ff)."""
+    """``dropout(relu(x w1ᵀ + b1) w2ᵀ + b2)``, w1 (d_ff, d_in), w2 (d_out, d_ff):
+    an encoder FFN, or the fusion block (d_in = 2 d_out, zero biases)."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     hidden = np.matmul(x.data, w1.data.T)
     hidden += b1.data

@@ -1,10 +1,12 @@
 """Learnable user/item/positional embedding tables and sequence assembly.
 
 The item table carries one extra trailing row (index ``n_items``) used as
-the padding slot; it is initialized to zero and the trainer keeps its
-gradient pinned at zero. Windows are left-padded so the most recent item
-always occupies the final slot. The tables are saved and loaded with the
-rest of the model by ``mrgsrec.model.save_checkpoint`` / ``load_checkpoint``.
+the padding slot; it is initialized to zero and no gradient reaches it:
+padding slots are masked out as attention keys, no loss reads them, and
+``lookup``'s scatter sums from +0.0, so the row's gradient is exactly +0.0.
+Windows are left-padded so the most recent item always occupies the final
+slot. The tables are saved and loaded with the rest of the model by
+``mrgsrec.model.save_checkpoint`` / ``load_checkpoint``.
 """
 
 from __future__ import annotations

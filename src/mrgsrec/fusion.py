@@ -1,8 +1,8 @@
 """Fusion of local and global user states, and the dot-product scoring head.
 
 The fusion block is bias-free by design: concat to 2d, project to 4d,
-ReLU, project back to d. Keeping it bias-free preserves positive
-homogeneity, which the tests rely on.
+ReLU, project back to d: ``ad.feed_forward`` with zero biases. Keeping it
+bias-free preserves positive homogeneity, which the tests rely on.
 """
 
 from __future__ import annotations
@@ -59,9 +59,8 @@ def fuse(e_l: ad.Tensor, e_g: ad.Tensor, params: FusionParams) -> ad.Tensor:
     d = e_l.shape[-1]
     if params.w1.shape != (4 * d, 2 * d) or params.w2.shape != (d, 4 * d):
         raise DimensionError("fusion projection shapes do not match d")
-    x = ad.concat([e_l, e_g], axis=-1)
-    hidden = ad.relu(ad.matmul(x, ad.swapaxes(params.w1, 0, 1)))
-    return ad.matmul(hidden, ad.swapaxes(params.w2, 0, 1))
+    return ad.feed_forward(ad.concat([e_l, e_g], axis=-1), params.w1, 0.0,
+                           params.w2, 0.0)
 
 
 def score_items(e_f: ad.Tensor, item_table: ad.Tensor) -> ad.Tensor:

@@ -4,7 +4,7 @@ The adjacency stacks users then items ((M+N) nodes) with nonzeros only in
 the user-item and item-user blocks. It is built from TRAIN interactions
 only; validation/test targets never contribute edges. Zero-degree nodes
 get zero rows (0^{-1/2} is taken as 0), so with one or more propagation
-layers their global embedding is zero.
+layers their global embedding is zero. Each layer is one ``ad.spmm``.
 
 A training step reads only a few node rows of the propagated table: the
 batch's users, plus the BPR items when the global loss is on and the window
@@ -71,11 +71,6 @@ def build_adjacency(train: list[list[int]], n_users: int, n_items: int
     return NormalizedAdjacency(normalized, n_users, n_items)
 
 
-def propagate(embeddings: ad.Tensor, adjacency: NormalizedAdjacency) -> ad.Tensor:
-    """One layer: sparse product of the normalized adjacency with (M+N, d)."""
-    return ad.spmm(adjacency.adj, embeddings)
-
-
 def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacency,
                           k: int, layer_mean: bool = False,
                           initial: ad.Tensor | None = None,
@@ -99,10 +94,8 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
         [tables.user, tables.item_rows()], axis=0)
     layers = [current]
     for hop in range(k):
-        if rows is not None and hop == k - 1:
-            current = ad.spmm(adjacency.adj[rows], current)
-        else:
-            current = propagate(current, adjacency)
+        last = rows is not None and hop == k - 1
+        current = ad.spmm(adjacency.adj[rows] if last else adjacency.adj, current)
         layers.append(current)
     if rows is not None:
         if k == 0:

@@ -275,15 +275,12 @@ def train_step(batch_examples: list[TrainExample], params: ModelParams,
                optimizer: Adam, rng: np.random.Generator
                ) -> dict[str, float]:
     """One forward/backward/Adam update; returns the component loss values."""
-    pad = params.tables.padding_id
     components, loss = step_losses(
         params, adjacency, hyper,
         *step_inputs(batch_examples, params.tables, hyper.n_negatives, rng),
         train_mode=True, rng=rng)
     params.zero_grad()
     loss.backward()
-    if params.tables.item.grad is not None:
-        params.tables.item.grad[pad, :] = 0.0  # padding row never learns
     optimizer.step()
     scalars = {name: (float(t.data) if t is not None else 0.0)
                for name, t in components.items()}

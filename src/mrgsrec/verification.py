@@ -23,7 +23,7 @@ from .errors import ParseError
 from .evaluation import MetricsReport, evaluate, hr_at_k, ndcg_at_k, rank_targets
 from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
 from .losses import LossWeights
-from .model import HEAD_STATES, forward_states, init_model
+from .model import HEAD_STATES, ModelParams, forward_states, init_model
 from .seqenc import ATTENTION_MODES, USER_STATES, SeqEncoderConfig
 from .training import (Hyperparams, build_examples, fewest_unseen, fit,
                        step_inputs, step_losses)
@@ -58,6 +58,14 @@ def random_dataset(m: int, n: int, seed: int,
     return leave_one_out(sequences, n)
 
 
+def redraw_at_unit_scale(params: ModelParams, rng: np.random.Generator) -> None:
+    """Re-draw every block from N(0, 0.5) and re-zero the padding row: FD at
+    the tiny init sits on layer-norm curvature and drowns in truncation noise."""
+    for tensor in params.parameters():
+        tensor.data[...] = rng.normal(0.0, 0.5, size=tensor.data.shape)
+    params.tables.item.data[params.tables.padding_id] = 0.0
+
+
 def make_gradient_instance(d: int = 8, c: int = 5, m: int = 7, n: int = 11,
                            k: int = 2, n_layers: int = 2, seed: int = 7):
     """A tiny end-to-end model plus one fixed batch of all its users, for
@@ -70,12 +78,7 @@ def make_gradient_instance(d: int = 8, c: int = 5, m: int = 7, n: int = 11,
         n_negatives=3, batch_size=m, max_epochs=1, patience=1, seed=seed)
     dataset = random_dataset(m, n, seed)
     params = init_model(m, n, c, hyper.seq_config(), seed)
-    # Re-draw every block at O(1) scale: finite differences at the tiny
-    # training init sit on layer-norm curvature and drown in truncation noise.
-    redraw = np.random.Generator(np.random.PCG64(seed + 2))
-    for name, tensor in params.named().items():
-        tensor.data[...] = redraw.normal(0.0, 0.5, size=tensor.data.shape)
-    params.tables.item.data[n, :] = 0.0
+    redraw_at_unit_scale(params, np.random.Generator(np.random.PCG64(seed + 2)))
     adjacency = build_adjacency(dataset.train, m, n)
     examples = build_examples(dataset)
     hyper.n_negatives = min(hyper.n_negatives, fewest_unseen(examples, n))
@@ -265,9 +268,7 @@ def state_only_gaps(user_state: str = "first_token",
                               user_state=user_state)
     params = init_model(m, n, c, config, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
-    for tensor in params.parameters():  # O(1) scale, as in the gradient instance
-        tensor.data[...] = rng.normal(0.0, 0.5, size=tensor.data.shape)
-    params.tables.item.data[n, :] = 0.0
+    redraw_at_unit_scale(params, rng)
     train = [rng.integers(0, n, size=length).tolist()
              for length in (1, c, 2, c + 2, 3, 1, c, 4, c + 1)]
     adjacency = build_adjacency(train, m, n)

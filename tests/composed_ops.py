@@ -1,11 +1,11 @@
 """Reference ops, kept as oracles for the optimised ones in ``autodiff``.
 
 ``ad.attention`` and ``ad.feed_forward`` must replay the encoder blocks'
-compositions of primitive ops below, and ``ad.layer_norm`` and
-``ad.linear_cross_entropy`` the out-of-place forms kept below, bit for bit:
-values and every parent's gradient. Patched into ``autodiff``, they also
-give ``seq_encode`` and the local loss the arithmetic the optimised ops
-replace.
+compositions of primitive ops below (``relu`` included), and
+``ad.layer_norm`` and ``ad.linear_cross_entropy`` the out-of-place forms
+kept below, bit for bit: values and every parent's gradient. Patched
+into ``autodiff``, they also give ``seq_encode``, the fusion block and the
+local loss the arithmetic the optimised ops replace.
 """
 
 import numpy as np
@@ -27,6 +27,16 @@ def masked_softmax(a, mask):
         return (out * (g - inner),)
 
     return ad._make(out, (a,), backward)
+
+
+def relu(a):
+    """max(a, 0), whose gradient passes where a > 0 only: ReLU'(0) = 0."""
+    a = ad.as_tensor(a)
+
+    def backward(g):
+        return (g * (a.data > 0.0),)
+
+    return ad._make(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def dropped(a, keep):
@@ -56,7 +66,7 @@ def attention(q, k, v, wo, mask, n_heads, keep=None, keep_out=None):
 
 
 def feed_forward(x, w1, b1, w2, b2, keep=None):
-    hidden = ad.relu(ad.add(ad.matmul(x, ad.swapaxes(w1, 0, 1)), b1))
+    hidden = relu(ad.add(ad.matmul(x, ad.swapaxes(w1, 0, 1)), b1))
     return dropped(ad.add(ad.matmul(hidden, ad.swapaxes(w2, 0, 1)), b2), keep)
 
 

@@ -108,10 +108,19 @@ def test_attention_softmax_normalizes_over_allowed():
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
 
 
-def test_relu_subgradient_at_zero_is_zero():
-    x = ad.parameter(np.array([0.0, -1.0, 2.0]))
-    (g,) = ad.grad(ad.tsum(ad.relu(x)), [x])
-    np.testing.assert_array_equal(g, [0.0, 0.0, 1.0])
+def scalar_relu(x, b1=0.0, b2=0.0):
+    """``ad.feed_forward`` with 1x1 weights of 1, so rows do not mix and
+    each output row is relu(x + b1) + b2."""
+    return ad.feed_forward(x, np.ones((1, 1)), b1, np.ones((1, 1)), b2)
+
+
+def test_feed_forward_relu_subgradient_at_zero_is_zero():
+    x = ad.parameter(np.array([[0.0], [-1.0], [2.0], [1.0]]))
+    (g,) = ad.grad(ad.tsum(scalar_relu(x, b1=np.array([0.0]))), [x])
+    np.testing.assert_array_equal(g, [[0.0], [0.0], [1.0], [1.0]])
+    # a pre-activation of exactly 0 reached through the bias
+    (g,) = ad.grad(ad.tsum(scalar_relu(x, b1=np.array([-1.0]))), [x])
+    np.testing.assert_array_equal(g, [[0.0], [0.0], [1.0], [0.0]])
 
 
 def test_linear_function_fd_error_near_machine_precision():
@@ -122,9 +131,7 @@ def test_linear_function_fd_error_near_machine_precision():
     assert report["w"]["max_rel_error"] < 1e-9
 
 
-def test_corrupted_backward_fails_check(monkeypatch):
-    original = ad.relu
-
+def test_corrupted_backward_fails_check():
     def broken_relu(a):
         a = ad.as_tensor(a)
         mask = a.data > 0.0
@@ -135,12 +142,10 @@ def test_corrupted_backward_fails_check(monkeypatch):
 
         return ad._make(out, (a,), backward)
 
-    monkeypatch.setattr(ad, "relu", broken_relu)
     x = ad.parameter(rng(7).normal(size=(8,)) + 2.0)  # keep away from the kink
     report = ad.finite_difference_check(
-        lambda: ad.tsum(ad.square(ad.relu(x))), {"x": x})
+        lambda: ad.tsum(ad.square(broken_relu(x))), {"x": x})
     assert not report["x"]["passed"]
-    monkeypatch.setattr(ad, "relu", original)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -442,7 +447,7 @@ def test_shared_upstream_gradient_is_never_aliased():
 def test_owned_first_gradient_is_adopted_without_a_copy():
     # a closure's freshly allocated result becomes x.grad itself
     x = ad.parameter(np.arange(6.0).reshape(2, 3))
-    out = ad.relu(x)
+    out = composed_ops.relu(x)
     closure, returned = out._backward, []
 
     def spy(g):
@@ -475,7 +480,7 @@ def test_closure_computes_no_gradient_for_a_constant(op):
 
 def test_backward_frees_the_intermediates_the_caller_does_not_hold():
     x = ad.parameter(rng(3).normal(size=(4, 3)))
-    hidden = ad.relu(ad.mul(x, 2.0))
+    hidden = composed_ops.relu(ad.mul(x, 2.0))
     alive = weakref.ref(hidden.data)  # lives exactly as long as the node
     loss = ad.tsum(ad.square(hidden))
     del hidden
@@ -530,10 +535,12 @@ def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_product():
     assert out._parents == (q, k, v, wo)
 
 
-def test_relu_forward_maps_negative_zero_to_zero_and_keeps_nan():
-    out = ad.relu(np.array([-0.0, -1.0, np.nan, 2.0])).data
+def test_feed_forward_relu_maps_negative_zero_to_zero_and_keeps_nan():
+    # b1 = b2 = -0.0 leave every sign as it is, -0.0 included
+    x = np.array([[-0.0], [-1.0], [np.nan], [2.0]])
+    out = scalar_relu(x, b1=np.array([-0.0]), b2=np.array([-0.0])).data
     assert not np.signbit(out[:2]).any()
-    np.testing.assert_array_equal(out, [0.0, 0.0, np.nan, 2.0])
+    np.testing.assert_array_equal(out, [[0.0], [0.0], [np.nan], [2.0]])
 
 
 class TestLookupScatter:

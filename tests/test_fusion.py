@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composed_ops
 from mrgsrec import autodiff as ad
 from mrgsrec import fusion as fu
 from mrgsrec.errors import DimensionError
@@ -70,6 +71,31 @@ class TestFuse:
         with pytest.raises(DimensionError):
             fu.fuse(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((2, 4))),
                     params)
+
+    def test_replays_the_primitive_composition_bit_for_bit(self):
+        # fuse's earlier form: concat, two matmuls by transposed weights, ReLU
+        def composed(e_l, e_g, params):
+            x = ad.concat([e_l, e_g], axis=-1)
+            hidden = composed_ops.relu(
+                ad.matmul(x, ad.swapaxes(params.w1, 0, 1)))
+            return ad.matmul(hidden, ad.swapaxes(params.w2, 0, 1))
+
+        d, b = 3, 6
+        g = rng(13)
+        e_l, e_g = g.normal(size=(b, d)), g.normal(size=(b, d))
+        e_g[[1, 4]] = 0.0  # users whose graph state is exactly zero
+        e_l[4] = 0.0       # an all-zero input: every pre-activation is 0
+        w1, w2 = g.normal(size=(4 * d, 2 * d)), g.normal(size=(d, 4 * d))
+        weights = g.normal(size=(b, d))
+        results = []
+        for fn in (fu.fuse, composed):
+            leaves = [ad.parameter(x) for x in (e_l, e_g, w1, w2)]
+            out = fn(*leaves[:2], fu.FusionParams(*leaves[2:]))
+            ad.tsum(ad.mul(out, weights)).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        assert not results[0][0][4].any()
+        for got, want in zip(*results, strict=True):
+            assert np.array_equal(got, want)
 
     def test_identity_init_passes_local_state_through(self, monkeypatch):
         monkeypatch.setattr(fu, "INIT_MIX", 0.0)

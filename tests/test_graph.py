@@ -76,15 +76,17 @@ class TestBuild:
 
 
 class TestPropagate:
+    """One propagation layer: ``ad.spmm`` by the normalized adjacency."""
+
     def test_single_edge_swaps_rows(self):
         adjacency = gr.build_adjacency([[0]], 1, 1)
         e = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = gr.propagate(e, adjacency).data
+        out = ad.spmm(adjacency.adj, e).data
         np.testing.assert_array_equal(out, [[3.0, 4.0], [1.0, 2.0]])
 
     def test_zero_input_zero_output(self):
         adjacency = gr.build_adjacency(random_train(5, 6, 1), 5, 6)
-        out = gr.propagate(ad.Tensor(np.zeros((11, 3))), adjacency).data
+        out = ad.spmm(adjacency.adj, ad.Tensor(np.zeros((11, 3)))).data
         np.testing.assert_array_equal(out, np.zeros((11, 3)))
 
     def test_three_layers_match_dense_power_oracle(self):
@@ -95,7 +97,7 @@ class TestPropagate:
         x = rng(3).normal(size=(m + n, 4))
         got = ad.Tensor(x)
         for _ in range(3):
-            got = gr.propagate(got, adjacency)
+            got = ad.spmm(adjacency.adj, got)
         want = np.linalg.matrix_power(dense, 3) @ x
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
@@ -104,9 +106,9 @@ class TestPropagate:
         g = rng(5)
         e1, e2 = g.normal(size=(17, 3)), g.normal(size=(17, 3))
         a, b = 0.7, -1.3
-        left = gr.propagate(ad.Tensor(a * e1 + b * e2), adjacency).data
-        right = a * gr.propagate(ad.Tensor(e1), adjacency).data \
-            + b * gr.propagate(ad.Tensor(e2), adjacency).data
+        left = ad.spmm(adjacency.adj, ad.Tensor(a * e1 + b * e2)).data
+        right = a * ad.spmm(adjacency.adj, ad.Tensor(e1)).data \
+            + b * ad.spmm(adjacency.adj, ad.Tensor(e2)).data
         np.testing.assert_allclose(left, right, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -114,7 +116,7 @@ class TestPropagate:
         m, n = 10, 14
         adjacency = gr.build_adjacency(random_train(m, n, seed + 30), m, n)
         e = rng(seed).uniform(-1.0, 1.0, size=(m + n, 5))
-        out = gr.propagate(ad.Tensor(e), adjacency).data
+        out = ad.spmm(adjacency.adj, ad.Tensor(e)).data
         assert np.abs(out).max() <= 1.0 + 1e-12
 
 

@@ -294,6 +294,26 @@ class TestTrainStep:
         np.testing.assert_array_equal(params.tables.item.data[pad],
                                       np.zeros(hyper.d))
 
+    @pytest.mark.parametrize("user_state", ["first_token", "last_position"])
+    @pytest.mark.parametrize("pattern", [(1.0, 0.5, 1.0, 0.5),
+                                         (0.0, 0.5, 1.0, 0.0)],
+                             ids=["all_losses", "state_only"])
+    def test_no_gradient_reaches_the_padding_row(self, pattern, user_state):
+        # Masked keys and losses that skip padding positions leave the
+        # padding row's gradient exactly +0.0, so no step can move it.
+        weights = LossWeights(*pattern, lambda_reg=1e-3)
+        hyper, _, params, adjacency, examples, _, rng = setup_instance(
+            weights=weights, user_state=user_state, dropout_rate=0.2)
+        batch, *rest = tr.step_inputs(examples, params.tables,
+                                      hyper.n_negatives, rng)
+        assert not batch.valid_mask().all()  # some windows are padded
+        _, loss = tr.step_losses(params, adjacency, hyper, batch, *rest,
+                                 train_mode=True, rng=rng)
+        loss.backward()
+        row = params.tables.item.grad[params.tables.padding_id]
+        assert np.array_equal(row, np.zeros(hyper.d))
+        assert not np.signbit(row).any()
+
     def test_sequential_only_ignores_adjacency(self):
         weights = LossWeights(1.0, 0.0, 0.0, 0.0)
         hyper, dataset, params, adjacency, examples, opt, rng = \
