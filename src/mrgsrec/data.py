@@ -128,11 +128,8 @@ def min_count_filter(records: list[RawInteraction], threshold: int,
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
     while True:
-        user_counts: dict[str, int] = {}
-        item_counts: dict[str, int] = {}
-        for rec in records:
-            user_counts[rec.user] = user_counts.get(rec.user, 0) + 1
-            item_counts[rec.item] = item_counts.get(rec.item, 0) + 1
+        user_counts = Counter(rec.user for rec in records)
+        item_counts = Counter(rec.item for rec in records)
         kept = [rec for rec in records
                 if user_counts[rec.user] >= threshold
                 and item_counts[rec.item] >= threshold]
@@ -149,9 +146,7 @@ def drop_short_users(records: list[RawInteraction]
 
     Returns the kept records and the number of dropped users.
     """
-    counts: dict[str, int] = {}
-    for rec in records:
-        counts[rec.user] = counts.get(rec.user, 0) + 1
+    counts = Counter(rec.user for rec in records)
     dropped = sum(1 for n in counts.values() if n < MIN_USER_LENGTH)
     kept = [rec for rec in records if counts[rec.user] >= MIN_USER_LENGTH]
     if not kept:

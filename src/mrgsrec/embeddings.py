@@ -5,13 +5,16 @@ the padding slot; it is initialized to zero and no gradient reaches it:
 padding slots are masked out as attention keys, no loss reads them, and
 ``lookup``'s scatter sums from +0.0, so the row's gradient is exactly +0.0.
 Windows are left-padded so the most recent item always occupies the final
-slot. The tables are saved and loaded with the rest of the model by
-``mrgsrec.model.save_checkpoint`` / ``load_checkpoint``.
+slot. ``flatten`` is the one place per-user item lists become arrays (their
+lengths, and the items end to end); ``build_batch`` indexes that layout for
+all windows at once. The tables are saved and loaded with the rest of the
+model by ``mrgsrec.model.save_checkpoint`` / ``load_checkpoint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,28 +67,28 @@ def init_tables(n_users: int, n_items: int, c: int, d: int, seed: int) -> Embedd
                            ad.parameter(positional), n_users, n_items, c, d)
 
 
-def truncate_window(sequence: list[int], c: int, pad_value: int
-                    ) -> tuple[list[int], int]:
-    """Keep the last min(len, c) items right-aligned in a length-c window."""
-    if c < 1:
-        raise ValueError("window length must be >= 1")
-    if not sequence:
-        raise DataError("cannot build a window from an empty sequence")
-    tail = list(sequence[-c:])
-    return [pad_value] * (c - len(tail)) + tail, len(tail)
+def flatten(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, items): each sequence's length, and all items end to end."""
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    items = np.fromiter(chain.from_iterable(sequences), np.int64, lengths.sum())
+    return lengths, items
 
 
 def build_batch(user_ids: list[int], sequences: list[list[int]],
                 c: int, pad_value: int) -> SequenceBatch:
-    """Stack per-user windows into one SequenceBatch."""
-    windows, lengths = [], []
-    for seq in sequences:
-        window, length = truncate_window(seq, c, pad_value)
-        windows.append(window)
-        lengths.append(length)
-    return SequenceBatch(np.asarray(user_ids, dtype=np.int64),
-                         np.asarray(windows, dtype=np.int64),
-                         np.asarray(lengths, dtype=np.int64))
+    """Stack each sequence's last min(len, c) items, left-padded to c."""
+    if c < 1:
+        raise ValueError("window length must be >= 1")
+    lengths, items = flatten(sequences)
+    if not lengths.all():
+        raise DataError("cannot build a window from an empty sequence")
+    ends = np.cumsum(lengths)
+    slots = ends[:, None] - c + np.arange(c)   # flat index of each window slot
+    valid = slots >= (ends - lengths)[:, None]
+    windows = np.full(slots.shape, pad_value, dtype=np.int64)
+    windows[valid] = items[slots[valid]]
+    return SequenceBatch(np.asarray(user_ids, dtype=np.int64), windows,
+                         np.minimum(lengths, c))
 
 
 def _check_ids(ids: np.ndarray, limit: int, what: str) -> None:

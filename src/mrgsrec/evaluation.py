@@ -1,25 +1,27 @@
 """Leave-one-out full-catalog ranking with HR@n and NDCG@n.
 
-For the validation split the input window is the user's train sequence;
-for the test split it is the train sequence plus the validation item.
+The input window is the user's train sequence for the validation split and
+the train sequence plus the validation item for the test split; a pass
+picks these inputs and the targets once, and each chunk slices them.
 Candidates are the whole catalog minus (optionally) the user's already
 seen items; the target itself is never excluded. Ties rank by ascending
-item id.
+item id. A non-finite parameter raises NumericError before any scoring:
+``rank_targets`` counts no NaN score ahead of the target, so a NaN model
+would score perfectly.
 
 The parameters are fixed during a pass, so the graph is propagated once
 per pass, for the user rows alone (no head reads an item's propagated row),
 and every chunk of ``EVAL_BATCH`` users gathers its user rows from that
 table. No head reads ``E_l``, so ``encoder_paths`` turns ``positions`` off:
 each chunk builds the user states alone, and the final encoder block runs
-on the state row only.
-Each chunk's (B, N) score block is ranked in one vectorised step, with the
-seen items given as CSR-style (indptr, items) arrays. The pass runs under
-``autodiff.no_grad``, so it records no tape.
+on the state row only. Each chunk's (B, N) score block is ranked in one
+vectorised step, with the seen items read off the flat layout
+(``embeddings.flatten``) as CSR-style (indptr, items) arrays. The pass runs
+under ``autodiff.no_grad``, so it records no tape.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import build_batch
-from .errors import DataError, ProtocolError
+from .embeddings import build_batch, flatten
+from .errors import DataError, NumericError, ProtocolError
 from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
                     propagated_embeddings)
 from .model import ModelParams, encoder_paths, forward_states, score_batch
@@ -105,10 +107,7 @@ def _seen_items(sequences: list[list[int]], targets: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """CSR-style (indptr, items) of each sequence's items minus its target;
     repeated items stay repeated, which ranking ignores."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64,
-                          count=len(sequences))
-    items = np.fromiter(itertools.chain.from_iterable(sequences),
-                        dtype=np.int64, count=int(lengths.sum()))
+    lengths, items = flatten(sequences)
     rows = np.repeat(np.arange(len(sequences)), lengths)
     keep = items != targets[rows]
     counts = np.bincount(rows[keep], minlength=len(sequences))
@@ -136,8 +135,9 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
 
     ``hyper`` supplies k, scoring_head, layer_mean and exclude_seen; the
     window length is the model's (``params.tables.c``). Parameters sized
-    for another dataset raise DataError before any scoring. A graph it
-    builds itself (no ``adjacency``) is checked for leakage, as in ``fit``.
+    for another dataset (DataError) or not finite (NumericError) raise
+    before any scoring. A graph it builds itself (no ``adjacency``) is
+    checked for leakage, as in ``fit``.
     """
     if split not in ("validation", "test"):
         raise ValueError("split must be 'validation' or 'test'")
@@ -146,6 +146,8 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         raise DataError(
             f"model has {tables.n_users} users x {tables.n_items} items, "
             f"dataset has {dataset.n_users} users x {dataset.n_items} items")
+    if (block := params.first_nonfinite()) is not None:
+        raise NumericError(f"parameter block {block} holds a non-finite value")
     head = hyper.scoring_head
     paths = encoder_paths(head)
     nodes = None
@@ -157,33 +159,30 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         nodes = propagated_embeddings(tables, adjacency, hyper.k,
                                       layer_mean=hyper.layer_mean,
                                       rows=np.arange(dataset.n_users))
-    users = list(range(dataset.n_users))
-    totals = {"hr5": 0.0, "hr10": 0.0, "ndcg5": 0.0, "ndcg10": 0.0}
+    # The seen items are exactly the input sequence's items.
+    inputs, targets = dataset.train, dataset.val
+    if split == "test":
+        inputs = [seq + [v] for seq, v in zip(inputs, targets)]
+        targets = dataset.test
+    targets = np.asarray(targets, dtype=np.int64)
+    users, ranks = range(dataset.n_users), []
     for start in range(0, len(users), EVAL_BATCH):
-        chunk = users[start:start + EVAL_BATCH]
-        # The seen items are exactly the input sequence's items.
-        if split == "validation":
-            sequences = [dataset.train[u] for u in chunk]
-            targets = np.array([dataset.val[u] for u in chunk], dtype=np.int64)
-        else:
-            sequences = [dataset.train[u] + [dataset.val[u]] for u in chunk]
-            targets = np.array([dataset.test[u] for u in chunk], dtype=np.int64)
-        batch = build_batch(chunk, sequences, tables.c, tables.padding_id)
+        chunk = slice(start, start + EVAL_BATCH)
+        sequences = inputs[chunk]
+        batch = build_batch(users[chunk], sequences, tables.c, tables.padding_id)
         states = forward_states(params, batch, adjacency, hyper.k,
                                 layer_mean=hyper.layer_mean,
                                 node_embeddings=nodes, **paths)
         scores = score_batch(params, states, head).data
-        excluded = _seen_items(sequences, targets) if hyper.exclude_seen else None
-        # Per-user sums in user order keep the totals' rounding unchanged.
-        for rank in rank_targets(scores, targets, excluded).tolist():
-            totals["hr5"] += hr_at_k(rank, 5)
-            totals["hr10"] += hr_at_k(rank, 10)
-            totals["ndcg5"] += ndcg_at_k(rank, 5)
-            totals["ndcg10"] += ndcg_at_k(rank, 10)
+        excluded = (_seen_items(sequences, targets[chunk])
+                    if hyper.exclude_seen else None)
+        ranks += rank_targets(scores, targets[chunk], excluded).tolist()
+    # Per-user sums in user order (np.cumsum adds in sequence) keep the
+    # totals' rounding unchanged.
     n = len(users)
-    report = MetricsReport(
-        split=split, hr5=totals["hr5"] / n, hr10=totals["hr10"] / n,
-        ndcg5=totals["ndcg5"] / n, ndcg10=totals["ndcg10"] / n,
-        n_users=n, fingerprint=fingerprint)
+    means = [float(np.cumsum([metric(rank, k) for rank in ranks])[-1]) / n
+             for metric, k in ((hr_at_k, 5), (hr_at_k, 10),
+                               (ndcg_at_k, 5), (ndcg_at_k, 10))]
+    report = MetricsReport(split, *means, n, fingerprint)
     report.validate()
     return report

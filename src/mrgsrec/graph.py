@@ -20,7 +20,6 @@ bookkeeping of a growing neighbourhood per hop.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import EmbeddingTables, SequenceBatch
+from .embeddings import EmbeddingTables, SequenceBatch, flatten
 from .errors import DataError, GraphError
 
 
@@ -43,10 +42,8 @@ def interaction_matrix(train: list[list[int]], n_users: int, n_items: int
                        ) -> sp.csr_matrix:
     """R: the (M, N) binary CSR matrix of distinct (user, item) train pairs,
     with sorted column indices."""
-    lengths = np.fromiter(map(len, train), dtype=np.int64, count=len(train))
+    lengths, cols = flatten(train)
     rows = np.repeat(np.arange(len(train)), lengths)
-    cols = np.fromiter(itertools.chain.from_iterable(train), dtype=np.int64,
-                       count=rows.size)
     r = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
                       shape=(n_users, n_items))
     r.sum_duplicates()

@@ -50,6 +50,11 @@ class ModelParams:
     def parameters(self) -> list[ad.Tensor]:
         return list(self.named().values())
 
+    def first_nonfinite(self) -> str | None:
+        """Name of the first block holding a NaN or an infinity, else None."""
+        return next((name for name, tensor in self.named().items()
+                     if not np.isfinite(tensor.data).all()), None)
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
@@ -217,6 +222,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     the header's (name, shape) block list must equal the rebuilt model's,
     and the block bytes' sha256 must equal the header's (files older than
     the checksum have none); else ParseError, before any block is copied.
+    A block holding a NaN or an infinity raises ParseError once copied.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -252,4 +258,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         tensor.data[...] = np.frombuffer(raw, "<f8", tensor.data.size,
                                          offset).reshape(tensor.shape)
         offset += 8 * tensor.data.size
+    if (block := params.first_nonfinite()) is not None:
+        raise ParseError(f"{path}: block {block} holds a non-finite value")
     return params, meta

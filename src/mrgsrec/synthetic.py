@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SplitDataset, leave_one_out
+from .embeddings import flatten
 
 PREFERRED_WEIGHTS = (0.5, 0.3, 0.2)  # primary, secondary, tertiary cluster
 
@@ -72,10 +73,6 @@ def popularity_hr_at_k(dataset: SplitDataset, k: int = 10) -> float:
 
     Baseline for learnability checks; cluster/chain structure should beat it.
     """
-    counts = np.zeros(dataset.n_items, dtype=np.int64)
-    for seq in dataset.train:
-        for item in seq:
-            counts[item] += 1
-    top = set(np.argsort(-counts, kind="stable")[:k].tolist())
-    hits = sum(1 for t in dataset.test if t in top)
-    return hits / dataset.n_users
+    counts = np.bincount(flatten(dataset.train)[1], minlength=dataset.n_items)
+    top = np.argsort(-counts, kind="stable")[:k]
+    return float(np.isin(dataset.test, top).mean())

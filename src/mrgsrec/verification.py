@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import fingerprint, to_hyperparams
 from .data import SplitDataset, leave_one_out
-from .embeddings import EmbeddingTables, build_batch, init_tables
+from .embeddings import EmbeddingTables, build_batch, flatten, init_tables
 from .errors import ParseError
 from .evaluation import MetricsReport, evaluate, hr_at_k, ndcg_at_k, rank_targets
 from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
@@ -237,8 +237,8 @@ def metric_suite() -> dict:
         targets[u] = rng.integers(n_items)
         exclusions.append(sorted(
             set(rng.integers(0, n_items, size=5).tolist()) - {int(targets[u])}))
-    indptr = np.cumsum([0] + [len(ex) for ex in exclusions])
-    items = np.asarray([i for ex in exclusions for i in ex], dtype=np.int64)
+    lengths, items = flatten(exclusions)
+    indptr = np.cumsum([0, *lengths])
     ranks = rank_targets(scores, targets, (indptr, items)).tolist()
     for got, row, target, excluded in zip(ranks, scores, targets, exclusions):
         want = metric_oracle_rank(row, int(target), excluded)

@@ -6,12 +6,32 @@ compositions of primitive ops below (``relu`` included), and
 kept below, bit for bit: values and every parent's gradient. Patched
 into ``autodiff``, they also give ``seq_encode``, the fusion block and the
 local loss the arithmetic the optimised ops replace.
+
+``build_batch`` assembles one window per user in Python; the vectorised
+``embeddings.build_batch`` must equal it, dtypes included.
 """
 
 import numpy as np
 
 from mrgsrec import autodiff as ad
-from mrgsrec.errors import DimensionError
+from mrgsrec.embeddings import SequenceBatch
+from mrgsrec.errors import DataError, DimensionError
+
+
+def build_batch(user_ids, sequences, c, pad_value):
+    """One Python window per user: its last min(len, c) items, left-padded."""
+    windows, lengths = [], []
+    for seq in sequences:
+        if c < 1:
+            raise ValueError("window length must be >= 1")
+        if not seq:
+            raise DataError("cannot build a window from an empty sequence")
+        tail = list(seq[-c:])
+        windows.append([pad_value] * (c - len(tail)) + tail)
+        lengths.append(len(tail))
+    return SequenceBatch(np.asarray(user_ids, dtype=np.int64),
+                         np.asarray(windows, dtype=np.int64),
+                         np.asarray(lengths, dtype=np.int64))
 
 
 def masked_softmax(a, mask):

@@ -253,6 +253,22 @@ def test_eval_rejects_meta_it_cannot_read_exit_code_2(tmp_path, snapshot,
     assert len(printed.err.splitlines()) == 1
 
 
+def test_eval_rejects_a_checkpoint_with_a_nan_block_exit_code_2(
+        tmp_path, snapshot, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    config = tiny_config(tmp_path, snapshot, max_epochs=0)
+    assert cli.main(["train", "--config", str(config), "--out", str(ckpt)]) == 0
+    params, meta = load_checkpoint(ckpt)
+    params.named()["fusion.w2"].data[0, 1] = np.nan
+    save_checkpoint(ckpt, params, meta)  # a valid checksum over the NaN
+    with pytest.raises(ParseError, match="fusion.w2"):
+        load_checkpoint(ckpt)
+    capsys.readouterr()
+    assert cli.main(["eval", str(ckpt), str(snapshot)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and "fusion.w2" in printed.err
+
+
 def rewrite_checkpoint(path, change):
     """Split a checkpoint into its JSON header and one byte string per block,
     apply ``change(header, blobs)``, and write both back with the header

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mrgsrec import data as dp
 from mrgsrec.errors import DataError, ParseError
-from mrgsrec.synthetic import generate_clustered_markov
+from mrgsrec.synthetic import generate_clustered_markov, popularity_hr_at_k
 
 
 def write_log(tmp_path, lines, name="log.txt"):
@@ -369,6 +369,20 @@ def test_synthetic_dataset_pinned():
         json.dumps([ds.train, ds.val, ds.test]).encode()).hexdigest()
     assert digest == ("2fd93123c704d8bf72abc5b0f3417e56"
                       "743c7a15aa29c7aa287d183b75555459")
+
+
+@pytest.mark.parametrize("k", [1, 5, 10, 60])
+def test_popularity_baseline_matches_loop_oracle(k):
+    ds = generate_clustered_markov(n_users=50, n_items=60, n_clusters=6,
+                                   min_len=5, max_len=12, seed=3)
+    counts = [0] * ds.n_items
+    for seq in ds.train:
+        for item in seq:
+            counts[item] += 1
+    # most frequent first, ties by ascending id
+    top = sorted(range(ds.n_items), key=lambda i: (-counts[i], i))[:k]
+    hits = sum(t in top for t in ds.test)
+    assert popularity_hr_at_k(ds, k) == hits / ds.n_users
 
 
 class TestLeaveOneOut:

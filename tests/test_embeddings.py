@@ -1,34 +1,84 @@
-"""Embedding tables, window truncation, batch assembly."""
+"""Embedding tables, the flat layout, window and batch assembly."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composed_ops
 from mrgsrec import embeddings as emb
 from mrgsrec.errors import DataError
 
 
-class TestTruncateWindow:
+def window_of(sequence, c, pad_value=-1):
+    """One-row ``build_batch``: (window, valid length) as Python values."""
+    batch = emb.build_batch([0], [sequence], c, pad_value)
+    return batch.item_windows[0].tolist(), int(batch.valid_lengths[0])
+
+
+class TestBuildBatchWindow:
     def test_longer_than_window(self):
-        assert emb.truncate_window([1, 2, 3, 4], 2, -1) == ([3, 4], 2)
+        assert window_of([1, 2, 3, 4], 2) == ([3, 4], 2)
 
     def test_padding_case(self):
-        assert emb.truncate_window([7], 4, -1) == ([-1, -1, -1, 7], 1)
+        assert window_of([7], 4) == ([-1, -1, -1, 7], 1)
 
     def test_empty_raises(self):
         with pytest.raises(DataError):
-            emb.truncate_window([], 3, -1)
+            window_of([], 3)
+
+    def test_empty_sequence_among_others_raises(self):
+        with pytest.raises(DataError):
+            emb.build_batch([0, 1, 2], [[1, 2], [], [3]], 3, -1)
+
+    @pytest.mark.parametrize("c", [0, -2])
+    def test_window_length_below_one_raises(self, c):
+        with pytest.raises(ValueError):
+            emb.build_batch([0], [[1, 2]], c, -1)
 
     @given(st.lists(st.integers(0, 99), min_size=1, max_size=30),
            st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_matches_slice_oracle(self, seq, c):
-        window, length = emb.truncate_window(seq, c, -1)
+        window, length = window_of(seq, c)
         tail = seq[-c:]
         assert length == len(tail)
         assert window == [-1] * (c - len(tail)) + tail
         assert len(window) == c
+
+
+@st.composite
+def batches(draw):
+    """Users, their sequences of 1..3c items, c in 1..6 and any int64 pad."""
+    c = draw(st.integers(1, 6))
+    sequences = draw(st.lists(
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=3 * c),
+        min_size=1, max_size=8))
+    users = draw(st.lists(st.integers(0, 10**6), min_size=len(sequences),
+                          max_size=len(sequences)))
+    pad = draw(st.integers(-2**63, 2**63 - 1))
+    return users, sequences, c, pad
+
+
+@given(batches())
+@settings(max_examples=200, deadline=None)
+def test_build_batch_equals_per_user_reference(args):
+    got, want = emb.build_batch(*args), composed_ops.build_batch(*args)
+    for name in ("user_ids", "item_windows", "valid_lengths"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+@given(st.lists(st.lists(st.integers(-2**63, 2**63 - 1), max_size=6),
+                max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_flatten_round_trip(sequences):
+    lengths, items = emb.flatten(sequences)
+    assert lengths.dtype == items.dtype == np.int64
+    assert lengths.tolist() == [len(s) for s in sequences]
+    pieces = np.split(items, np.cumsum(lengths)[:-1]) if sequences else []
+    assert [p.tolist() for p in pieces] == sequences
 
 
 class TestInitTables:

@@ -15,7 +15,7 @@ from mrgsrec import model as md
 from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
 from mrgsrec.embeddings import build_batch
-from mrgsrec.errors import GraphError, ProtocolError
+from mrgsrec.errors import GraphError, NumericError, ProtocolError
 from mrgsrec.graph import build_adjacency
 from mrgsrec.losses import LossWeights
 from mrgsrec.model import init_model
@@ -251,6 +251,20 @@ class TestEvaluate:
                             hyper.seq_config(), seed=0)
         with pytest.raises(ValueError):
             ev.evaluate(params, dataset, "train", hyper)
+
+
+@pytest.mark.parametrize("head", ["fused", "sequential", "graph"])
+def test_non_finite_item_row_raises_before_scoring(monkeypatch, head):
+    # a NaN score never ranks ahead of the target, so a NaN model would
+    # otherwise score HR = NDCG = 1
+    dataset = random_dataset(12, 10, seed=3)
+    hyper = eval_hyper(scoring_head=head, k=1)
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), seed=0)
+    params.tables.item.data[4] = np.nan
+    monkeypatch.setattr(ev, "forward_states", None)  # scoring must not start
+    with pytest.raises(NumericError, match="tables.item"):
+        ev.evaluate(params, dataset, "test", hyper)
 
 
 def test_report_invariant_validation():
