@@ -1,14 +1,17 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation records its inputs and a backward closure on the value it
-produces; ``backward()`` replays the graph in reverse topological order and
-accumulates vector-Jacobian products into ``Tensor.grad``. The sweep
-consumes the tape: once a node's closure has handed its gradients on, the
-node drops its closure and parents, so an intermediate that only the tape
-holds is freed as the sweep passes it, with its ``grad`` and the arrays its
-closure captured. Only leaves and the nodes the caller holds keep a
-``grad``; a later ``backward()`` that reaches a consumed node raises
-GraphError. Conventions:
+A ``Tensor`` is a value (``data``) plus a tape ``Node``: its ``grad``,
+whether it is a parameter, its parents' nodes and a backward closure.
+The tape links nodes, never values, and each closure captures the arrays
+its backward reads, so a value no backward reads is freed in the forward
+pass as soon as the caller drops its Tensor. ``backward()`` replays the
+tape in reverse topological order and accumulates vector-Jacobian products
+into each node's ``grad`` (``Tensor.grad`` reads it). The sweep consumes
+the tape: once a node's closure has handed its gradients on, the node
+drops its closure and parents, so what only the tape held is freed as the
+sweep passes it, with the node's ``grad``. Only leaves and the nodes the
+caller holds keep a ``grad``; a later ``backward()`` that reaches a
+consumed node raises GraphError. Conventions:
 
 * all values are float64 (gradient checks need the headroom),
 * ReLU (``feed_forward``): ReLU'(0) = 0, -0.0 maps to +0.0, NaN stays NaN,
@@ -24,15 +27,16 @@ GraphError. Conventions:
 Inside ``with no_grad():`` every op returns a plain leaf, so a forward pass
 (evaluation, the finite-difference probes) keeps no tape and no closure.
 
-Closure contract: ``backward(g)`` returns one gradient per parent, in
-``_parents`` order, writing only to arrays it allocates. Each is a view of
-``g`` (or ``g``) or an array allocated for that parent alone, never one the
-closure keeps, or None for a parent that needs no graph (a constant:
-padding masks, loss scales), whose gradient is then never computed. A
-closure runs at most once: ``Tensor.backward`` drops it after the call.
-``Tensor.backward`` alone writes ``grad``: constants take none, and a first
-gradient sharing no memory with ``g`` is adopted, any other copied, so no
-two tensors share a ``grad`` buffer.
+Closure contract: capture the arrays you read, never a ``Tensor`` (or a
+node), and an operand's array only if a gradient you compute reads it.
+``backward(g)`` returns one gradient per parent, in ``_parents`` order,
+writing only to arrays it allocates. Each is a view of ``g`` (or ``g``) or
+an array allocated for that parent alone, never one the closure keeps, or
+None for a parent that needs no graph (a constant: padding masks, loss
+scales), whose gradient is then never computed. A closure runs at most
+once: the sweep drops it after the call. The sweep alone writes ``grad``:
+constants take none, and a first gradient sharing no memory with ``g`` is
+adopted, any other copied, so no two nodes share a ``grad`` buffer.
 
 In place: an op writes only into arrays it allocated, never into its
 inputs or an incoming gradient; elementwise chains run in place on those,
@@ -51,7 +55,7 @@ after its q, k, v projections, dropouts included as bool keep-masks
 replays, in both passes, the arithmetic of the primitive ops it replaces,
 so values and gradients are bit-identical to theirs, but keeps only what
 its backward reads: q, k, v, the probabilities and merged heads; the FFN's
-hidden activation.
+input and hidden activation.
 """
 
 from __future__ import annotations
@@ -72,18 +76,62 @@ Keep = tuple[np.ndarray, float]  # a dropout keep-mask (bool) and 1/(1 - rate)
 _recording = True
 
 
-class Tensor:
-    """Node in the computation graph: a float64 array plus backward plumbing."""
+class Node:
+    """A tensor's place on the tape: its gradient, whether it is a parameter,
+    its parents' nodes and the closure that hands its gradient on. It holds
+    no value, so the tape keeps only the arrays the closures captured."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "requires_grad", "parents", "backward")
+
+    def __init__(self, requires_grad: bool, parents: tuple,
+                 backward: Callable | None):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.parents = parents
+        self.backward = backward
+
+    def needs_graph(self) -> bool:
+        return self.requires_grad or self.backward is not None
+
+    def propagate(self) -> None:
+        """Hand this node's gradient to its parents and consume the node: its
+        closure and parents go, so what only the tape held is freed here."""
+        closure, parents = self.backward, self.parents
+        if closure is None:
+            return
+        self.backward, self.parents = _consumed, ()
+        g = self.grad
+        if g is None:
+            return
+        for parent, pg in zip(parents, closure(g), strict=True):
+            if pg is None or not parent.needs_graph():
+                continue
+            if parent.grad is not None:
+                parent.grad += pg
+            elif isinstance(pg, np.ndarray) and not np.may_share_memory(pg, g):
+                parent.grad = pg
+            else:  # a view of g, or a numpy scalar from a 0-d ufunc
+                parent.grad = np.array(pg, dtype=np.float64)
+
+
+def _on_node(name: str) -> property:
+    return property(lambda t: getattr(t.node, name),
+                    lambda t, value: setattr(t.node, name, value))
+
+
+class Tensor:
+    """A float64 array and its tape node, whose fields it exposes."""
+
+    __slots__ = ("data", "node")
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _parents = _on_node("parents")  # the parents' nodes
+    _backward = _on_node("backward")
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple = (), backward: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward = backward
+        self.node = Node(requires_grad, parents, backward)
 
     @property
     def shape(self):
@@ -107,9 +155,9 @@ class Tensor:
         """
         if self.data.size != 1:
             raise GraphError("backward() requires a scalar output")
-        order: list[Tensor] = []
+        order: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(self.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -119,32 +167,12 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         while order:
-            order.pop()._propagate()
-
-    def _propagate(self) -> None:
-        """Hand this node's gradient to its parents and consume the node: its
-        closure and parents go, so what only the tape held is freed here."""
-        closure, parents = self._backward, self._parents
-        if closure is None:
-            return
-        self._backward, self._parents = _consumed, ()
-        g = self.grad
-        if g is None:
-            return
-        for parent, pg in zip(parents, closure(g), strict=True):
-            if pg is None or not _needs_graph(parent):
-                continue
-            if parent.grad is not None:
-                parent.grad += pg
-            elif isinstance(pg, np.ndarray) and not np.may_share_memory(pg, g):
-                parent.grad = pg
-            else:  # a view of g, or a numpy scalar from a 0-d ufunc
-                parent.grad = np.array(pg, dtype=np.float64)
+            order.pop().propagate()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -160,7 +188,7 @@ def parameter(data) -> Tensor:
 
 
 def _needs_graph(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t._backward is not None for t in tensors)
+    return any(t.node.needs_graph() for t in tensors)
 
 
 def _consumed(g):
@@ -197,18 +225,23 @@ def _records(*parents: Tensor) -> bool:
 
 
 def _make(data, parents: Sequence[Tensor], backward: Callable | None) -> Tensor:
+    """The op's output, linked on the tape to its parents' nodes when any of
+    them needs the graph; ``backward`` must hold no Tensor (module docstring)."""
     if _records(*parents):
-        return Tensor(data, parents=tuple(parents), backward=backward)
+        return Tensor(data, parents=tuple(p.node for p in parents),
+                      backward=backward)
     return Tensor(data)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    shape_a = a.shape if _needs_graph(a) else None
+    shape_b = b.shape if _needs_graph(b) else None
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape) if _needs_graph(a) else None,
-                _unbroadcast(g, b.data.shape) if _needs_graph(b) else None)
+        return (None if shape_a is None else _unbroadcast(g, shape_a),
+                None if shape_b is None else _unbroadcast(g, shape_b))
 
     return _make(out, (a, b), backward)
 
@@ -216,10 +249,13 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
+    shape_a, shape_b = a.shape, b.shape
+    bv = b.data if _needs_graph(a) else None  # what a's gradient reads
+    av = a.data if _needs_graph(b) else None
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if _needs_graph(a) else None,
-                _unbroadcast(g * a.data, b.data.shape) if _needs_graph(b) else None)
+        return (None if bv is None else _unbroadcast(g * bv, shape_a),
+                None if av is None else _unbroadcast(g * av, shape_b))
 
     return _make(out, (a, b), backward)
 
@@ -229,15 +265,16 @@ def matmul(a, b) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError("matmul operands must have ndim >= 2")
     out = np.matmul(a.data, b.data)
+    shape_a, shape_b = a.shape, b.shape
+    bv = b.data if _needs_graph(a) else None  # what a's gradient reads
+    av = a.data if _needs_graph(b) else None
 
     def backward(g):
         ga = gb = None
-        if _needs_graph(a):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                              a.data.shape)
-        if _needs_graph(b):
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                              b.data.shape)
+        if bv is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), shape_a)
+        if av is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), shape_b)
         return ga, gb
 
     return _make(out, (a, b), backward)
@@ -245,10 +282,11 @@ def matmul(a, b) -> Tensor:
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    out = a.data * a.data
+    av = a.data
+    out = av * av
 
     def backward(g):
-        return (2.0 * g * a.data,)
+        return (2.0 * g * av,)
 
     return _make(out, (a,), backward)
 
@@ -256,11 +294,12 @@ def square(a) -> Tensor:
 def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis)
+    shape = a.shape
 
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _make(out, (a,), backward)
 
@@ -350,19 +389,19 @@ def layer_norm(a, gain, bias) -> Tensor:
     var += 1e-6
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv
-    out = np.multiply(xhat, gain.data, out=None if _records(a, gain, bias) else xhat)
+    gd, shape_b = gain.data, bias.shape
+    out = np.multiply(xhat, gd, out=None if _records(a, gain, bias) else xhat)
     out += bias.data
 
     def backward(g):
-        dx = g * gain.data
+        dx = g * gd
         m1 = dx.mean(axis=-1, keepdims=True)
         t = dx * xhat
         m2 = t.mean(axis=-1, keepdims=True)
         dx -= m1
         dx -= np.multiply(xhat, m2, out=t)
         dx *= inv
-        return (dx, _unbroadcast(g * xhat, gain.data.shape),
-                _unbroadcast(g, bias.data.shape))
+        return (dx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, shape_b))
 
     return _make(out, (a, gain, bias), backward)
 
@@ -377,12 +416,13 @@ def lookup(table, ids: np.ndarray) -> Tensor:
     table = as_tensor(table)
     ids = np.asarray(ids)
     out = table.data[ids]
+    shape = table.shape
 
     def backward(g):
         n = ids.size
         onehot = sp.csr_matrix((np.ones(n), (ids.ravel(), np.arange(n))),
-                               shape=(table.data.shape[0], n))
-        rows = g.reshape((n,) + table.data.shape[1:])
+                               shape=(shape[0], n))
+        rows = g.reshape((n,) + shape[1:])
         return (onehot @ rows,)
 
     return _make(out, (table,), backward)
@@ -403,9 +443,10 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
+    shape_a = a.shape
 
     def backward(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(shape_a),)
 
     return _make(out, (a,), backward)
 
@@ -417,9 +458,10 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
     out = a.data[index]
+    shape = a.shape
 
     def backward(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros(shape)
         acc[index] = g
         return (acc,)
 
@@ -489,6 +531,7 @@ def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
     probabilities and ``keep_out`` the output."""
     q, k, v, wo = (as_tensor(t) for t in (q, k, v, wo))
     qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
+    wod = wo.data
     mask = mask[..., None, :, :]
     scale = 1.0 / np.sqrt(qh.shape[-1])
     probs = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, until exp
@@ -501,8 +544,8 @@ def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
 
     def backward(g):
         g = _drop(g, keep_out)
-        gwo = _unbroadcast(np.matmul(np.swapaxes(merged, -1, -2), g), wo.data.shape)
-        g = _heads(np.matmul(g, np.swapaxes(wo.data, -1, -2)), n_heads)
+        gwo = _unbroadcast(np.matmul(np.swapaxes(merged, -1, -2), g), wod.shape)
+        g = _heads(np.matmul(g, np.swapaxes(wod, -1, -2)), n_heads)
         gv = np.matmul(np.swapaxes(_drop(probs, keep), -1, -2), g)
         gp = _drop(np.matmul(g, np.swapaxes(vh, -1, -2)), keep)
         gp -= (gp * probs).sum(axis=-1, keepdims=True)
@@ -514,29 +557,30 @@ def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
                 _merge(np.swapaxes(gk_t, -1, -2)),
                 _merge(_unbroadcast(gv, vh.shape)), gwo)
 
-    return _make(_drop(np.matmul(merged, wo.data), keep_out), (q, k, v, wo), backward)
+    return _make(_drop(np.matmul(merged, wod), keep_out), (q, k, v, wo), backward)
 
 
 def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None) -> Tensor:
     """``dropout(relu(x w1ᵀ + b1) w2ᵀ + b2)``, w1 (d_ff, d_in), w2 (d_out, d_ff):
     an encoder FFN, or the fusion block (d_in = 2 d_out, zero biases)."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    hidden = np.matmul(x.data, w1.data.T)
+    xd, w1d, w2d, shape_b1, shape_b2 = x.data, w1.data, w2.data, b1.shape, b2.shape
+    hidden = np.matmul(xd, w1d.T)
     hidden += b1.data
     np.maximum(hidden, 0.0, out=hidden)  # relu(pre) > 0 exactly where pre > 0
-    out = np.matmul(hidden, w2.data.T)
+    out = np.matmul(hidden, w2d.T)
     out += b2.data
 
     def backward(g):
         g = _drop(g, keep)
         gw2 = _unbroadcast(np.matmul(hidden.swapaxes(-1, -2), g),
-                           w2.data.shape[::-1]).T
-        gpre = np.matmul(g, w2.data)
+                           w2d.shape[::-1]).T
+        gpre = np.matmul(g, w2d)
         gpre *= hidden > 0.0
-        gw1 = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gpre),
-                           w1.data.shape[::-1]).T
-        return (np.matmul(gpre, w1.data), gw1, _unbroadcast(gpre, b1.data.shape),
-                gw2, _unbroadcast(g, b2.data.shape))
+        gw1 = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), gpre),
+                           w1d.shape[::-1]).T
+        return (np.matmul(gpre, w1d), gw1, _unbroadcast(gpre, shape_b1),
+                gw2, _unbroadcast(g, shape_b2))
 
     return _make(_drop(out, keep), (x, w1, b1, w2, b2), backward)
 

@@ -165,7 +165,7 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         inputs = [seq + [v] for seq, v in zip(inputs, targets)]
         targets = dataset.test
     targets = np.asarray(targets, dtype=np.int64)
-    users, ranks = range(dataset.n_users), []
+    users, chunk_ranks = range(dataset.n_users), []
     for start in range(0, len(users), EVAL_BATCH):
         chunk = slice(start, start + EVAL_BATCH)
         sequences = inputs[chunk]
@@ -176,13 +176,16 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
         scores = score_batch(params, states, head).data
         excluded = (_seen_items(sequences, targets[chunk])
                     if hyper.exclude_seen else None)
-        ranks += rank_targets(scores, targets[chunk], excluded).tolist()
-    # Per-user sums in user order (np.cumsum adds in sequence) keep the
-    # totals' rounding unchanged.
-    n = len(users)
-    means = [float(np.cumsum([metric(rank, k) for rank in ranks])[-1]) / n
-             for metric, k in ((hr_at_k, 5), (hr_at_k, 10),
-                               (ndcg_at_k, 5), (ndcg_at_k, 10))]
+        chunk_ranks.append(rank_targets(scores, targets[chunk], excluded))
+    # Each user's value is looked up in a table of the metric at ranks
+    # 1..k+1 (every rank past k scores as k+1 does), then summed in user
+    # order (np.cumsum adds in sequence), so the totals round as before.
+    n, ranks = len(users), np.concatenate(chunk_ranks)
+    means = []
+    for metric, k in ((hr_at_k, 5), (hr_at_k, 10), (ndcg_at_k, 5), (ndcg_at_k, 10)):
+        table = np.array([metric(rank, k) for rank in range(1, k + 2)])
+        values = table[np.minimum(ranks, k + 1) - 1]
+        means.append(float(np.cumsum(values)[-1]) / n)
     report = MetricsReport(split, *means, n, fingerprint)
     report.validate()
     return report

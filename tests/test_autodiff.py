@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -180,15 +181,41 @@ def test_non_finite_loss_fails_check(bad):
     assert report["x"] == {"max_rel_error": np.inf, "passed": False}
 
 
+def graph_in_closures(loss):
+    """Every backward closure on ``loss``'s tape that captured a Tensor or a
+    tape node, alone or in a tuple or list; the tape must hold no value a
+    backward does not read."""
+    found, seen, stack = [], set(), [loss.node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        for cell in getattr(node.backward, "__closure__", None) or ():
+            value = cell.cell_contents
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            if any(isinstance(v, (ad.Tensor, ad.Node)) for v in items):
+                found.append(node.backward)
+    return found
+
+
 MASK_3x4 = np.array([[True, False, True, True],
                      [True, True, False, True],
                      [False, True, True, False]])
+SPARSE_5x3 = sp.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 0.0],
+                                      [0.5, 3.0, 0.0], [0.0, -1.0, 1.0],
+                                      [2.0, 0.0, 0.0]]))
 KEEP_2x2x3x3 = ad.keep_mask((2, 2, 3, 3), 0.3, rng(12), train=True)
 KEEP_2x3x5 = ad.keep_mask((2, 3, 5), 0.3, rng(14), train=True)
 KEEP_2x3x4 = ad.keep_mask((2, 3, 4), 0.3, rng(13), train=True)
 
 
 @pytest.mark.parametrize("name,builder", [
+    ("add", lambda p: ad.tsum(ad.square(ad.add(p["t3"], p["bias"])))),
+    ("mul", lambda p: ad.tsum(ad.mul(ad.mul(p["a"], p["g"]), MASK_3x4))),
+    ("reshape", lambda p: ad.tsum(ad.square(ad.reshape(p["t3"], (4, 6))))),
+    ("spmm", lambda p: ad.tsum(ad.square(ad.spmm(SPARSE_5x3, p["a"])))),
     ("matmul", lambda p: ad.tsum(ad.matmul(p["a"], p["b"]))),
     ("batched_matmul", lambda p: ad.tsum(ad.matmul(p["t3"], p["b"]))),
     ("cross_entropy", lambda p: ad.cross_entropy(p["a"], np.array([0, 3, 1]))),
@@ -223,13 +250,13 @@ def test_op_gradients_match_finite_differences(name, builder):
         "w1": ad.parameter(g.normal(size=(5, 4))),
         "b1": ad.parameter(g.normal(size=(5,))),
     }
+    assert not graph_in_closures(builder(params))
     report = ad.finite_difference_check(lambda: builder(params), params)
     for block, entry in report.items():
         assert entry["passed"], f"{name}/{block}: {entry}"
 
 
 def test_spmm_matches_dense_and_gradient():
-    import scipy.sparse as sp
     g = rng(21)
     square = (g.random((6, 6)) < 0.4) * g.normal(size=(6, 6))
     rectangular = (g.random((4, 6)) < 0.5) * g.normal(size=(4, 6))
@@ -423,7 +450,7 @@ def test_no_grad_nests_and_restores_on_exception():
         with ad.no_grad():
             raise RuntimeError("inside")
     out = ad.square(x)
-    assert out._parents == (x,) and out._backward is not None
+    assert out._parents == (x.node,) and out._backward is not None
 
 
 def test_linear_cross_entropy_under_no_grad_is_a_plain_leaf():
@@ -490,6 +517,20 @@ def test_backward_frees_the_intermediates_the_caller_does_not_hold():
     np.testing.assert_array_equal(x.grad, 8.0 * np.maximum(x.data, 0.0))
 
 
+def test_a_value_no_backward_reads_is_freed_in_the_forward():
+    # add's closure keeps shapes and mul's by a constant keeps the constant,
+    # so nothing on the tape holds the sum once the caller drops it
+    x = ad.parameter(rng(5).normal(size=(4, 3)))
+    weights = rng(6).normal(size=(4, 3))
+    total = ad.add(ad.mul(x, 2.0), x)
+    alive = weakref.ref(total.data)
+    loss = ad.tsum(ad.mul(total, weights))
+    del total
+    assert alive() is None
+    loss.backward()
+    assert x.grad.tobytes() == (weights * 2.0 + weights).tobytes()
+
+
 def test_a_held_intermediate_keeps_its_grad():
     # perfbench/traced.py reads each layer output's grad after the backward
     x = ad.parameter(rng(4).normal(size=(2, 3)))
@@ -532,7 +573,7 @@ def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_product():
     for got, want in zip(out._backward(grad_out), plain._backward(grad_out * factor),
                          strict=True):
         assert got.tobytes() == want.tobytes()
-    assert out._parents == (q, k, v, wo)
+    assert out._parents == tuple(t.node for t in (q, k, v, wo))
 
 
 def test_feed_forward_relu_maps_negative_zero_to_zero_and_keeps_nan():
@@ -694,6 +735,7 @@ def test_random_dag_gradients_are_unaliased_and_match_fd(steps, shapes,
     constants = [ad.Tensor(values[k % len(values)] * 0.5)
                  for k in range(n_constants)]
     loss, pool = build_dag(steps, params.values(), constants, seed)
+    assert not graph_in_closures(loss)
     # picked before backward(), which consumes every node it passes
     pool_constants = [t for t in pool if not (t.requires_grad or t._parents)]
     loss.backward()
