@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Record one end-to-end benchmark run as ``BENCH_<n>.json``.
 
-Run from the repository root, on a clean checkout of the commit to record:
+Run it with the commit to record checked out and no tracked file changed
+(it refuses otherwise, so the record names the code it measured):
 
     python3 tools/bench_record.py 26
 
@@ -46,11 +47,15 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print("usage: tools/bench_record.py <n>", file=sys.stderr)
         return 2
+    if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=ROOT).returncode:
+        print("tracked files differ from HEAD; commit first, so the record "
+              "names the code it measured", file=sys.stderr)
+        return 2
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                            capture_output=True, text=True, check=True)
     run = subprocess.run(COMMAND, cwd=ROOT, capture_output=True, text=True,
                          check=False)
     sys.stderr.write(run.stderr)
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
-                            capture_output=True, text=True, check=True)
     record = {"commit": commit.stdout.strip(),
               "command": "python3 perfbench/run.py --trace 0 --seed 1",
               "workloads": parse(run.stdout)}
