@@ -34,13 +34,23 @@ writing only to arrays it allocates. Each is a view of ``g`` (or ``g``) or
 an array allocated for that parent alone, never one the closure keeps, or
 None for a parent that needs no graph (a constant: padding masks, loss
 scales), whose gradient is then never computed. A closure runs at most
-once: the sweep drops it after the call. The sweep alone writes ``grad``:
-constants take none, and a first gradient sharing no memory with ``g`` is
-adopted, any other copied, so no two nodes share a ``grad`` buffer.
+once: the sweep drops it after the call. So a closure may overwrite what
+it alone holds, an array its op allocated that nothing else captured
+(``feed_forward`` writes its pre-activation gradient into its hidden
+activation), but never ``g``, an input or an output. The sweep alone
+writes ``grad``: constants take none, and a first gradient sharing no
+memory with ``g`` is adopted, any other copied, so no two nodes share a
+``grad`` buffer.
 
 In place: an op writes only into arrays it allocated, never into its
 inputs or an incoming gradient; elementwise chains run in place on those,
 rounding as the out-of-place expression would.
+
+A 2-D weight applied to stacked (..., n, d) rows (``matmul``'s q, k, v
+projections, ``attention``'s ``wo``, ``feed_forward``'s w1 and w2) takes
+its gradient from ``_weight_grad``: one sample's product at a time, added
+into one buffer in sample order, which equals numpy's sum of the stacked
+products bit for bit without allocating the (B, d_in, d_out) stack.
 
 ``linear_cross_entropy`` is the one op that computes its gradient in the
 forward pass: it streams fixed row tiles of the logits, and while a tile's
@@ -209,6 +219,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Σ_b a[b]ᵀ g[b] for (..., n, d_in) ``a`` and (..., n, d_out) ``g``: the
+    (d_in, d_out) gradient of a 2-D weight applied to stacked rows.
+
+    Each sample's product is added into one zeroed buffer in sample order,
+    which is how numpy sums the stacked (B, d_in, d_out) products over
+    axis 0, so the result equals ``_unbroadcast`` of that stack bit for bit
+    (signed zeros included) without allocating it.
+    """
+    if a.ndim == 2:
+        return np.matmul(a.T, g)
+    out = np.zeros((a.shape[-1], g.shape[-1]))
+    term = np.empty_like(out)
+    for b in np.ndindex(a.shape[:-2]):
+        out += np.matmul(a[b].T, g[b], out=term)
+    return out
+
+
 @contextmanager
 def no_grad():
     """Record no graph inside the block: every op returns a plain leaf."""
@@ -274,7 +302,8 @@ def matmul(a, b) -> Tensor:
         if bv is not None:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), shape_a)
         if av is not None:
-            gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), shape_b)
+            gb = (_weight_grad(av, g) if len(shape_b) == 2 else
+                  _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), shape_b))
         return ga, gb
 
     return _make(out, (a, b), backward)
@@ -544,7 +573,7 @@ def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
 
     def backward(g):
         g = _drop(g, keep_out)
-        gwo = _unbroadcast(np.matmul(np.swapaxes(merged, -1, -2), g), wod.shape)
+        gwo = _weight_grad(merged, g)
         g = _heads(np.matmul(g, np.swapaxes(wod, -1, -2)), n_heads)
         gv = np.matmul(np.swapaxes(_drop(probs, keep), -1, -2), g)
         gp = _drop(np.matmul(g, np.swapaxes(vh, -1, -2)), keep)
@@ -573,12 +602,11 @@ def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None) -> Tensor:
 
     def backward(g):
         g = _drop(g, keep)
-        gw2 = _unbroadcast(np.matmul(hidden.swapaxes(-1, -2), g),
-                           w2d.shape[::-1]).T
-        gpre = np.matmul(g, w2d)
-        gpre *= hidden > 0.0
-        gw1 = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), gpre),
-                           w1d.shape[::-1]).T
+        gw2 = _weight_grad(hidden, g).T
+        active = hidden > 0.0
+        gpre = np.matmul(g, w2d, out=hidden)  # hidden is read for the last time
+        gpre *= active
+        gw1 = _weight_grad(xd, gpre).T
         return (np.matmul(gpre, w1d), gw1, _unbroadcast(gpre, shape_b1),
                 gw2, _unbroadcast(g, shape_b2))
 

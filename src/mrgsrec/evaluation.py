@@ -35,7 +35,11 @@ from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
                     propagated_embeddings)
 from .model import ModelParams, encoder_paths, forward_states, score_batch
 
-EVAL_BATCH = 512
+# Users per chunk: small enough that a chunk's blocks fit in the free space
+# a training heap leaves, so a pass after training does not re-fault its
+# pages. Not below 128: at 64 the fusion FFN's (B, 2d) GEMM takes another
+# BLAS kernel and the fused head's scores change; at 128 they equal 512's.
+EVAL_BATCH = 128
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import composed_ops
 from mrgsrec import autodiff as ad
@@ -551,6 +552,81 @@ def test_backward_through_a_consumed_graph_raises():
     with pytest.raises(GraphError):
         ad.tsum(ad.mul(hidden, 2.0)).backward()
     np.testing.assert_array_equal(x.grad, first)
+
+
+def stacked_weight_grad(a, g):
+    """The weight gradient as the stacked per-sample products, summed."""
+    return ad._unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g),
+                           (a.shape[-1], g.shape[-1]))
+
+
+# Exact zeros of both signs make signed-zero products and sums.
+weight_grad_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                               st.floats(-1e3, 1e3))
+
+
+@given(st.data(), st.lists(st.integers(1, 9), min_size=1, max_size=2),
+       st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+def test_weight_grad_equals_the_stacked_sum_bit_for_bit(data, lead, n, d_in,
+                                                        d_out):
+    # numpy sums the stack over axis 0 from +0.0 in sample order; a numpy
+    # that changes that order fails here before it moves a training step
+    lead = tuple(lead)
+    a = data.draw(hnp.arrays(np.float64, lead + (n, d_in), elements=weight_grad_values))
+    g = data.draw(hnp.arrays(np.float64, lead + (n, d_out), elements=weight_grad_values))
+    assert ad._weight_grad(a, g).tobytes() == stacked_weight_grad(a, g).tobytes()
+
+
+@pytest.mark.parametrize("d_in,d_out", [(64, 256), (256, 64)])
+def test_weight_grad_equals_the_stacked_sum_at_encoder_scale(d_in, d_out):
+    # a catalog_wide FFN's w1 and w2 gradients: 256 windows of 51 rows
+    g = rng(31)
+    a, grad_out = g.normal(size=(256, 51, d_in)), g.normal(size=(256, 51, d_out))
+    got = ad._weight_grad(a, grad_out)
+    assert got.tobytes() == stacked_weight_grad(a, grad_out).tobytes()
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_feed_forward_backward_leaves_its_inputs_and_gradient(rate):
+    # the closure reuses the hidden activation it alone holds for the
+    # pre-activation gradient, and writes nothing it was given
+    g = rng(41)
+    d, d_ff = 4, 10
+    inputs = [g.normal(size=(3, 5, d)), g.normal(size=(d_ff, d)),
+              g.normal(size=d_ff), g.normal(size=(d, d_ff)), g.normal(size=d)]
+    keep = ad.keep_mask((3, 5, d), rate, rng(42), train=True)
+    params = [ad.parameter(x) for x in inputs]
+    out = ad.feed_forward(*params, keep)
+    out_before = out.data.copy()
+    grad_out = g.normal(size=out.shape)
+    grad_before = grad_out.copy()
+    grads = out._backward(grad_out)
+    assert grad_out.tobytes() == grad_before.tobytes()
+    assert out.data.tobytes() == out_before.tobytes()
+    for x, p in zip(inputs, params, strict=True):
+        assert p.data.tobytes() == x.tobytes()
+    for pg in grads:
+        assert not np.may_share_memory(pg, grad_out)
+
+
+def test_a_second_backward_through_a_reusing_closure_raises():
+    # feed_forward's closure overwrites its hidden activation, so it must
+    # never run twice: the sweep consumes it, and a rerun raises
+    g = rng(43)
+    x = ad.parameter(g.normal(size=(2, 3, 4)))
+    w1, w2 = ad.parameter(g.normal(size=(6, 4))), ad.parameter(g.normal(size=(4, 6)))
+    out = ad.feed_forward(x, w1, 0.0, w2, 0.0)
+    loss = ad.tsum(out)
+    loss.backward()
+    first = [p.grad.copy() for p in (x, w1, w2)]
+    with pytest.raises(GraphError):
+        loss.backward()
+    with pytest.raises(GraphError):
+        ad.tsum(ad.mul(out, 2.0)).backward()
+    with pytest.raises(GraphError):
+        out._backward(np.ones(out.shape))
+    for p, want in zip((x, w1, w2), first, strict=True):
+        assert p.grad.tobytes() == want.tobytes()
 
 
 def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_product():

@@ -509,10 +509,11 @@ def catalog_wide_step():
 
 def test_backward_adds_little_to_the_forward_peak():
     # The backward frees each node's gradient and closure as the sweep
-    # passes it, so the step peaks near its forward; keeping them all until
-    # the step returns about doubles the peak.
+    # passes it, and weight gradients build no per-sample stack, so the step
+    # peaks near its forward; keeping them all until the step returns about
+    # doubles the peak.
     forward, step = catalog_wide_step()
-    assert peak_bytes(step) <= 1.25 * peak_bytes(forward)
+    assert peak_bytes(step) <= 1.12 * peak_bytes(forward)
 
 
 def test_fused_encoder_ops_shrink_the_forward_peak(monkeypatch):
