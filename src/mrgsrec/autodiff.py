@@ -50,7 +50,8 @@ A 2-D weight applied to stacked (..., n, d) rows (``matmul``'s q, k, v
 projections, ``attention``'s ``wo``, ``feed_forward``'s w1 and w2) takes
 its gradient from ``_weight_grad``: one sample's product at a time, added
 into one buffer in sample order, which equals numpy's sum of the stacked
-products bit for bit without allocating the (B, d_in, d_out) stack.
+products bit for bit without allocating the (B, d_in, d_out) stack (a
+1×1 weight, whose stack numpy sums pairwise, sums that small stack).
 
 ``linear_cross_entropy`` is the one op that computes its gradient in the
 forward pass: it streams fixed row tiles of the logits, and while a tile's
@@ -226,10 +227,14 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     Each sample's product is added into one zeroed buffer in sample order,
     which is how numpy sums the stacked (B, d_in, d_out) products over
     axis 0, so the result equals ``_unbroadcast`` of that stack bit for bit
-    (signed zeros included) without allocating it.
+    (signed zeros included) without allocating it. A 1×1 weight is the
+    exception: its stack holds one float per sample, which numpy sums
+    pairwise rather than in sample order, so that stack is summed as is.
     """
     if a.ndim == 2:
         return np.matmul(a.T, g)
+    if a.shape[-1] == g.shape[-1] == 1:
+        return _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), (1, 1))
     out = np.zeros((a.shape[-1], g.shape[-1]))
     term = np.empty_like(out)
     for b in np.ndindex(a.shape[:-2]):
