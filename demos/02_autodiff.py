@@ -33,15 +33,20 @@ extreme = ad.Tensor(np.array([[700.0, -700.0, 0.0]]))
 print("cross-entropy at |x|=700 is finite:",
       ad.cross_entropy(extreme, np.array([1])).item())
 
-# --- masked attention: probability mass only on allowed keys ---------------
-# ad.attention is one op with a closed-form backward; with one head and
-# identity keys, values and output projection its output rows are the
-# attention probabilities themselves
-scores = ad.Tensor(rng.normal(size=(2, 4)) * 30)
-mask = np.array([[True, False, True, True], [True, True, False, False]])
-eye = np.eye(4)
-mp = ad.attention(scores, eye, eye, eye, mask, n_heads=1).data
-print("masked entries get exactly 0:", bool((mp[~mask] == 0).all()))
+# --- masked attention: a key outside a row's mask never reaches it --------
+# ad.attention is one op with a closed-form backward: a pre-norm attention
+# sub-layer (layer norm, q, k and v projections, masked softmax, output
+# projection). Under a causal mask row i reads keys 0..i only, so changing
+# the last row leaves every earlier row's output exactly as it was
+x = rng.normal(size=(4, 4))
+weights = [np.ones(4), np.zeros(4)] + [rng.normal(size=(4, 4)) for _ in range(4)]
+mask = np.tril(np.ones((4, 4), dtype=bool))
+before = ad.attention(x, *weights, mask, n_heads=2).data
+x[3] += 30.0
+after = ad.attention(x, *weights, mask, n_heads=2).data
+print("rows that cannot see the changed key are unchanged:",
+      bool((before[:3] == after[:3]).all()))
+print("the row that sees it changed:", bool((before[3] != after[3]).any()))
 
 # --- the finite-difference oracle ------------------------------------------
 # checked here on ad.feed_forward, the two-layer ReLU block that both the

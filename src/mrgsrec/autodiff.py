@@ -15,8 +15,8 @@ consumed node raises GraphError. Conventions:
 
 * all values are float64 (gradient checks need the headroom),
 * ReLU (``feed_forward``): ReLU'(0) = 0, -0.0 maps to +0.0, NaN stays NaN,
-* attention, cross_entropy and linear_cross_entropy subtract the row max
-  before exponentiating, so logits of any magnitude stay finite,
+* attention and the cross-entropies subtract the row max before
+  exponentiating, so logits of any magnitude stay finite,
 * replay order is the reverse of a depth-first post-order that visits a
   node's parents last to first: every closure runs after all consumers of
   its output, and a node's first parent's subtree runs before its later
@@ -37,7 +37,10 @@ scales), whose gradient is then never computed. A closure runs at most
 once: the sweep drops it after the call. So a closure may overwrite what
 it alone holds, an array its op allocated that nothing else captured
 (``feed_forward`` writes its pre-activation gradient into its hidden
-activation), but never ``g``, an input or an output. The sweep alone
+activation), but never ``g``, an input or an output; and it releases a
+captured array (``nonlocal``, set to None) after its last read, so what it
+computes later never shares the heap with it (``attention`` drops its
+probabilities, q, k and v before its norm's backward). The sweep alone
 writes ``grad``: constants take none, and a first gradient sharing no
 memory with ``g`` is adopted, any other copied, so no two nodes share a
 ``grad`` buffer.
@@ -46,8 +49,8 @@ In place: an op writes only into arrays it allocated, never into its
 inputs or an incoming gradient; elementwise chains run in place on those,
 rounding as the out-of-place expression would.
 
-A 2-D weight applied to stacked (..., n, d) rows (``matmul``'s q, k, v
-projections, ``attention``'s ``wo``, ``feed_forward``'s w1 and w2) takes
+A 2-D weight applied to stacked (..., n, d) rows (``attention``'s q, k, v
+and output projections, ``feed_forward``'s w1 and w2, ``matmul``'s) takes
 its gradient from ``_weight_grad``: one sample's product at a time, added
 into one buffer in sample order, which equals numpy's sum of the stacked
 products bit for bit without allocating the (B, d_in, d_out) stack (a
@@ -60,13 +63,23 @@ The w gradient accumulates ``xtᵀ e`` in a (d, N) buffer, handed on
 transposed. The (R, N) logits never exist, and backward only scales the
 stored gradients by the incoming scalar.
 
-``attention`` and ``feed_forward`` fuse the two halves of an encoder block
-after its q, k, v projections, dropouts included as bool keep-masks
-(``keep_mask``); the fusion block runs on ``feed_forward`` too. Each
-replays, in both passes, the arithmetic of the primitive ops it replaces,
-so values and gradients are bit-identical to theirs, but keeps only what
-its backward reads: q, k, v, the probabilities and merged heads; the FFN's
-input and hidden activation.
+``sampled_cross_entropy`` is the fused loss's sampled softmax: each row's
+positive against its S negative table rows, gathered a chunk of users at a
+time in both passes, so its (B, S, d) negatives never exist whole; the
+table's gradient is two CSR scatters of the logit gradients.
+
+``attention`` and ``feed_forward`` are the two sub-layers of a pre-norm
+encoder block, each with its layer norm folded in (``attention`` also
+takes the q, k, v projections and, for a state-row pass, a ``query_row``),
+dropouts included as bool keep-masks (``keep_mask``); the fusion block runs
+on ``feed_forward`` without a norm. Each keeps only what its backward
+reads: the norm's x̂ (its output x̂·gain + bias is recomputed there), q, k,
+v, the probabilities and merged heads; the FFN's hidden activation.
+
+Every fused op replays, in both passes, the arithmetic of the primitive
+ops it replaces, summing each gradient in the order their tape would, so
+values and gradients are bit-identical to the composition's (the norm's
+output takes its query, key and value gradients as (dq + dk) + dv).
 """
 
 from __future__ import annotations
@@ -81,6 +94,8 @@ from .errors import DimensionError, GraphError
 
 # Rows per tile in linear_cross_entropy: about 29 MB of logits at N = 3 600.
 LCE_TILE_ROWS = 1024
+# Users per chunk in sampled_cross_entropy: a (32, S, d) block of negatives.
+SCE_CHUNK_ROWS = 32
 FD_STEP, FD_TOL = 1e-5, 1e-4  # finite_difference_check's step and tolerance
 Keep = tuple[np.ndarray, float]  # a dropout keep-mask (bool) and 1/(1 - rate)
 
@@ -240,6 +255,41 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     for b in np.ndindex(a.shape[:-2]):
         out += np.matmul(a[b].T, g[b], out=term)
     return out
+
+
+def _norm(a: np.ndarray, gd: np.ndarray, bd: np.ndarray, keep: bool
+          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Layer norm over the last axis (eps 1e-6): ``(x̂·gain + bias, x̂, 1/σ)``.
+    Unless ``keep``, the output overwrites x̂, which is returned as None."""
+    xhat = a - a.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    var += 1e-6
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    out = _affine(xhat, gd, bd, out=None if keep else xhat)
+    return out, xhat if keep else None, inv
+
+
+def _affine(xhat: np.ndarray, gd: np.ndarray, bd: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``x̂·gain + bias``: the norm's output, which a backward recomputes."""
+    out = np.multiply(xhat, gd, out=out)
+    out += bd
+    return out
+
+
+def _norm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+               gd: np.ndarray, shape_b: tuple
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The norm's input, gain and bias gradients for its output's ``g``."""
+    dx = g * gd
+    m1 = dx.mean(axis=-1, keepdims=True)
+    t = dx * xhat
+    m2 = t.mean(axis=-1, keepdims=True)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=t)
+    dx *= inv
+    return dx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, shape_b)
 
 
 @contextmanager
@@ -415,29 +465,73 @@ def linear_cross_entropy(x, w, targets: np.ndarray) -> Tensor:
     return _make(out, (x, w), backward)
 
 
-def layer_norm(a, gain, bias) -> Tensor:
-    """Normalize over the last axis (eps 1e-6), then apply gain and bias."""
-    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    var += 1e-6
-    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
-    xhat *= inv
-    gd, shape_b = gain.data, bias.shape
-    out = np.multiply(xhat, gd, out=None if _records(a, gain, bias) else xhat)
-    out += bias.data
+def _scatter(ids: np.ndarray, weights: np.ndarray, n_rows: int
+             ) -> sp.csr_matrix:
+    """The (n_rows, B) CSR matrix with ``weights[b, s]`` at ``(ids[b, s], b)``.
+    Each row keeps its entries in (b, s) order, duplicates apart, as
+    ``lookup``'s one-hot scatter does, so its product with (B, d) rows sums
+    each table row's terms in the scatter's order."""
+    flat = ids.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix(
+        (weights.reshape(-1)[order], order // ids.shape[1], indptr),
+        shape=(n_rows, ids.shape[0]))
+
+
+def sampled_cross_entropy(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
+                          ) -> Tensor:
+    """Summed sampled softmax cross-entropy: each row ``x[b]`` of the (B, d)
+    ``x`` scores its positive ``table[pos_ids[b]]`` (the target) against its
+    S negatives ``table[neg_ids[b]]``, rows of the (N, d) ``table``.
+
+    The composition ``cross_entropy(concat([tsum(mul(x, lookup(table, pos)),
+    -1) as (B, 1), tsum(mul(x as (B, 1, d), lookup(table, neg)), -1)]), 0)``
+    without its (B, S, d) arrays: the negatives are gathered and scored
+    ``SCE_CHUNK_ROWS`` users at a time, each logit with the composition's
+    sum over d. The backward sums x's negative terms over S chunk by chunk,
+    and scatters the table's gradient as two CSR products (positives,
+    negatives) of the logit gradients with x, in the lookups' entry order.
+    """
+    x, table = as_tensor(x), as_tensor(table)
+    pos_ids, neg_ids = np.asarray(pos_ids), np.asarray(neg_ids)
+    if x.ndim != 2 or table.ndim != 2 or neg_ids.ndim != 2:
+        raise DimensionError(
+            f"sampled_cross_entropy needs (B, d) rows, an (N, d) table and "
+            f"(B, S) negatives, got {x.shape}, {table.shape}, {neg_ids.shape}")
+    xd, td = x.data, table.data
+    n_rows = x.shape[0]
+    logits = np.empty((n_rows, 1 + neg_ids.shape[1]))
+    for start in range(0, n_rows, SCE_CHUNK_ROWS):
+        chunk = slice(start, start + SCE_CHUNK_ROWS)
+        xc = xd[chunk]
+        logits[chunk, 0] = (xc * td[pos_ids[chunk]]).sum(axis=-1)
+        logits[chunk, 1:] = (xc[:, None, :] * td[neg_ids[chunk]]).sum(axis=-1)
+    rows, targets = np.arange(n_rows), np.zeros(n_rows, dtype=np.int64)
+    total, losses = _shifted_exp(logits, rows, targets)
+    out = losses.sum()
+    td = td if _needs_graph(x) else None  # what x's gradient reads
+    xd = xd if _needs_graph(table) else None
+    n_table = table.shape[0]
 
     def backward(g):
-        dx = g * gd
-        m1 = dx.mean(axis=-1, keepdims=True)
-        t = dx * xhat
-        m2 = t.mean(axis=-1, keepdims=True)
-        dx -= m1
-        dx -= np.multiply(xhat, m2, out=t)
-        dx *= inv
-        return (dx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, shape_b))
+        glogits = logits * (g / total)
+        glogits[rows, targets] -= g
+        gpos, gneg = glogits[:, 0], glogits[:, 1:]
+        gx = gt = None
+        if td is not None:
+            gx = gpos[:, None] * td[pos_ids]
+            for start in range(0, n_rows, SCE_CHUNK_ROWS):
+                chunk = slice(start, start + SCE_CHUNK_ROWS)
+                gx[chunk] += (gneg[chunk, :, None]
+                              * td[neg_ids[chunk]]).sum(axis=1)
+        if xd is not None:
+            gt = _scatter(pos_ids[:, None], gpos, n_table) @ xd
+            gt += _scatter(neg_ids, gneg, n_table) @ xd
+        return gx, gt
 
-    return _make(out, (a, gain, bias), backward)
+    return _make(out, (x, table), backward)
 
 
 def lookup(table, ids: np.ndarray) -> Tensor:
@@ -557,65 +651,125 @@ def _merge(a: np.ndarray) -> np.ndarray:  # _heads' inverse, as a copy
     return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
 
 
-def attention(q, k, v, wo, mask: np.ndarray, n_heads: int,
-              keep: Keep | None = None, keep_out: Keep | None = None) -> Tensor:
-    """``dropout(merge(dropout(masked softmax(q kᵀ / sqrt(dh))) v) wo)`` over
-    ``n_heads`` heads split from q (..., n, d), k and v (..., m, d). Each row
-    of the bool (..., n, m) ``mask`` allows a key; ``keep`` drops the
-    probabilities and ``keep_out`` the output."""
-    q, k, v, wo = (as_tensor(t) for t in (q, k, v, wo))
-    qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
-    wod = wo.data
-    mask = mask[..., None, :, :]
+def _masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Overwrite ``scores`` with their softmax over the last axis where the
+    bool ``mask`` allows, exactly 0 elsewhere; return it."""
+    np.copyto(scores, -np.inf, where=~mask)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def attention(x, gain, bias, wq, wk, wv, wo, mask: np.ndarray, n_heads: int,
+              keep: Keep | None = None, keep_out: Keep | None = None,
+              query_row: int | None = None) -> Tensor:
+    """A pre-norm self-attention sub-layer over the rows of x (..., n, d):
+    ``h = layer_norm(x, gain, bias)``, then ``dropout(merge(dropout(masked
+    softmax(q kᵀ / sqrt(dh))) v) wo)`` with ``q, k, v = h wq, h wk, h wv``
+    split into ``n_heads`` heads. Each row of the bool (..., n, n) ``mask``
+    allows a key; ``keep`` drops the probabilities and ``keep_out`` the
+    output. With ``query_row`` only that row queries (its mask row alone is
+    read), and the output is (..., 1, d_out)."""
+    x, gain, bias, wq, wk, wv, wo = (
+        as_tensor(t) for t in (x, gain, bias, wq, wk, wv, wo))
+    wqd, wkd, wvd, wod, gd, bd = (t.data for t in (wq, wk, wv, wo, gain, bias))
+    shape_x, shape_b = x.shape, bias.shape
+    record = _records(x, gain, bias, wq, wk, wv, wo)
+    rows = (None if query_row is None
+            else (..., slice(query_row, query_row + 1), slice(None)))
+    h, xhat, inv = _norm(x.data, gd, bd, keep=record)
+    qh = _heads(np.matmul(h if rows is None else h[rows], wqd), n_heads)
+    kh, vh = (_heads(np.matmul(h, w), n_heads) for w in (wkd, wvd))
+    del h  # the backward recomputes it from x̂
+    if rows is not None:
+        mask = mask[rows]
     scale = 1.0 / np.sqrt(qh.shape[-1])
-    probs = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, until exp
+    probs = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, until softmax
     probs *= scale
-    np.copyto(probs, -np.inf, where=~mask)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    _masked_softmax(probs, mask[..., None, :, :])
     merged = _merge(np.matmul(_drop(probs, keep), vh))
 
     def backward(g):
+        nonlocal qh, kh, vh, probs, merged
         g = _drop(g, keep_out)
         gwo = _weight_grad(merged, g)
-        g = _heads(np.matmul(g, np.swapaxes(wod, -1, -2)), n_heads)
-        gv = np.matmul(np.swapaxes(_drop(probs, keep), -1, -2), g)
+        merged = None
+        g = _heads(np.matmul(g, wod.T), n_heads)
+        gv = _merge(np.matmul(np.swapaxes(_drop(probs, keep), -1, -2), g))
         gp = _drop(np.matmul(g, np.swapaxes(vh, -1, -2)), keep)
+        vh = g = None
         gp -= (gp * probs).sum(axis=-1, keepdims=True)
         gp *= probs
+        probs = None
         gp *= scale
-        gk_t = _unbroadcast(np.matmul(np.swapaxes(qh, -1, -2), gp),
-                            kh.shape[:-2] + kh.shape[:-3:-1])
-        return (_merge(_unbroadcast(np.matmul(gp, kh), qh.shape)),
-                _merge(np.swapaxes(gk_t, -1, -2)),
-                _merge(_unbroadcast(gv, vh.shape)), gwo)
+        gk = _merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gp), -1, -2))
+        gq = _merge(np.matmul(gp, kh))
+        qh = kh = gp = None
+        # The norm's output takes the query, key and value gradients in the
+        # order the composed tape adds them: (dq + dk) + dv.
+        h = _affine(xhat, gd, bd)
+        gwq = _weight_grad(h if rows is None else h[rows], gq)
+        gh = np.matmul(gq, wqd.T)
+        gq = None
+        if rows is not None:  # the query row's gradient, zero-padded
+            padded = np.zeros(shape_x)
+            padded[rows] = gh
+            gh = padded
+        gwk, gwv = _weight_grad(h, gk), _weight_grad(h, gv)
+        h = None
+        gh += np.matmul(gk, wkd.T)
+        gk = None
+        gh += np.matmul(gv, wvd.T)
+        gv = None
+        return (*_norm_grad(gh, xhat, inv, gd, shape_b), gwq, gwk, gwv, gwo)
 
-    return _make(_drop(np.matmul(merged, wod), keep_out), (q, k, v, wo), backward)
+    return _make(_drop(np.matmul(merged, wod), keep_out),
+                 (x, gain, bias, wq, wk, wv, wo), backward)
 
 
-def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None) -> Tensor:
-    """``dropout(relu(x w1ᵀ + b1) w2ᵀ + b2)``, w1 (d_ff, d_in), w2 (d_out, d_ff):
-    an encoder FFN, or the fusion block (d_in = 2 d_out, zero biases)."""
+def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None,
+                 norm: tuple | None = None) -> Tensor:
+    """``dropout(relu(h w1ᵀ + b1) w2ᵀ + b2)``, w1 (d_ff, d_in), w2 (d_out, d_ff),
+    where ``h`` is x, or ``layer_norm(x, gain, bias)`` for a ``norm`` of
+    ``(gain, bias)``: an encoder FFN sub-layer, or the fusion block (no norm,
+    d_in = 2 d_out, zero biases)."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    xd, w1d, w2d, shape_b1, shape_b2 = x.data, w1.data, w2.data, b1.shape, b2.shape
-    hidden = np.matmul(xd, w1d.T)
+    norm = None if norm is None else tuple(as_tensor(t) for t in norm)
+    parents = (x, w1, b1, w2, b2) + (norm or ())
+    w1d, w2d, shape_b1, shape_b2 = w1.data, w2.data, b1.shape, b2.shape
+    # the w1 gradient reads x, or the norm's output recomputed from x̂
+    xd = xhat = inv = gd = bd = None
+    if norm is None:
+        h = xd = x.data
+    else:
+        gd, bd = norm[0].data, norm[1].data
+        h, xhat, inv = _norm(x.data, gd, bd, keep=_records(*parents))
+    hidden = np.matmul(h, w1d.T)
+    del h  # with a norm, the backward recomputes it from x̂
     hidden += b1.data
     np.maximum(hidden, 0.0, out=hidden)  # relu(pre) > 0 exactly where pre > 0
     out = np.matmul(hidden, w2d.T)
     out += b2.data
 
     def backward(g):
+        nonlocal hidden
         g = _drop(g, keep)
-        gw2 = _weight_grad(hidden, g).T
+        gw2, gb2 = _weight_grad(hidden, g).T, _unbroadcast(g, shape_b2)
         active = hidden > 0.0
         gpre = np.matmul(g, w2d, out=hidden)  # hidden is read for the last time
+        hidden = g = None
         gpre *= active
-        gw1 = _weight_grad(xd, gpre).T
-        return (np.matmul(gpre, w1d), gw1, _unbroadcast(gpre, shape_b1),
-                gw2, _unbroadcast(g, shape_b2))
+        del active
+        gw1 = _weight_grad(xd if xhat is None else _affine(xhat, gd, bd), gpre).T
+        gb1, gh = _unbroadcast(gpre, shape_b1), np.matmul(gpre, w1d)
+        del gpre
+        if xhat is None:
+            return gh, gw1, gb1, gw2, gb2
+        dx, dgain, dbias = _norm_grad(gh, xhat, inv, gd, bd.shape)
+        return dx, gw1, gb1, gw2, gb2, dgain, dbias
 
-    return _make(_drop(out, keep), (x, w1, b1, w2, b2), backward)
+    return _make(_drop(out, keep), parents, backward)
 
 
 def grad(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

@@ -99,11 +99,14 @@ def load_interactions(path: str | Path, delimiter: str | None = None
                 user, item, ts_text = fields[0], fields[1], fields[-1]
                 if not user or not item:
                     raise ParseError(f"{path}:{lineno}: empty user or item token")
-                try:
-                    ts = int(float(ts_text))
-                except (ValueError, OverflowError) as exc:  # nan, inf
-                    raise ParseError(
-                        f"{path}:{lineno}: bad timestamp {ts_text!r}") from exc
+                try:  # exact for integers past 2**53; text like 9.0 via float
+                    ts = int(ts_text)
+                except ValueError:
+                    try:
+                        ts = int(float(ts_text))
+                    except (ValueError, OverflowError) as exc:  # nan, inf
+                        raise ParseError(
+                            f"{path}:{lineno}: bad timestamp {ts_text!r}") from exc
                 if ts < 0:
                     raise ParseError(f"{path}:{lineno}: negative timestamp {ts}")
                 interactions.append(RawInteraction(user, item, ts))

@@ -2,10 +2,12 @@
 
 Each objective is one softmax cross-entropy over its own candidate set;
 BPR is the two-candidate case. The local loss uses
-``ad.linear_cross_entropy``, which never builds its full-catalog logits;
-the other three use ``ad.cross_entropy``. Reduction convention:
-every component is divided by the batch size (the local loss by the number
-of valid positions), so loss weights mean the same thing at any batch size.
+``ad.linear_cross_entropy``, which never builds its full-catalog logits,
+and the fused loss ``ad.sampled_cross_entropy``, which never holds its
+(B, S, d) negative rows; the other two use ``ad.cross_entropy``.
+Reduction convention: every component is divided by the batch size (the
+local loss by the number of valid positions), so loss weights mean the
+same thing at any batch size.
 """
 
 from __future__ import annotations
@@ -74,16 +76,11 @@ def fused_loss(e_f: ad.Tensor, pos_ids: np.ndarray, neg_ids: np.ndarray,
                item_table: ad.Tensor) -> ad.Tensor:
     """Sampled softmax on the fused state: the positive against S sampled
     negatives, summed over users and divided by the batch size."""
-    b = e_f.shape[0]
     neg_ids = np.asarray(neg_ids)
     if neg_ids.ndim != 2:
         raise ValueError("neg_ids must be (B, S)")
-    pos_emb = ad.lookup(item_table, np.asarray(pos_ids))        # (B, d)
-    neg_emb = ad.lookup(item_table, neg_ids)                    # (B, S, d)
-    pos_logit = ad.reshape(ad.tsum(ad.mul(e_f, pos_emb), axis=-1), (b, 1))
-    neg_logits = ad.tsum(ad.mul(ad.reshape(e_f, (b, 1, -1)), neg_emb), axis=-1)
-    logits = ad.concat([pos_logit, neg_logits], axis=-1)        # (B, 1+S)
-    return ad.mul(ad.cross_entropy(logits, np.zeros(b, dtype=np.int64)), 1.0 / b)
+    loss = ad.sampled_cross_entropy(e_f, item_table, pos_ids, neg_ids)
+    return ad.mul(loss, 1.0 / e_f.shape[0])
 
 
 def contrastive_loss(E_l: ad.Tensor, E_g: ad.Tensor,

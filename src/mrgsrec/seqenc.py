@@ -2,9 +2,10 @@
 
 The input per user is a (c+1) x d matrix: user embedding first, then the
 padded item window. Blocks are pre-layer-norm residual: attention, then a
-two-layer ReLU feed-forward. Each is one fused op (``ad.attention`` after
-the q, k, v projections, ``ad.feed_forward``) that takes the keep-masks
-drawn here. The output keeps the input shape. Its item rows are the
+two-layer ReLU feed-forward. Each sub-layer is one fused op that takes its
+layer norm and the keep-masks drawn here: ``ad.attention`` with the q, k,
+v and output projections, ``ad.feed_forward`` with the FFN. The output
+keeps the input shape. Its item rows are the
 local enriched embeddings, and the ``user_state`` row is the local
 behavioral representation: the final window slot by default
 (``last_position``), or the user-token row (``first_token``).
@@ -150,23 +151,21 @@ def seq_encode(e_u: ad.Tensor, E_u: ad.Tensor, params: SeqEncoderParams,
     x = ad.concat([ad.reshape(e_u, (b, 1, d)), E_u], axis=1)
     mask = causal_attention_mask(c + 1, valid_lengths, config.attention_mode)
     for i, layer in enumerate(params.layers):
-        h = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-        queries = h
-        if not positions and i == len(params.layers) - 1:
-            # The final block's queries and residual at the state row alone;
-            # keys and values still span every row.
-            queries = ad.narrow(h, 1, state_row, 1)
-            x, mask = ad.narrow(x, 1, state_row, 1), mask[:, state_row:state_row + 1]
-        keep = ad.keep_mask((b, config.n_heads, x.shape[1], c + 1), rate, rng,
-                            train_mode)
-        x = ad.add(x, ad.attention(
-            ad.matmul(queries, layer["wq"]), ad.matmul(h, layer["wk"]),
-            ad.matmul(h, layer["wv"]), layer["wo"], mask, config.n_heads, keep,
-            ad.keep_mask(x.shape, rate, rng, train_mode)))
+        # The final block's queries and residual at the state row alone;
+        # keys and values still span every row.
+        row = (state_row if not positions and i == len(params.layers) - 1
+               else None)
+        residual = x if row is None else ad.narrow(x, 1, row, 1)
+        keep = ad.keep_mask((b, config.n_heads, residual.shape[1], c + 1), rate,
+                            rng, train_mode)
+        x = ad.add(residual, ad.attention(
+            x, layer["ln1_g"], layer["ln1_b"], layer["wq"], layer["wk"],
+            layer["wv"], layer["wo"], mask, config.n_heads, keep,
+            ad.keep_mask(residual.shape, rate, rng, train_mode), query_row=row))
         x = ad.add(x, ad.feed_forward(
-            ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["w1"],
-            layer["b1"], layer["w2"], layer["b2"],
-            ad.keep_mask(x.shape, rate, rng, train_mode)))
+            x, layer["w1"], layer["b1"], layer["w2"], layer["b2"],
+            ad.keep_mask(x.shape, rate, rng, train_mode),
+            norm=(layer["ln2_g"], layer["ln2_b"])))
     # x is the state row alone once a final block ran without positions
     e_l = ad.reshape(x if x.shape[1] == 1 else ad.narrow(x, 1, state_row, 1),
                      (b, d))

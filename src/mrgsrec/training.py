@@ -161,16 +161,22 @@ def sample_negatives(forbidden: np.ndarray, n_items: int, size: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Uniform draw without replacement from the items NOT in ``forbidden``.
 
-    Forbidden ids lie in ``[0, n_items)``. The complement is the sorted array
-    of allowed ids; a request larger than it raises DataError.
+    Forbidden ids are sorted, distinct and in ``[0, n_items)``. The draw
+    picks ranks k among the allowed ids in ascending order and maps each to
+    its id, k plus the number of forbidden ids below it, by a binary search
+    of the forbidden row. That returns the ids, and leaves the generator
+    state, of a draw from the array of allowed ids, without building it.
+    A request larger than the allowed ids raises DataError.
     """
-    allowed = np.ones(n_items, dtype=bool)
-    allowed[np.asarray(forbidden, dtype=np.int64)] = False
-    complement = np.flatnonzero(allowed)
-    if size > complement.size:
+    forbidden = np.asarray(forbidden, dtype=np.int64)
+    n_allowed = n_items - forbidden.size
+    if size > n_allowed:
         raise DataError(f"{size} negatives requested, but the user has only "
-                        f"{complement.size} unseen items")
-    return rng.choice(complement, size=size, replace=False)
+                        f"{n_allowed} unseen items")
+    ranks = rng.choice(n_allowed, size=size, replace=False)
+    # forbidden[j] - j allowed ids lie below forbidden[j]
+    below = forbidden - np.arange(forbidden.size)
+    return ranks + np.searchsorted(below, ranks, side="right")
 
 
 @dataclass

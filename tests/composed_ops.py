@@ -1,11 +1,13 @@
 """Reference ops, kept as oracles for the optimised ones in ``autodiff``.
 
 ``ad.attention`` and ``ad.feed_forward`` must replay the encoder blocks'
-compositions of primitive ops below (``relu`` included), and
-``ad.layer_norm`` and ``ad.linear_cross_entropy`` the out-of-place forms
-kept below, bit for bit: values and every parent's gradient. Patched
-into ``autodiff``, they also give ``seq_encode``, the fusion block and the
-local loss the arithmetic the optimised ops replace.
+compositions of primitive ops below (``relu`` included, and ``layer_norm``,
+the out-of-place form of the norm each folds in), ``ad.linear_cross_entropy``
+its out-of-place form kept below, and ``ad.sampled_cross_entropy`` the fused
+loss's chain of lookups, products, sums and ``cross_entropy``, bit for bit:
+values and every parent's gradient. Patched into ``autodiff``, they also
+give ``seq_encode``, the fusion block and the local and fused losses the
+arithmetic the optimised ops replace.
 
 ``build_batch`` assembles one window per user in Python; the vectorised
 ``embeddings.build_batch`` must equal it, dtypes included.
@@ -71,12 +73,19 @@ def dropped(a, keep):
     return ad._make(a.data * np.where(*keep, 0.0), (a,), backward)
 
 
-def attention(q, k, v, wo, mask, n_heads, keep=None, keep_out=None):
+def attention(x, gain, bias, wq, wk, wv, wo, mask, n_heads, keep=None,
+              keep_out=None, query_row=None):
     def heads(t):  # (..., n, d) -> (..., n_heads, n, dh)
         split = ad.reshape(t, t.shape[:-1] + (n_heads, t.shape[-1] // n_heads))
         return ad.swapaxes(split, -3, -2)
 
-    q, k, v = heads(q), heads(k), heads(v)
+    h = layer_norm(x, gain, bias)
+    queries = h
+    if query_row is not None:
+        queries = ad.narrow(h, h.ndim - 2, query_row, 1)
+        mask = mask[..., query_row:query_row + 1, :]
+    q, k, v = (heads(ad.matmul(t, w))
+               for t, w in ((queries, wq), (h, wk), (h, wv)))
     scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)),
                     1.0 / np.sqrt(q.shape[-1]))
     probs = dropped(masked_softmax(scores, mask[..., None, :, :]), keep)
@@ -85,7 +94,9 @@ def attention(q, k, v, wo, mask, n_heads, keep=None, keep_out=None):
     return dropped(ad.matmul(merged, wo), keep_out)
 
 
-def feed_forward(x, w1, b1, w2, b2, keep=None):
+def feed_forward(x, w1, b1, w2, b2, keep=None, norm=None):
+    if norm is not None:
+        x = layer_norm(x, *norm)
     hidden = relu(ad.add(ad.matmul(x, ad.swapaxes(w1, 0, 1)), b1))
     return dropped(ad.add(ad.matmul(hidden, ad.swapaxes(w2, 0, 1)), b2), keep)
 
@@ -143,8 +154,19 @@ def linear_cross_entropy(x, w, targets):
     return ad._make(out, (x, w), backward)
 
 
+def sampled_cross_entropy(x, table, pos_ids, neg_ids):
+    """The fused loss's sampled softmax as lookups, products and sums."""
+    b = x.shape[0]
+    pos_emb = ad.lookup(table, np.asarray(pos_ids))             # (B, d)
+    neg_emb = ad.lookup(table, np.asarray(neg_ids))             # (B, S, d)
+    pos_logit = ad.reshape(ad.tsum(ad.mul(x, pos_emb), axis=-1), (b, 1))
+    neg_logits = ad.tsum(ad.mul(ad.reshape(x, (b, 1, -1)), neg_emb), axis=-1)
+    logits = ad.concat([pos_logit, neg_logits], axis=-1)        # (B, 1+S)
+    return ad.cross_entropy(logits, np.zeros(b, dtype=np.int64))
+
+
 def patch_into(monkeypatch):
     """Make every ``ad`` call of an optimised op call its reference here."""
-    for name in ("attention", "feed_forward", "layer_norm",
-                 "linear_cross_entropy"):
+    for name in ("attention", "feed_forward", "linear_cross_entropy",
+                 "sampled_cross_entropy"):
         monkeypatch.setattr(ad, name, globals()[name])

@@ -1,6 +1,7 @@
 """Gradient engine checks: op-level VJPs, cross-entropy safety, FD harness."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -21,11 +22,9 @@ def rng(seed=0):
 
 
 def masked_softmax(x, mask):
-    """Softmax of ``x`` over its last axis where ``mask`` allows: one-head
-    attention with identity keys, values and output projection, the queries
-    scaled by sqrt(m) to undo its 1/sqrt(dh)."""
-    eye = np.eye(x.shape[-1])
-    return ad.attention(x * np.sqrt(x.shape[-1]), eye, eye, eye, mask, 1).data
+    """Softmax of ``x`` over its last axis where ``mask`` allows, as
+    ``ad.attention`` turns its scores into probabilities."""
+    return ad._masked_softmax(np.array(x, dtype=np.float64), mask)
 
 
 def test_quadratic_gradient_is_x():
@@ -210,6 +209,17 @@ SPARSE_5x3 = sp.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 0.0],
 KEEP_2x2x3x3 = ad.keep_mask((2, 2, 3, 3), 0.3, rng(12), train=True)
 KEEP_2x3x5 = ad.keep_mask((2, 3, 5), 0.3, rng(14), train=True)
 KEEP_2x3x4 = ad.keep_mask((2, 3, 4), 0.3, rng(13), train=True)
+KEEP_ROW_2x2x1x3 = (KEEP_2x2x3x3[0][:, :, 1:2], KEEP_2x2x3x3[1])
+KEEP_ROW_2x1x5 = (KEEP_2x3x5[0][:, 1:2], KEEP_2x3x5[1])
+
+
+def folded_attention(p, **kwargs):
+    """``ad.attention`` over t3 with its norm, (4, 4) q, k and v projections
+    and a (4, 5) output projection, one of them shared with w1."""
+    return ad.attention(
+        p["t3"], p["g"], p["bias"], p["w4"], ad.narrow(p["b"], 1, 0, 4),
+        ad.swapaxes(ad.narrow(p["w1"], 0, 1, 4), 0, 1),
+        ad.swapaxes(p["w1"], 0, 1), MASK_3x4[:, :3], 2, **kwargs)
 
 
 @pytest.mark.parametrize("name,builder", [
@@ -222,23 +232,33 @@ KEEP_2x3x4 = ad.keep_mask((2, 3, 4), 0.3, rng(13), train=True)
     ("cross_entropy", lambda p: ad.cross_entropy(p["a"], np.array([0, 3, 1]))),
     ("masked_cross_entropy", lambda p: ad.cross_entropy(
         ad.mul(p["a"], 3.0), np.array([2, 1, 2]), mask=MASK_3x4)),
-    ("layer_norm", lambda p: ad.tsum(ad.square(
-        ad.layer_norm(p["t3"], p["g"], p["bias"])))),
+    # the norm alone: identity weights, and a b1 that keeps the ReLU open
+    ("layer_norm", lambda p: ad.tsum(ad.square(ad.feed_forward(
+        p["t3"], np.eye(4), np.full(4, 50.0), np.eye(4), 0.0,
+        norm=(p["g"], p["bias"]))))),
     ("lookup", lambda p: ad.tsum(ad.square(
         ad.lookup(p["a"], np.array([[0, 2], [1, 1]]))))),
     ("concat_narrow", lambda p: ad.tsum(ad.square(ad.narrow(
         ad.concat([p["a"], p["a"]], axis=1), 1, 2, 3)))),
     ("swapaxes", lambda p: ad.tsum(ad.square(ad.swapaxes(p["t3"], 1, 2)))),
     ("attention_softmax", lambda p: ad.tsum(ad.square(ad.attention(
-        p["a"], np.eye(4), np.eye(4), np.eye(4), MASK_3x4, 1)))),
-    ("attention", lambda p: ad.tsum(ad.square(ad.attention(
-        p["t3"], p["a"], ad.swapaxes(ad.narrow(p["b"], 1, 0, 3), 0, 1),
-        ad.swapaxes(p["w1"], 0, 1), MASK_3x4[:, :3], 2, KEEP_2x2x3x3,
-        KEEP_2x3x5)))),
+        p["t3"], p["g"], p["bias"], p["w4"], np.eye(4), np.eye(4), np.eye(4),
+        MASK_3x4[:, :3], 1)))),
+    ("attention", lambda p: ad.tsum(ad.square(folded_attention(
+        p, keep=KEEP_2x2x3x3, keep_out=KEEP_2x3x5)))),
+    ("attention_query_row", lambda p: ad.tsum(ad.square(folded_attention(
+        p, keep=KEEP_ROW_2x2x1x3, keep_out=KEEP_ROW_2x1x5, query_row=1)))),
     ("feed_forward", lambda p: ad.tsum(ad.square(ad.feed_forward(
         p["t3"], p["w1"], p["b1"], p["b"], p["bias"], KEEP_2x3x4)))),
+    ("feed_forward_norm", lambda p: ad.tsum(ad.square(ad.feed_forward(
+        p["t3"], p["w1"], p["b1"], p["b"], p["bias"], KEEP_2x3x4,
+        norm=(p["g"], ad.narrow(p["b1"], 0, 1, 4)))))),
     ("linear_cross_entropy", lambda p: ad.linear_cross_entropy(
         p["a"], ad.swapaxes(p["b"], 0, 1), np.array([4, 0, 2]))),
+    # negatives repeat within a row, and a positive is another's negative
+    ("sampled_cross_entropy", lambda p: ad.sampled_cross_entropy(
+        p["a"], ad.swapaxes(p["b"], 0, 1), np.array([1, 4, 0]),
+        np.array([[2, 2, 3], [0, 1, 1], [4, 0, 4]]))),
 ])
 def test_op_gradients_match_finite_differences(name, builder):
     g = rng(11)
@@ -250,6 +270,7 @@ def test_op_gradients_match_finite_differences(name, builder):
         "bias": ad.parameter(g.normal(size=(4,))),
         "w1": ad.parameter(g.normal(size=(5, 4))),
         "b1": ad.parameter(g.normal(size=(5,))),
+        "w4": ad.parameter(g.normal(size=(4, 4))),
     }
     assert not graph_in_closures(builder(params))
     report = ad.finite_difference_check(lambda: builder(params), params)
@@ -327,46 +348,63 @@ def replay(op, composed, inputs, seed):
     return results
 
 
+def attention_inputs(g, rows, d_qk=6, d_v=4, d_out=5):
+    """x (..., m, d) with the norm's gain and bias, wq, wk, wv and wo."""
+    d = rows[-1]
+    return [g.normal(size=rows) * 3.0 + 1.0, g.normal(size=d), g.normal(size=d),
+            g.normal(size=(d, d_qk)), g.normal(size=(d, d_qk)),
+            g.normal(size=(d, d_v)), g.normal(size=(d_v, d_out))]
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 @pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("layout", ["2d", "3d", "one_row"])
+@pytest.mark.parametrize("layout", ["2d", "3d", "one_row", "first_row"])
 def test_attention_replays_the_composition_bit_for_bit(layout, n_heads, rate):
     g = rng(51)
-    b, m, d, d_out = 3, 6, 6, 5  # 1/sqrt(dh) is inexact, so its place shows
+    b, m, d, d_out = 3, 6, 7, 5  # 1/sqrt(dh) is inexact, so its place shows
     # user token plus a causal window of 5 with 5, 2 and 1 valid items
     mask = causal_attention_mask(m, np.array([5, 2, 1]))
-    keys = (b, m, d)
-    queries = {"2d": (m, d), "3d": keys, "one_row": (b, 1, d)}[layout]
+    rows = (m, d) if layout == "2d" else (b, m, d)
     if layout == "2d":
-        keys, mask = keys[1:], mask[1]
-    elif layout == "one_row":
-        mask = mask[:, m - 1:]
-    inputs = [g.normal(size=queries), g.normal(size=keys), g.normal(size=keys),
-              g.normal(size=(d, d_out))]
+        mask = mask[1]
+    query_row = {"one_row": m - 1, "first_row": 0}.get(layout)
+    queries = rows[:-2] + ((m,) if query_row is None else (1,))
+    inputs = attention_inputs(g, rows, d_out=d_out)
     # both dropouts at the rate: the probabilities', then the output's
-    keep = ad.keep_mask(queries[:-2] + (n_heads, queries[-2], m), rate, rng(52),
+    keep = ad.keep_mask(queries[:-1] + (n_heads, queries[-1], m), rate, rng(52),
                         train=True)
-    keep_out = ad.keep_mask(queries[:-1] + (d_out,), rate, rng(54), train=True)
+    keep_out = ad.keep_mask(queries + (d_out,), rate, rng(54), train=True)
     fused, composed = replay(
-        lambda *p: ad.attention(*p, mask, n_heads, keep, keep_out),
-        lambda *p: composed_ops.attention(*p, mask, n_heads, keep, keep_out),
+        lambda *p: ad.attention(*p, mask, n_heads, keep, keep_out, query_row),
+        lambda *p: composed_ops.attention(*p, mask, n_heads, keep, keep_out,
+                                          query_row),
         inputs, 53)
     for got, want in zip(fused, composed, strict=True):
         assert np.array_equal(got, want)
 
 
+def ffn_inputs(g, rows, d=4, d_ff=10):
+    return [g.normal(size=rows + (d,)), g.normal(size=(d_ff, d)),
+            g.normal(size=d_ff), g.normal(size=(d, d_ff)), g.normal(size=d)]
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 @pytest.mark.parametrize("rows", [(6,), (3, 6)])
 def test_feed_forward_replays_the_composition_bit_for_bit(rows, rate):
+    # without a norm (the fusion block), then with the encoder's pre-norm
     g = rng(61)
-    d, d_ff = 4, 10
-    inputs = [g.normal(size=rows + (d,)), g.normal(size=(d_ff, d)),
-              g.normal(size=d_ff), g.normal(size=(d, d_ff)), g.normal(size=d)]
-    keep = ad.keep_mask(rows + (d,), rate, rng(62), train=True)
+    inputs = ffn_inputs(g, rows)
+    keep = ad.keep_mask(rows + (4,), rate, rng(62), train=True)
     fused, composed = replay(
         lambda *p: ad.feed_forward(*p, keep),
         lambda *p: composed_ops.feed_forward(*p, keep), inputs, 63)
-    for got, want in zip(fused, composed, strict=True):
+    inputs = [inputs[0] * 3.0 + 1.0] + inputs[1:] + [g.normal(size=4),
+                                                     g.normal(size=4)]
+    normed = replay(lambda *p: ad.feed_forward(*p[:5], keep, norm=p[5:]),
+                    lambda *p: composed_ops.feed_forward(*p[:5], keep,
+                                                         norm=p[5:]),
+                    inputs, 66)
+    for got, want in zip(fused + normed[0], composed + normed[1], strict=True):
         assert np.array_equal(got, want)
 
 
@@ -382,32 +420,64 @@ def test_linear_cross_entropy_replays_the_reference_bit_for_bit(n_rows):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("rows", [(7,), (3, 7)])
-def test_layer_norm_replays_the_reference_bit_for_bit(rows):
-    g = rng(81)
-    d = 6
-    inputs = [g.normal(size=rows + (d,)) * 3.0 + 1.0, g.normal(size=d),
-              g.normal(size=d)]
-    fused, reference = replay(ad.layer_norm, composed_ops.layer_norm, inputs, 82)
-    for got, want in zip(fused, reference, strict=True):
+@pytest.mark.parametrize("n_rows", [1, 3, ad.SCE_CHUNK_ROWS, 2 * ad.SCE_CHUNK_ROWS + 5])
+def test_sampled_cross_entropy_replays_the_composition_bit_for_bit(n_rows):
+    # few items, so negatives repeat within rows and across them
+    g = rng(73)
+    inputs = [g.normal(size=(n_rows, 16)), g.normal(size=(9, 16))]
+    pos, neg = g.integers(0, 9, size=n_rows), g.integers(0, 9, size=(n_rows, 12))
+    fused, composed = replay(
+        lambda *p: ad.sampled_cross_entropy(*p, pos, neg),
+        lambda *p: composed_ops.sampled_cross_entropy(*p, pos, neg), inputs, 74)
+    for got, want in zip(fused, composed, strict=True):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("name", ["attention", "feed_forward", "layer_norm"])
+@pytest.mark.parametrize("rows", [(7,), (3, 7)])
+def test_layer_norm_replays_the_reference_bit_for_bit(rows):
+    # the norm attention and feed_forward fold in: its value, and the input,
+    # gain and bias gradients from the value recomputed off the kept x̂
+    g = rng(81)
+    d = 6
+    x, gain, bias = (g.normal(size=rows + (d,)) * 3.0 + 1.0, g.normal(size=d),
+                     g.normal(size=d))
+    grad_out = rng(82).normal(size=rows + (d,))
+    params = [ad.parameter(t) for t in (x, gain, bias)]
+    out = composed_ops.layer_norm(*params)
+    ad.tsum(ad.mul(out, grad_out)).backward()
+    value, xhat, inv = ad._norm(x, gain, bias, keep=True)
+    assert value.tobytes() == out.data.tobytes()
+    assert ad._affine(xhat, gain, bias).tobytes() == value.tobytes()
+    grads = ad._norm_grad(grad_out, xhat, inv, gain, bias.shape)
+    for got, p in zip(grads, params, strict=True):
+        assert got.tobytes() == p.grad.tobytes()
+    # without a tape the value overwrites x̂
+    plain, none, _ = ad._norm(x, gain, bias, keep=False)
+    assert none is None and plain.tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("name", ["attention", "feed_forward", "layer_norm",
+                                  "sampled_cross_entropy"])
 def test_no_tape_forward_matches_recording_and_leaves_inputs(name):
     # An op may write into the arrays it allocated, never into its inputs.
     g = rng(91)
     b, m, d, d_ff = 3, 6, 6, 10
     mask = causal_attention_mask(m, np.array([5, 2, 1]))
-    rows = [g.normal(size=(b, m, d)) for _ in range(3)]
+    x = g.normal(size=(b, m, d))
+    ffn = [x, g.normal(size=(d_ff, d)), g.normal(size=d_ff),
+           g.normal(size=(d, d_ff)), g.normal(size=d)]
+    pos, neg = np.array([0, 4, 4]), np.array([[1, 1, 2], [0, 3, 4], [2, 2, 2]])
     op, inputs = {
         "attention": (lambda *p: ad.attention(*p, mask, 2),
-                      rows + [g.normal(size=(d, d))]),
-        "feed_forward": (ad.feed_forward, rows[:1] + [
-            g.normal(size=(d_ff, d)), g.normal(size=d_ff),
-            g.normal(size=(d, d_ff)), g.normal(size=d)]),
-        "layer_norm": (ad.layer_norm, rows[:1] + [g.normal(size=d),
-                                                  g.normal(size=d)]),
+                      [x] + attention_inputs(g, (b, m, d), d_qk=d, d_v=d,
+                                             d_out=d)[1:]),
+        "feed_forward": (ad.feed_forward, ffn),
+        "layer_norm": (  # the norm, folded into feed_forward
+            lambda *p: ad.feed_forward(*p[:5], norm=p[5:]),
+            ffn + [g.normal(size=d), g.normal(size=d)]),
+        "sampled_cross_entropy": (
+            lambda *p: ad.sampled_cross_entropy(*p, pos, neg),
+            [x[:, 0], g.normal(size=(5, d))]),
     }[name]
     saved = [x.copy() for x in inputs]
     params = [ad.parameter(x) for x in inputs]
@@ -532,6 +602,57 @@ def test_a_value_no_backward_reads_is_freed_in_the_forward():
     assert x.grad.tobytes() == (weights * 2.0 + weights).tobytes()
 
 
+def test_a_norm_output_is_freed_in_the_forward(monkeypatch):
+    # attention and feed_forward keep x̂ alone and recompute x̂·gain + bias
+    # in their backward, so the norm's output is gone when the op returns,
+    # and the gradients still equal the composition's
+    outputs, norm = [], ad._norm
+
+    def spy(*args, **kwargs):
+        result = norm(*args, **kwargs)
+        outputs.append(weakref.ref(result[0]))
+        return result
+
+    monkeypatch.setattr(ad, "_norm", spy)
+    g = rng(7)
+    inputs = attention_inputs(g, (2, 5, 4), d_qk=4, d_v=4, d_out=4)
+    inputs += [g.normal(size=(6, 4)), g.normal(size=6), g.normal(size=(4, 6)),
+               g.normal(size=4), g.normal(size=4), g.normal(size=4)]
+    mask = causal_attention_mask(5, np.array([4, 2]))
+
+    def block(ops, p):
+        mid = ad.add(p[0], ops.attention(*p[:7], mask, 2))
+        return ad.add(mid, ops.feed_forward(mid, *p[7:11], norm=p[11:]))
+
+    def forward(*p):  # the fused block, checked before its backward
+        out = block(ad, p)
+        assert len(outputs) == 2 and all(ref() is None for ref in outputs)
+        return out
+
+    fused, composed = replay(forward, lambda *p: block(composed_ops, p),
+                             inputs, 8)
+    for got, want in zip(fused, composed, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sampled_cross_entropy_holds_no_negative_rows():
+    # the (B, S, d) negatives of 256 users x 100 draws x 64 dims are 13.1 MB;
+    # the op gathers them a chunk of users at a time in both passes
+    g = rng(9)
+    x = ad.parameter(g.normal(size=(256, 64)))
+    table = ad.parameter(g.normal(size=(3600, 64)) * 0.1)
+    pos, neg = g.integers(0, 3600, size=256), g.integers(0, 3600, size=(256, 100))
+    rows_bytes = neg.size * 64 * 8
+    tracemalloc.start()
+    try:
+        ad.sampled_cross_entropy(x, table, pos, neg).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table's gradient (1.8 MB) and two CSR scatters are all it holds
+    assert peak < 0.5 * rows_bytes
+
+
 def test_a_held_intermediate_keeps_its_grad():
     # perfbench/traced.py reads each layer output's grad after the backward
     x = ad.parameter(rng(4).normal(size=(2, 3)))
@@ -632,15 +753,15 @@ def test_a_second_backward_through_a_reusing_closure_raises():
 def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_product():
     # ad.attention's output dropout, applied by keep_out in both passes
     g = rng(5)
-    q, k, v = (ad.parameter(g.normal(size=(2, 6, 4))) for _ in range(3))
-    wo = ad.parameter(g.normal(size=(4, 7)))
-    wo.data[:, 0] *= 0.0  # signed zeros in the undropped output, too
+    inputs = [ad.parameter(t) for t in attention_inputs(g, (2, 6, 4), d_qk=4,
+                                                        d_v=4, d_out=7)]
+    inputs[-1].data[:, 0] *= 0.0  # signed zeros in the undropped output, too
     mask = causal_attention_mask(6, np.array([5, 3]))
     rate = 0.3
     keep_out = ad.keep_mask((2, 6, 7), rate, rng(7), train=True)
     assert keep_out[0].dtype == bool
-    plain = ad.attention(q, k, v, wo, mask, 2)
-    out = ad.attention(q, k, v, wo, mask, 2, keep_out=keep_out)
+    plain = ad.attention(*inputs, mask, 2)
+    out = ad.attention(*inputs, mask, 2, keep_out=keep_out)
     factor = (rng(7).random(out.shape) >= rate).astype(np.float64) / (1.0 - rate)
     # a dropped negative entry is -0.0, as the product makes it
     assert np.signbit(out.data[~keep_out[0]]).any()
@@ -649,7 +770,7 @@ def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_product():
     for got, want in zip(out._backward(grad_out), plain._backward(grad_out * factor),
                          strict=True):
         assert got.tobytes() == want.tobytes()
-    assert out._parents == tuple(t.node for t in (q, k, v, wo))
+    assert out._parents == tuple(t.node for t in inputs)
 
 
 def test_feed_forward_relu_maps_negative_zero_to_zero_and_keeps_nan():
@@ -720,7 +841,8 @@ class TestLookupScatter:
 # The fused ops draw each further operand the same way, falling back to one
 # derived from an earlier operand; the extra ints give their mask and, for
 # an odd axis choice, keep-masks; attention splits the largest common
-# number of heads when the last extra int is odd, else one.
+# number of heads when the last extra int is odd, else one. An odd first
+# extra int makes attention query one row and feed_forward take a norm.
 DAG_OPS = ("add", "mul", "concat", "reshape", "swapaxes", "tsum", "narrow",
            "lookup", "attention", "feed_forward")
 dag_steps = st.lists(st.tuples(
@@ -739,6 +861,15 @@ def pick(pool, fits, fallback, j):
 
 def dag_keep(bits, axis):
     return (bits != 1, 2.0) if axis % 2 else None
+
+
+def dag_norm(pool, x, j):
+    """A gain and a bias for ``x``'s rows: (1, cols) or x-shaped pool tensors,
+    else x's column sums."""
+    rows, cols = x.shape
+    column_sums = ad.reshape(ad.tsum(x, axis=0), (1, cols))
+    return tuple(pick(pool, lambda s: s in ((1, cols), (rows, cols)),
+                      column_sums, j + n) for n in (0, 1))
 
 
 def build_dag(steps, params, constants, seed):
@@ -768,17 +899,24 @@ def build_dag(steps, params, constants, seed):
             start = extra[0] % x.shape[ax]
             out = ad.narrow(x, ax, start, 1 + j % (x.shape[ax] - start))
         elif op == "attention":
-            k = pick(pool, lambda s: s[1] == cols, x, j)
-            v = pick(pool, lambda s: s[0] == k.shape[0], k, j)
-            wo = pick(pool, lambda s: s[0] == v.shape[1], ad.swapaxes(v, 0, 1), j)
-            n_heads = math.gcd(cols, v.shape[1]) if extra[-1] % 2 else 1
-            bits = np.resize(extra, (rows, k.shape[0])) % 3
+            gain, bias = dag_norm(pool, x, j)
+            wq = pick(pool, lambda s: s[0] == cols, ad.swapaxes(x, 0, 1), j)
+            wk = pick(pool, lambda s: s == wq.shape, wq, j + 1)
+            wv = pick(pool, lambda s: s[0] == cols, wq, j + 2)
+            wo = pick(pool, lambda s: s[0] == wv.shape[1], ad.swapaxes(wv, 0, 1), j)
+            n_heads = (math.gcd(wq.shape[1], wv.shape[1]) if extra[-1] % 2
+                       else 1)
+            bits = np.resize(extra, (rows, rows)) % 3
             mask = bits > 0
             mask[:, 0] = True  # every query keeps one key
+            query_row = extra[0] // 2 % rows if extra[0] % 2 else None
+            if query_row is not None:
+                bits = bits[query_row:query_row + 1]
             head_bits = np.broadcast_to(bits, (n_heads,) + bits.shape)
-            out_bits = np.resize(extra[::-1], (rows, wo.shape[1])) % 3
-            out = ad.attention(x, k, v, wo, mask, n_heads,
-                               dag_keep(head_bits, axis), dag_keep(out_bits, axis))
+            out_bits = np.resize(extra[::-1], (bits.shape[0], wo.shape[1])) % 3
+            out = ad.attention(x, gain, bias, wq, wk, wv, wo, mask, n_heads,
+                               dag_keep(head_bits, axis), dag_keep(out_bits, axis),
+                               query_row)
         elif op == "feed_forward":
             w1 = pick(pool, lambda s: s[1] == cols, x, j)
             w2 = pick(pool, lambda s: s[1] == w1.shape[0],
@@ -787,7 +925,8 @@ def build_dag(steps, params, constants, seed):
                            ad.reshape(ad.tsum(w, axis=1), (1, w.shape[0])), j)
                       for w in (w1, w2))
             bits = np.resize(extra, (rows, w2.shape[0])) % 3
-            out = ad.feed_forward(x, w1, b1, w2, b2, dag_keep(bits, axis))
+            out = ad.feed_forward(x, w1, b1, w2, b2, dag_keep(bits, axis),
+                                  dag_norm(pool, x, j) if extra[0] % 2 else None)
         else:
             out = ad.lookup(x, np.array(extra) % rows)
         pool.append(out)

@@ -63,6 +63,22 @@ class TestLoad:
         with pytest.raises(ParseError, match=f":2: bad timestamp '{ts}'"):
             dp.load_interactions(path)
 
+    def test_integer_timestamps_past_2_53_stay_exact(self, tmp_path):
+        # 19-digit nanosecond stamps one apart, in reverse file order; read
+        # through a float they would tie and keep the file's order
+        path = write_log(tmp_path, ["u b 1700000000000000001",
+                                    "u a 1700000000000000000",
+                                    "u c 1700000000000000002",
+                                    "v x 978300760.0", "v y 9", "v z 1e1"])
+        log = dp.load_interactions(path)
+        assert [r.timestamp for r in log] == [
+            1700000000000000001, 1700000000000000000, 1700000000000000002,
+            978300760, 9, 10]
+        split = dp.chronological_split(log)
+        order = [split.item_tokens[i] for i in
+                 split.train[0] + [split.val[0], split.test[0]]]
+        assert order == ["a", "b", "c"]
+
     def test_four_column_rating_ignored(self, tmp_path):
         path = write_log(tmp_path, ["u1,i1,5.0,10", "u2,i1,1.0,20"],
                          name="r.csv")

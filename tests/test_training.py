@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import composed_ops
 from mrgsrec import autodiff as ad
@@ -188,6 +190,22 @@ class TestSampleNegatives:
         rng = np.random.Generator(np.random.PCG64(4))
         with pytest.raises(DataError):
             tr.sample_negatives(np.arange(5), 5, 1, rng)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_draws_as_the_allowed_id_mask_does(self, data, n_items, seed):
+        # ids, dtype and generator state of a draw from the masked complement
+        forbidden = np.array(sorted(data.draw(st.sets(
+            st.integers(0, n_items - 1), max_size=n_items))), dtype=np.int64)
+        size = data.draw(st.integers(0, n_items - forbidden.size))
+        allowed = np.ones(n_items, dtype=bool)
+        allowed[forbidden] = False
+        masked = np.random.Generator(np.random.PCG64(seed))
+        want = masked.choice(np.flatnonzero(allowed), size=size, replace=False)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        got = tr.sample_negatives(forbidden, n_items, size, rng)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == masked.bit_generator.state
 
 
 class TestBuildExamples:
@@ -513,7 +531,7 @@ def test_backward_adds_little_to_the_forward_peak():
     # peaks near its forward; keeping them all until the step returns about
     # doubles the peak.
     forward, step = catalog_wide_step()
-    assert peak_bytes(step) <= 1.12 * peak_bytes(forward)
+    assert peak_bytes(step) <= 1.08 * peak_bytes(forward)
 
 
 def test_fused_encoder_ops_shrink_the_forward_peak(monkeypatch):
@@ -538,15 +556,13 @@ def test_fused_encoder_ops_shrink_the_forward_peak(monkeypatch):
     assert fused <= 0.75 * peak_bytes(forward)
 
 
-def test_train_steps_replay_the_reference_ops_bit_for_bit(monkeypatch):
-    # Whole steps with every optimised op against its reference form in
-    # composed_ops: dropout on, all four losses, a local loss over two row
-    # tiles. Two runs are compared rather than a pinned hash, since OpenBLAS
-    # picks its kernels per CPU.
-    dataset = generate_clustered_markov(n_users=64, seed=3)
-    hyper = small_hyper(c=20, n_layers=2, dropout_rate=0.2, batch_size=64)
+def replay_reference_steps(monkeypatch, hyper, n_users):
+    """Three steps and a validation pass, with every optimised op and then
+    with its reference form in composed_ops, compared bit for bit. Two runs
+    are compared rather than a pinned hash, since OpenBLAS picks its kernels
+    per CPU."""
+    dataset = generate_clustered_markov(n_users=n_users, seed=3)
     examples = tr.build_examples(dataset)
-    assert sum(min(len(e.inputs), hyper.c) for e in examples) > ad.LCE_TILE_ROWS
 
     def run():
         params = init_model(dataset.n_users, dataset.n_items, hyper.c,
@@ -569,6 +585,25 @@ def test_train_steps_replay_the_reference_ops_bit_for_bit(monkeypatch):
     for got, want in zip(fused_params + fused_moments, params + moments,
                          strict=True):
         assert np.array_equal(got, want)
+    return examples
+
+
+def test_train_steps_replay_the_reference_ops_bit_for_bit(monkeypatch):
+    # dropout on, all four losses, a local loss over two row tiles
+    hyper = small_hyper(c=20, n_layers=2, dropout_rate=0.2, batch_size=64)
+    examples = replay_reference_steps(monkeypatch, hyper, n_users=64)
+    assert sum(min(len(e.inputs), hyper.c) for e in examples) > ad.LCE_TILE_ROWS
+
+
+def test_state_row_train_steps_replay_the_reference_ops_bit_for_bit(
+        monkeypatch):
+    # no loss reads E_l, so training runs the final block on the state row
+    # alone: attention's query_row backward, under the fused loss
+    hyper = small_hyper(c=20, n_layers=2, dropout_rate=0.2, batch_size=48,
+                        n_negatives=40,
+                        weights=LossWeights(0.0, 0.5, 1.0, 0.0, lambda_reg=1e-3))
+    assert not md.encoder_paths(hyper.scoring_head, hyper.weights)["positions"]
+    replay_reference_steps(monkeypatch, hyper, n_users=48)
 
 
 class TestStepComposition:
