@@ -63,10 +63,10 @@ The w gradient accumulates ``xtᵀ e`` in a (d, N) buffer, handed on
 transposed. The (R, N) logits never exist, and backward only scales the
 stored gradients by the incoming scalar.
 
-``sampled_cross_entropy`` is the fused loss's sampled softmax: each row's
-positive against its S negative table rows, gathered a chunk of users at a
-time in both passes, so its (B, S, d) negatives never exist whole; the
-table's gradient is two CSR scatters of the logit gradients.
+``sampled_logits`` scores each row against its positive and S negative
+table rows, gathered a chunk of users at a time in both passes, so its
+(B, S, d) negatives never exist whole; the table's gradient is two CSR
+scatters of the logit gradients. ``cross_entropy`` takes their softmax.
 
 ``attention`` and ``feed_forward`` are the two sub-layers of a pre-norm
 encoder block, each with its layer norm folded in (``attention`` also
@@ -94,7 +94,7 @@ from .errors import DimensionError, GraphError
 
 # Rows per tile in linear_cross_entropy: about 29 MB of logits at N = 3 600.
 LCE_TILE_ROWS = 1024
-# Users per chunk in sampled_cross_entropy: a (32, S, d) block of negatives.
+# Users per chunk in sampled_logits: a (32, S, d) block of negatives.
 SCE_CHUNK_ROWS = 32
 FD_STEP, FD_TOL = 1e-5, 1e-4  # finite_difference_check's step and tolerance
 Keep = tuple[np.ndarray, float]  # a dropout keep-mask (bool) and 1/(1 - rate)
@@ -403,9 +403,9 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None
                   ) -> Tensor:
     """Summed softmax cross-entropy, sum_r -log softmax(logits[r])[targets[r]].
 
-    ``logits`` is (R, K) with one int target per row. Entries where the
-    optional (R, K) ``mask`` is False are left out of the softmax; each
-    row's target must be allowed. Backward is (softmax - onehot) * g.
+    ``logits`` is (R, K) with an int target per row (or one for all rows).
+    Entries where the optional (R, K) ``mask`` is False are left out of the
+    softmax (a target must be allowed). Backward is (softmax - onehot) * g.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:
@@ -480,58 +480,53 @@ def _scatter(ids: np.ndarray, weights: np.ndarray, n_rows: int
         shape=(n_rows, ids.shape[0]))
 
 
-def sampled_cross_entropy(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
-                          ) -> Tensor:
-    """Summed sampled softmax cross-entropy: each row ``x[b]`` of the (B, d)
-    ``x`` scores its positive ``table[pos_ids[b]]`` (the target) against its
-    S negatives ``table[neg_ids[b]]``, rows of the (N, d) ``table``.
+def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
+                   ) -> Tensor:
+    """The (B, 1 + S) logits of each row ``x[b]`` of the (B, d) ``x``
+    against its positive ``table[pos_ids[b]]`` (column 0) and its S
+    negatives ``table[neg_ids[b]]``, rows of the (N, d) ``table``.
 
-    The composition ``cross_entropy(concat([tsum(mul(x, lookup(table, pos)),
-    -1) as (B, 1), tsum(mul(x as (B, 1, d), lookup(table, neg)), -1)]), 0)``
-    without its (B, S, d) arrays: the negatives are gathered and scored
+    The composition ``concat([tsum(mul(x, lookup(table, pos)), -1) as
+    (B, 1), tsum(mul(x as (B, 1, d), lookup(table, neg)), -1)])`` without
+    its (B, S, d) arrays: the negatives are gathered and scored
     ``SCE_CHUNK_ROWS`` users at a time, each logit with the composition's
-    sum over d. The backward sums x's negative terms over S chunk by chunk,
-    and scatters the table's gradient as two CSR products (positives,
+    sum over d. The backward sums x's negative terms over S chunk by chunk
+    as the composition's ``mul`` does (one negative's -0.0 stays -0.0), and
+    scatters the table's gradient as two CSR products (positives,
     negatives) of the logit gradients with x, in the lookups' entry order.
     """
     x, table = as_tensor(x), as_tensor(table)
     pos_ids, neg_ids = np.asarray(pos_ids), np.asarray(neg_ids)
     if x.ndim != 2 or table.ndim != 2 or neg_ids.ndim != 2:
         raise DimensionError(
-            f"sampled_cross_entropy needs (B, d) rows, an (N, d) table and "
+            f"sampled_logits needs (B, d) rows, an (N, d) table and "
             f"(B, S) negatives, got {x.shape}, {table.shape}, {neg_ids.shape}")
     xd, td = x.data, table.data
     n_rows = x.shape[0]
     logits = np.empty((n_rows, 1 + neg_ids.shape[1]))
     for start in range(0, n_rows, SCE_CHUNK_ROWS):
         chunk = slice(start, start + SCE_CHUNK_ROWS)
-        xc = xd[chunk]
-        logits[chunk, 0] = (xc * td[pos_ids[chunk]]).sum(axis=-1)
-        logits[chunk, 1:] = (xc[:, None, :] * td[neg_ids[chunk]]).sum(axis=-1)
-    rows, targets = np.arange(n_rows), np.zeros(n_rows, dtype=np.int64)
-    total, losses = _shifted_exp(logits, rows, targets)
-    out = losses.sum()
+        logits[chunk, 0] = (xd[chunk] * td[pos_ids[chunk]]).sum(axis=-1)
+        logits[chunk, 1:] = (xd[chunk, None] * td[neg_ids[chunk]]).sum(axis=-1)
     td = td if _needs_graph(x) else None  # what x's gradient reads
     xd = xd if _needs_graph(table) else None
     n_table = table.shape[0]
 
     def backward(g):
-        glogits = logits * (g / total)
-        glogits[rows, targets] -= g
-        gpos, gneg = glogits[:, 0], glogits[:, 1:]
+        gpos, gneg = g[:, 0], g[:, 1:]
         gx = gt = None
         if td is not None:
             gx = gpos[:, None] * td[pos_ids]
             for start in range(0, n_rows, SCE_CHUNK_ROWS):
                 chunk = slice(start, start + SCE_CHUNK_ROWS)
-                gx[chunk] += (gneg[chunk, :, None]
-                              * td[neg_ids[chunk]]).sum(axis=1)
+                terms = gneg[chunk, :, None] * td[neg_ids[chunk]]
+                gx[chunk] += _unbroadcast(terms, terms[:, :1].shape)[:, 0]
         if xd is not None:
             gt = _scatter(pos_ids[:, None], gpos, n_table) @ xd
             gt += _scatter(neg_ids, gneg, n_table) @ xd
         return gx, gt
 
-    return _make(out, (x, table), backward)
+    return _make(logits, (x, table), backward)
 
 
 def lookup(table, ids: np.ndarray) -> Tensor:

@@ -274,9 +274,13 @@ def prepare(path: str | Path, threshold: int = MIN_COUNT,
             ) -> tuple[SplitDataset, int]:
     """Full preprocessing pipeline: load, filter, drop short users, split.
 
+    In fixpoint mode the two removals repeat until neither removes anything.
     Returns (split dataset, dropped-short-user count).
     """
-    records = load_interactions(path, delimiter=delimiter)
-    records = min_count_filter(records, threshold, mode=mode)
-    records, dropped = drop_short_users(records)
-    return chronological_split(records), dropped
+    records, dropped = load_interactions(path, delimiter=delimiter), 0
+    while True:
+        records, short = drop_short_users(
+            min_count_filter(records, threshold, mode=mode))
+        dropped += short
+        if short == 0 or mode == "single_pass":
+            return chronological_split(records), dropped

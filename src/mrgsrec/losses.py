@@ -1,10 +1,10 @@
 """The four training objectives and their weighted combination.
 
 Each objective is one softmax cross-entropy over its own candidate set;
-BPR is the two-candidate case. The local loss uses
-``ad.linear_cross_entropy``, which never builds its full-catalog logits,
-and the fused loss ``ad.sampled_cross_entropy``, which never holds its
-(B, S, d) negative rows; the other two use ``ad.cross_entropy``.
+BPR is the two-candidate case. The global, fused and contrastive losses
+call ``ad.cross_entropy`` on logits the first two score with
+``ad.sampled_logits``, and the last with a matmul; the local loss calls
+``ad.linear_cross_entropy``, which never builds its full-catalog logits.
 Reduction convention: every component is divided by the batch size (the
 local loss by the number of valid positions), so loss weights mean the
 same thing at any batch size.
@@ -60,12 +60,13 @@ def global_loss(e_g: ad.Tensor, pos_emb: ad.Tensor, neg_emb: ad.Tensor,
                 ego_rows: ad.Tensor, lambda_reg: float) -> ad.Tensor:
     """BPR over one (positive, negative) pair per user plus L2 on the
     batch's initial-layer rows: mean(-ln sigmoid(s_pos - s_neg)) +
-    lambda * ||ego_rows||^2 / B."""
+    lambda * ||ego_rows||^2 / B. Row b of [pos; neg] is b's positive, and
+    row B + b its negative."""
     b = e_g.shape[0]
-    s_pos = ad.reshape(ad.tsum(ad.mul(e_g, pos_emb), axis=-1), (b, 1))
-    s_neg = ad.reshape(ad.tsum(ad.mul(e_g, neg_emb), axis=-1), (b, 1))
-    logits = ad.concat([s_pos, s_neg], axis=-1)                # (B, 2)
-    bpr = ad.mul(ad.cross_entropy(logits, np.zeros(b, dtype=np.int64)), 1.0 / b)
+    users = np.arange(b)
+    logits = ad.sampled_logits(e_g, ad.concat([pos_emb, neg_emb], axis=0),
+                               users, (users + b)[:, None])      # (B, 2)
+    bpr = ad.mul(ad.cross_entropy(logits, 0), 1.0 / b)
     if lambda_reg == 0.0:
         return bpr
     reg = ad.mul(ad.tsum(ad.square(ego_rows)), lambda_reg / b)
@@ -76,11 +77,8 @@ def fused_loss(e_f: ad.Tensor, pos_ids: np.ndarray, neg_ids: np.ndarray,
                item_table: ad.Tensor) -> ad.Tensor:
     """Sampled softmax on the fused state: the positive against S sampled
     negatives, summed over users and divided by the batch size."""
-    neg_ids = np.asarray(neg_ids)
-    if neg_ids.ndim != 2:
-        raise ValueError("neg_ids must be (B, S)")
-    loss = ad.sampled_cross_entropy(e_f, item_table, pos_ids, neg_ids)
-    return ad.mul(loss, 1.0 / e_f.shape[0])
+    logits = ad.sampled_logits(e_f, item_table, pos_ids, neg_ids)
+    return ad.mul(ad.cross_entropy(logits, 0), 1.0 / e_f.shape[0])
 
 
 def contrastive_loss(E_l: ad.Tensor, E_g: ad.Tensor,

@@ -32,6 +32,8 @@ def generate_clustered_markov(n_users: int = 600, n_items: int = 240,
     ``len(PREFERRED_WEIGHTS)``; a ``min_len`` below ``MIN_USER_LENGTH``
     raises DataError when a user that short is drawn.
     """
+    if n_clusters < 1 or n_preferred < 1:
+        raise ValueError("n_clusters and n_preferred must be >= 1")
     if n_items % n_clusters != 0:
         raise ValueError("n_items must be divisible by n_clusters")
     if n_preferred > n_clusters:

@@ -3,11 +3,13 @@
 ``ad.attention`` and ``ad.feed_forward`` must replay the encoder blocks'
 compositions of primitive ops below (``relu`` included, and ``layer_norm``,
 the out-of-place form of the norm each folds in), ``ad.linear_cross_entropy``
-its out-of-place form kept below, and ``ad.sampled_cross_entropy`` the fused
-loss's chain of lookups, products, sums and ``cross_entropy``, bit for bit:
+its out-of-place form kept below, and ``ad.sampled_logits`` the fused
+loss's chain of lookups, products, sums and ``concat``, bit for bit:
 values and every parent's gradient. Patched into ``autodiff``, they also
-give ``seq_encode``, the fusion block and the local and fused losses the
-arithmetic the optimised ops replace.
+give ``seq_encode``, the fusion block and the local, global and fused
+losses the arithmetic the optimised ops replace. ``global_loss`` is BPR
+scored pair by pair, which ``losses.global_loss`` must equal in value and
+gradients (its pair rows' gradients up to the sign of a zero).
 
 ``build_batch`` assembles one window per user in Python; the vectorised
 ``embeddings.build_batch`` must equal it, dtypes included.
@@ -154,19 +156,31 @@ def linear_cross_entropy(x, w, targets):
     return ad._make(out, (x, w), backward)
 
 
-def sampled_cross_entropy(x, table, pos_ids, neg_ids):
-    """The fused loss's sampled softmax as lookups, products and sums."""
+def sampled_logits(x, table, pos_ids, neg_ids):
+    """The fused loss's (B, 1 + S) logits as lookups, products and sums."""
     b = x.shape[0]
     pos_emb = ad.lookup(table, np.asarray(pos_ids))             # (B, d)
     neg_emb = ad.lookup(table, np.asarray(neg_ids))             # (B, S, d)
     pos_logit = ad.reshape(ad.tsum(ad.mul(x, pos_emb), axis=-1), (b, 1))
     neg_logits = ad.tsum(ad.mul(ad.reshape(x, (b, 1, -1)), neg_emb), axis=-1)
-    logits = ad.concat([pos_logit, neg_logits], axis=-1)        # (B, 1+S)
-    return ad.cross_entropy(logits, np.zeros(b, dtype=np.int64))
+    return ad.concat([pos_logit, neg_logits], axis=-1)
+
+
+def global_loss(e_g, pos_emb, neg_emb, ego_rows, lambda_reg):
+    """BPR scored pair by pair with products and sums, plus the L2 term."""
+    b = e_g.shape[0]
+    s_pos = ad.reshape(ad.tsum(ad.mul(e_g, pos_emb), axis=-1), (b, 1))
+    s_neg = ad.reshape(ad.tsum(ad.mul(e_g, neg_emb), axis=-1), (b, 1))
+    logits = ad.concat([s_pos, s_neg], axis=-1)                # (B, 2)
+    bpr = ad.mul(ad.cross_entropy(logits, np.zeros(b, dtype=np.int64)), 1.0 / b)
+    if lambda_reg == 0.0:
+        return bpr
+    reg = ad.mul(ad.tsum(ad.square(ego_rows)), lambda_reg / b)
+    return ad.add(bpr, reg)
 
 
 def patch_into(monkeypatch):
     """Make every ``ad`` call of an optimised op call its reference here."""
     for name in ("attention", "feed_forward", "linear_cross_entropy",
-                 "sampled_cross_entropy"):
+                 "sampled_logits"):
         monkeypatch.setattr(ad, name, globals()[name])

@@ -256,9 +256,9 @@ def folded_attention(p, **kwargs):
     ("linear_cross_entropy", lambda p: ad.linear_cross_entropy(
         p["a"], ad.swapaxes(p["b"], 0, 1), np.array([4, 0, 2]))),
     # negatives repeat within a row, and a positive is another's negative
-    ("sampled_cross_entropy", lambda p: ad.sampled_cross_entropy(
+    ("sampled_logits", lambda p: ad.cross_entropy(ad.sampled_logits(
         p["a"], ad.swapaxes(p["b"], 0, 1), np.array([1, 4, 0]),
-        np.array([[2, 2, 3], [0, 1, 1], [4, 0, 4]]))),
+        np.array([[2, 2, 3], [0, 1, 1], [4, 0, 4]])), 0)),
 ])
 def test_op_gradients_match_finite_differences(name, builder):
     g = rng(11)
@@ -421,16 +421,28 @@ def test_linear_cross_entropy_replays_the_reference_bit_for_bit(n_rows):
 
 
 @pytest.mark.parametrize("n_rows", [1, 3, ad.SCE_CHUNK_ROWS, 2 * ad.SCE_CHUNK_ROWS + 5])
-def test_sampled_cross_entropy_replays_the_composition_bit_for_bit(n_rows):
-    # few items, so negatives repeat within rows and across them
+def test_sampled_logits_replays_the_composition_bit_for_bit(n_rows):
+    # few items, so negatives repeat within rows and across them; signed
+    # zeros, and one negative per row, whose x term the composition's mul
+    # takes as it is; the logits alone, then under the fused loss's softmax
     g = rng(73)
     inputs = [g.normal(size=(n_rows, 16)), g.normal(size=(9, 16))]
-    pos, neg = g.integers(0, 9, size=n_rows), g.integers(0, 9, size=(n_rows, 12))
-    fused, composed = replay(
-        lambda *p: ad.sampled_cross_entropy(*p, pos, neg),
-        lambda *p: composed_ops.sampled_cross_entropy(*p, pos, neg), inputs, 74)
-    for got, want in zip(fused, composed, strict=True):
-        assert np.array_equal(got, want)
+    for x in inputs:
+        x[g.random(x.shape) < 0.2] = 0.0
+        x[g.random(x.shape) < 0.2] = -0.0
+    pos = g.integers(0, 9, size=n_rows)
+    for neg in (g.integers(0, 9, size=(n_rows, 12)),
+                g.integers(0, 9, size=(n_rows, 1))):
+        logits = replay(lambda *p: ad.sampled_logits(*p, pos, neg),
+                        lambda *p: composed_ops.sampled_logits(*p, pos, neg),
+                        inputs, 74)
+        softmax = replay(
+            lambda *p: ad.cross_entropy(ad.sampled_logits(*p, pos, neg), 0),
+            lambda *p: ad.cross_entropy(
+                composed_ops.sampled_logits(*p, pos, neg), 0), inputs, 75)
+        for got, want in zip(logits[0] + softmax[0], logits[1] + softmax[1],
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rows", [(7,), (3, 7)])
@@ -457,7 +469,7 @@ def test_layer_norm_replays_the_reference_bit_for_bit(rows):
 
 
 @pytest.mark.parametrize("name", ["attention", "feed_forward", "layer_norm",
-                                  "sampled_cross_entropy"])
+                                  "sampled_logits"])
 def test_no_tape_forward_matches_recording_and_leaves_inputs(name):
     # An op may write into the arrays it allocated, never into its inputs.
     g = rng(91)
@@ -475,8 +487,8 @@ def test_no_tape_forward_matches_recording_and_leaves_inputs(name):
         "layer_norm": (  # the norm, folded into feed_forward
             lambda *p: ad.feed_forward(*p[:5], norm=p[5:]),
             ffn + [g.normal(size=d), g.normal(size=d)]),
-        "sampled_cross_entropy": (
-            lambda *p: ad.sampled_cross_entropy(*p, pos, neg),
+        "sampled_logits": (
+            lambda *p: ad.cross_entropy(ad.sampled_logits(*p, pos, neg), 0),
             [x[:, 0], g.normal(size=(5, d))]),
     }[name]
     saved = [x.copy() for x in inputs]
@@ -635,7 +647,7 @@ def test_a_norm_output_is_freed_in_the_forward(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-def test_sampled_cross_entropy_holds_no_negative_rows():
+def test_sampled_logits_holds_no_negative_rows():
     # the (B, S, d) negatives of 256 users x 100 draws x 64 dims are 13.1 MB;
     # the op gathers them a chunk of users at a time in both passes
     g = rng(9)
@@ -645,7 +657,7 @@ def test_sampled_cross_entropy_holds_no_negative_rows():
     rows_bytes = neg.size * 64 * 8
     tracemalloc.start()
     try:
-        ad.sampled_cross_entropy(x, table, pos, neg).backward()
+        ad.cross_entropy(ad.sampled_logits(x, table, pos, neg), 0).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
-"""``tools/bench_record.py``: its parser of ``perfbench/run.py``'s stdout, and
-its refusal to record a tree that differs from HEAD.
+"""``tools/bench_record.py``: its parser of ``perfbench/run.py``'s stdout, its
+refusal to record a tree that differs from HEAD, and the shape of every
+committed ``BENCH_*.json``.
 
 The tool is loaded by path. Its recording runs in a throwaway git repository
 whose ``perfbench/run.py`` is a stub that prints canned output and leaves a
@@ -8,6 +9,7 @@ marker file, so no benchmark runs here.
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_record.py"
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 RESULT = {"correct": True, "attempted": 17, "failed": 0,
           "metrics": {"peak_rss_mb": {"value": 357.2, "unit": "MB"}}}
@@ -99,3 +103,24 @@ def test_a_clean_tree_is_recorded_with_its_commit(bench_record, repo):
     record = json.loads((repo / "BENCH_99.json").read_text())
     assert record["commit"] == head
     assert record["workloads"] == bench_record.parse(STDOUT)
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_each_committed_record_names_its_commit_command_and_metrics(
+        bench_record, path):
+    record = json.loads(path.read_text("utf-8"))
+    assert re.fullmatch(r"[0-9a-f]{40}", record["commit"])
+    assert record["command"] == " ".join(["python3"] + bench_record.COMMAND[1:])
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    pinned = json.loads((ROOT / "perfbench" / "workloads.json").read_text(
+        "utf-8"))["workloads"]
+    assert list(record["workloads"]) == [w["name"] for w in bench["workloads"]]
+    for name, entry in record["workloads"].items():
+        assert entry["fingerprint"] == pinned[name]["fingerprint"]
+        result = entry["result"]
+        assert 0 <= result["failed"] <= result["attempted"]
+        for metric in bench["end_to_end"]:
+            key = metric["name"]
+            assert result["metrics"][key]["unit"] == metric["unit"]
+            assert isinstance(result["metrics"][key]["value"], float)
+            assert entry["notes"][key]

@@ -376,6 +376,23 @@ def test_prepare_pipeline_end_to_end(tmp_path):
     assert all(len(t) >= 1 for t in split.train)
 
 
+def test_prepare_fixpoint_repeats_the_short_user_drop(tmp_path):
+    # dropping a (2 items) leaves x with one interaction; the filter then
+    # drops x, which leaves b short in turn
+    log = {"a": "x y", "b": "x y z", "c": "y z w", "d": "z w y"}
+    rows = [f"{user} {item} {t}" for user, items in log.items()
+            for t, item in enumerate(items.split())]
+    path = write_log(tmp_path, rows)
+    split, dropped = dp.prepare(path, threshold=2)
+    assert dropped == 2
+    assert split.user_tokens == ["c", "d"]
+    assert sorted(split.item_tokens) == ["w", "y", "z"]
+    assert dp.dataset_stats(split).n_interactions == 6
+    # one sweep of each keeps x, as single-pass mode does
+    split, dropped = dp.prepare(path, threshold=2, mode="single_pass")
+    assert dropped == 1 and "x" in split.item_tokens
+
+
 def test_synthetic_dataset_pinned():
     """The generator's random stream, and so every workload built from it,
     stays bit-for-bit what it was."""
@@ -416,6 +433,13 @@ class TestLeaveOneOut:
 def test_generator_rejects_more_preferred_clusters_than_weights():
     with pytest.raises(ValueError, match="n_preferred must be <= 3"):
         generate_clustered_markov(n_users=5, n_preferred=4)
+
+
+@pytest.mark.parametrize("counts", [{"n_clusters": 0}, {"n_preferred": 0},
+                                    {"n_clusters": -2}])
+def test_generator_rejects_empty_cluster_counts(counts):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        generate_clustered_markov(n_users=5, **counts)
 
 
 def test_generator_rejects_users_too_short_to_split():

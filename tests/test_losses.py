@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import composed_ops
 from mrgsrec import autodiff as ad
 from mrgsrec import losses as ls
 from mrgsrec.errors import DataError, NumericError
@@ -127,6 +128,34 @@ class TestGlobalLoss:
         pos, neg = ad.Tensor(np.array([[-900.0]])), ad.Tensor(np.array([[900.0]]))
         loss = ls.global_loss(e_g, pos, neg, e_g, 0.0)
         assert loss.item() == pytest.approx(1800.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("b", [1, 31, 32, 33, 69])
+    def test_replays_the_pairwise_chain(self, b, lam):
+        # the (2B, d) pair table through ad.sampled_logits equals BPR scored
+        # pair by pair; signed zeros in every input
+        g = rng(b)
+        inputs = [g.normal(size=(b, 6)) for _ in range(3)]
+        inputs.append(g.normal(size=(2 * b, 6)))
+        for x in inputs:
+            x[g.random(x.shape) < 0.2] = 0.0
+            x[g.random(x.shape) < 0.2] = -0.0
+        results = []
+        for loss_fn in (ls.global_loss, composed_ops.global_loss):
+            params = [ad.parameter(x) for x in inputs]
+            loss = loss_fn(*params, lam)
+            loss.backward()
+            results.append([loss.data] + [p.grad for p in params])
+        (loss, e_g, pos, neg, ego), want = results
+        assert loss.tobytes() == want[0].tobytes()
+        assert e_g.tobytes() == want[1].tobytes()
+        if lam == 0.0:  # no L2 term, no gradient for the rows
+            assert ego is None and want[4] is None
+        else:
+            assert ego.tobytes() == want[4].tobytes()
+        # the pair table's scatter sums from +0.0, where a product keeps -0.0
+        assert np.array_equal(pos, want[2]) and np.array_equal(neg, want[3])
 
 
 class TestFusedLoss:
