@@ -6,9 +6,10 @@ padding slots are masked out as attention keys, no loss reads them, and
 ``lookup``'s scatter sums from +0.0, so the row's gradient is exactly +0.0.
 Windows are left-padded so the most recent item always occupies the final
 slot. ``flatten`` is the one place per-user item lists become arrays (their
-lengths, and the items end to end); ``build_batch`` indexes that layout for
-all windows at once. The tables are saved and loaded with the rest of the
-model by ``mrgsrec.model.save_checkpoint`` / ``load_checkpoint``.
+lengths, and the items end to end); ``window_batch`` indexes that layout
+for all windows at once, and ``build_batch`` is it on a list of sequences.
+The tables are saved and loaded with the rest of the model by
+``mrgsrec.model.save_checkpoint`` / ``load_checkpoint``.
 """
 
 from __future__ import annotations
@@ -77,9 +78,15 @@ def flatten(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 def build_batch(user_ids: list[int], sequences: list[list[int]],
                 c: int, pad_value: int) -> SequenceBatch:
     """Stack each sequence's last min(len, c) items, left-padded to c."""
+    return window_batch(user_ids, *flatten(sequences), c, pad_value)
+
+
+def window_batch(user_ids, lengths: np.ndarray, items: np.ndarray,
+                 c: int, pad_value: int) -> SequenceBatch:
+    """``build_batch`` on the flat layout: sequence i is ``lengths[i]`` items
+    of ``items``, following sequence i - 1's."""
     if c < 1:
         raise ValueError("window length must be >= 1")
-    lengths, items = flatten(sequences)
     if not lengths.all():
         raise DataError("cannot build a window from an empty sequence")
     ends = np.cumsum(lengths)

@@ -2,7 +2,9 @@
 
 The input window is the user's train sequence for the validation split and
 the train sequence plus the validation item for the test split; a pass
-picks these inputs and the targets once, and each chunk slices them.
+flattens these inputs once (``embeddings.flatten``) and picks the targets
+once, and each chunk slices that layout for its windows
+(``embeddings.window_batch``) and its seen items.
 Candidates are the whole catalog minus (optionally) the user's already
 seen items; the target itself is never excluded. Ties rank by ascending
 item id. A non-finite parameter raises NumericError before any scoring:
@@ -14,10 +16,15 @@ per pass, for the user rows alone (no head reads an item's propagated row),
 and every chunk of ``EVAL_BATCH`` users gathers its user rows from that
 table. No head reads ``E_l``, so ``encoder_paths`` turns ``positions`` off:
 each chunk builds the user states alone, and the final encoder block runs
-on the state row only. Each chunk's (B, N) score block is ranked in one
-vectorised step, with the seen items read off the flat layout
-(``embeddings.flatten``) as CSR-style (indptr, items) arrays. The pass runs
-under ``autodiff.no_grad``, so it records no tape.
+on the state row only. Each chunk's (B, N) score block is ranked in two
+comparisons. ``scores > target`` with the seen items (CSR-style (indptr,
+items) arrays) cleared gives the count ahead. ``scores == target`` holds
+each target's tie with itself; when it holds B ties and no target is NaN,
+that count is the rank. Only when some row ties another item are the
+exclusions re-applied to the ties, those with a smaller id than the target
+added. Row counts sum the bool rows as 8-byte words, which runs on numpy
+1.24 (no ``np.bitwise_count``). The pass runs under ``autodiff.no_grad``,
+so it records no tape.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import build_batch, flatten
+from .embeddings import flatten, window_batch
 from .errors import DataError, NumericError, ProtocolError
 from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
                     propagated_embeddings)
@@ -78,17 +85,15 @@ def rank_targets(scores: np.ndarray, targets, excluded=None) -> np.ndarray:
     """1-based rank of each row's target among that row's non-excluded items.
 
     rank = 1 + #(strictly better) + #(equal score with smaller id).
-    ``scores`` is (B, N); ``excluded`` is None or a CSR-style pair
-    (indptr of length B+1, item ids) listing each row's excluded items.
-    A target must stay a candidate: excluding it raises ``ProtocolError``.
+    ``scores`` is (B, N) and is not modified; ``excluded`` is None or a
+    CSR-style pair (indptr of length B+1, item ids) listing each row's
+    excluded items. A target must stay a candidate: excluding it raises
+    ``ProtocolError``.
     """
     scores = np.asarray(scores)
     targets = np.asarray(targets, dtype=np.int64)
-    rows = np.arange(scores.shape[0])
+    (n_rows, n_items), rows = scores.shape, np.arange(scores.shape[0])
     target_scores = scores[rows, targets][:, None]
-    ahead = scores > target_scores
-    ahead |= (scores == target_scores) & (
-        np.arange(scores.shape[1]) < targets[:, None])
     if excluded is not None:
         indptr, items = excluded
         item_rows = np.repeat(rows, np.diff(indptr))
@@ -96,8 +101,40 @@ def rank_targets(scores: np.ndarray, targets, excluded=None) -> np.ndarray:
         if hit.any():
             raise ProtocolError(
                 f"target item {items[hit][0]} is excluded from ranking")
-        ahead[item_rows, items] = False
-    return 1 + np.count_nonzero(ahead, axis=1)
+    # One bool buffer, its rows padded with False to whole 8-byte words.
+    buffer = np.empty((n_rows, -(-n_items // 8) * 8), dtype=bool)
+    buffer[:, n_items:] = False
+    mask = buffer[:, :n_items]
+    np.greater(scores, target_scores, out=mask)
+    if excluded is not None:
+        mask[item_rows, items] = False
+    ranks = 1 + _row_counts(buffer)
+    # Each target ties with itself, so B ties in all, none of them NaN,
+    # leave no row another tie; otherwise equal scores with a smaller id
+    # count as ahead too.
+    np.equal(scores, target_scores, out=mask)
+    if np.count_nonzero(buffer) != n_rows or np.isnan(target_scores).any():
+        if excluded is not None:
+            mask[item_rows, items] = False
+        mask &= np.arange(n_items) < targets[:, None]
+        ranks += _row_counts(buffer)
+    return ranks
+
+
+def _row_counts(buffer: np.ndarray) -> np.ndarray:
+    """True entries per row of a (B, 8k) bool array, summed as 8-byte words.
+
+    Each byte of a word is 0 or 1, so up to 255 words add without carrying
+    from one byte into the next; the bytes of each partial sum are then
+    added. ``np.count_nonzero(axis=1)`` converts every entry instead.
+    """
+    words = buffer.view(np.uint64)
+    counts = np.zeros(len(buffer), dtype=np.int64)
+    for start in range(0, words.shape[1], 255):
+        partial = words[:, start:start + 255].sum(axis=1, dtype=np.uint64)
+        counts += partial.view(np.uint8).reshape(-1, 8).sum(
+            axis=1, dtype=np.int64)
+    return counts
 
 
 def rank_target(scores: np.ndarray, target: int, excluded=()) -> int:
@@ -107,14 +144,14 @@ def rank_target(scores: np.ndarray, target: int, excluded=()) -> int:
                             (np.array([0, items.size]), items))[0])
 
 
-def _seen_items(sequences: list[list[int]], targets: np.ndarray
+def _seen_items(lengths: np.ndarray, items: np.ndarray, targets: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style (indptr, items) of each sequence's items minus its target;
-    repeated items stay repeated, which ranking ignores."""
-    lengths, items = flatten(sequences)
-    rows = np.repeat(np.arange(len(sequences)), lengths)
+    """CSR-style (indptr, items) of each sequence's items minus its target,
+    from the flat layout (``embeddings.flatten``); repeated items stay
+    repeated, which ranking ignores."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
     keep = items != targets[rows]
-    counts = np.bincount(rows[keep], minlength=len(sequences))
+    counts = np.bincount(rows[keep], minlength=len(lengths))
     return np.concatenate([[0], np.cumsum(counts)]), items[keep]
 
 
@@ -164,27 +201,31 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
                                       layer_mean=hyper.layer_mean,
                                       rows=np.arange(dataset.n_users))
     # The seen items are exactly the input sequence's items.
-    inputs, targets = dataset.train, dataset.val
+    lengths, items = flatten(dataset.train)
+    targets = np.asarray(dataset.val, dtype=np.int64)
     if split == "test":
-        inputs = [seq + [v] for seq, v in zip(inputs, targets)]
-        targets = dataset.test
-    targets = np.asarray(targets, dtype=np.int64)
-    users, chunk_ranks = range(dataset.n_users), []
-    for start in range(0, len(users), EVAL_BATCH):
-        chunk = slice(start, start + EVAL_BATCH)
-        sequences = inputs[chunk]
-        batch = build_batch(users[chunk], sequences, tables.c, tables.padding_id)
+        items = np.insert(items, np.cumsum(lengths), targets)
+        lengths = lengths + 1
+        targets = np.asarray(dataset.test, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    n, chunk_ranks = dataset.n_users, []
+    for start in range(0, n, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, n)
+        chunk_lengths = lengths[start:stop]
+        chunk_items = items[offsets[start]:offsets[stop]]
+        batch = window_batch(np.arange(start, stop), chunk_lengths,
+                             chunk_items, tables.c, tables.padding_id)
         states = forward_states(params, batch, adjacency, hyper.k,
                                 layer_mean=hyper.layer_mean,
                                 node_embeddings=nodes, **paths)
         scores = score_batch(params, states, head).data
-        excluded = (_seen_items(sequences, targets[chunk])
+        excluded = (_seen_items(chunk_lengths, chunk_items, targets[start:stop])
                     if hyper.exclude_seen else None)
-        chunk_ranks.append(rank_targets(scores, targets[chunk], excluded))
+        chunk_ranks.append(rank_targets(scores, targets[start:stop], excluded))
     # Each user's value is looked up in a table of the metric at ranks
     # 1..k+1 (every rank past k scores as k+1 does), then summed in user
     # order (np.cumsum adds in sequence), so the totals round as before.
-    n, ranks = len(users), np.concatenate(chunk_ranks)
+    ranks = np.concatenate(chunk_ranks)
     means = []
     for metric, k in ((hr_at_k, 5), (hr_at_k, 10), (ndcg_at_k, 5), (ndcg_at_k, 10)):
         table = np.array([metric(rank, k) for rank in range(1, k + 2)])

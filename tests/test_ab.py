@@ -1,0 +1,158 @@
+"""``tools/ab.py``: alternating base/working-tree benchmark pairs.
+
+The tool is loaded by path. Its runs go to a stub ``perfbench/run.py`` in a
+throwaway git repository, which prints ``run.py``-shaped output whose
+eval speed is read from a file of its own tree, so no benchmark runs here.
+"""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab.py"
+METRICS = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["end_to_end"]
+
+# Prints what run.py prints for one workload: the eval speed is the number
+# in this tree's speed.txt; ``fail`` there makes the run fail an op.
+STUB = """\
+import json, sys
+from pathlib import Path
+speed = (Path(__file__).resolve().parents[1] / "speed.txt").read_text().strip()
+name = sys.argv[sys.argv.index("--workload") + 1]
+failed = int(speed == "fail")
+value = 1.0 if failed else float(speed)
+print(f"workload {name}: seed 1, 3 users x 4 items, config fingerprint abc")
+print(f"  eval_users_per_s {value!r} users/s  3 passes; wall {value / 2!r} at host slowdown 2.000")
+print("  peak_rss_mb 100.0 MB  ru_maxrss of this process")
+print(json.dumps({"correct": not failed, "attempted": 3, "failed": failed,
+                  "metrics": {"eval_users_per_s": {"value": value, "unit": "users/s"},
+                              "peak_rss_mb": {"value": 100.0, "unit": "MB"}}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                    "-c", "commit.gpgsign=false", *args], cwd=repo, check=True,
+                   capture_output=True)
+
+
+@pytest.fixture
+def repo(tmp_path, ab, monkeypatch):
+    """Two commits: eval speed 100 at HEAD~1, 150 at HEAD."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "wide"}, {"name": "many"}],
+        "end_to_end": [m for m in METRICS
+                       if m["name"] in ("eval_users_per_s", "peak_rss_mb")]}))
+    git(tmp_path, "init", "-q")
+    for speed in ("100", "150"):
+        (tmp_path / "speed.txt").write_text(speed + "\n")
+        git(tmp_path, "add", "-A")
+        git(tmp_path, "commit", "-q", "-m", speed)
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    return tmp_path
+
+
+def entry(eval_speed, wall, peak, failed=0, exit_code=0):
+    """A parsed run.py entry, as ``run_benchmark`` returns it."""
+    return {"exit": exit_code,
+            "notes": {"eval_users_per_s": f"3 passes; wall {wall} at host "
+                                          "slowdown 1.1",
+                      "peak_rss_mb": "ru_maxrss of this process"},
+            "result": {"failed": failed, "metrics": {
+                "eval_users_per_s": {"value": eval_speed},
+                "peak_rss_mb": {"value": peak}}}}
+
+
+def test_pairs_alternate_which_tree_runs_first(ab):
+    calls = []
+
+    def run(tree, workload, seed):
+        calls.append((tree, workload, seed))
+        return {}
+
+    runs = ab.alternate({"base": "B", "head": "H"}, "many", 3, 7, run)
+    assert [tree for tree, _, _ in calls] == ["B", "H", "H", "B", "B", "H"]
+    assert {(w, s) for _, w, s in calls} == {("many", 7)}
+    assert len(runs["base"]) == len(runs["head"]) == 3
+
+
+def test_summary_reads_medians_quartiles_and_wins(ab):
+    runs = {"base": [entry(100, 50, 300), entry(110, 55, 310),
+                     entry(90, 45, 290), entry(105, 52, 305)],
+            "head": [entry(120, 60, 280), entry(100, 49, 320),
+                     entry(130, 65, 270), entry(125, 62, 275)]}
+    rows = {(r["metric"], r["kind"]): r for r in ab.summarise(runs, METRICS)}
+    # run.py prints no wall value for peak RSS, and these runs nothing else
+    assert set(rows) == {("eval_users_per_s", "scaled"),
+                         ("eval_users_per_s", "wall"),
+                         ("peak_rss_mb", "scaled")}
+    speed = rows["eval_users_per_s", "scaled"]
+    assert speed["base_median"] == 102.5 and speed["head_median"] == 122.5
+    assert (speed["q1"], speed["q3"]) == (97.5, 106.25)
+    assert speed["wins"] == 3 and speed["pairs"] == 4
+    assert speed["outside_iqr"]
+    assert speed["change"] == pytest.approx(122.5 / 102.5 - 1)
+    wall = rows["eval_users_per_s", "wall"]
+    assert wall["base_median"] == 51.0 and wall["wins"] == 3
+    peak = rows["peak_rss_mb", "scaled"]   # lower is better
+    assert peak["wins"] == 3 and peak["head_median"] == 277.5
+
+
+def test_a_failed_run_is_left_out_of_the_figures(ab):
+    runs = {"base": [entry(100, 50, 300), entry(100, 50, 300, failed=1)],
+            "head": [entry(120, 60, 280), entry(120, 60, 280)]}
+    speed = next(r for r in ab.summarise(runs, METRICS)
+                 if r["kind"] == "scaled")
+    assert speed["pairs"] == 1 and speed["wins"] == 1
+    assert ab.failed(entry(1, 1, 1, exit_code=1))
+    assert ab.failed({"exit": 0, "notes": {}})
+
+
+def test_a_modified_tracked_file_is_refused_before_any_run(ab, repo, capsys):
+    (repo / "speed.txt").write_text("999\n")
+
+    def run(*args):
+        raise AssertionError("no run may start on a dirty tree")
+
+    assert ab.main(["HEAD~1"], run) == 2
+    assert "differ from HEAD" in capsys.readouterr().err
+
+
+def test_an_unknown_revision_is_refused(ab, repo, capsys):
+    assert ab.main(["no-such-rev"]) == 2
+    assert "unknown revision" in capsys.readouterr().err
+
+
+def test_the_base_revision_runs_in_its_own_extracted_tree(ab, repo, capsys):
+    assert ab.main(["HEAD~1", "--workload", "many", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "workload many: 2 pairs, seed 1" in out
+    speed = next(line for line in out.splitlines()
+                 if "eval_users_per_s" in line and "scaled" in line)
+    # base 100 [100, 100] against head 150: +50%, outside, won both pairs
+    assert speed.split()[2:] == ["100", "[100,", "100]", "150", "+50.0%",
+                                 "yes", "2/2"]
+    assert "base: 0 of 2 runs failed" in out
+    assert not (repo / ".git" / "worktrees").exists()
+
+
+def test_a_failed_run_sets_the_exit_code(ab, repo, capsys):
+    (repo / "speed.txt").write_text("fail\n")
+    git(repo, "commit", "-q", "-am", "fail")
+    assert ab.main(["HEAD~1", "--workload", "wide", "--pairs", "1"]) == 1
+    assert "head: 1 of 1 runs failed (pairs [0])" in capsys.readouterr().out
+

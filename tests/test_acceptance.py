@@ -191,18 +191,19 @@ def test_criterion_8_leakage_guard():
     params = init_model(dataset.n_users, dataset.n_items, hyper.c,
                         hyper.seq_config(), seed=0)
     captured = []
-    original = ev.build_batch
+    original = ev.window_batch
 
-    def spy(users, sequences, c, pad):
-        captured.append((list(users), [list(s) for s in sequences]))
-        return original(users, sequences, c, pad)
+    def spy(users, lengths, items, c, pad):
+        sequences = np.split(items, np.cumsum(lengths)[:-1])
+        captured.append((list(users), [s.tolist() for s in sequences]))
+        return original(users, lengths, items, c, pad)
 
-    ev.build_batch = spy
+    ev.window_batch = spy
     try:
         ev.evaluate(params, dataset, "test", hyper)
     finally:
-        ev.build_batch = original
-    clean = True
+        ev.window_batch = original
+    clean = bool(captured)
     for users, sequences in captured:
         for u, seq in zip(users, sequences):
             expected = dataset.train[u] + [dataset.val[u]]

@@ -70,6 +70,25 @@ def test_build_batch_equals_per_user_reference(args):
         np.testing.assert_array_equal(a, b)
 
 
+@given(batches(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_window_batch_on_a_slice_of_the_flat_layout_equals_build_batch(
+        args, data):
+    # evaluate flattens every user once and windows one slice per chunk
+    users, sequences, c, pad = args
+    start = data.draw(st.integers(0, len(sequences) - 1))
+    stop = data.draw(st.integers(start + 1, len(sequences)))
+    lengths, items = emb.flatten(sequences)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    got = emb.window_batch(users[start:stop], lengths[start:stop],
+                           items[offsets[start]:offsets[stop]], c, pad)
+    want = emb.build_batch(users[start:stop], sequences[start:stop], c, pad)
+    for name in ("user_ids", "item_windows", "valid_lengths"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
 @given(st.lists(st.lists(st.integers(-2**63, 2**63 - 1), max_size=6),
                 max_size=8))
 @settings(max_examples=100, deadline=None)

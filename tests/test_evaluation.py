@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +92,104 @@ class TestRankTargets:
         excluded = (np.array([0, 0, 1]), np.array([2]))
         with pytest.raises(ProtocolError):
             ev.rank_targets(np.zeros((2, 4)), [1, 2], excluded)
+
+
+@st.composite
+def rank_cases(draw):
+    """A (B, N) score block with its targets and CSR exclusions.
+
+    Scores are integer-valued (many ties) or distinct, with ±0.0 and NaN
+    entries mixed in; a target may be NaN, exclusions may repeat an id and
+    may tie with the target, and the block may be a non-contiguous view.
+    """
+    n_items = draw(st.sampled_from([1, 7, 8, 9, 1201]))
+    n_rows = draw(st.sampled_from([1, 2, 5]))
+    g = rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scores = g.integers(-2, 3, size=(n_rows, n_items)).astype(np.float64)
+    else:
+        scores = np.stack([g.permutation(n_items) / 7.0
+                           for _ in range(n_rows)])
+    targets = g.integers(0, n_items, size=n_rows)
+    specials = draw(st.lists(st.sampled_from([np.nan, 0.0, -0.0]),
+                             max_size=6))
+    for value in specials:
+        scores[g.integers(n_rows), g.integers(n_items)] = value
+    if draw(st.booleans()):
+        scores[0, targets[0]] = np.nan
+    excluded = []
+    for row, target in zip(scores, targets):
+        ids = g.integers(0, n_items, size=g.integers(0, 5)).tolist()
+        ids += ids[:1]  # a repeated id
+        if draw(st.booleans()) and n_items > 1:  # one that ties with the target
+            tie = (target + 1) % n_items
+            row[tie] = row[target]
+            ids.append(tie)
+        excluded.append([i for i in ids if i != target])
+    if draw(st.booleans()):  # every other column of a wider block
+        wide = np.zeros((n_rows, 2 * n_items))
+        wide[:, ::2] = scores
+        scores = wide[:, ::2]
+    return scores, targets, excluded
+
+
+def _nan_free(row, target):
+    """The row as the ranking rule reads it, in terms the sort oracle can
+    order: a NaN entry is never ahead of the target, and nothing is ahead
+    of a NaN target."""
+    row = row.copy()
+    if np.isnan(row[target]):
+        row[:] = 0.0
+        row[target] = 1.0
+    row[np.isnan(row)] = -np.inf
+    return row
+
+
+class TestRankTargetsFastAndTiePaths:
+    @settings(max_examples=300, deadline=None)
+    @given(rank_cases())
+    def test_rows_match_sort_oracle_and_leave_scores_unchanged(self, case):
+        scores, targets, excluded = case
+        before = scores.copy()
+        indptr = np.cumsum([0] + [len(ex) for ex in excluded])
+        items = np.asarray([i for ex in excluded for i in ex], dtype=np.int64)
+        with mock.patch.object(ev, "_row_counts",
+                               wraps=ev._row_counts) as counts:
+            got = ev.rank_targets(scores, targets, (indptr, items))
+        assert scores.tobytes() == before.tobytes()
+        # the tie path counts a second time exactly when some row's target
+        # is NaN or ties with another item
+        one_tie_each = all(np.count_nonzero(row == row[t]) == 1
+                           for row, t in zip(scores, targets))
+        assert counts.call_count == (1 if one_tie_each else 2)
+        for row, target, ex, rank in zip(scores, targets, excluded, got):
+            assert rank == metric_oracle_rank(_nan_free(row, target), target, ex)
+
+    @pytest.mark.parametrize("scores,target,calls", [
+        ([0.3, 0.1, 0.2], 2, 1),          # distinct: fast path
+        ([0.2, 0.1, 0.2], 2, 2),          # a tie with a smaller id
+        ([-0.0, 0.0, 1.0], 1, 2),         # -0.0 ties with +0.0
+        ([np.nan, 0.5, np.nan], 1, 1),    # NaN entries tie with nothing
+        ([0.5, np.nan, 0.7], 1, 2),       # a NaN target
+    ])
+    def test_each_path_runs(self, scores, target, calls):
+        scores = np.array([scores])
+        with mock.patch.object(ev, "_row_counts",
+                               wraps=ev._row_counts) as counts:
+            rank = ev.rank_targets(scores, [target])[0]
+        assert counts.call_count == calls
+        assert rank == metric_oracle_rank(_nan_free(scores[0], target), target)
+
+    @pytest.mark.parametrize("n_items", [1, 8, 2040, 2041, 4097])
+    def test_row_counts_past_255_words(self, n_items):
+        # a byte of a partial word sum holds at most 255, so wide rows add
+        # in groups; every entry True is the worst case
+        g = rng(n_items)
+        buffer = np.zeros((3, -(-n_items // 8) * 8), dtype=bool)
+        buffer[:, :n_items] = g.random((3, n_items)) < 0.9
+        buffer[0, :n_items] = True
+        np.testing.assert_array_equal(ev._row_counts(buffer),
+                                      np.count_nonzero(buffer, axis=1))
 
 
 class TestMetrics:
@@ -202,13 +301,14 @@ class TestEvaluate:
         params = init_model(dataset.n_users, dataset.n_items, hyper.c,
                             hyper.seq_config(), seed=0)
         captured = []
-        original = ev.build_batch
+        original = ev.window_batch
 
-        def spy(users, sequences, c, pad):
-            captured.append((list(users), [list(s) for s in sequences]))
-            return original(users, sequences, c, pad)
+        def spy(users, lengths, items, c, pad):
+            sequences = np.split(items, np.cumsum(lengths)[:-1])
+            captured.append((list(users), [s.tolist() for s in sequences]))
+            return original(users, lengths, items, c, pad)
 
-        monkeypatch.setattr(ev, "build_batch", spy)
+        monkeypatch.setattr(ev, "window_batch", spy)
         ev.evaluate(params, dataset, "test", hyper)
         assert captured
         for users, sequences in captured:
@@ -274,10 +374,10 @@ def test_report_invariant_validation():
         ev.MetricsReport("x", 0.2, 0.4, 0.3, 0.41, 10).validate()  # ndcg5 > hr5
 
 
-def _recomposed(params, dataset, split, hyper):
+def _recomposed(params, dataset, split, hyper, rank_of=ev.rank_target):
     """``evaluate`` rebuilt from its public calls: one ``forward_states``
-    (which propagates the graph itself) per chunk, one ``rank_target`` per
-    user, totals added per user in user order."""
+    (which propagates the graph itself) per chunk, one ``rank_of`` (by
+    default ``rank_target``) per user, totals added per user in user order."""
     paths = md.encoder_paths(hyper.scoring_head)
     adjacency = build_adjacency(dataset.train, dataset.n_users,
                                 dataset.n_items) if paths["need_graph"] else None
@@ -296,7 +396,7 @@ def _recomposed(params, dataset, split, hyper):
         scores = md.score_batch(params, states, hyper.scoring_head).data
         for row, seq, target in zip(scores, sequences, targets):
             seen = set(seq) - {target} if hyper.exclude_seen else set()
-            rank = ev.rank_target(row, target, seen)
+            rank = rank_of(row, target, seen)
             for i, value in enumerate((ev.hr_at_k(rank, 5), ev.hr_at_k(rank, 10),
                                        ev.ndcg_at_k(rank, 5),
                                        ev.ndcg_at_k(rank, 10))):
@@ -317,6 +417,32 @@ def test_evaluate_equals_per_chunk_recomposition(monkeypatch, head, split):
                         hyper.seq_config(), seed=4)
     assert ev.evaluate(params, dataset, split, hyper) == \
         _recomposed(params, dataset, split, hyper)
+
+
+@pytest.mark.parametrize("exclude_seen", [True, False])
+@pytest.mark.parametrize("split", ["validation", "test"])
+@pytest.mark.parametrize("tied", [False, True])
+def test_evaluate_equals_the_sort_oracle(split, exclude_seen, tied):
+    # 300 users: two full chunks of EVAL_BATCH and a partial one, ranked by
+    # the sort oracle from lists. With integer tables and k=0 every score is
+    # an integer, so targets tie with seen and unseen items and the tie path
+    # runs in every chunk; with drawn tables it never runs.
+    dataset = random_dataset(300, 30, seed=9, min_len=3, max_len=8)
+    hyper = eval_hyper(scoring_head="graph", k=0 if tied else 1,
+                       exclude_seen=exclude_seen)
+    params = init_model(dataset.n_users, dataset.n_items, hyper.c,
+                        hyper.seq_config(), seed=5)
+    if tied:
+        tables = params.tables
+        g = rng(9)
+        tables.user.data[:] = g.integers(-1, 2, size=tables.user.shape)
+        tables.item.data[:-1] = g.integers(-1, 2, size=(dataset.n_items, hyper.d))
+    with mock.patch.object(ev, "_row_counts", wraps=ev._row_counts) as counts:
+        report = ev.evaluate(params, dataset, split, hyper)
+    chunks = -(-dataset.n_users // ev.EVAL_BATCH)
+    assert counts.call_count == (2 * chunks if tied else chunks)
+    assert report == _recomposed(params, dataset, split, hyper,
+                                 rank_of=metric_oracle_rank)
 
 
 @pytest.mark.parametrize("head,calls", [("graph", 1), ("fused", 1),
