@@ -605,9 +605,11 @@ def spmm(adj: sp.spmatrix, x) -> Tensor:
     """Sparse-dense product ``adj @ x`` with gradient ``adj.T @ g`` for ``x``.
 
     ``adj`` is a constant (never differentiated) of any shape, so a block of
-    a matrix's rows works as well as the whole. The transpose of a CSR matrix
-    is a CSC view, with no copy; for a symmetric ``adj`` its product sums
-    each row in the same order as ``adj @ g``, bit for bit.
+    a matrix's rows works as well as the whole. Only its ``shape``, ``@``
+    and ``.T @`` are read, so an operator with those works too
+    (``graph.BlockHop``). The transpose of a CSR matrix is a CSC view, with
+    no copy; for a symmetric ``adj`` its product sums each row in the same
+    order as ``adj @ g``, bit for bit.
     """
     x = as_tensor(x)
     if adj.shape[1] != x.data.shape[0]:

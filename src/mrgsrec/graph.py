@@ -6,6 +6,16 @@ only; validation/test targets never contribute edges. Zero-degree nodes
 get zero rows (0^{-1/2} is taken as 0), so with one or more propagation
 layers their global embedding is zero. Each layer is one ``ad.spmm``.
 
+A full-table hop runs over the (M, N) user-item block R alone
+(``BlockHop``): the user rows are ``R @ X_items``, a gather, and the item
+rows ``R.T @ X_users``, a scatter that streams the user rows once into the
+small item table. The adjacency is exactly symmetric with sorted indices,
+so every row sums the same terms in the same order as ``adj @ X``, and the
+result is the same bit for bit. On a graph with many more users than items
+the scatter is the faster form of the item half: gathering an item row
+reads users from all over the user table, while the scatter reads that
+table in order and writes into an item table that stays in cache.
+
 A training step reads only a few node rows of the propagated table: the
 batch's users, plus the BPR items when the global loss is on and the window
 items when the contrastive loss is on. ``propagated_embeddings``
@@ -15,12 +25,13 @@ per-batch computation graph of PinSage, Ying et al., KDD 2018). Each row's
 product is the same sum as in the full table, so the result is exact.
 Earlier hops stay full-table: two hops from a 256-user batch already reach
 most of the graph, so restricting them would save little and cost the
-bookkeeping of a growing neighbourhood per hop.
+bookkeeping of a growing neighbourhood per hop. Evaluation's last hop is
+the whole user block, which is a view of the adjacency's first M rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,11 +42,82 @@ from .embeddings import EmbeddingTables, SequenceBatch, flatten
 from .errors import DataError, GraphError
 
 
+class BlockHop:
+    """``adj @ X`` for one full-table hop, computed over the user-item block
+    R (``NormalizedAdjacency.r``): the user rows are ``R @ X[M:]`` and the
+    item rows ``R.T @ X[:M]``, bit for bit ``adj @ X`` (module docstring).
+    ``ad.spmm`` reads only ``shape``, ``@`` and ``.T``; ``adj`` is
+    symmetric, so ``.T`` is the operator itself."""
+
+    def __init__(self, r: sp.csr_matrix):
+        m, n = r.shape
+        self.shape = (m + n, m + n)
+        self.r = r
+        # R over N empty rows: its product is the whole (M+N, d) result with
+        # the item rows still zero, so the user half needs no copy.
+        indptr = np.append(r.indptr, np.full(n, r.nnz, r.indptr.dtype))
+        self._upper = sp.csr_matrix((r.data, r.indices, indptr), shape=(m + n, n))
+
+    @property
+    def T(self) -> BlockHop:
+        return self
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m = self.r.shape[0]
+        out = self._upper @ x[m:]
+        out[m:] = self.r.T @ x[:m]
+        return out
+
+
 @dataclass
 class NormalizedAdjacency:
-    adj: sp.csr_matrix        # (M+N, M+N) symmetric-normalized
+    """``adj``, the (M+N, M+N) symmetric-normalized adjacency, and what a
+    hop multiplies. ``r`` is its (M, N) user-item block R: ``data`` and
+    ``indptr`` are views of ``adj``'s first M rows, only the shifted column
+    indices are a copy. Raises GraphError unless ``adj`` is bipartite (user
+    rows hold item columns only, item rows user columns only), exactly
+    symmetric and has sorted indices, since ``BlockHop`` reads R alone."""
+    adj: sp.csr_matrix
     n_users: int
     n_items: int
+    r: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    _full: BlockHop = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m, n, adj = self.n_users, self.n_items, self.adj
+        if adj.shape != (m + n, m + n):
+            raise GraphError(f"adjacency shape {adj.shape} is not "
+                             f"({m + n}, {m + n})")
+        if not adj.has_sorted_indices:
+            raise GraphError("adjacency column indices are not sorted")
+        cut = adj.indptr[m]
+        if (adj.indices[:cut] < m).any() or (adj.indices[cut:] >= m).any():
+            raise GraphError("adjacency is not bipartite: a user row holds a "
+                             "user column or an item row an item column")
+        self.r = sp.csr_matrix(
+            (adj.data[:cut], adj.indices[:cut] - m, adj.indptr[:m + 1]),
+            shape=(m, n))
+        by_item = self.r.tocsc()
+        if not (np.array_equal(by_item.indptr, adj.indptr[m:] - cut)
+                and np.array_equal(by_item.indices, adj.indices[cut:])
+                and np.array_equal(by_item.data, adj.data[cut:])):
+            raise GraphError("adjacency is not symmetric")
+        self._full = BlockHop(self.r)
+
+    def hop(self, rows: np.ndarray | None = None):
+        """What ``ad.spmm`` multiplies for one hop to the sorted, unique
+        nodes ``rows`` (None: all): a ``BlockHop``, the first M rows of
+        ``adj`` as views when ``rows`` is the whole user block, or
+        ``adj[rows]``. Each has the products of ``adj[rows]`` bit for bit."""
+        m = self.n_users
+        if rows is None:
+            return self._full
+        if rows.size == m and m and rows[-1] == m - 1:  # rows is arange(M)
+            cut = self.adj.indptr[m]
+            return sp.csr_matrix((self.adj.data[:cut], self.adj.indices[:cut],
+                                  self.adj.indptr[:m + 1]),
+                                 shape=(m, self.adj.shape[1]))
+        return self.adj[rows]
 
 
 def interaction_matrix(train: list[list[int]], n_users: int, n_items: int
@@ -91,8 +173,7 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
         [tables.user, tables.item_rows()], axis=0)
     layers = [current]
     for hop in range(k):
-        last = rows is not None and hop == k - 1
-        current = ad.spmm(adjacency.adj[rows] if last else adjacency.adj, current)
+        current = ad.spmm(adjacency.hop(rows if hop == k - 1 else None), current)
         layers.append(current)
     if rows is not None:
         if k == 0:
@@ -162,7 +243,7 @@ def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
 def check_leakage(adjacency: NormalizedAdjacency, dataset: SplitDataset) -> None:
     """Raise if any validation/test target has an edge in the graph's
     user-item block that the user's own train interactions do not explain."""
-    graph = adjacency.adj[:adjacency.n_users, adjacency.n_users:]
+    graph = adjacency.r
     train = interaction_matrix(dataset.train, dataset.n_users, dataset.n_items)
     users = np.arange(dataset.n_users)
     for split, targets in (("validation", dataset.val), ("test", dataset.test)):

@@ -152,8 +152,17 @@ def oracle_graphs():
         yield train, m, n, x
 
 
+def oracle_tables(x: np.ndarray, m: int, n: int) -> EmbeddingTables:
+    """Embedding tables whose stacked user and item rows are ``x``."""
+    tables = init_tables(m, n, 1, x.shape[1], seed=0)
+    tables.user.data[...] = x[:m]
+    tables.item.data[:n] = x[m:]
+    return tables
+
+
 def sparse_dense_suite() -> dict:
-    """Compare sparse construction/propagation with the dense oracle."""
+    """Compare the sparse adjacency, and ``propagated_embeddings`` as the
+    model runs it, with the dense oracle."""
     pairs = []
     for train, m, n, x in oracle_graphs():
         adjacency = build_adjacency(train, m, n)
@@ -164,9 +173,11 @@ def sparse_dense_suite() -> dict:
             return {"reason": "adjacency not symmetric", "passed": False}
         if blocks[:m, :m].any() or blocks[m:, m:].any():
             return {"reason": "diagonal blocks not zero", "passed": False}
-        sparse_prop = dense_prop = x
+        with ad.no_grad():
+            sparse_prop = propagated_embeddings(
+                oracle_tables(x, m, n), adjacency, GRAPH_ORACLE_K).data
+        dense_prop = x
         for _ in range(GRAPH_ORACLE_K):
-            sparse_prop = adjacency.adj @ sparse_prop
             dense_prop = dense @ dense_prop
         pairs += [(blocks, dense), (sparse_prop, dense_prop)]
     worst = max_abs_difference(pairs)
@@ -202,9 +213,7 @@ def rows_suite() -> dict:
     cases = []
     for train, m, n, x in oracle_graphs():
         adjacency = build_adjacency(train, m, n)
-        tables = init_tables(m, n, 1, x.shape[1], seed=0)
-        tables.user.data[...] = x[:m]
-        tables.item.data[:n] = x[m:]
+        tables = oracle_tables(x, m, n)
         rows = np.flatnonzero(rng.random(m + n) < 0.3)
         weights = rng.normal(size=(rows.size, x.shape[1]))
         cases += [(tables, adjacency, k, layer_mean, rows, weights)

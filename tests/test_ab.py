@@ -3,6 +3,8 @@
 The tool is loaded by path. Its runs go to a stub ``perfbench/run.py`` in a
 throwaway git repository, which prints ``run.py``-shaped output whose
 eval speed is read from a file of its own tree, so no benchmark runs here.
+A stub ``tools/identity.py`` prints a record read from its tree's
+``hashes.txt``.
 """
 
 import importlib.util
@@ -33,6 +35,16 @@ print(json.dumps({"correct": not failed, "attempted": 3, "failed": failed,
                               "peak_rss_mb": {"value": 100.0, "unit": "MB"}}}))
 """
 
+# The identity record of the tree the tool sits in: its hashes.txt, and
+# which copy of the tool made it.
+IDENTITY = """\
+import json
+from pathlib import Path
+tree = Path(__file__).resolve().parents[1]
+print(json.dumps({"tool": TOOL, "workloads": {"many": {
+    "params": (tree / "hashes.txt").read_text().strip()}}}))
+"""
+
 
 @pytest.fixture(scope="module")
 def ab():
@@ -50,9 +62,12 @@ def git(repo, *args):
 
 @pytest.fixture
 def repo(tmp_path, ab, monkeypatch):
-    """Two commits: eval speed 100 at HEAD~1, 150 at HEAD."""
+    """Two commits: eval speed 100 at HEAD~1, 150 at HEAD, the same hashes,
+    and a different identity tool at each."""
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(STUB)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "hashes.txt").write_text("h1\n")
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "wide"}, {"name": "many"}],
         "end_to_end": [m for m in METRICS
@@ -60,6 +75,8 @@ def repo(tmp_path, ab, monkeypatch):
     git(tmp_path, "init", "-q")
     for speed in ("100", "150"):
         (tmp_path / "speed.txt").write_text(speed + "\n")
+        (tmp_path / "tools" / "identity.py").write_text(
+            f"TOOL = {speed!r}\n" + IDENTITY)
         git(tmp_path, "add", "-A")
         git(tmp_path, "commit", "-q", "-m", speed)
     monkeypatch.setattr(ab, "ROOT", tmp_path)
@@ -156,3 +173,77 @@ def test_a_failed_run_sets_the_exit_code(ab, repo, capsys):
     assert ab.main(["HEAD~1", "--workload", "wide", "--pairs", "1"]) == 1
     assert "head: 1 of 1 runs failed (pairs [0])" in capsys.readouterr().out
 
+
+
+def records(repo, base, head):
+    """An injected identity runner: ``head`` for the working tree ``repo``,
+    ``base`` for the extracted one."""
+    return lambda tree: head if tree == repo else base
+
+
+def counted(calls):
+    """An injected benchmark runner that records each tree it ran in."""
+    def run(tree, workload, seed):
+        calls.append(tree)
+        return entry(100, 50, 300)
+    return run
+
+
+def test_a_moved_identity_record_stops_before_any_run(ab, repo, capsys):
+    def run(*args):
+        raise AssertionError("no run may start when the records differ")
+
+    identity = records(repo, {"verify_quick": "a", "workloads": {"many": {"x": "1"}}},
+                       {"verify_quick": "a", "workloads": {"many": {"x": "2"}}})
+    assert ab.main(["HEAD~1", "--pairs", "1"], run, identity) == 2
+    err = capsys.readouterr().err
+    assert "identity records differ: workloads.many.x;" in err
+    assert "--expect-new-hashes" in err
+
+
+def test_expect_new_hashes_times_a_moved_record(ab, repo, capsys):
+    calls = []
+    identity = records(repo, {"a": "1", "b": "1"}, {"a": "2", "b": "1", "c": "3"})
+    assert ab.main(["HEAD~1", "--workload", "many", "--pairs", "2",
+                    "--expect-new-hashes"], counted(calls), identity) == 0
+    assert len(calls) == 4
+    assert "differ, as expected: a, c" in capsys.readouterr().out
+
+
+def test_equal_identity_records_let_the_pairs_run(ab, repo, capsys):
+    calls = []
+    identity = records(repo, {"a": "1"}, {"a": "1"})
+    assert ab.main(["HEAD~1", "--workload", "many", "--pairs", "1"],
+                   counted(calls), identity) == 0
+    assert len(calls) == 2
+    assert "identity records are equal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("failing", ["base", "head"])
+def test_a_failed_identity_record_stops_before_any_run(ab, repo, capsys,
+                                                       failing):
+    def run(*args):
+        raise AssertionError("no run may start without both records")
+
+    record = {"a": "1"}
+    identity = records(repo, None if failing == "base" else record,
+                       None if failing == "head" else record)
+    assert ab.main(["HEAD~1"], run, identity) == 2
+    assert f"identity.py failed on {failing}" in capsys.readouterr().err
+
+
+def test_the_working_trees_identity_tool_runs_in_both_trees(ab, repo,
+                                                            tmp_path_factory):
+    base = tmp_path_factory.mktemp("base")
+    ab.extract("HEAD~1", base)
+    # HEAD~1's own tool would name itself "100"; the working tree's runs.
+    assert ab.identity_record(base) == {
+        "tool": "150", "workloads": {"many": {"params": "h1"}}}
+    assert ab.identity_record(repo)["tool"] == "150"
+
+
+def test_hashes_moved_in_the_head_commit_stop_the_real_tool(ab, repo, capsys):
+    (repo / "hashes.txt").write_text("h2\n")
+    git(repo, "commit", "-q", "-am", "new hashes")
+    assert ab.main(["HEAD~1", "--pairs", "1"]) == 2
+    assert "differ: workloads.many.params;" in capsys.readouterr().err

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrgsrec import autodiff as ad
 from mrgsrec import graph as gr
@@ -252,6 +255,145 @@ class TestRestrictedRows:
     def test_id_outside_the_row_set_raises(self, rows, ids):
         with pytest.raises(GraphError, match="not among the propagated rows"):
             gr.node_positions(np.asarray(rows, dtype=np.int64), np.asarray(ids))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestAdjacencyGuard:
+    """``NormalizedAdjacency`` takes only what ``BlockHop`` reads exactly."""
+
+    def adjacency(self):
+        return gr.build_adjacency([[0, 2], [1], [2, 3]], 3, 4)
+
+    def test_blocks_are_views_of_the_adjacency(self):
+        adjacency = self.adjacency()
+        np.testing.assert_array_equal(adjacency.r.toarray(),
+                                      adjacency.adj[:3, 3:].toarray())
+        assert np.shares_memory(adjacency.r.data, adjacency.adj.data)
+        assert np.shares_memory(adjacency.r.indptr, adjacency.adj.indptr)
+        users = adjacency.hop(np.arange(3))
+        assert users.shape == (3, 7)
+        assert np.shares_memory(users.indices, adjacency.adj.indices)
+
+    @pytest.mark.parametrize("edge", [(0, 1), (4, 6)])  # user-user, item-item
+    def test_a_non_bipartite_edge_is_rejected(self, edge):
+        dense = self.adjacency().adj.toarray()
+        dense[edge] = dense[edge[::-1]] = 0.5
+        with pytest.raises(GraphError, match="not bipartite"):
+            gr.NormalizedAdjacency(sp.csr_matrix(dense), 3, 4)
+
+    def test_unsorted_indices_are_rejected(self):
+        adj = self.adjacency().adj
+        indices = adj.indices.copy()
+        indices[:2] = indices[1::-1]  # user 0's two item columns swapped
+        data = adj.data.copy()
+        data[:2] = data[1::-1]
+        unsorted = sp.csr_matrix((data, indices, adj.indptr), shape=adj.shape)
+        with pytest.raises(GraphError, match="not sorted"):
+            gr.NormalizedAdjacency(unsorted, 3, 4)
+
+    def test_an_asymmetric_adjacency_is_rejected(self):
+        adj = self.adjacency().adj.copy()
+        adj.data[-1] *= 2.0  # an item row no longer mirrors its user column
+        with pytest.raises(GraphError, match="not symmetric"):
+            gr.NormalizedAdjacency(adj, 3, 4)
+
+    def test_a_wrong_shape_is_rejected(self):
+        with pytest.raises(GraphError, match="shape"):
+            gr.NormalizedAdjacency(self.adjacency().adj, 2, 4)
+
+
+def reference_propagation(tables, adjacency, k, layer_mean, rows=None):
+    """``propagated_embeddings`` written on ``ad.spmm(adjacency.adj, ...)``
+    and its row blocks, as it was before ``BlockHop``."""
+    current = ad.concat([tables.user, tables.item_rows()], axis=0)
+    layers = [current]
+    for hop in range(k):
+        last = rows is not None and hop == k - 1
+        current = ad.spmm(adjacency.adj[rows] if last else adjacency.adj,
+                          current)
+        layers.append(current)
+    if rows is not None:
+        if k == 0:
+            layers = [ad.lookup(current, rows)]
+        elif layer_mean:
+            layers[:-1] = [ad.lookup(layer, rows) for layer in layers[:-1]]
+    if layer_mean and len(layers) > 1:
+        total = layers[0]
+        for extra in layers[1:]:
+            total = ad.add(total, extra)
+        return ad.mul(total, 1.0 / len(layers))
+    return layers[-1]
+
+
+ROW_KINDS = ("none", "users", "all users", "items", "mixed", "empty")
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """(train, m, n, seed): users with empty histories and items nobody
+    saw are zero-degree nodes; at least one edge exists."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    train = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=5),
+                          min_size=m, max_size=m)
+                 .filter(lambda t: any(t)))
+    return train, m, n, draw(st.integers(0, 2**32 - 1))
+
+
+def pick_rows(kind, m, n, g):
+    """A sorted node set of the given kind (None for the whole table)."""
+    nodes = {"users": np.arange(m), "all users": np.arange(m),
+             "items": np.arange(m, m + n), "mixed": np.arange(m + n),
+             "empty": np.arange(0)}.get(kind)
+    if kind in ("users", "items", "mixed") and nodes.size:
+        nodes = np.sort(g.choice(nodes, g.integers(1, nodes.size + 1),
+                                 replace=False))
+    return nodes
+
+
+class TestBlockHopBitIdentity:
+    """Every hop operator gives ``adj[rows]``'s products bit for bit."""
+
+    @given(bipartite_graphs(), st.sampled_from(ROW_KINDS), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_products_equal_the_adjacency_rows(self, graph, kind, d):
+        train, m, n, seed = graph
+        g = rng(seed)
+        adjacency = gr.build_adjacency(train, m, n)
+        rows = pick_rows(kind, m, n, g)
+        block = adjacency.adj if rows is None else adjacency.adj[rows]
+        hop = adjacency.hop(rows)
+        x = g.normal(size=(m + n, d))
+        y = g.normal(size=(block.shape[0], d))
+        assert hop.shape == block.shape
+        assert np.array_equal(bits(hop @ x), bits(block @ x))
+        assert np.array_equal(bits(hop.T @ y), bits(block.T @ y))
+
+    @given(bipartite_graphs(), st.sampled_from(ROW_KINDS), st.integers(0, 3),
+           st.booleans(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_propagation_values_and_gradients_equal_the_reference(
+            self, graph, kind, k, layer_mean, d):
+        train, m, n, seed = graph
+        g = rng(seed)
+        adjacency = gr.build_adjacency(train, m, n)
+        rows = pick_rows(kind, m, n, g)
+        tables = init_tables(m, n, 1, d, seed=0)
+        tables.user.data[...] = g.normal(size=(m, d))
+        tables.item.data[:n] = g.normal(size=(n, d))
+        weights = g.normal(size=(m + n if rows is None else rows.size, d))
+        out = []
+        for propagate in (reference_propagation, gr.propagated_embeddings):
+            tables.user.zero_grad()
+            tables.item.zero_grad()
+            nodes = propagate(tables, adjacency, k, layer_mean, rows=rows)
+            ad.tsum(ad.mul(nodes, weights)).backward()
+            out.append([bits(a) for a in
+                        (nodes.data, tables.user.grad, tables.item.grad)])
+        for want, got in zip(*out):
+            assert np.array_equal(want, got)
 
 
 def test_interaction_matrix_matches_set_oracle():

@@ -7,9 +7,15 @@ from HEAD, so the comparison names the code it measured):
     python3 tools/ab.py HEAD~1                        # every workload, 10 pairs
     python3 tools/ab.py HEAD~1 --workload graph_many_users --pairs 12 --seed 7
     python3 tools/ab.py HEAD                          # A/A: the noise floor
+    python3 tools/ab.py HEAD~1 --expect-new-hashes    # a change that moves the hashes
 
 ``<rev>`` is extracted with ``git archive`` into a temporary directory
 (local, no network, and nothing is added to the repository's ``.git``).
+Before any timed run, the working tree's ``tools/identity.py`` prints the
+bit-identity record of each tree (it is copied into the base's tree, since
+it reads the program beside it). When the records differ, the differing
+entries are printed and nothing is timed (exit code 2) unless
+``--expect-new-hashes`` says the change means to move them.
 For each workload, pair i runs ``perfbench/run.py --workload W --seed S
 --trace 0`` once in each tree, one process at a time at the benchmark's
 default length; the base runs first in even pairs and the working tree
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +58,37 @@ def run_benchmark(tree: Path, workload: str, seed: int) -> dict:
     sys.stderr.write(run.stderr)
     entry = parse(run.stdout).get(workload, {"notes": {}})
     return {**entry, "exit": run.returncode}
+
+
+def identity_record(tree: Path) -> dict | None:
+    """The working tree's ``tools/identity.py`` record of ``tree``'s
+    program; None, with its stderr passed on, if the tool failed."""
+    tool = tree / "tools" / "identity.py"
+    if tree != ROOT:
+        tool.parent.mkdir(exist_ok=True)
+        shutil.copyfile(ROOT / "tools" / "identity.py", tool)
+    run = subprocess.run([sys.executable, str(tool)], cwd=tree,
+                         capture_output=True, text=True, check=False)
+    if run.returncode:
+        sys.stderr.write(run.stderr)
+        return None
+    return json.loads(run.stdout)
+
+
+def leaves(record: dict, prefix: str = "") -> dict:
+    """The record's values by dotted key path."""
+    out = {}
+    for key, value in record.items():
+        out.update(leaves(value, f"{prefix}{key}.") if isinstance(value, dict)
+                   else {prefix + key: value})
+    return out
+
+
+def moved(base: dict, head: dict) -> list[str]:
+    """The key paths whose values differ between two identity records."""
+    base, head = leaves(base), leaves(head)
+    return sorted(key for key in base.keys() | head.keys()
+                  if base.get(key) != head.get(key))
 
 
 def alternate(trees: dict[str, Path], workload: str, pairs: int, seed: int,
@@ -139,7 +177,7 @@ def extract(commit: str, dest: Path) -> None:
         raise subprocess.CalledProcessError(archive.returncode, "git archive")
 
 
-def main(argv: list[str], run=run_benchmark) -> int:
+def main(argv: list[str], run=run_benchmark, identity=identity_record) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -147,6 +185,8 @@ def main(argv: list[str], run=run_benchmark) -> int:
     parser.add_argument("--workload", choices=names + ["all"], default="all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--expect-new-hashes", action="store_true",
+                        help="time the pairs even if the identity records differ")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -164,6 +204,21 @@ def main(argv: list[str], run=run_benchmark) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         extract(commit, Path(tmp))
         trees = {"base": Path(tmp), "head": ROOT}
+        records = {side: identity(tree) for side, tree in trees.items()}
+        failed_sides = [side for side, rec in records.items() if rec is None]
+        if failed_sides:
+            print(f"tools/identity.py failed on {', '.join(failed_sides)}",
+                  file=sys.stderr)
+            return 2
+        changed = moved(records["base"], records["head"])
+        if changed and not args.expect_new_hashes:
+            print("identity records differ: " + ", ".join(changed) + "; pass "
+                  "--expect-new-hashes if the change means to move them",
+                  file=sys.stderr)
+            return 2
+        print("identity records "
+              + (f"differ, as expected: {', '.join(changed)}" if changed
+                 else "are equal"))
         for workload in names if args.workload == "all" else [args.workload]:
             runs = alternate(trees, workload, args.pairs, args.seed, run)
             print(f"workload {workload}: {args.pairs} pairs, seed {args.seed}, "
