@@ -606,10 +606,10 @@ def spmm(adj: sp.spmatrix, x) -> Tensor:
 
     ``adj`` is a constant (never differentiated) of any shape, so a block of
     a matrix's rows works as well as the whole. Only its ``shape``, ``@``
-    and ``.T @`` are read, so an operator with those works too
-    (``graph.BlockHop``). The transpose of a CSR matrix is a CSC view, with
-    no copy; for a symmetric ``adj`` its product sums each row in the same
-    order as ``adj @ g``, bit for bit.
+    and ``.T @`` are read, so an operator with those works too (the
+    full-table hop ``graph.NormalizedAdjacency``). The transpose of a CSR
+    matrix is a CSC view, with no copy; for a symmetric ``adj`` its product
+    sums each row in the same order as ``adj @ g``, bit for bit.
     """
     x = as_tensor(x)
     if adj.shape[1] != x.data.shape[0]:
@@ -734,7 +734,10 @@ def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None,
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     norm = None if norm is None else tuple(as_tensor(t) for t in norm)
     parents = (x, w1, b1, w2, b2) + (norm or ())
-    w1d, w2d, shape_b1, shape_b2 = w1.data, w2.data, b1.shape, b2.shape
+    w1d, w2d = w1.data, w2.data
+    # None: a constant bias (the fusion block's 0.0), whose sum is skipped
+    shape_b1 = b1.shape if _needs_graph(b1) else None
+    shape_b2 = b2.shape if _needs_graph(b2) else None
     # the w1 gradient reads x, or the norm's output recomputed from x̂
     xd = xhat = inv = gd = bd = None
     if norm is None:
@@ -752,14 +755,16 @@ def feed_forward(x, w1, b1, w2, b2, keep: Keep | None = None,
     def backward(g):
         nonlocal hidden
         g = _drop(g, keep)
-        gw2, gb2 = _weight_grad(hidden, g).T, _unbroadcast(g, shape_b2)
+        gw2 = _weight_grad(hidden, g).T
+        gb2 = None if shape_b2 is None else _unbroadcast(g, shape_b2)
         active = hidden > 0.0
         gpre = np.matmul(g, w2d, out=hidden)  # hidden is read for the last time
         hidden = g = None
         gpre *= active
         del active
         gw1 = _weight_grad(xd if xhat is None else _affine(xhat, gd, bd), gpre).T
-        gb1, gh = _unbroadcast(gpre, shape_b1), np.matmul(gpre, w1d)
+        gb1 = None if shape_b1 is None else _unbroadcast(gpre, shape_b1)
+        gh = np.matmul(gpre, w1d)
         del gpre
         if xhat is None:
             return gh, gw1, gb1, gw2, gb2

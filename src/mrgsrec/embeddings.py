@@ -98,7 +98,8 @@ def window_batch(user_ids, lengths: np.ndarray, items: np.ndarray,
                          np.minimum(lengths, c))
 
 
-def _check_ids(ids: np.ndarray, limit: int, what: str) -> None:
+def check_ids(ids: np.ndarray, limit: int, what: str) -> None:
+    """Raise IndexError unless every id lies in [0, limit)."""
     if ids.size and (ids.min() < 0 or ids.max() >= limit):
         raise IndexError(f"{what} id out of range [0, {limit})")
 
@@ -110,8 +111,8 @@ def embed_sequence(batch: SequenceBatch, tables: EmbeddingTables
     Returns (e_u of shape (B, d), E_u of shape (B, c, d)). Positional rows
     are added at valid slots only; padding slots carry the bare padding row.
     """
-    _check_ids(batch.user_ids, tables.n_users, "user")
-    _check_ids(batch.item_windows, tables.n_items + 1, "item")
+    check_ids(batch.user_ids, tables.n_users, "user")
+    check_ids(batch.item_windows, tables.n_items + 1, "item")
     e_u = ad.lookup(tables.user, batch.user_ids)
     items = ad.lookup(tables.item, batch.item_windows)
     mask = batch.valid_mask().astype(np.float64)[:, :, None]

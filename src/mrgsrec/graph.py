@@ -1,20 +1,24 @@
 """Bipartite interaction graph: build, symmetric-normalize, propagate, gather.
 
-The adjacency stacks users then items ((M+N) nodes) with nonzeros only in
-the user-item and item-user blocks. It is built from TRAIN interactions
-only; validation/test targets never contribute edges. Zero-degree nodes
-get zero rows (0^{-1/2} is taken as 0), so with one or more propagation
-layers their global embedding is zero. Each layer is one ``ad.spmm``.
+The graph is built from its (M, N) user-item block R of TRAIN interactions
+only; validation/test targets never contribute edges. ``build_adjacency``
+weighs each edge (u, i) of R by deg(u)^{-1/2} deg(i)^{-1/2}, and
+``NormalizedAdjacency`` derives from R the stacked adjacency over users
+then items ((M+N) nodes), ``[[0, R], [Rᵀ, 0]]`` with sorted indices. So
+the adjacency is bipartite and exactly symmetric by construction.
+Zero-degree nodes get zero rows, so with one or more propagation layers
+their global embedding is zero. Each layer is one ``ad.spmm``.
 
-A full-table hop runs over the (M, N) user-item block R alone
-(``BlockHop``): the user rows are ``R @ X_items``, a gather, and the item
-rows ``R.T @ X_users``, a scatter that streams the user rows once into the
-small item table. The adjacency is exactly symmetric with sorted indices,
-so every row sums the same terms in the same order as ``adj @ X``, and the
-result is the same bit for bit. On a graph with many more users than items
-the scatter is the faster form of the item half: gathering an item row
-reads users from all over the user table, while the scatter reads that
-table in order and writes into an item table that stays in cache.
+A full-table hop runs over R alone (``NormalizedAdjacency`` is that
+operator): the user rows are ``R @ X_items``, a gather, and the item rows
+``R.T @ X_users``, a scatter that streams the user rows once into the
+small item table. Since the adjacency is exactly symmetric with sorted
+indices, every row sums the same terms in the same order as ``adj @ X``,
+and the result is the same bit for bit. On a graph with many more users
+than items the scatter is the faster form of the item half: gathering an
+item row reads users from all over the user table, while the scatter
+reads that table in order and writes into an item table that stays in
+cache.
 
 A training step reads only a few node rows of the propagated table: the
 batch's users, plus the BPR items when the global loss is on and the window
@@ -31,87 +35,60 @@ the whole user block, which is a view of the adjacency's first M rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import EmbeddingTables, SequenceBatch, flatten
+from .embeddings import EmbeddingTables, SequenceBatch, check_ids, flatten
 from .errors import DataError, GraphError
 
 
-class BlockHop:
-    """``adj @ X`` for one full-table hop, computed over the user-item block
-    R (``NormalizedAdjacency.r``): the user rows are ``R @ X[M:]`` and the
-    item rows ``R.T @ X[:M]``, bit for bit ``adj @ X`` (module docstring).
-    ``ad.spmm`` reads only ``shape``, ``@`` and ``.T``; ``adj`` is
-    symmetric, so ``.T`` is the operator itself."""
+class NormalizedAdjacency:
+    """The symmetric-normalized interaction graph, built from its (M, N)
+    user-item block R, and the operator of one full-table hop.
+
+    ``adj`` is the stacked (M+N, M+N) matrix ``[[0, R], [Rᵀ, 0]]`` with
+    sorted indices; so it is bipartite and exactly symmetric by
+    construction. ``r`` is R again, with ``data`` and ``indptr`` views of
+    ``adj``'s first M rows (only the shifted column indices are a copy).
+    As an operator it is ``adj`` for ``ad.spmm``, which reads only
+    ``shape``, ``@`` and ``.T``: the user rows are ``R @ X[M:]`` and the
+    item rows ``R.T @ X[:M]``, bit for bit ``adj @ X`` (module docstring),
+    and ``.T`` is the operator itself."""
 
     def __init__(self, r: sp.csr_matrix):
-        m, n = r.shape
+        m, n = self.n_users, self.n_items = r.shape
         self.shape = (m + n, m + n)
-        self.r = r
+        self.adj = sp.bmat([[None, r], [r.T, None]], format="csr")
+        self.adj.sort_indices()
+        cut = self.adj.indptr[m]
+        self.r = sp.csr_matrix((self.adj.data[:cut], self.adj.indices[:cut] - m,
+                                self.adj.indptr[:m + 1]), shape=(m, n))
         # R over N empty rows: its product is the whole (M+N, d) result with
         # the item rows still zero, so the user half needs no copy.
-        indptr = np.append(r.indptr, np.full(n, r.nnz, r.indptr.dtype))
-        self._upper = sp.csr_matrix((r.data, r.indices, indptr), shape=(m + n, n))
+        indptr = np.append(self.r.indptr, np.full(n, cut, self.r.indptr.dtype))
+        self._upper = sp.csr_matrix((self.r.data, self.r.indices, indptr),
+                                    shape=(m + n, n))
 
     @property
-    def T(self) -> BlockHop:
+    def T(self) -> NormalizedAdjacency:
         return self
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        m = self.r.shape[0]
+        m = self.n_users
         out = self._upper @ x[m:]
         out[m:] = self.r.T @ x[:m]
         return out
 
-
-@dataclass
-class NormalizedAdjacency:
-    """``adj``, the (M+N, M+N) symmetric-normalized adjacency, and what a
-    hop multiplies. ``r`` is its (M, N) user-item block R: ``data`` and
-    ``indptr`` are views of ``adj``'s first M rows, only the shifted column
-    indices are a copy. Raises GraphError unless ``adj`` is bipartite (user
-    rows hold item columns only, item rows user columns only), exactly
-    symmetric and has sorted indices, since ``BlockHop`` reads R alone."""
-    adj: sp.csr_matrix
-    n_users: int
-    n_items: int
-    r: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    _full: BlockHop = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m, n, adj = self.n_users, self.n_items, self.adj
-        if adj.shape != (m + n, m + n):
-            raise GraphError(f"adjacency shape {adj.shape} is not "
-                             f"({m + n}, {m + n})")
-        if not adj.has_sorted_indices:
-            raise GraphError("adjacency column indices are not sorted")
-        cut = adj.indptr[m]
-        if (adj.indices[:cut] < m).any() or (adj.indices[cut:] >= m).any():
-            raise GraphError("adjacency is not bipartite: a user row holds a "
-                             "user column or an item row an item column")
-        self.r = sp.csr_matrix(
-            (adj.data[:cut], adj.indices[:cut] - m, adj.indptr[:m + 1]),
-            shape=(m, n))
-        by_item = self.r.tocsc()
-        if not (np.array_equal(by_item.indptr, adj.indptr[m:] - cut)
-                and np.array_equal(by_item.indices, adj.indices[cut:])
-                and np.array_equal(by_item.data, adj.data[cut:])):
-            raise GraphError("adjacency is not symmetric")
-        self._full = BlockHop(self.r)
-
     def hop(self, rows: np.ndarray | None = None):
         """What ``ad.spmm`` multiplies for one hop to the sorted, unique
-        nodes ``rows`` (None: all): a ``BlockHop``, the first M rows of
+        nodes ``rows`` (None: all): the graph itself, the first M rows of
         ``adj`` as views when ``rows`` is the whole user block, or
         ``adj[rows]``. Each has the products of ``adj[rows]`` bit for bit."""
         m = self.n_users
         if rows is None:
-            return self._full
+            return self
         if rows.size == m and m and rows[-1] == m - 1:  # rows is arange(M)
             cut = self.adj.indptr[m]
             return sp.csr_matrix((self.adj.data[:cut], self.adj.indices[:cut],
@@ -135,19 +112,18 @@ def interaction_matrix(train: list[list[int]], n_users: int, n_items: int
 
 def build_adjacency(train: list[list[int]], n_users: int, n_items: int
                     ) -> NormalizedAdjacency:
-    """Assemble R from deduplicated train interactions and return
-    D^{-1/2} A D^{-1/2} over the stacked user+item node set."""
+    """D^{-1/2} A D^{-1/2} over the stacked user+item node set, from R of
+    the deduplicated train interactions: edge (u, i) weighs
+    deg(u)^{-1/2} deg(i)^{-1/2}."""
     r = interaction_matrix(train, n_users, n_items)
     if r.nnz == 0:
         raise GraphError("interaction graph has no edges")
-    adj = sp.bmat([[None, r], [r.T, None]], format="csr")
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
-    d_half = sp.diags(inv_sqrt)
-    normalized = (d_half @ adj @ d_half).tocsr()
-    normalized.sort_indices()
-    return NormalizedAdjacency(normalized, n_users, n_items)
+    users = np.diff(r.indptr)
+    with np.errstate(divide="ignore"):  # a zero-degree node owns no edge
+        inv_user = 1.0 / np.sqrt(users)
+        inv_item = 1.0 / np.sqrt(np.bincount(r.indices, minlength=n_items))
+    r.data = np.repeat(inv_user, users) * inv_item[r.indices]
+    return NormalizedAdjacency(r)
 
 
 def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacency,
@@ -208,15 +184,18 @@ def gather_users(node_embeddings: ad.Tensor, batch: SequenceBatch,
                  n_users: int, rows: np.ndarray | None = None) -> ad.Tensor:
     """e_g of shape (B, d): the batch's user rows of the node table, which
     holds the nodes ``rows`` (None: all M+N)."""
-    if batch.user_ids.size and batch.user_ids.max() >= n_users:
-        raise IndexError("user id out of range")
+    check_ids(batch.user_ids, n_users, "user")
     return ad.lookup(node_embeddings, node_positions(rows, batch.user_ids))
 
 
-def window_nodes(batch: SequenceBatch, n_users: int) -> np.ndarray:
+def window_nodes(batch: SequenceBatch, n_users: int, n_items: int
+                 ) -> np.ndarray:
     """(B, c) node ids that ``gather_windows`` reads for the window slots;
-    padding slots read item 0's node and are zeroed."""
-    return n_users + np.where(batch.valid_mask(), batch.item_windows, 0)
+    padding slots read item 0's node and are zeroed. Raises IndexError for
+    a window item outside [0, N)."""
+    items = np.where(batch.valid_mask(), batch.item_windows, 0)
+    check_ids(items, n_items, "item")
+    return n_users + items
 
 
 def gather_windows(node_embeddings: ad.Tensor, batch: SequenceBatch,
@@ -225,9 +204,7 @@ def gather_windows(node_embeddings: ad.Tensor, batch: SequenceBatch,
     """E_g of shape (B, c, d): the window items' rows of the node table,
     which holds the nodes ``rows`` (None: all M+N); padding slots gather
     zeros."""
-    nodes = window_nodes(batch, n_users)
-    if nodes.max(initial=n_users) >= n_users + n_items:
-        raise IndexError("item id out of range")
+    nodes = window_nodes(batch, n_users, n_items)
     gathered = ad.lookup(node_embeddings, node_positions(rows, nodes))
     return ad.mul(gathered, batch.valid_mask().astype(np.float64)[:, :, None])
 

@@ -588,6 +588,21 @@ def test_closure_computes_no_gradient_for_a_constant(op):
         assert [pg is not None for pg in grads] == list(wanted)
 
 
+@pytest.mark.parametrize("norm", [False, True])
+def test_feed_forward_closure_computes_no_gradient_for_a_constant_bias(norm):
+    # the fusion block's 0.0 biases take None; parameter biases their sums
+    x, w1, b1, w2, b2 = (ad.parameter(a) for a in ffn_inputs(rng(64), (3, 5)))
+    extra = (ad.parameter(np.ones(4)), ad.parameter(np.zeros(4))) if norm else ()
+    g = rng(65).normal(size=(3, 5, 4))
+    for bias1, bias2 in ((0.0, 0.0), (b1, 0.0), (0.0, b2), (b1, b2)):
+        out = ad.feed_forward(x, w1, bias1, w2, bias2, norm=extra or None)
+        grads = out._backward(g)
+        assert len(grads) == 5 + len(extra)
+        assert (grads[2] is not None, grads[4] is not None) \
+            == (bias1 is b1, bias2 is b2)
+        assert all(grads[i] is not None for i in (0, 1, 3, *range(5, len(grads))))
+
+
 def test_backward_frees_the_intermediates_the_caller_does_not_hold():
     x = ad.parameter(rng(3).normal(size=(4, 3)))
     hidden = composed_ops.relu(ad.mul(x, 2.0))

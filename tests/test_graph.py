@@ -11,6 +11,8 @@ from mrgsrec import graph as gr
 from mrgsrec.data import SplitDataset
 from mrgsrec.embeddings import build_batch, init_tables
 from mrgsrec.errors import GraphError
+from mrgsrec.model import encoder_paths, forward_states, init_model
+from mrgsrec.seqenc import SeqEncoderConfig
 from mrgsrec.verification import dense_normalized_adjacency, restricted_and_full
 
 
@@ -195,6 +197,44 @@ class TestGraphEncode:
             gr.propagated_embeddings(tables, adjacency, -1)
 
 
+class TestNodeIdRange:
+    """A user or window item id outside [0, limit) raises IndexError before
+    it reaches a node row: -1 would read the table's last row."""
+
+    make = TestGraphEncode.make
+
+    @pytest.mark.parametrize("user", [-1, 4])
+    def test_gather_users_rejects(self, user):
+        tables, adjacency, batch = self.make()
+        batch.user_ids[0] = user
+        nodes = gr.propagated_embeddings(tables, adjacency, 1)
+        with pytest.raises(IndexError, match=r"user id out of range \[0, 4\)"):
+            gr.gather_users(nodes, batch, tables.n_users)
+
+    @pytest.mark.parametrize("item", [-1, 6])
+    def test_gather_windows_rejects(self, item):
+        tables, adjacency, batch = self.make()
+        batch.item_windows[0, -1] = item  # the last slot is always valid
+        nodes = gr.propagated_embeddings(tables, adjacency, 1)
+        with pytest.raises(IndexError, match=r"item id out of range \[0, 6\)"):
+            gr.gather_windows(nodes, batch, tables.n_users, tables.n_items)
+        with pytest.raises(IndexError, match="item id out of range"):
+            gr.window_nodes(batch, tables.n_users, tables.n_items)
+
+    @pytest.mark.parametrize("user", [-1, 4])
+    def test_graph_only_forward_states_rejects_before_propagating(
+            self, monkeypatch, user):
+        _, adjacency, batch = self.make()
+        params = init_model(4, 6, 3, SeqEncoderConfig(d=4, n_layers=1), seed=0)
+        batch.user_ids[0] = user
+        hops = []
+        monkeypatch.setattr(ad, "spmm", lambda *args: hops.append(args))
+        with pytest.raises(IndexError, match="user id out of range"):
+            forward_states(params, batch, adjacency, 2,
+                           **encoder_paths("graph"))
+        assert not hops
+
+
 def test_gradient_through_propagation_layers():
     m, n, d, c, k = 6, 8, 4, 3, 2  # 14 nodes <= 30, d <= 8
     tables = init_tables(m, n, c, d, seed=11)
@@ -261,50 +301,6 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-class TestAdjacencyGuard:
-    """``NormalizedAdjacency`` takes only what ``BlockHop`` reads exactly."""
-
-    def adjacency(self):
-        return gr.build_adjacency([[0, 2], [1], [2, 3]], 3, 4)
-
-    def test_blocks_are_views_of_the_adjacency(self):
-        adjacency = self.adjacency()
-        np.testing.assert_array_equal(adjacency.r.toarray(),
-                                      adjacency.adj[:3, 3:].toarray())
-        assert np.shares_memory(adjacency.r.data, adjacency.adj.data)
-        assert np.shares_memory(adjacency.r.indptr, adjacency.adj.indptr)
-        users = adjacency.hop(np.arange(3))
-        assert users.shape == (3, 7)
-        assert np.shares_memory(users.indices, adjacency.adj.indices)
-
-    @pytest.mark.parametrize("edge", [(0, 1), (4, 6)])  # user-user, item-item
-    def test_a_non_bipartite_edge_is_rejected(self, edge):
-        dense = self.adjacency().adj.toarray()
-        dense[edge] = dense[edge[::-1]] = 0.5
-        with pytest.raises(GraphError, match="not bipartite"):
-            gr.NormalizedAdjacency(sp.csr_matrix(dense), 3, 4)
-
-    def test_unsorted_indices_are_rejected(self):
-        adj = self.adjacency().adj
-        indices = adj.indices.copy()
-        indices[:2] = indices[1::-1]  # user 0's two item columns swapped
-        data = adj.data.copy()
-        data[:2] = data[1::-1]
-        unsorted = sp.csr_matrix((data, indices, adj.indptr), shape=adj.shape)
-        with pytest.raises(GraphError, match="not sorted"):
-            gr.NormalizedAdjacency(unsorted, 3, 4)
-
-    def test_an_asymmetric_adjacency_is_rejected(self):
-        adj = self.adjacency().adj.copy()
-        adj.data[-1] *= 2.0  # an item row no longer mirrors its user column
-        with pytest.raises(GraphError, match="not symmetric"):
-            gr.NormalizedAdjacency(adj, 3, 4)
-
-    def test_a_wrong_shape_is_rejected(self):
-        with pytest.raises(GraphError, match="shape"):
-            gr.NormalizedAdjacency(self.adjacency().adj, 2, 4)
-
-
 def reference_propagation(tables, adjacency, k, layer_mean, rows=None):
     """``propagated_embeddings`` written on ``ad.spmm(adjacency.adj, ...)``
     and its row blocks, as it was before ``BlockHop``."""
@@ -340,6 +336,69 @@ def bipartite_graphs(draw):
                           min_size=m, max_size=m)
                  .filter(lambda t: any(t)))
     return train, m, n, draw(st.integers(0, 2**32 - 1))
+
+
+def product_build(train, m, n):
+    """D^-1/2 A D^-1/2 as two sparse products over the stacked (M+N, M+N)
+    A, the way ``build_adjacency`` formed it before it normalized R."""
+    r = gr.interaction_matrix(train, m, n)
+    a = sp.bmat([[None, r], [r.T, None]], format="csr")
+    degrees = np.asarray(a.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
+    d_half = sp.diags(inv_sqrt)
+    adj = (d_half @ a @ d_half).tocsr()
+    adj.sort_indices()
+    return adj
+
+
+class TestAdjacencyStructure:
+    """The graph derived from R has the structure the full hop reads."""
+
+    @given(bipartite_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_adjacency_equals_the_product_build(self, graph):
+        train, m, n, _ = graph
+        got, want = gr.build_adjacency(train, m, n).adj, product_build(train, m, n)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(bits(got.data), bits(want.data))
+        for field in ("indices", "indptr"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @given(bipartite_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_adjacency_is_bipartite_symmetric_and_sorted(self, graph):
+        train, m, n, _ = graph
+        adjacency = gr.build_adjacency(train, m, n)
+        adj = adjacency.adj
+        assert (adjacency.n_users, adjacency.n_items) == (m, n)
+        assert adj.shape == adjacency.shape == (m + n, m + n)
+        rows = np.repeat(np.arange(m + n), np.diff(adj.indptr))
+        assert np.array_equal(rows < m, adj.indices >= m)  # bipartite
+        later = np.diff(adj.indices) > 0
+        assert later[rows[1:] == rows[:-1]].all()  # sorted within each row
+        assert adj.has_sorted_indices
+        mirror = adj.T.tocsr()
+        mirror.sort_indices()
+        assert np.array_equal(mirror.indptr, adj.indptr)
+        assert np.array_equal(mirror.indices, adj.indices)
+        assert np.array_equal(bits(mirror.data), bits(adj.data))
+
+    @given(bipartite_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_r_is_the_user_block_and_shares_its_memory(self, graph):
+        train, m, n, _ = graph
+        adjacency = gr.build_adjacency(train, m, n)
+        adj, r = adjacency.adj, adjacency.r
+        assert r.shape == (m, n)
+        assert np.array_equal(bits(r.toarray()), bits(adj[:m, m:].toarray()))
+        assert np.shares_memory(r.data, adj.data)
+        assert np.shares_memory(r.indptr, adj.indptr)
+        users = adjacency.hop(np.arange(m))
+        assert users.shape == (m, m + n)
+        assert np.shares_memory(users.indices, adj.indices)
+        assert adjacency.hop(None) is adjacency and adjacency.T is adjacency
 
 
 def pick_rows(kind, m, n, g):

@@ -453,7 +453,8 @@ def test_step_propagates_the_rows_its_weighted_losses_read(
     if weights.beta > 0:
         read += [n_users + positives, n_users + negatives[:, 0]]
     if weights.delta > 0:
-        read.append(window_nodes(batch, n_users).ravel())
+        read.append(window_nodes(batch, n_users,
+                                 params.tables.n_items).ravel())
     if md.encoder_paths(head, weights)["need_graph"]:
         assert len(propagated) == 1
         np.testing.assert_array_equal(propagated[0],

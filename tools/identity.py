@@ -10,11 +10,12 @@ alike on this host. For each benchmark workload (loaded through
 ``perfbench/workload.py``, seed 1) it trains ``STEPS`` steps as the
 benchmark does and records the sha256 of the per-step losses, of every
 parameter block, of the Adam moments, of the training generator's state
-and of the validation ``MetricsReport``. It adds the sha256 of
+and of the validation ``MetricsReport``, and the sha256 of the normalized
+adjacency's ``data``, ``indices`` and ``indptr``. It adds the sha256 of
 ``verification.run_all(quick=True)``'s text and the gradient instance's
 four component losses as reprs. BLAS runs on one thread, as in the
 benchmark; OpenBLAS picks its kernels per CPU, so compare records made on
-the same host.
+the same host: ``host`` names the CPU model and numpy's BLAS build.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
+import re
 import sys
 from pathlib import Path
 
@@ -61,7 +64,9 @@ def workload_record(name: str, n_steps: int) -> dict[str, str]:
     report = evaluate(setup.params, setup.dataset, "validation", hyper,
                       adjacency=setup.adjacency,
                       fingerprint=workload.fingerprint)
+    adj = setup.adjacency.adj
     return {
+        "adj": digest([adj.data, adj.indices, adj.indptr]),
         "losses": digest([np.array([[step[k] for k in sorted(step)]
                                     for step in losses])]),
         "params": digest([p.data for p in setup.params.parameters()]),
@@ -71,6 +76,26 @@ def workload_record(name: str, n_steps: int) -> dict[str, str]:
     }
 
 
+def cpu_model() -> str:
+    """The first ``model name`` of ``/proc/cpuinfo``, else ``platform``'s
+    processor or machine name."""
+    try:
+        found = re.search(r"^model name\s*:\s*(.*)$",
+                          Path("/proc/cpuinfo").read_text(), re.MULTILINE)
+    except OSError:
+        found = None
+    return found.group(1) if found else (platform.processor()
+                                         or platform.machine())
+
+
+def host() -> dict:
+    """The CPU model and the BLAS numpy was built against."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {"cpu": cpu_model(), "blas": blas}
+
+
 def record() -> dict:
     from mrgsrec.verification import (component_loss_fn,
                                       make_gradient_instance, run_all)
@@ -78,6 +103,7 @@ def record() -> dict:
     instance = make_gradient_instance()
     _, verify_text = run_all(quick=True)
     return {
+        "host": host(),
         "workloads": {name: workload_record(name, n)
                       for name, n in STEPS.items()},
         "verify_quick": hashlib.sha256(verify_text.encode()).hexdigest(),
