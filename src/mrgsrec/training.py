@@ -246,7 +246,8 @@ def step_losses(params: ModelParams, adjacency: NormalizedAdjacency | None,
     if w.beta > 0:
         node_rows.append(bpr_nodes.ravel())
     if w.delta > 0:
-        node_rows.append(window_nodes(batch, tables.n_users, tables.n_items).ravel())
+        node_rows.append(
+            window_nodes(batch, tables.n_users, tables.n_items).ravel())
     states = forward_states(
         params, batch, adjacency, hyper.k,
         layer_mean=hyper.layer_mean, train_mode=train_mode, rng=rng,
