@@ -303,7 +303,7 @@ def bits(a):
 
 def reference_propagation(tables, adjacency, k, layer_mean, rows=None):
     """``propagated_embeddings`` written on ``ad.spmm(adjacency.adj, ...)``
-    and its row blocks, as it was before ``BlockHop``."""
+    and its row blocks, as it was before the full hop read R alone."""
     current = ad.concat([tables.user, tables.item_rows()], axis=0)
     layers = [current]
     for hop in range(k):
