@@ -29,7 +29,7 @@ Inside ``with no_grad():`` every op returns a plain leaf, so a forward pass
 
 Closure contract: capture the arrays you read, never a ``Tensor`` (or a
 node), and an operand's array only if a gradient you compute reads it.
-``backward(g)`` returns one gradient per parent, in ``_parents`` order,
+``backward(g)`` returns one gradient per parent, in ``node.parents`` order,
 writing only to arrays it allocates. Each is a view of ``g`` (or ``g``) or
 an array allocated for that parent alone, never one the closure keeps, or
 None for a parent that needs no graph (a constant: padding masks, loss
@@ -151,8 +151,6 @@ class Tensor:
     __slots__ = ("data", "node")
     grad = _on_node("grad")
     requires_grad = _on_node("requires_grad")
-    _parents = _on_node("parents")  # the parents' nodes
-    _backward = _on_node("backward")
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple = (), backward: Callable | None = None):

@@ -17,8 +17,8 @@ and every chunk of ``EVAL_BATCH`` users gathers its user rows from that
 table. No head reads ``E_l``, so ``encoder_paths`` turns ``positions`` off:
 each chunk builds the user states alone, and the final encoder block runs
 on the state row only. Each chunk's (B, N) score block is ranked in two
-comparisons. ``scores > target`` with the seen items (CSR-style (indptr,
-items) arrays) cleared gives the count ahead. ``scores == target`` holds
+comparisons. ``scores > target`` with the seen items ((row, item) pairs)
+cleared gives the count ahead. ``scores == target`` holds
 each target's tie with itself; when it holds B ties and no target is NaN,
 that count is the rank. Only when some row ties another item are the
 exclusions re-applied to the ties, those with a smaller id than the target
@@ -85,18 +85,17 @@ def rank_targets(scores: np.ndarray, targets, excluded=None) -> np.ndarray:
     """1-based rank of each row's target among that row's non-excluded items.
 
     rank = 1 + #(strictly better) + #(equal score with smaller id).
-    ``scores`` is (B, N) and is not modified; ``excluded`` is None or a
-    CSR-style pair (indptr of length B+1, item ids) listing each row's
-    excluded items. A target must stay a candidate: excluding it raises
-    ``ProtocolError``.
+    ``scores`` is (B, N) and is not modified; ``excluded`` is None or two
+    equal-length int arrays (rows in [0, B), item ids), one excluded
+    (row, item) pair per position, in any order and possibly repeated. A
+    target must stay a candidate: excluding it raises ``ProtocolError``.
     """
     scores = np.asarray(scores)
     targets = np.asarray(targets, dtype=np.int64)
-    (n_rows, n_items), rows = scores.shape, np.arange(scores.shape[0])
-    target_scores = scores[rows, targets][:, None]
+    n_rows, n_items = scores.shape
+    target_scores = scores[np.arange(n_rows), targets][:, None]
     if excluded is not None:
-        indptr, items = excluded
-        item_rows = np.repeat(rows, np.diff(indptr))
+        item_rows, items = excluded
         hit = items == targets[item_rows]
         if hit.any():
             raise ProtocolError(
@@ -141,18 +140,17 @@ def rank_target(scores: np.ndarray, target: int, excluded=()) -> int:
     """``rank_targets`` for one score row and a collection of excluded ids."""
     items = np.fromiter(excluded, dtype=np.int64)
     return int(rank_targets(np.asarray(scores)[None, :], [target],
-                            (np.array([0, items.size]), items))[0])
+                            (np.zeros(items.size, dtype=np.int64), items))[0])
 
 
 def _seen_items(lengths: np.ndarray, items: np.ndarray, targets: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style (indptr, items) of each sequence's items minus its target,
-    from the flat layout (``embeddings.flatten``); repeated items stay
-    repeated, which ranking ignores."""
+    """(row, item) pairs of each sequence's items minus its target, from the
+    flat layout (``embeddings.flatten``); repeated items stay repeated,
+    which ranking ignores."""
     rows = np.repeat(np.arange(len(lengths)), lengths)
     keep = items != targets[rows]
-    counts = np.bincount(rows[keep], minlength=len(lengths))
-    return np.concatenate([[0], np.cumsum(counts)]), items[keep]
+    return rows[keep], items[keep]
 
 
 def hr_at_k(rank: int, k: int) -> float:

@@ -22,15 +22,15 @@ cache.
 
 A training step reads only a few node rows of the propagated table: the
 batch's users, plus the BPR items when the global loss is on and the window
-items when the contrastive loss is on. ``propagated_embeddings``
-with ``rows`` computes its last hop for those rows alone, as the sparse
-product of the adjacency's row block with the full previous layer (the
-per-batch computation graph of PinSage, Ying et al., KDD 2018). Each row's
-product is the same sum as in the full table, so the result is exact.
-Earlier hops stay full-table: two hops from a 256-user batch already reach
-most of the graph, so restricting them would save little and cost the
-bookkeeping of a growing neighbourhood per hop. Evaluation's last hop is
-the whole user block, which is a view of the adjacency's first M rows.
+items when the contrastive loss is on. ``propagated_embeddings`` with
+``rows`` computes its last hop for those rows alone, as the sparse product
+of the adjacency's row block ``adj[rows]`` with the full previous layer
+(the per-batch computation graph of PinSage, Ying et al., KDD 2018). Each
+row's product is the same sum as in the full table, so the result is
+exact. Earlier hops stay full-table: two hops from a 256-user batch
+already reach most of the graph, so restricting them would save little
+and cost the bookkeeping of a growing neighbourhood per hop. Evaluation's
+last hop is one more such block, the user rows ``adj[arange(M)]``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class NormalizedAdjacency:
     As an operator it is ``adj`` for ``ad.spmm``, which reads only
     ``shape``, ``@`` and ``.T``: the user rows are ``R @ X[M:]`` and the
     item rows ``R.T @ X[:M]``, bit for bit ``adj @ X`` (module docstring),
-    and ``.T`` is the operator itself."""
+    and ``.T`` is the operator itself. A hop to some rows alone multiplies
+    ``adj[rows]``."""
 
     def __init__(self, r: sp.csr_matrix):
         m, n = self.n_users, self.n_items = r.shape
@@ -80,21 +81,6 @@ class NormalizedAdjacency:
         out = self._upper @ x[m:]
         out[m:] = self.r.T @ x[:m]
         return out
-
-    def hop(self, rows: np.ndarray | None = None):
-        """What ``ad.spmm`` multiplies for one hop to the sorted, unique
-        nodes ``rows`` (None: all): the graph itself, the first M rows of
-        ``adj`` as views when ``rows`` is the whole user block, or
-        ``adj[rows]``. Each has the products of ``adj[rows]`` bit for bit."""
-        m = self.n_users
-        if rows is None:
-            return self
-        if rows.size == m and m and rows[-1] == m - 1:  # rows is arange(M)
-            cut = self.adj.indptr[m]
-            return sp.csr_matrix((self.adj.data[:cut], self.adj.indices[:cut],
-                                  self.adj.indptr[:m + 1]),
-                                 shape=(m, self.adj.shape[1]))
-        return self.adj[rows]
 
 
 def interaction_matrix(train: list[list[int]], n_users: int, n_items: int
@@ -136,7 +122,7 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
 
     ``rows``, a sorted array of unique node ids, asks for those rows alone:
     the result is (len(rows), d), its row i is node ``rows[i]``, and the
-    last hop multiplies only the adjacency's ``rows`` block. Earlier layers
+    last hop multiplies ``adjacency.adj[rows]`` alone. Earlier layers
     are full-table and, for ``layer_mean``, read at ``rows``; with k = 0 the
     result is the initial table's ``rows``. Values and gradients equal the
     full table's bit for bit. ``node_positions`` maps node ids to rows.
@@ -149,7 +135,8 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
         [tables.user, tables.item_rows()], axis=0)
     layers = [current]
     for hop in range(k):
-        current = ad.spmm(adjacency.hop(rows if hop == k - 1 else None), current)
+        last = rows is not None and hop == k - 1
+        current = ad.spmm(adjacency.adj[rows] if last else adjacency, current)
         layers.append(current)
     if rows is not None:
         if k == 0:

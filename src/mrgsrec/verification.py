@@ -247,8 +247,8 @@ def metric_suite() -> dict:
         exclusions.append(sorted(
             set(rng.integers(0, n_items, size=5).tolist()) - {int(targets[u])}))
     lengths, items = flatten(exclusions)
-    indptr = np.cumsum([0, *lengths])
-    ranks = rank_targets(scores, targets, (indptr, items)).tolist()
+    rows = np.repeat(np.arange(n_users), lengths)
+    ranks = rank_targets(scores, targets, (rows, items)).tolist()
     for got, row, target, excluded in zip(ranks, scores, targets, exclusions):
         want = metric_oracle_rank(row, int(target), excluded)
         if got != want:

@@ -497,7 +497,7 @@ def test_no_tape_forward_matches_recording_and_leaves_inputs(name):
     ad.tsum(ad.mul(recorded, rng(92).normal(size=recorded.shape))).backward()
     with ad.no_grad():
         plain = op(*inputs)
-    assert plain._backward is None
+    assert plain.node.backward is None
     assert plain.data.tobytes() == recorded.data.tobytes()
     for x, p, before in zip(inputs, params, saved, strict=True):
         assert np.array_equal(x, before) and np.array_equal(p.data, before)
@@ -526,14 +526,14 @@ def test_no_grad_nests_and_restores_on_exception():
     x = ad.parameter(np.ones(3))
     with ad.no_grad():
         with ad.no_grad():
-            assert ad.square(x)._backward is None
-        assert ad.square(x)._backward is None
-    assert ad.square(x)._backward is not None
+            assert ad.square(x).node.backward is None
+        assert ad.square(x).node.backward is None
+    assert ad.square(x).node.backward is not None
     with pytest.raises(RuntimeError):
         with ad.no_grad():
             raise RuntimeError("inside")
     out = ad.square(x)
-    assert out._parents == (x.node,) and out._backward is not None
+    assert out.node.parents == (x.node,) and out.node.backward is not None
 
 
 def test_linear_cross_entropy_under_no_grad_is_a_plain_leaf():
@@ -541,7 +541,7 @@ def test_linear_cross_entropy_under_no_grad_is_a_plain_leaf():
     w = ad.parameter(np.ones((4, 2)))
     with ad.no_grad():
         loss = ad.linear_cross_entropy(x, w, np.array([0, 1, 2]))
-    assert loss._backward is None and loss._parents == ()
+    assert loss.node.backward is None and loss.node.parents == ()
     assert np.isclose(loss.item(), 3 * math.log(4))
 
 
@@ -558,13 +558,13 @@ def test_owned_first_gradient_is_adopted_without_a_copy():
     # a closure's freshly allocated result becomes x.grad itself
     x = ad.parameter(np.arange(6.0).reshape(2, 3))
     out = composed_ops.relu(x)
-    closure, returned = out._backward, []
+    closure, returned = out.node.backward, []
 
     def spy(g):
         returned.extend(closure(g))
         return returned
 
-    out._backward = spy
+    out.node.backward = spy
     ad.tsum(out).backward()
     assert len(returned) == 1 and x.grad is returned[0]
 
@@ -584,7 +584,7 @@ def test_closure_computes_no_gradient_for_a_constant(op):
     g = np.ones((2, 2))
     for out, wanted in ((op(x, constant), (True, False)),
                         (op(constant, x), (False, True))):
-        grads = out._backward(g)
+        grads = out.node.backward(g)
         assert [pg is not None for pg in grads] == list(wanted)
 
 
@@ -596,7 +596,7 @@ def test_feed_forward_closure_computes_no_gradient_for_a_constant_bias(norm):
     g = rng(65).normal(size=(3, 5, 4))
     for bias1, bias2 in ((0.0, 0.0), (b1, 0.0), (0.0, b2), (b1, b2)):
         out = ad.feed_forward(x, w1, bias1, w2, bias2, norm=extra or None)
-        grads = out._backward(g)
+        grads = out.node.backward(g)
         assert len(grads) == 5 + len(extra)
         assert (grads[2] is not None, grads[4] is not None) \
             == (bias1 is b1, bias2 is b2)
@@ -685,7 +685,7 @@ def test_a_held_intermediate_keeps_its_grad():
     x = ad.parameter(rng(4).normal(size=(2, 3)))
     hidden = ad.mul(x, 3.0)
     ad.tsum(ad.square(hidden)).backward()
-    assert hidden._parents == ()  # consumed, its grad kept
+    assert hidden.node.parents == ()  # consumed, its grad kept
     np.testing.assert_array_equal(hidden.grad, 2.0 * hidden.data)
 
 
@@ -748,7 +748,7 @@ def test_feed_forward_backward_leaves_its_inputs_and_gradient(rate):
     out_before = out.data.copy()
     grad_out = g.normal(size=out.shape)
     grad_before = grad_out.copy()
-    grads = out._backward(grad_out)
+    grads = out.node.backward(grad_out)
     assert grad_out.tobytes() == grad_before.tobytes()
     assert out.data.tobytes() == out_before.tobytes()
     for x, p in zip(inputs, params, strict=True):
@@ -772,7 +772,7 @@ def test_a_second_backward_through_a_reusing_closure_raises():
     with pytest.raises(GraphError):
         ad.tsum(ad.mul(out, 2.0)).backward()
     with pytest.raises(GraphError):
-        out._backward(np.ones(out.shape))
+        out.node.backward(np.ones(out.shape))
     for p, want in zip((x, w1, w2), first, strict=True):
         assert p.grad.tobytes() == want.tobytes()
 
@@ -794,10 +794,10 @@ def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_product():
     assert np.signbit(out.data[~keep_out[0]]).any()
     assert out.data.tobytes() == (plain.data * factor).tobytes()
     grad_out = rng(8).normal(size=out.shape)
-    for got, want in zip(out._backward(grad_out), plain._backward(grad_out * factor),
-                         strict=True):
+    for got, want in zip(out.node.backward(grad_out),
+                         plain.node.backward(grad_out * factor), strict=True):
         assert got.tobytes() == want.tobytes()
-    assert out._parents == tuple(t.node for t in inputs)
+    assert out.node.parents == tuple(t.node for t in inputs)
 
 
 def test_feed_forward_relu_maps_negative_zero_to_zero_and_keeps_nan():
@@ -979,7 +979,7 @@ def test_random_dag_gradients_are_unaliased_and_match_fd(steps, shapes,
     loss, pool = build_dag(steps, params.values(), constants, seed)
     assert not graph_in_closures(loss)
     # picked before backward(), which consumes every node it passes
-    pool_constants = [t for t in pool if not (t.requires_grad or t._parents)]
+    pool_constants = [t for t in pool if not (t.requires_grad or t.node.parents)]
     loss.backward()
     grads = [t.grad for t in pool if t.grad is not None]
     for k, first in enumerate(grads):

@@ -55,6 +55,13 @@ class TestRankTarget:
             metric_oracle_rank(scores, target, excluded)
 
 
+def pairs(excluded):
+    """(rows, items) pairs of a per-row list of excluded ids, row by row."""
+    rows = np.repeat(np.arange(len(excluded)), [len(ex) for ex in excluded])
+    items = np.asarray([i for ex in excluded for i in ex], dtype=np.int64)
+    return rows, items
+
+
 @st.composite
 def ranking_blocks(draw):
     """A (B, N) block of small-integer scores (many ties), one target per
@@ -79,9 +86,7 @@ class TestRankTargets:
         scores, targets, histories = block
         # the target always stays a candidate, as evaluate arranges it
         excluded = [[i for i in h if i != t] for h, t in zip(histories, targets)]
-        indptr = np.cumsum([0] + [len(ex) for ex in excluded])
-        items = np.asarray([i for ex in excluded for i in ex], dtype=np.int64)
-        got = ev.rank_targets(scores, targets, (indptr, items))
+        got = ev.rank_targets(scores, targets, pairs(excluded))
         open_ranks = ev.rank_targets(scores, targets)
         for row, target, ex, rank, open_rank in zip(
                 scores, targets, excluded, got, open_ranks):
@@ -89,14 +94,29 @@ class TestRankTargets:
             assert open_rank == metric_oracle_rank(row, target)
 
     def test_excluded_target_raises(self):
-        excluded = (np.array([0, 0, 1]), np.array([2]))
+        excluded = (np.array([1]), np.array([2]))
         with pytest.raises(ProtocolError):
             ev.rank_targets(np.zeros((2, 4)), [1, 2], excluded)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_blocks(), st.integers(0, 2**32 - 1))
+    def test_shuffled_and_repeated_pairs_match_sort_oracle(self, block, seed):
+        scores, targets, histories = block
+        excluded = [[i for i in h if i != t] for h, t in zip(histories, targets)]
+        rows, items = pairs(excluded)
+        g = rng(seed)
+        again = g.integers(0, 2, size=rows.size).astype(bool)  # some repeat
+        order = g.permutation(rows.size + int(again.sum()))
+        rows = np.concatenate([rows, rows[again]])[order]
+        items = np.concatenate([items, items[again]])[order]
+        got = ev.rank_targets(scores, targets, (rows, items))
+        for row, target, ex, rank in zip(scores, targets, excluded, got):
+            assert rank == metric_oracle_rank(row, target, ex)
 
 
 @st.composite
 def rank_cases(draw):
-    """A (B, N) score block with its targets and CSR exclusions.
+    """A (B, N) score block with its targets and per-row exclusions.
 
     Scores are integer-valued (many ties) or distinct, with ±0.0 and NaN
     entries mixed in; a target may be NaN, exclusions may repeat an id and
@@ -151,11 +171,9 @@ class TestRankTargetsFastAndTiePaths:
     def test_rows_match_sort_oracle_and_leave_scores_unchanged(self, case):
         scores, targets, excluded = case
         before = scores.copy()
-        indptr = np.cumsum([0] + [len(ex) for ex in excluded])
-        items = np.asarray([i for ex in excluded for i in ex], dtype=np.int64)
         with mock.patch.object(ev, "_row_counts",
                                wraps=ev._row_counts) as counts:
-            got = ev.rank_targets(scores, targets, (indptr, items))
+            got = ev.rank_targets(scores, targets, pairs(excluded))
         assert scores.tobytes() == before.tobytes()
         # the tie path counts a second time exactly when some row's target
         # is NaN or ties with another item
@@ -522,7 +540,7 @@ def test_evaluate_records_no_tape(monkeypatch):
 
     def recording(data, parents, backward):
         out = original(data, parents, backward)
-        made.append(out._backward is not None or bool(out._parents))
+        made.append(out.node.backward is not None or bool(out.node.parents))
         return out
 
     monkeypatch.setattr(ad, "_make", recording)
@@ -533,4 +551,4 @@ def test_evaluate_records_no_tape(monkeypatch):
     ev.evaluate(params, dataset, "validation", hyper)
     assert made and not any(made)
     # recording is back on after the pass
-    assert ad.square(params.tables.user)._backward is not None
+    assert ad.square(params.tables.user).node.backward is not None

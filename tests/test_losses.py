@@ -281,7 +281,7 @@ class TestTotalLoss:
         w = ls.LossWeights(alpha=0.0, beta=0.0, gamma=0.0, delta=0.0)
         total = ls.total_loss({}, w)
         assert total.item() == 0.0
-        assert total._parents == ()
+        assert total.node.parents == ()
 
     def test_weighted_hand_sum(self):
         comps = self.components(3)

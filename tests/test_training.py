@@ -546,7 +546,7 @@ def test_fused_encoder_ops_shrink_the_forward_peak(monkeypatch):
 
     def keep_output(*args):
         out = make(*args)
-        if out._backward is not None:
+        if out.node.backward is not None:
             outputs.append(out)
         return out
 
