@@ -143,11 +143,12 @@ def rank_target(scores: np.ndarray, target: int, excluded=()) -> int:
                             (np.zeros(items.size, dtype=np.int64), items))[0])
 
 
-def _seen_items(lengths: np.ndarray, items: np.ndarray, targets: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """(row, item) pairs of each sequence's items minus its target, from the
-    flat layout (``embeddings.flatten``); repeated items stay repeated,
-    which ranking ignores."""
+def seen_items(lengths: np.ndarray, items: np.ndarray, targets: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The excluded (row, item) pairs ``rank_targets`` takes, for ``evaluate``
+    and ``verify``'s metric oracle: each sequence's items minus its target,
+    from the flat layout (``embeddings.flatten``); repeated items stay
+    repeated, which ranking ignores."""
     rows = np.repeat(np.arange(len(lengths)), lengths)
     keep = items != targets[rows]
     return rows[keep], items[keep]
@@ -217,7 +218,7 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
                                 layer_mean=hyper.layer_mean,
                                 node_embeddings=nodes, **paths)
         scores = score_batch(params, states, head).data
-        excluded = (_seen_items(chunk_lengths, chunk_items, targets[start:stop])
+        excluded = (seen_items(chunk_lengths, chunk_items, targets[start:stop])
                     if hyper.exclude_seen else None)
         chunk_ranks.append(rank_targets(scores, targets[start:stop], excluded))
     # Each user's value is looked up in a table of the metric at ranks

@@ -1,4 +1,4 @@
-"""Fusion of local and global user states, and the dot-product scoring head.
+"""Fusion of local and global user states into the fused state e_f.
 
 The fusion block is bias-free by design: concat to 2d, project to 4d,
 ReLU, project back to d: ``ad.feed_forward`` with zero biases. Keeping it
@@ -61,14 +61,3 @@ def fuse(e_l: ad.Tensor, e_g: ad.Tensor, params: FusionParams) -> ad.Tensor:
         raise DimensionError("fusion projection shapes do not match d")
     return ad.feed_forward(ad.concat([e_l, e_g], axis=-1), params.w1, 0.0,
                            params.w2, 0.0)
-
-
-def score_items(e_f: ad.Tensor, item_table: ad.Tensor) -> ad.Tensor:
-    """Dot products against every catalog row: (B, d) x (N, d) -> (B, N).
-
-    ``item_table`` must already exclude the padding row
-    (see EmbeddingTables.item_rows).
-    """
-    if e_f.shape[-1] != item_table.shape[-1]:
-        raise DimensionError("embedding widths differ")
-    return ad.matmul(e_f, ad.swapaxes(item_table, 0, 1))

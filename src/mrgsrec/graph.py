@@ -197,11 +197,11 @@ def gather_windows(node_embeddings: ad.Tensor, batch: SequenceBatch,
 
 
 def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
-                 n_users: int, n_items: int, rows: np.ndarray | None = None
-                 ) -> tuple[ad.Tensor, ad.Tensor]:
-    """(e_g, E_g): ``gather_users`` and ``gather_windows`` of one batch."""
-    return (gather_users(node_embeddings, batch, n_users, rows),
-            gather_windows(node_embeddings, batch, n_users, n_items, rows))
+                 n_users: int, n_items: int) -> tuple[ad.Tensor, ad.Tensor]:
+    """(e_g, E_g): ``gather_users`` and ``gather_windows`` of one batch from
+    the full node table, whose row i is node i."""
+    return (gather_users(node_embeddings, batch, n_users),
+            gather_windows(node_embeddings, batch, n_users, n_items))
 
 
 def check_leakage(adjacency: NormalizedAdjacency, dataset: SplitDataset) -> None:

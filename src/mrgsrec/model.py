@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .embeddings import (EmbeddingTables, SequenceBatch, check_ids,
                          embed_sequence, init_tables)
 from .errors import ParseError
-from .fusion import FusionParams, fuse, init_fusion_params, score_items
+from .fusion import FusionParams, fuse, init_fusion_params
 from .graph import NormalizedAdjacency, gather_users, propagated_embeddings
 from .losses import LossWeights
 from .seqenc import SeqEncoderConfig, SeqEncoderParams, init_seq_params, seq_encode
@@ -171,11 +171,13 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
 
 
 def score_batch(params: ModelParams, states: ForwardStates, head: str) -> ad.Tensor:
-    """(B, N) full-catalog scores from the selected head embedding."""
+    """(B, N) full-catalog scores: the head's (B, d) state (``HEAD_STATES``)
+    times every real item row, padding row excluded (``item_rows``). This is
+    the one place ranking scores are formed."""
     chosen = getattr(states, HEAD_STATES.get(head, ""), None)
     if chosen is None:
         raise ValueError(f"scoring head {head!r} unavailable or unknown")
-    return score_items(chosen, params.tables.item_rows())
+    return ad.matmul(chosen, ad.swapaxes(params.tables.item_rows(), 0, 1))
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:

@@ -20,7 +20,8 @@ from .config import fingerprint, to_hyperparams
 from .data import SplitDataset, leave_one_out
 from .embeddings import EmbeddingTables, build_batch, flatten, init_tables
 from .errors import ParseError
-from .evaluation import MetricsReport, evaluate, hr_at_k, ndcg_at_k, rank_targets
+from .evaluation import (MetricsReport, evaluate, hr_at_k, ndcg_at_k,
+                         rank_targets, seen_items)
 from .graph import NormalizedAdjacency, build_adjacency, propagated_embeddings
 from .losses import LossWeights
 from .model import HEAD_STATES, ModelParams, forward_states, init_model
@@ -233,7 +234,8 @@ def metric_oracle_rank(scores: np.ndarray, target: int, excluded=()) -> int:
 
 def metric_suite() -> dict:
     """Rank random score rows as one block, the way ``evaluate`` ranks a
-    chunk, and check each rank, HR and NDCG against the sort-based oracle."""
+    chunk (excluded pairs from ``seen_items``), and check each rank, HR and
+    NDCG against the sort-based oracle."""
     n_users, n_items = METRIC_ORACLE_USERS, METRIC_ORACLE_ITEMS
     rng = np.random.Generator(np.random.PCG64(METRIC_ORACLE_SEED))
     scores = np.empty((n_users, n_items))
@@ -246,9 +248,8 @@ def metric_suite() -> dict:
         targets[u] = rng.integers(n_items)
         exclusions.append(sorted(
             set(rng.integers(0, n_items, size=5).tolist()) - {int(targets[u])}))
-    lengths, items = flatten(exclusions)
-    rows = np.repeat(np.arange(n_users), lengths)
-    ranks = rank_targets(scores, targets, (rows, items)).tolist()
+    ranks = rank_targets(scores, targets,
+                         seen_items(*flatten(exclusions), targets)).tolist()
     for got, row, target, excluded in zip(ranks, scores, targets, exclusions):
         want = metric_oracle_rank(row, int(target), excluded)
         if got != want:

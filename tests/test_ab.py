@@ -1,4 +1,4 @@
-"""``tools/ab.py``: alternating base/working-tree benchmark pairs.
+"""``tools/ab.py``: alternating base/HEAD benchmark pairs, both extracted.
 
 The tool is loaded by path. Its runs go to a stub ``perfbench/run.py`` in a
 throwaway git repository, which prints ``run.py``-shaped output whose
@@ -158,9 +158,10 @@ def test_the_base_revision_runs_in_its_own_extracted_tree(ab, repo, capsys):
     assert ab.main(["HEAD~1", "--workload", "many", "--pairs", "2"]) == 0
     out = capsys.readouterr().out
     assert "workload many: 2 pairs, seed 1" in out
+    assert "both extracted" in out
     speed = next(line for line in out.splitlines()
                  if "eval_users_per_s" in line and "scaled" in line)
-    # base 100 [100, 100] against head 150: +50%, outside, won both pairs
+    # HEAD~1's 100 [100, 100] against HEAD's 150: +50%, outside, won both
     assert speed.split()[2:] == ["100", "[100,", "100]", "150", "+50.0%",
                                  "yes", "2/2"]
     assert "base: 0 of 2 runs failed" in out
@@ -175,10 +176,10 @@ def test_a_failed_run_sets_the_exit_code(ab, repo, capsys):
 
 
 
-def records(repo, base, head):
-    """An injected identity runner: ``head`` for the working tree ``repo``,
-    ``base`` for the extracted one."""
-    return lambda tree: head if tree == repo else base
+def records(base, head):
+    """An injected identity runner: ``head`` for the extracted HEAD tree,
+    ``base`` for the extracted base tree."""
+    return lambda tree: head if tree.name == "head" else base
 
 
 def counted(calls):
@@ -193,7 +194,7 @@ def test_a_moved_identity_record_stops_before_any_run(ab, repo, capsys):
     def run(*args):
         raise AssertionError("no run may start when the records differ")
 
-    identity = records(repo, {"verify_quick": "a", "workloads": {"many": {"x": "1"}}},
+    identity = records({"verify_quick": "a", "workloads": {"many": {"x": "1"}}},
                        {"verify_quick": "a", "workloads": {"many": {"x": "2"}}})
     assert ab.main(["HEAD~1", "--pairs", "1"], run, identity) == 2
     err = capsys.readouterr().err
@@ -203,7 +204,7 @@ def test_a_moved_identity_record_stops_before_any_run(ab, repo, capsys):
 
 def test_expect_new_hashes_times_a_moved_record(ab, repo, capsys):
     calls = []
-    identity = records(repo, {"a": "1", "b": "1"}, {"a": "2", "b": "1", "c": "3"})
+    identity = records({"a": "1", "b": "1"}, {"a": "2", "b": "1", "c": "3"})
     assert ab.main(["HEAD~1", "--workload", "many", "--pairs", "2",
                     "--expect-new-hashes"], counted(calls), identity) == 0
     assert len(calls) == 4
@@ -212,7 +213,7 @@ def test_expect_new_hashes_times_a_moved_record(ab, repo, capsys):
 
 def test_equal_identity_records_let_the_pairs_run(ab, repo, capsys):
     calls = []
-    identity = records(repo, {"a": "1"}, {"a": "1"})
+    identity = records({"a": "1"}, {"a": "1"})
     assert ab.main(["HEAD~1", "--workload", "many", "--pairs", "1"],
                    counted(calls), identity) == 0
     assert len(calls) == 2
@@ -226,7 +227,7 @@ def test_a_failed_identity_record_stops_before_any_run(ab, repo, capsys,
         raise AssertionError("no run may start without both records")
 
     record = {"a": "1"}
-    identity = records(repo, None if failing == "base" else record,
+    identity = records(None if failing == "base" else record,
                        None if failing == "head" else record)
     assert ab.main(["HEAD~1"], run, identity) == 2
     assert f"identity.py failed on {failing}" in capsys.readouterr().err
@@ -234,12 +235,29 @@ def test_a_failed_identity_record_stops_before_any_run(ab, repo, capsys,
 
 def test_the_working_trees_identity_tool_runs_in_both_trees(ab, repo,
                                                             tmp_path_factory):
-    base = tmp_path_factory.mktemp("base")
+    base, head = tmp_path_factory.mktemp("base"), tmp_path_factory.mktemp("head")
     ab.extract("HEAD~1", base)
+    ab.extract("HEAD", head)
     # HEAD~1's own tool would name itself "100"; the working tree's runs.
     assert ab.identity_record(base) == {
         "tool": "150", "workloads": {"many": {"params": "h1"}}}
-    assert ab.identity_record(repo)["tool"] == "150"
+    assert ab.identity_record(head)["tool"] == "150"
+
+
+def test_neither_measured_tree_is_the_working_tree(ab, repo):
+    calls, identified = [], []
+
+    def identity(tree):
+        identified.append(tree)
+        return {"a": "1"}
+
+    assert ab.main(["HEAD~1", "--workload", "many", "--pairs", "1"],
+                   counted(calls), identity) == 0
+    base, head = calls  # the base runs first in pair 0
+    assert identified == [base, head] and repo not in calls
+    # sibling directories whose paths have the same length
+    assert (base.name, head.name) == ("base", "head")
+    assert base.parent == head.parent
 
 
 def test_hashes_moved_in_the_head_commit_stop_the_real_tool(ab, repo, capsys):

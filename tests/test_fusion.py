@@ -1,4 +1,4 @@
-"""Fusion block and dot-product scoring head."""
+"""Fusion block, and the ranking scores ``model.score_batch`` forms."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,9 @@ import composed_ops
 from mrgsrec import autodiff as ad
 from mrgsrec import fusion as fu
 from mrgsrec.errors import DimensionError
+from mrgsrec.model import (HEAD_STATES, SCORING_HEADS, ForwardStates,
+                           init_model, score_batch)
+from mrgsrec.seqenc import SeqEncoderConfig
 
 
 def rng(seed=0):
@@ -18,6 +21,24 @@ def random_params(d, seed=0, scale=0.5):
     return fu.FusionParams(
         w1=ad.parameter(g.normal(0.0, scale, (4 * d, 2 * d))),
         w2=ad.parameter(g.normal(0.0, scale, (d, 4 * d))))
+
+
+def scoring_model(items, fusion=None):
+    """A model whose real item rows are ``items`` (its padding row is zero),
+    with ``fusion`` as its fusion block when given."""
+    n, d = items.shape
+    params = init_model(1, n, 1, SeqEncoderConfig(d=d, n_layers=0, n_heads=1),
+                        seed=0)
+    params.tables.item.data[:n] = items
+    if fusion is not None:
+        params.fusion = fusion
+    return params
+
+
+def score(params, state, head="fused"):
+    """``score_batch`` of ``state`` held in the field of ``head``."""
+    return score_batch(params, ForwardStates(**{HEAD_STATES[head]: state}),
+                       head)
 
 
 class TestFuse:
@@ -110,34 +131,42 @@ class TestFuse:
 
 class TestScore:
     def test_zero_state_zero_scores(self):
-        items = ad.Tensor(rng(1).normal(size=(9, 4)))
-        scores = fu.score_items(ad.Tensor(np.zeros((3, 4))), items)
-        np.testing.assert_array_equal(scores.data, np.zeros((3, 9)))
+        params = scoring_model(rng(1).normal(size=(9, 4)))
+        for head in SCORING_HEADS:
+            scores = score(params, ad.Tensor(np.zeros((3, 4))), head)
+            np.testing.assert_array_equal(scores.data, np.zeros((3, 9)))
 
     def test_orthonormal_self_similarity(self):
-        items = ad.Tensor(np.eye(6)[:5])  # 5 orthonormal rows in R^6
-        state = ad.Tensor(items.data[3:4])
-        assert int(np.argmax(fu.score_items(state, items).data[0])) == 3
+        items = np.eye(6)[:5]  # 5 orthonormal rows in R^6
+        params = scoring_model(items)
+        state = ad.Tensor(items[3:4])
+        assert int(np.argmax(score(params, state).data[0])) == 3
 
     def test_matches_pairwise_loop_oracle(self):
         g = rng(2)
         state = ad.Tensor(g.normal(size=(6, 4)))
-        items = ad.Tensor(g.normal(size=(10, 4)))
-        scores = fu.score_items(state, items).data
+        items = g.normal(size=(10, 4))
+        params = scoring_model(items)
+        scores = score(params, state).data
         for b in range(6):
             for i in range(10):
                 assert scores[b, i] == pytest.approx(
-                    float(np.dot(state.data[b], items.data[i])), abs=1e-12)
+                    float(np.dot(state.data[b], items[i])), abs=1e-12)
+        # every head forms the same product, bit for bit
+        want = state.data @ params.tables.item_rows().data.T
+        for head in SCORING_HEADS:
+            assert np.array_equal(score(params, state, head).data, want)
 
     def test_ranking_invariant_to_orthogonal_shift(self):
         g = rng(3)
         # item rows live in the first 3 coordinates of R^5
         items = np.zeros((8, 5))
         items[:, :3] = g.normal(size=(8, 3))
+        params = scoring_model(items)
         state = g.normal(size=(1, 5))
         shifted = state + np.array([[0.0, 0.0, 0.0, 4.2, -1.7]])
-        s0 = fu.score_items(ad.Tensor(state), ad.Tensor(items)).data[0]
-        s1 = fu.score_items(ad.Tensor(shifted), ad.Tensor(items)).data[0]
+        s0 = score(params, ad.Tensor(state)).data[0]
+        s1 = score(params, ad.Tensor(shifted)).data[0]
         np.testing.assert_array_equal(np.argsort(-s0, kind="stable"),
                                       np.argsort(-s1, kind="stable"))
 
@@ -145,15 +174,14 @@ class TestScore:
 def test_fuse_and_score_gradients_match_finite_differences():
     d = 3
     g = rng(11)
-    params = random_params(d, seed=12)
     e_l = ad.parameter(g.normal(size=(2, d)))
     e_g = ad.parameter(g.normal(size=(2, d)))
-    items = ad.parameter(g.normal(size=(5, d)))
-    blocks = {"w1": params.w1, "w2": params.w2, "e_l": e_l, "e_g": e_g,
-              "items": items}
+    params = scoring_model(g.normal(size=(5, d)), random_params(d, seed=12))
+    blocks = {"w1": params.fusion.w1, "w2": params.fusion.w2, "e_l": e_l,
+              "e_g": e_g, "items": params.tables.item}
 
     def loss_fn():
-        scores = fu.score_items(fu.fuse(e_l, e_g, params), items)
+        scores = score(params, fu.fuse(e_l, e_g, params.fusion))
         return ad.tsum(ad.square(scores))
 
     report = ad.finite_difference_check(loss_fn, blocks)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare a base revision with the working tree in alternating benchmark pairs.
+"""Compare a base revision with HEAD in alternating benchmark pairs.
 
 Run it from a clean checkout (it refuses a tree whose tracked files differ
 from HEAD, so the comparison names the code it measured):
@@ -9,21 +9,23 @@ from HEAD, so the comparison names the code it measured):
     python3 tools/ab.py HEAD                          # A/A: the noise floor
     python3 tools/ab.py HEAD~1 --expect-new-hashes    # a change that moves the hashes
 
-``<rev>`` is extracted with ``git archive`` into a temporary directory
-(local, no network, and nothing is added to the repository's ``.git``).
+``<rev>`` and HEAD are extracted with ``git archive`` into the sibling
+temporary directories ``<tmp>/base`` and ``<tmp>/head`` (local, no network,
+and nothing is added to the repository's ``.git``), so both measured trees
+live at paths of the same length and neither is the working tree.
 Before any timed run, the working tree's ``tools/identity.py`` prints the
-bit-identity record of each tree (it is copied into the base's tree, since
-it reads the program beside it). When the records differ, the differing
+bit-identity record of each tree (it is copied into each tree, since it
+reads the program beside it). When the records differ, the differing
 entries are printed and nothing is timed (exit code 2) unless
 ``--expect-new-hashes`` says the change means to move them.
 For each workload, pair i runs ``perfbench/run.py --workload W --seed S
 --trace 0`` once in each tree, one process at a time at the benchmark's
-default length; the base runs first in even pairs and the working tree
-first in odd ones. The output is ``tools/bench_record.parse``'s reading of
+default length; the base runs first in even pairs and the head first in
+odd ones. The output is ``tools/bench_record.parse``'s reading of
 each run. Per end-to-end metric of ``BENCHMARK.json`` it prints the base's
-median and quartiles, the working tree's median, the change between the
+median and quartiles, the head's median, the change between the
 medians, whether that median lies outside the base's quartiles, and in how
-many pairs the working tree was better. Each metric gets a row for the
+many pairs the head was better. Each metric gets a row for the
 host-scaled value and, for the timed ones, a row for the wall value that
 ``run.py`` prints beside it. The exit code is 1 when any run failed an op
 or exited non-zero.
@@ -64,9 +66,8 @@ def identity_record(tree: Path) -> dict | None:
     """The working tree's ``tools/identity.py`` record of ``tree``'s
     program; None, with its stderr passed on, if the tool failed."""
     tool = tree / "tools" / "identity.py"
-    if tree != ROOT:
-        tool.parent.mkdir(exist_ok=True)
-        shutil.copyfile(ROOT / "tools" / "identity.py", tool)
+    tool.parent.mkdir(exist_ok=True)
+    shutil.copyfile(ROOT / "tools" / "identity.py", tool)
     run = subprocess.run([sys.executable, str(tool)], cwd=tree,
                          capture_output=True, text=True, check=False)
     if run.returncode:
@@ -201,9 +202,11 @@ def main(argv: list[str], run=run_benchmark, identity=identity_record) -> int:
         return 2
     head = git("rev-parse", "HEAD")
     status = 0
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
-        extract(commit, Path(tmp))
-        trees = {"base": Path(tmp), "head": ROOT}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
+        for side, rev in (("base", commit), ("head", head)):
+            trees[side].mkdir()
+            extract(rev, trees[side])
         records = {side: identity(tree) for side, tree in trees.items()}
         failed_sides = [side for side, rec in records.items() if rec is None]
         if failed_sides:
@@ -222,8 +225,8 @@ def main(argv: list[str], run=run_benchmark, identity=identity_record) -> int:
         for workload in names if args.workload == "all" else [args.workload]:
             runs = alternate(trees, workload, args.pairs, args.seed, run)
             print(f"workload {workload}: {args.pairs} pairs, seed {args.seed}, "
-                  f"base {commit[:12]} against head {head[:12]} "
-                  "(the working tree); wins = pairs the head was better")
+                  f"base {commit[:12]} against head {head[:12]}, both "
+                  "extracted; wins = pairs the head was better")
             print(table(summarise(runs, bench["end_to_end"])))
             for side in ("base", "head"):
                 bad = [i for i, entry in enumerate(runs[side]) if failed(entry)]
