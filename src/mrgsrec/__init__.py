@@ -9,9 +9,10 @@ the CLI can cap math threads before numpy loads):
 - ``mrgsrec.embeddings``: user/item/positional tables and window assembly
 - ``mrgsrec.seqenc``: transformer encoder over the user-prefixed window
 - ``mrgsrec.graph``: normalized bipartite adjacency and propagation
-- ``mrgsrec.fusion``: local/global fusion block and the scoring head
+- ``mrgsrec.fusion``: the local/global fusion block
 - ``mrgsrec.losses``: the four objectives and their weighted total
-- ``mrgsrec.model``: parameters, forward passes, the checkpoint format
+- ``mrgsrec.model``: parameters, forward passes, the ranking scores, the
+  checkpoint format
 - ``mrgsrec.training``: negative sampling, Adam, the fit loop
 - ``mrgsrec.evaluation``: full-catalog HR@n / NDCG@n
 - ``mrgsrec.synthetic``: clustered-Markov data generator

@@ -64,9 +64,10 @@ transposed. The (R, N) logits never exist, and backward only scales the
 stored gradients by the incoming scalar.
 
 ``sampled_logits`` scores each row against its positive and S negative
-table rows, gathered a chunk of users at a time in both passes, so its
-(B, S, d) negatives never exist whole; the table's gradient is two CSR
-scatters of the logit gradients. ``cross_entropy`` takes their softmax.
+table rows, a chunk of users at a time in both passes, so its (B, S, d)
+negatives never exist whole. ``cross_entropy`` takes their softmax. Its
+table gradient and ``lookup``'s are one ``_scatter`` (a transposed CSR,
+as in ``spmm``), of ids both ops check before they gather.
 
 ``attention`` and ``feed_forward`` are the two sub-layers of a pre-norm
 encoder block, each with its layer norm folded in (``attention`` also
@@ -463,19 +464,21 @@ def linear_cross_entropy(x, w, targets: np.ndarray) -> Tensor:
     return _make(out, (x, w), backward)
 
 
+def check_ids(ids: np.ndarray, limit: int, what: str) -> None:
+    """Raise IndexError unless every id lies in [0, limit)."""
+    if np.size(ids) and (np.min(ids) < 0 or np.max(ids) >= limit):
+        raise IndexError(f"{what} id out of range [0, {limit})")
+
+
 def _scatter(ids: np.ndarray, weights: np.ndarray, n_rows: int
-             ) -> sp.csr_matrix:
-    """The (n_rows, B) CSR matrix with ``weights[b, s]`` at ``(ids[b, s], b)``.
-    Each row keeps its entries in (b, s) order, duplicates apart, as
-    ``lookup``'s one-hot scatter does, so its product with (B, d) rows sums
-    each table row's terms in the scatter's order."""
-    flat = ids.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n_rows), out=indptr[1:])
-    return sp.csr_matrix(
-        (weights.reshape(-1)[order], order // ids.shape[1], indptr),
-        shape=(n_rows, ids.shape[0]))
+             ) -> sp.csc_matrix:
+    """(n_rows, B), ``weights[b, s]`` at ``(ids[b, s], b)``: the transpose
+    of the (B, n_rows) CSR whose row b is ``ids[b]`` in order. Its product
+    adds into each row from zero in (b, s) order, duplicates apart. scipy
+    reads the ids unchecked: they must lie in [0, n_rows)."""
+    b, s = ids.shape
+    return sp.csr_matrix((weights.reshape(-1), ids.reshape(-1),
+                          s * np.arange(b + 1)), shape=(b, n_rows)).T
 
 
 def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
@@ -490,7 +493,7 @@ def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
     ``SCE_CHUNK_ROWS`` users at a time, each logit with the composition's
     sum over d. The backward sums x's negative terms over S chunk by chunk
     as the composition's ``mul`` does (one negative's -0.0 stays -0.0), and
-    scatters the table's gradient as two CSR products (positives,
+    scatters the table's gradient as two ``_scatter`` products (positives,
     negatives) of the logit gradients with x, in the lookups' entry order.
     """
     x, table = as_tensor(x), as_tensor(table)
@@ -499,6 +502,8 @@ def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
         raise DimensionError(
             f"sampled_logits needs (B, d) rows, an (N, d) table and "
             f"(B, S) negatives, got {x.shape}, {table.shape}, {neg_ids.shape}")
+    check_ids(pos_ids, table.shape[0], "positive")
+    check_ids(neg_ids, table.shape[0], "negative")
     xd, td = x.data, table.data
     n_rows = x.shape[0]
     logits = np.empty((n_rows, 1 + neg_ids.shape[1]))
@@ -509,6 +514,7 @@ def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
     td = td if _needs_graph(x) else None  # what x's gradient reads
     xd = xd if _needs_graph(table) else None
     n_table = table.shape[0]
+    pos_ids, neg_ids = pos_ids.astype(np.int64), neg_ids.astype(np.int64)
 
     def backward(g):
         gpos, gneg = g[:, 0], g[:, 1:]
@@ -530,21 +536,19 @@ def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
 def lookup(table, ids: np.ndarray) -> Tensor:
     """Row gather ``table[ids]``; scatter-adds gradients back on the backward pass.
 
-    The scatter is a product with the (rows, ids.size) one-hot CSR matrix.
-    Each CSR row keeps its entries in input order and starts from zero, so
-    the sums equal ``np.add.at``'s bit for bit.
+    Raises IndexError for an id outside the table. The backward is one
+    ``_scatter`` with one id per row, equal to ``np.add.at``'s bit for bit.
     """
     table = as_tensor(table)
     ids = np.asarray(ids)
+    check_ids(ids, table.shape[0], "row")
     out = table.data[ids]
+    flat = ids.astype(np.int64).reshape(-1, 1)  # private: the caller's may change
     shape = table.shape
 
     def backward(g):
-        n = ids.size
-        onehot = sp.csr_matrix((np.ones(n), (ids.ravel(), np.arange(n))),
-                               shape=(shape[0], n))
-        rows = g.reshape((n,) + shape[1:])
-        return (onehot @ rows,)
+        rows = g.reshape((flat.shape[0],) + shape[1:])
+        return (_scatter(flat, np.ones(flat.shape), shape[0]) @ rows,)
 
     return _make(out, (table,), backward)
 

@@ -3,7 +3,8 @@
 The item table carries one extra trailing row (index ``n_items``) used as
 the padding slot; it is initialized to zero and no gradient reaches it:
 padding slots are masked out as attention keys, no loss reads them, and
-``lookup``'s scatter sums from +0.0, so the row's gradient is exactly +0.0.
+``ad.lookup``'s scatter sums from +0.0, so the row's gradient is exactly
++0.0. ``ad.lookup`` raises IndexError for an id outside its table.
 Windows are left-padded so the most recent item always occupies the final
 slot. ``flatten`` is the one place per-user item lists become arrays (their
 lengths, and the items end to end); ``window_batch`` indexes that layout
@@ -21,6 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError
+
+INIT_STD = 0.02  # std of every initial normal draw, seqenc's weights too
 
 
 @dataclass
@@ -56,14 +59,14 @@ class SequenceBatch:
 
 
 def init_tables(n_users: int, n_items: int, c: int, d: int, seed: int) -> EmbeddingTables:
-    """Draw all tables i.i.d. normal(0, 0.02); the padding row is zeroed."""
+    """Draw all tables i.i.d. normal(0, INIT_STD); the padding row is zeroed."""
     if min(n_users, n_items, c, d) < 1:
         raise ValueError("all table dimensions must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    user = rng.normal(0.0, 0.02, size=(n_users, d))
-    item = rng.normal(0.0, 0.02, size=(n_items + 1, d))
+    user = rng.normal(0.0, INIT_STD, size=(n_users, d))
+    item = rng.normal(0.0, INIT_STD, size=(n_items + 1, d))
     item[n_items, :] = 0.0
-    positional = rng.normal(0.0, 0.02, size=(c, d))
+    positional = rng.normal(0.0, INIT_STD, size=(c, d))
     return EmbeddingTables(ad.parameter(user), ad.parameter(item),
                            ad.parameter(positional), n_users, n_items, c, d)
 
@@ -98,12 +101,6 @@ def window_batch(user_ids, lengths: np.ndarray, items: np.ndarray,
                          np.minimum(lengths, c))
 
 
-def check_ids(ids: np.ndarray, limit: int, what: str) -> None:
-    """Raise IndexError unless every id lies in [0, limit)."""
-    if ids.size and (ids.min() < 0 or ids.max() >= limit):
-        raise IndexError(f"{what} id out of range [0, {limit})")
-
-
 def embed_sequence(batch: SequenceBatch, tables: EmbeddingTables
                    ) -> tuple[ad.Tensor, ad.Tensor]:
     """Gather user embeddings and positional-enriched item windows.
@@ -111,8 +108,6 @@ def embed_sequence(batch: SequenceBatch, tables: EmbeddingTables
     Returns (e_u of shape (B, d), E_u of shape (B, c, d)). Positional rows
     are added at valid slots only; padding slots carry the bare padding row.
     """
-    check_ids(batch.user_ids, tables.n_users, "user")
-    check_ids(batch.item_windows, tables.n_items + 1, "item")
     e_u = ad.lookup(tables.user, batch.user_ids)
     items = ad.lookup(tables.item, batch.item_windows)
     mask = batch.valid_mask().astype(np.float64)[:, :, None]

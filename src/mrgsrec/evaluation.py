@@ -89,13 +89,18 @@ def rank_targets(scores: np.ndarray, targets, excluded=None) -> np.ndarray:
     equal-length int arrays (rows in [0, B), item ids), one excluded
     (row, item) pair per position, in any order and possibly repeated. A
     target must stay a candidate: excluding it raises ``ProtocolError``.
+    A target or excluded item outside [0, N), or an excluded row outside
+    [0, B), raises IndexError.
     """
     scores = np.asarray(scores)
     targets = np.asarray(targets, dtype=np.int64)
     n_rows, n_items = scores.shape
+    ad.check_ids(targets, n_items, "target")
     target_scores = scores[np.arange(n_rows), targets][:, None]
     if excluded is not None:
         item_rows, items = excluded
+        ad.check_ids(item_rows, n_rows, "excluded row")
+        ad.check_ids(items, n_items, "excluded item")
         hit = items == targets[item_rows]
         if hit.any():
             raise ProtocolError(
@@ -222,8 +227,9 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
                     if hyper.exclude_seen else None)
         chunk_ranks.append(rank_targets(scores, targets[start:stop], excluded))
     # Each user's value is looked up in a table of the metric at ranks
-    # 1..k+1 (every rank past k scores as k+1 does), then summed in user
-    # order (np.cumsum adds in sequence), so the totals round as before.
+    # 1..k+1 (every rank past k scores as k+1 does), then added per user in
+    # user order (np.cumsum), as perfbench's traced recomposition and
+    # tests/test_evaluation.py's ``_recomposed`` do: they compare with ==.
     ranks = np.concatenate(chunk_ranks)
     means = []
     for metric, k in ((hr_at_k, 5), (hr_at_k, 10), (ndcg_at_k, 5), (ndcg_at_k, 10)):

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .data import SplitDataset
-from .embeddings import EmbeddingTables, SequenceBatch, check_ids, flatten
+from .embeddings import EmbeddingTables, SequenceBatch, flatten
 from .errors import DataError, GraphError
 
 
@@ -171,7 +171,7 @@ def gather_users(node_embeddings: ad.Tensor, batch: SequenceBatch,
                  n_users: int, rows: np.ndarray | None = None) -> ad.Tensor:
     """e_g of shape (B, d): the batch's user rows of the node table, which
     holds the nodes ``rows`` (None: all M+N)."""
-    check_ids(batch.user_ids, n_users, "user")
+    ad.check_ids(batch.user_ids, n_users, "user")
     return ad.lookup(node_embeddings, node_positions(rows, batch.user_ids))
 
 
@@ -181,7 +181,7 @@ def window_nodes(batch: SequenceBatch, n_users: int, n_items: int
     padding slots read item 0's node and are zeroed. Raises IndexError for
     a window item outside [0, N)."""
     items = np.where(batch.valid_mask(), batch.item_windows, 0)
-    check_ids(items, n_items, "item")
+    ad.check_ids(items, n_items, "item")
     return n_users + items
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .embeddings import (EmbeddingTables, SequenceBatch, check_ids,
-                         embed_sequence, init_tables)
+from .embeddings import (EmbeddingTables, SequenceBatch, embed_sequence,
+                         init_tables)
 from .errors import ParseError
 from .fusion import FusionParams, fuse, init_fusion_params
 from .graph import NormalizedAdjacency, gather_users, propagated_embeddings
@@ -153,7 +153,7 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
             if adjacency is None:
                 raise ValueError("graph path requested without an adjacency")
             # a negative id would propagate and gather another node's row
-            check_ids(batch.user_ids, params.tables.n_users, "user")
+            ad.check_ids(batch.user_ids, params.tables.n_users, "user")
             extra = () if node_rows is None else np.ravel(node_rows)
             states.node_rows = np.unique(
                 np.concatenate([batch.user_ids, extra]).astype(np.int64))

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .embeddings import INIT_STD
 from .errors import DimensionError
 from .schema import check_settings, setting
 
@@ -78,19 +79,19 @@ class SeqEncoderParams:
 
 
 def init_seq_params(config: SeqEncoderConfig, seed: int) -> SeqEncoderParams:
-    """Normal(0, 0.02) projections, zero biases, identity layer norms."""
+    """Normal(0, INIT_STD) projections, zero biases, identity layer norms."""
     rng = np.random.Generator(np.random.PCG64(seed))
     d, d_ff = config.d, config.d_ff
     layers = []
     for _ in range(config.n_layers):
         layers.append({
-            "wq": ad.parameter(rng.normal(0.0, 0.02, (d, d))),
-            "wk": ad.parameter(rng.normal(0.0, 0.02, (d, d))),
-            "wv": ad.parameter(rng.normal(0.0, 0.02, (d, d))),
-            "wo": ad.parameter(rng.normal(0.0, 0.02, (d, d))),
-            "w1": ad.parameter(rng.normal(0.0, 0.02, (d_ff, d))),
+            "wq": ad.parameter(rng.normal(0.0, INIT_STD, (d, d))),
+            "wk": ad.parameter(rng.normal(0.0, INIT_STD, (d, d))),
+            "wv": ad.parameter(rng.normal(0.0, INIT_STD, (d, d))),
+            "wo": ad.parameter(rng.normal(0.0, INIT_STD, (d, d))),
+            "w1": ad.parameter(rng.normal(0.0, INIT_STD, (d_ff, d))),
             "b1": ad.parameter(np.zeros(d_ff)),
-            "w2": ad.parameter(rng.normal(0.0, 0.02, (d, d_ff))),
+            "w2": ad.parameter(rng.normal(0.0, INIT_STD, (d, d_ff))),
             "b2": ad.parameter(np.zeros(d)),
             "ln1_g": ad.parameter(np.ones(d)),
             "ln1_b": ad.parameter(np.zeros(d)),

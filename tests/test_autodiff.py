@@ -1,5 +1,6 @@
 """Gradient engine checks: op-level VJPs, cross-entropy safety, FD harness."""
 
+import contextlib
 import math
 import tracemalloc
 import weakref
@@ -822,6 +823,7 @@ class TestLookupScatter:
         np.array([3, 3, 3, 0, 3, 1, 0, 3, 3]),            # duplicate-heavy 1-D
         np.array([[2, 2, 0], [2, 5, 2], [0, 0, 2]]),      # duplicate-heavy 2-D
         rng(4).integers(0, 3, size=(40, 7)),
+        np.array([], dtype=np.int64),                     # no ids: indptr [0]
     ])
     def test_matches_add_at_bitwise(self, ids):
         table = ad.parameter(rng(1).normal(size=(8, 5)))
@@ -859,6 +861,33 @@ class TestLookupScatter:
         np.testing.assert_array_equal(table.grad[:, 0], [2, 2, 2, 2, 4])
         first.grad[...] = 0.0
         np.testing.assert_array_equal(table.grad[:, 1], [2, 2, 2, 2, 4])
+
+
+class TestGatherIdRange:
+    """``lookup`` and ``sampled_logits`` raise IndexError for an id outside
+    the table's rows, recorded or not, before they gather: -1 would read
+    the last row and n_rows would reach scipy's unchecked scatter."""
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_lookup_rejects(self, bad, recorded):
+        table = ad.parameter(np.arange(6.0).reshape(3, 2))
+        with (contextlib.nullcontext() if recorded else ad.no_grad()):
+            with pytest.raises(IndexError, match=r"row id out of range \[0, 3\)"):
+                ad.lookup(table, np.array([[0, bad], [1, 2]]))
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("which", ["positive", "negative"])
+    def test_sampled_logits_rejects(self, which, bad, recorded):
+        table = ad.parameter(rng(9).normal(size=(3, 2)))
+        x = ad.parameter(rng(10).normal(size=(2, 2)))
+        pos, neg = np.array([0, 1]), np.array([[1, 2], [2, 0]])
+        (pos if which == "positive" else neg)[-1] = bad
+        with (contextlib.nullcontext() if recorded else ad.no_grad()):
+            with pytest.raises(IndexError,
+                               match=rf"{which} id out of range \[0, 3\)"):
+                ad.sampled_logits(x, table, pos, neg)
 
 
 # One DAG step: (op, first operand, partner / length, axis choice, extra ints).

@@ -113,6 +113,26 @@ class TestRankTargets:
         for row, target, ex, rank in zip(scores, targets, excluded, got):
             assert rank == metric_oracle_rank(row, target, ex)
 
+    @pytest.mark.parametrize("target", [-1, 4])
+    def test_target_out_of_range_raises(self, target):
+        # -1 would rank the last item, whose score is the highest
+        with pytest.raises(IndexError, match=r"target id out of range \[0, 4\)"):
+            ev.rank_targets([[0.1, 0.5, 0.3, 0.9]], [target])
+
+    @pytest.mark.parametrize("row, item, what, limit", [
+        (0, -1, "excluded item", 4), (0, 4, "excluded item", 4),
+        (-1, 0, "excluded row", 2), (2, 0, "excluded row", 2)])
+    def test_excluded_pair_out_of_range_raises(self, row, item, what, limit):
+        # an excluded item -1 would clear the last item of the row, and an
+        # excluded row -1 an entry of the last row
+        scores = np.array([[0.1, 0.5, 0.3, 0.9], [0.9, 0.2, 0.4, 0.3]])
+        before = scores.copy()
+        excluded = (np.array([1, row]), np.array([2, item]))
+        with pytest.raises(IndexError,
+                           match=rf"{what} id out of range \[0, {limit}\)"):
+            ev.rank_targets(scores, [1, 1], excluded)
+        assert scores.tobytes() == before.tobytes()
+
 
 @st.composite
 def rank_cases(draw):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from mrgsrec import autodiff as ad
 from mrgsrec.graph import build_adjacency
@@ -56,6 +57,8 @@ def test_host_names_the_cpu_and_the_blas(identity, monkeypatch):
     host = identity.host()
     assert isinstance(host["cpu"], str) and host["cpu"]
     assert isinstance(host["blas"], dict)
+    assert host["numpy"] == np.__version__
+    assert host["scipy"] == scipy.__version__
     json.dumps(host)  # the record is JSON
 
     class Unreadable:

@@ -15,7 +15,8 @@ adjacency's ``data``, ``indices`` and ``indptr``. It adds the sha256 of
 ``verification.run_all(quick=True)``'s text and the gradient instance's
 four component losses as reprs. BLAS runs on one thread, as in the
 benchmark; OpenBLAS picks its kernels per CPU, so compare records made on
-the same host: ``host`` names the CPU model and numpy's BLAS build.
+the same host: ``host`` names the CPU model, numpy's BLAS build and the
+numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -89,11 +90,14 @@ def cpu_model() -> str:
 
 
 def host() -> dict:
-    """The CPU model and the BLAS numpy was built against."""
+    """The CPU model, the BLAS numpy was built against, and the numpy and
+    scipy versions (sparse products sum in an order scipy chooses)."""
     import numpy as np
+    import scipy
 
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
-    return {"cpu": cpu_model(), "blas": blas}
+    return {"cpu": cpu_model(), "blas": blas, "numpy": np.__version__,
+            "scipy": scipy.__version__}
 
 
 def record() -> dict:
