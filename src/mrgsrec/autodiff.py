@@ -67,7 +67,7 @@ stored gradients by the incoming scalar.
 table rows, a chunk of users at a time in both passes, so its (B, S, d)
 negatives never exist whole. ``cross_entropy`` takes their softmax. Its
 table gradient and ``lookup``'s are one ``_scatter`` (a transposed CSR,
-as in ``spmm``), of ids both ops check before they gather.
+as in ``spmm``), of the int64 copy ``check_ids`` returns for their ids.
 
 ``attention`` and ``feed_forward`` are the two sub-layers of a pre-norm
 encoder block, each with its layer norm folded in (``attention`` also
@@ -464,10 +464,15 @@ def linear_cross_entropy(x, w, targets: np.ndarray) -> Tensor:
     return _make(out, (x, w), backward)
 
 
-def check_ids(ids: np.ndarray, limit: int, what: str) -> None:
-    """Raise IndexError unless every id lies in [0, limit)."""
-    if np.size(ids) and (np.min(ids) < 0 or np.max(ids) >= limit):
+def check_ids(ids, limit: int, what: str) -> np.ndarray:
+    """The one id gate: a new int64 array of ``ids``. IndexError unless each
+    id is an integer (dtype kind i or u: no bool, no float) in [0, limit)."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise IndexError(f"{what} ids must be integers, got {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= limit):
         raise IndexError(f"{what} id out of range [0, {limit})")
+    return ids.astype(np.int64)
 
 
 def _scatter(ids: np.ndarray, weights: np.ndarray, n_rows: int
@@ -483,9 +488,9 @@ def _scatter(ids: np.ndarray, weights: np.ndarray, n_rows: int
 
 def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
                    ) -> Tensor:
-    """The (B, 1 + S) logits of each row ``x[b]`` of the (B, d) ``x``
-    against its positive ``table[pos_ids[b]]`` (column 0) and its S
-    negatives ``table[neg_ids[b]]``, rows of the (N, d) ``table``.
+    """The (B, 1 + S) logits of each row ``x[b]`` of the (B, d) ``x`` against
+    its positive ``table[pos_ids[b]]`` (column 0) and its S negatives
+    ``table[neg_ids[b]]``, rows of the (N, d) ``table``; ids pass ``check_ids``.
 
     The composition ``concat([tsum(mul(x, lookup(table, pos)), -1) as
     (B, 1), tsum(mul(x as (B, 1, d), lookup(table, neg)), -1)])`` without
@@ -497,13 +502,12 @@ def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
     negatives) of the logit gradients with x, in the lookups' entry order.
     """
     x, table = as_tensor(x), as_tensor(table)
-    pos_ids, neg_ids = np.asarray(pos_ids), np.asarray(neg_ids)
-    if x.ndim != 2 or table.ndim != 2 or neg_ids.ndim != 2:
+    if x.ndim != 2 or table.ndim != 2 or np.ndim(neg_ids) != 2:
         raise DimensionError(
             f"sampled_logits needs (B, d) rows, an (N, d) table and "
-            f"(B, S) negatives, got {x.shape}, {table.shape}, {neg_ids.shape}")
-    check_ids(pos_ids, table.shape[0], "positive")
-    check_ids(neg_ids, table.shape[0], "negative")
+            f"(B, S) negatives, got {x.shape}, {table.shape}, {np.shape(neg_ids)}")
+    pos_ids = check_ids(pos_ids, table.shape[0], "positive")
+    neg_ids = check_ids(neg_ids, table.shape[0], "negative")
     xd, td = x.data, table.data
     n_rows = x.shape[0]
     logits = np.empty((n_rows, 1 + neg_ids.shape[1]))
@@ -514,7 +518,6 @@ def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
     td = td if _needs_graph(x) else None  # what x's gradient reads
     xd = xd if _needs_graph(table) else None
     n_table = table.shape[0]
-    pos_ids, neg_ids = pos_ids.astype(np.int64), neg_ids.astype(np.int64)
 
     def backward(g):
         gpos, gneg = g[:, 0], g[:, 1:]
@@ -536,14 +539,13 @@ def sampled_logits(x, table, pos_ids: np.ndarray, neg_ids: np.ndarray
 def lookup(table, ids: np.ndarray) -> Tensor:
     """Row gather ``table[ids]``; scatter-adds gradients back on the backward pass.
 
-    Raises IndexError for an id outside the table. The backward is one
+    ``ids`` pass ``check_ids``, and the backward keeps that private copy: one
     ``_scatter`` with one id per row, equal to ``np.add.at``'s bit for bit.
     """
     table = as_tensor(table)
-    ids = np.asarray(ids)
-    check_ids(ids, table.shape[0], "row")
+    ids = check_ids(ids, table.shape[0], "row")
     out = table.data[ids]
-    flat = ids.astype(np.int64).reshape(-1, 1)  # private: the caller's may change
+    flat = ids.reshape(-1, 1)
     shape = table.shape
 
     def backward(g):

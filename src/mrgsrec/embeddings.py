@@ -4,7 +4,7 @@ The item table carries one extra trailing row (index ``n_items``) used as
 the padding slot; it is initialized to zero and no gradient reaches it:
 padding slots are masked out as attention keys, no loss reads them, and
 ``ad.lookup``'s scatter sums from +0.0, so the row's gradient is exactly
-+0.0. ``ad.lookup`` raises IndexError for an id outside its table.
++0.0. ``ad.lookup`` reads its ids through the gate ``ad.check_ids``.
 Windows are left-padded so the most recent item always occupies the final
 slot. ``flatten`` is the one place per-user item lists become arrays (their
 lengths, and the items end to end); ``window_batch`` indexes that layout
@@ -47,7 +47,7 @@ class EmbeddingTables:
 
 @dataclass
 class SequenceBatch:
-    user_ids: np.ndarray       # (B,) int
+    user_ids: np.ndarray       # (B,) as given; every read passes ad.check_ids
     item_windows: np.ndarray   # (B, c) int, left-padded with padding_id
     valid_lengths: np.ndarray  # (B,) int
 
@@ -97,7 +97,7 @@ def window_batch(user_ids, lengths: np.ndarray, items: np.ndarray,
     valid = slots >= (ends - lengths)[:, None]
     windows = np.full(slots.shape, pad_value, dtype=np.int64)
     windows[valid] = items[slots[valid]]
-    return SequenceBatch(np.asarray(user_ids, dtype=np.int64), windows,
+    return SequenceBatch(np.asarray(user_ids), windows,
                          np.minimum(lengths, c))
 
 

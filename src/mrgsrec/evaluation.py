@@ -86,21 +86,20 @@ def rank_targets(scores: np.ndarray, targets, excluded=None) -> np.ndarray:
 
     rank = 1 + #(strictly better) + #(equal score with smaller id).
     ``scores`` is (B, N) and is not modified; ``excluded`` is None or two
-    equal-length int arrays (rows in [0, B), item ids), one excluded
+    equal-length id arrays (rows in [0, B), item ids), one excluded
     (row, item) pair per position, in any order and possibly repeated. A
     target must stay a candidate: excluding it raises ``ProtocolError``.
-    A target or excluded item outside [0, N), or an excluded row outside
-    [0, B), raises IndexError.
+    Targets and excluded items pass ``ad.check_ids`` against N, excluded
+    rows against B: a non-integer or out-of-range id raises IndexError.
     """
     scores = np.asarray(scores)
-    targets = np.asarray(targets, dtype=np.int64)
     n_rows, n_items = scores.shape
-    ad.check_ids(targets, n_items, "target")
+    targets = ad.check_ids(targets, n_items, "target")
     target_scores = scores[np.arange(n_rows), targets][:, None]
     if excluded is not None:
         item_rows, items = excluded
-        ad.check_ids(item_rows, n_rows, "excluded row")
-        ad.check_ids(items, n_items, "excluded item")
+        item_rows = ad.check_ids(item_rows, n_rows, "excluded row")
+        items = ad.check_ids(items, n_items, "excluded item")
         hit = items == targets[item_rows]
         if hit.any():
             raise ProtocolError(
@@ -142,10 +141,10 @@ def _row_counts(buffer: np.ndarray) -> np.ndarray:
 
 
 def rank_target(scores: np.ndarray, target: int, excluded=()) -> int:
-    """``rank_targets`` for one score row and a collection of excluded ids."""
-    items = np.fromiter(excluded, dtype=np.int64)
+    """``rank_targets`` (its id checks too) for one score row and excluded ids."""
+    items = list(excluded)
     return int(rank_targets(np.asarray(scores)[None, :], [target],
-                            (np.zeros(items.size, dtype=np.int64), items))[0])
+                            (np.zeros(len(items), dtype=np.int64), items))[0])
 
 
 def seen_items(lengths: np.ndarray, items: np.ndarray, targets: np.ndarray
@@ -206,11 +205,11 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
                                       rows=np.arange(dataset.n_users))
     # The seen items are exactly the input sequence's items.
     lengths, items = flatten(dataset.train)
-    targets = np.asarray(dataset.val, dtype=np.int64)
+    targets = ad.check_ids(dataset.val, dataset.n_items, "validation target")
     if split == "test":
         items = np.insert(items, np.cumsum(lengths), targets)
         lengths = lengths + 1
-        targets = np.asarray(dataset.test, dtype=np.int64)
+        targets = ad.check_ids(dataset.test, dataset.n_items, "test target")
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     n, chunk_ranks = dataset.n_users, []
     for start in range(0, n, EVAL_BATCH):

@@ -155,10 +155,11 @@ def propagated_embeddings(tables: EmbeddingTables, adjacency: NormalizedAdjacenc
 def node_positions(rows: np.ndarray | None, ids: np.ndarray) -> np.ndarray:
     """Row positions of node ``ids`` in a table propagated for the sorted
     node set ``rows``; ``rows=None`` is the whole table, where a node's row
-    is its id. Raises GraphError for an id that is not in ``rows``."""
-    ids = np.asarray(ids, dtype=np.int64)
+    is its id and ``ids`` come back as given. Raises GraphError for an id,
+    a non-integer one included, that is not in ``rows``."""
     if rows is None:
         return ids
+    ids = np.asarray(ids)
     positions = np.searchsorted(rows, ids)
     missing = np.append(rows, -1)[positions] != ids  # -1: past the last row
     if missing.any():
@@ -171,8 +172,8 @@ def gather_users(node_embeddings: ad.Tensor, batch: SequenceBatch,
                  n_users: int, rows: np.ndarray | None = None) -> ad.Tensor:
     """e_g of shape (B, d): the batch's user rows of the node table, which
     holds the nodes ``rows`` (None: all M+N)."""
-    ad.check_ids(batch.user_ids, n_users, "user")
-    return ad.lookup(node_embeddings, node_positions(rows, batch.user_ids))
+    users = ad.check_ids(batch.user_ids, n_users, "user")
+    return ad.lookup(node_embeddings, node_positions(rows, users))
 
 
 def window_nodes(batch: SequenceBatch, n_users: int, n_items: int
@@ -181,8 +182,7 @@ def window_nodes(batch: SequenceBatch, n_users: int, n_items: int
     padding slots read item 0's node and are zeroed. Raises IndexError for
     a window item outside [0, N)."""
     items = np.where(batch.valid_mask(), batch.item_windows, 0)
-    ad.check_ids(items, n_items, "item")
-    return n_users + items
+    return n_users + ad.check_ids(items, n_items, "item")
 
 
 def gather_windows(node_embeddings: ad.Tensor, batch: SequenceBatch,
@@ -211,7 +211,7 @@ def check_leakage(adjacency: NormalizedAdjacency, dataset: SplitDataset) -> None
     train = interaction_matrix(dataset.train, dataset.n_users, dataset.n_items)
     users = np.arange(dataset.n_users)
     for split, targets in (("validation", dataset.val), ("test", dataset.test)):
-        targets = np.asarray(targets, dtype=np.int64)
+        targets = ad.check_ids(targets, dataset.n_items, f"{split} target")
         in_graph = np.asarray(graph[users, targets]).ravel()
         in_train = np.asarray(train[users, targets]).ravel()
         leaked = np.flatnonzero((in_graph > 0) & (in_train == 0))

@@ -153,10 +153,9 @@ def forward_states(params: ModelParams, batch: SequenceBatch,
             if adjacency is None:
                 raise ValueError("graph path requested without an adjacency")
             # a negative id would propagate and gather another node's row
-            ad.check_ids(batch.user_ids, params.tables.n_users, "user")
-            extra = () if node_rows is None else np.ravel(node_rows)
-            states.node_rows = np.unique(
-                np.concatenate([batch.user_ids, extra]).astype(np.int64))
+            users = ad.check_ids(batch.user_ids, params.tables.n_users, "user")
+            states.node_rows = (np.unique(users) if node_rows is None
+                                else np.union1d(users, node_rows))
             states.initial_nodes = ad.concat(
                 [params.tables.user, params.tables.item_rows()], axis=0)
             node_embeddings = propagated_embeddings(

@@ -864,9 +864,11 @@ class TestLookupScatter:
 
 
 class TestGatherIdRange:
-    """``lookup`` and ``sampled_logits`` raise IndexError for an id outside
-    the table's rows, recorded or not, before they gather: -1 would read
-    the last row and n_rows would reach scipy's unchecked scatter."""
+    """``lookup`` and ``sampled_logits`` read their ids through
+    ``check_ids``, recorded or not: an id outside the table's rows raises
+    IndexError before they gather (-1 would read the last row and n_rows
+    would reach scipy's unchecked scatter), and so does a bool or float id
+    (a bool array would gather as a mask, a float one fails in numpy)."""
 
     @pytest.mark.parametrize("recorded", [True, False])
     @pytest.mark.parametrize("bad", [-1, 3])
@@ -888,6 +890,41 @@ class TestGatherIdRange:
             with pytest.raises(IndexError,
                                match=rf"{which} id out of range \[0, 3\)"):
                 ad.sampled_logits(x, table, pos, neg)
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    @pytest.mark.parametrize("ids", [[True, False, True], [0.0, 2.0]],
+                             ids=["bool", "float"])
+    def test_lookup_refuses_non_integer_ids(self, ids, recorded):
+        table = ad.parameter(np.arange(6.0).reshape(3, 2))
+        dtype = np.asarray(ids).dtype
+        with (contextlib.nullcontext() if recorded else ad.no_grad()):
+            with pytest.raises(IndexError,
+                               match=f"row ids must be integers, got {dtype}"):
+                ad.lookup(table, ids)
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    @pytest.mark.parametrize("which", ["positive", "negative"])
+    def test_sampled_logits_refuses_non_integer_ids(self, which, dtype,
+                                                    recorded):
+        table = ad.parameter(rng(9).normal(size=(3, 2)))
+        x = ad.parameter(rng(10).normal(size=(2, 2)))
+        pos, neg = np.array([0, 1]), np.array([[1, 0], [1, 0]])
+        if which == "positive":
+            pos = pos.astype(dtype)
+        else:
+            neg = neg.astype(dtype)
+        with (contextlib.nullcontext() if recorded else ad.no_grad()):
+            with pytest.raises(IndexError, match=f"{which} ids must be "
+                                                 f"integers, got {np.dtype(dtype)}"):
+                ad.sampled_logits(x, table, pos, neg)
+
+    def test_lookup_of_no_ids_is_an_empty_block(self):
+        table = ad.parameter(np.arange(6.0).reshape(3, 2))
+        out = ad.lookup(table, [])
+        assert out.shape == (0, 2)
+        ad.tsum(out).backward()
+        assert table.grad.tobytes() == np.zeros((3, 2)).tobytes()
 
 
 # One DAG step: (op, first operand, partner / length, axis choice, extra ints).

@@ -143,6 +143,27 @@ class TestTrain:
             assert set(record["losses"]) >= {"local", "global", "fused",
                                              "contrastive"}
 
+    def test_seed_and_data_flags_override_the_config(self, tmp_path,
+                                                     snapshot, capsys):
+        config = tiny_config(tmp_path, snapshot, data=None, max_epochs=1)
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--config", str(config), "--seed", "7",
+                         "--data", str(snapshot), "--out", str(ckpt)]) == 0
+        expected = {**cfg.load_config(config), "seed": 7, "data": str(snapshot)}
+        _, meta = load_checkpoint(ckpt)
+        assert meta["config"] == expected
+        assert meta["seed"] == 7
+        assert meta["fingerprint"] == cfg.fingerprint(expected)
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == f"fingerprint: {cfg.fingerprint(expected)}"
+
+    def test_a_config_without_data_needs_the_data_flag(self, tmp_path,
+                                                       snapshot, capsys):
+        config = tiny_config(tmp_path, snapshot, data=None)
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config needs a 'data' snapshot path\n")
+
     def test_unknown_config_key_exit_code_2(self, tmp_path, snapshot):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"data": str(snapshot), "typo_key": 3}),
@@ -213,6 +234,24 @@ class TestEval:
         assert cli.main(["eval", str(ckpt), str(snapshot),
                          "--split", "validation",
                          "--head", "sequential"]) == 0
+
+    def test_include_seen_ranks_the_seen_items_too(self, tmp_path, snapshot,
+                                                   capsys):
+        config = tiny_config(tmp_path, snapshot, max_epochs=1)
+        ckpt = tmp_path / "model.ckpt"
+        cli.main(["train", "--config", str(config), "--out", str(ckpt)])
+        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), str(snapshot),
+                         "--include-seen"]) == 0
+        printed = capsys.readouterr().out
+        params, meta = load_checkpoint(ckpt)
+        dataset, _ = dp.load_snapshot(snapshot)
+        run = {**cfg.resolve_config(meta["config"]), "exclude_seen": False}
+        report = evaluate(params, dataset, "test", cfg.to_hyperparams(run),
+                          fingerprint=meta["fingerprint"])
+        assert printed == report.text() + "\n" + report.row() + "\n"
+        assert cli.main(["eval", str(ckpt), str(snapshot)]) == 0
+        assert capsys.readouterr().out != printed  # the flag changes the ranks
 
     def test_eval_rejects_a_leaking_graph(self, tmp_path, snapshot,
                                           monkeypatch, capsys):

@@ -181,6 +181,14 @@ class TestEmbedSequence:
         with pytest.raises(IndexError):
             emb.embed_sequence(batch, tables)
 
+    def test_a_non_integer_user_raises(self):
+        # the batch keeps the caller's 1.7, which would embed user 1
+        tables = emb.init_tables(2, 3, 2, 2, seed=0)
+        batch = emb.build_batch([1.7], [[0]], 2, tables.padding_id)
+        with pytest.raises(IndexError,
+                           match="row ids must be integers, got float64"):
+            emb.embed_sequence(batch, tables)
+
     def test_lookup_is_pure(self):
         tables = emb.init_tables(2, 3, 2, 2, seed=0)
         before = tables.item.data.copy()

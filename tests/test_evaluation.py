@@ -45,6 +45,12 @@ class TestRankTarget:
         with pytest.raises(ProtocolError):
             ev.rank_target(np.zeros(4), 2, excluded={2})
 
+    def test_a_non_integer_excluded_id_raises(self):
+        # 3.5 would be truncated to item 3, which outscores the target
+        with pytest.raises(IndexError,
+                           match="excluded item ids must be integers, got float64"):
+            ev.rank_target([0.1, 0.5, 0.3, 0.9], 1, {3.5})
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_sort_based_oracle(self, seed):
         g = rng(seed)
@@ -118,6 +124,25 @@ class TestRankTargets:
         # -1 would rank the last item, whose score is the highest
         with pytest.raises(IndexError, match=r"target id out of range \[0, 4\)"):
             ev.rank_targets([[0.1, 0.5, 0.3, 0.9]], [target])
+
+    @pytest.mark.parametrize("target, dtype", [(1.7, "float64"),
+                                               (True, "bool")])
+    def test_a_non_integer_target_raises(self, target, dtype):
+        # 1.7 would be truncated to item 1, and True read as item 1
+        with pytest.raises(IndexError,
+                           match=f"target ids must be integers, got {dtype}"):
+            ev.rank_targets([[0.1, 0.5, 0.3, 0.9]], [target])
+
+    @pytest.mark.parametrize("half, what", [(0, "excluded row"),
+                                            (1, "excluded item")])
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_a_non_integer_excluded_pair_raises(self, half, what, dtype):
+        excluded = [np.array([0, 1]), np.array([3, 0])]
+        excluded[half] = excluded[half].astype(dtype)
+        with pytest.raises(IndexError, match=f"{what} ids must be integers, "
+                                             f"got {np.dtype(dtype)}"):
+            ev.rank_targets([[0.1, 0.5, 0.3, 0.9], [0.9, 0.2, 0.4, 0.3]],
+                            [1, 1], tuple(excluded))
 
     @pytest.mark.parametrize("row, item, what, limit", [
         (0, -1, "excluded item", 4), (0, 4, "excluded item", 4),
@@ -359,6 +384,18 @@ class TestEvaluate:
         for users, sequences in captured:
             for u, seq in zip(users, sequences):
                 assert seq == dataset.train[u]
+
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_a_non_integer_target_is_refused(self, split):
+        # a held-out 2.5 would be ranked, and excluded at test, as item 2
+        held_out = {"validation": "val", "test": "test"}[split]
+        dataset = SplitDataset(1, 5, [[0, 1]], [2], [3])
+        setattr(dataset, held_out, [2.5])
+        hyper = eval_hyper(c=3, scoring_head="graph", k=0, d=5, n_heads=1)
+        params = init_model(1, 5, 3, hyper.seq_config(), seed=0)
+        with pytest.raises(IndexError, match=f"{split} target ids must be "
+                                             "integers, got float64"):
+            ev.evaluate(params, dataset, split, hyper)
 
     def test_exclude_seen_flag_changes_candidates(self):
         # one user whose seen items would outrank the target if not masked

@@ -234,6 +234,17 @@ class TestNodeIdRange:
                            **encoder_paths("graph"))
         assert not hops
 
+    @pytest.mark.parametrize("head, what", [("sequential", "row"),
+                                            ("graph", "user")])
+    def test_forward_states_rejects_a_non_integer_user(self, head, what):
+        # build_batch keeps the caller's 1.7, which would read user 1
+        tables, adjacency, _ = self.make()
+        params = init_model(4, 6, 3, SeqEncoderConfig(d=4, n_layers=1), seed=0)
+        batch = build_batch([1.7], [[0, 2]], 3, tables.padding_id)
+        with pytest.raises(IndexError,
+                           match=f"{what} ids must be integers, got float64"):
+            forward_states(params, batch, adjacency, 2, **encoder_paths(head))
+
 
 def test_gradient_through_propagation_layers():
     m, n, d, c, k = 6, 8, 4, 3, 2  # 14 nodes <= 30, d <= 8
@@ -295,6 +306,11 @@ class TestRestrictedRows:
     def test_id_outside_the_row_set_raises(self, rows, ids):
         with pytest.raises(GraphError, match="not among the propagated rows"):
             gr.node_positions(np.asarray(rows, dtype=np.int64), np.asarray(ids))
+
+    def test_a_non_integer_id_is_not_in_the_row_set(self):
+        # 1.5 would be truncated to node 1, which is in the set
+        with pytest.raises(GraphError, match="node 1.5 is not among"):
+            gr.node_positions(np.array([0, 1, 4]), [1.5])
 
 
 def bits(a):
@@ -483,6 +499,16 @@ class TestLeakage:
         bad = gr.build_adjacency(train, 3, 6)
         with pytest.raises(GraphError, match=f"{split} target of user 2 "):
             gr.check_leakage(bad, dataset)
+
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_a_non_integer_target_is_refused(self, split):
+        # 2.5 would be read as item 2, whose edge the graph may hold
+        dataset = SplitDataset(1, 4, [[0, 1]], [2], [3])
+        setattr(dataset, {"validation": "val", "test": "test"}[split], [2.5])
+        adjacency = gr.build_adjacency(dataset.train, 1, 4)
+        with pytest.raises(IndexError, match=f"{split} target ids must be "
+                                             "integers, got float64"):
+            gr.check_leakage(adjacency, dataset)
 
     def test_target_also_in_train_is_not_leakage(self):
         dataset = SplitDataset(1, 4, [[0, 1]], [0], [1])  # revisits

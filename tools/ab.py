@@ -44,7 +44,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_record import parse  # noqa: E402
+from bench_record import clean_head, parse  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 WALL = re.compile(r"wall (\S+) at host slowdown")
@@ -191,7 +191,8 @@ def main(argv: list[str], run=run_benchmark, identity=identity_record) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=ROOT).returncode:
+    head = clean_head(ROOT)
+    if head is None:
         print("tracked files differ from HEAD; commit first, so the comparison "
               "names the code it measured", file=sys.stderr)
         return 2
@@ -200,7 +201,6 @@ def main(argv: list[str], run=run_benchmark, identity=identity_record) -> int:
     except subprocess.CalledProcessError:
         print(f"unknown revision {args.rev!r}", file=sys.stderr)
         return 2
-    head = git("rev-parse", "HEAD")
     status = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}

@@ -43,20 +43,29 @@ def parse(stdout: str) -> dict[str, dict]:
     return workloads
 
 
+def clean_head(root: Path) -> str | None:
+    """HEAD's commit in the repository at ``root``, or None when a tracked
+    file differs from it."""
+    if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=root).returncode:
+        return None
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print("usage: tools/bench_record.py <n>", file=sys.stderr)
         return 2
-    if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=ROOT).returncode:
+    commit = clean_head(ROOT)
+    if commit is None:
         print("tracked files differ from HEAD; commit first, so the record "
               "names the code it measured", file=sys.stderr)
         return 2
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
-                            capture_output=True, text=True, check=True)
     run = subprocess.run(COMMAND, cwd=ROOT, capture_output=True, text=True,
                          check=False)
     sys.stderr.write(run.stderr)
-    record = {"commit": commit.stdout.strip(),
+    record = {"commit": commit,
               "command": "python3 perfbench/run.py --trace 0 --seed 1",
               "workloads": parse(run.stdout)}
     path = ROOT / f"BENCH_{argv[0]}.json"
