@@ -22,3 +22,7 @@ the CLI can cap math threads before numpy loads):
 """
 
 __version__ = "0.1.0"
+
+# The BLAS/OpenMP thread caps, read when numpy first loads.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")

@@ -14,6 +14,8 @@ import errno
 import os
 import sys
 
+from . import THREAD_VARS
+
 
 def _at_least_one(text: str) -> int:
     value = int(text)
@@ -37,8 +39,7 @@ def _cap_threads(argv: list[str]) -> None:
         return
     count = flags.threads or (1 if flags.deterministic else None)
     if count is not None and "numpy" not in sys.modules:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        for var in THREAD_VARS:
             os.environ[var] = str(count)
 
 
@@ -79,6 +80,13 @@ def cmd_prepare(args) -> int:
     print(f"fingerprint: {fp}")
     print(f"snapshot: {args.output}")
     return 0
+
+
+# The flags of a run from a config file (``_load_run``): train, ablate.
+RUN_FLAGS = argparse.ArgumentParser(add_help=False)
+RUN_FLAGS.add_argument("--config", type=Path, required=True)
+RUN_FLAGS.add_argument("--seed", type=int, default=None)
+RUN_FLAGS.add_argument("--data", type=Path, default=None)
 
 
 def _load_run(args) -> tuple[dict, str]:
@@ -181,10 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="field separator, non-empty; default: any whitespace")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", help="train from a config file")
-    p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data", type=Path, default=None)
+    p = sub.add_parser("train", parents=[RUN_FLAGS],
+                       help="train from a config file")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_train)
 
@@ -197,11 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank against the full catalog without masking")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate",
+    p = sub.add_parser("ablate", parents=[RUN_FLAGS],
                        help="train and test the full, sequential and graph variants")
-    p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data", type=Path, default=None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("verify", help="run gradient/graph/metric oracles")

@@ -15,6 +15,7 @@ The tables are saved and loaded with the rest of the model by
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -72,9 +73,15 @@ def init_tables(n_users: int, n_items: int, c: int, d: int, seed: int) -> Embedd
 
 
 def flatten(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, items): each sequence's length, and all items end to end."""
+    """(lengths, items): each sequence's length, and all items end to end.
+    Each item passes ``operator.index``: a non-integer one (a float, say)
+    raises IndexError, as ``ad.check_ids`` does; a bool passes as 0 or 1."""
     lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
-    items = np.fromiter(chain.from_iterable(sequences), np.int64, lengths.sum())
+    try:
+        items = np.fromiter(map(operator.index, chain.from_iterable(sequences)),
+                            np.int64, lengths.sum())
+    except TypeError as exc:
+        raise IndexError(f"item ids must be integers: {exc}") from None
     return lengths, items
 
 

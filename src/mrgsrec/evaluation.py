@@ -38,8 +38,7 @@ from . import autodiff as ad
 from .data import SplitDataset
 from .embeddings import flatten, window_batch
 from .errors import DataError, NumericError, ProtocolError
-from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
-                    propagated_embeddings)
+from .graph import NormalizedAdjacency, checked_adjacency, propagated_embeddings
 from .model import ModelParams, encoder_paths, forward_states, score_batch
 
 # Users per chunk: small enough that a chunk's blocks fit in the free space
@@ -197,9 +196,7 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str,
     nodes = None
     if paths["need_graph"]:
         if adjacency is None:
-            adjacency = build_adjacency(dataset.train, dataset.n_users,
-                                        dataset.n_items)
-            check_leakage(adjacency, dataset)
+            adjacency = checked_adjacency(dataset)
         nodes = propagated_embeddings(tables, adjacency, hyper.k,
                                       layer_mean=hyper.layer_mean,
                                       rows=np.arange(dataset.n_users))

@@ -204,6 +204,14 @@ def gather_batch(node_embeddings: ad.Tensor, batch: SequenceBatch,
             gather_windows(node_embeddings, batch, n_users, n_items))
 
 
+def checked_adjacency(dataset: SplitDataset) -> NormalizedAdjacency:
+    """A run's graph: ``build_adjacency`` over ``dataset.train``, which
+    ``check_leakage`` has found free of validation and test targets."""
+    adjacency = build_adjacency(dataset.train, dataset.n_users, dataset.n_items)
+    check_leakage(adjacency, dataset)
+    return adjacency
+
+
 def check_leakage(adjacency: NormalizedAdjacency, dataset: SplitDataset) -> None:
     """Raise if any validation/test target has an edge in the graph's
     user-item block that the user's own train interactions do not explain."""

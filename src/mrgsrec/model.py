@@ -108,7 +108,11 @@ def encoder_paths(head: str, weights: LossWeights | None = None
     the scoring head and the losses with a non-zero weight read (the fused
     path needs both encoders), and ``positions``, whether such a loss reads
     the sequence path's per-position output ``E_l``. Evaluation passes no
-    weights, so only the head counts and user states alone are built."""
+    weights, so only the head counts and user states alone are built.
+    A head outside ``SCORING_HEADS`` raises ValueError."""
+    if head not in SCORING_HEADS:
+        raise ValueError(f"scoring head must be one of {SCORING_HEADS}, "
+                         f"got {head!r}")
     w = weights or LossWeights(0.0, 0.0, 0.0, 0.0)
     positions = w.alpha > 0 or w.delta > 0
     fused = w.gamma > 0 or head == "fused"

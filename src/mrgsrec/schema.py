@@ -7,15 +7,24 @@ defaults from these declarations.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import Field, field, fields
 from numbers import Integral, Real
 
+# The test of each kind of bound, by the sign its rule is written with.
+BOUND_TESTS = {">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
-def setting(key: str, default, help: str, minimum=None, choices=None):
-    """A dataclass field whose value is the run setting ``key``."""
+
+def setting(key: str, default, help: str, minimum=None, below=None,
+            above=None, choices=None):
+    """A dataclass field whose value is the run setting ``key``: at least
+    ``minimum``, less than ``below`` and more than ``above`` where given."""
+    bounds = tuple((sign, bound) for sign, bound in
+                   ((">=", minimum), ("<", below), (">", above))
+                   if bound is not None)
     return field(default=default, metadata={
-        "key": key, "help": help, "minimum": minimum, "choices": choices})
+        "key": key, "help": help, "bounds": bounds, "choices": choices})
 
 
 def settings(cls) -> list[Field]:
@@ -52,9 +61,10 @@ def check_settings(obj) -> None:
             wanted = "a finite number"
         elif rule["choices"] is not None and value not in rule["choices"]:
             wanted = f"one of {rule['choices']}"
-        elif (rule["minimum"] is not None and value is not None
-              and not value >= rule["minimum"]):
-            wanted = f">= {rule['minimum']}"
+        elif value is not None and (broken := next(
+                (f"{sign} {bound}" for sign, bound in rule["bounds"]
+                 if not BOUND_TESTS[sign](value, bound)), None)):
+            wanted = broken
         else:
             continue
         name = rule["key"] if rule["key"] == f.name else f"{rule['key']} ({f.name})"

@@ -48,7 +48,7 @@ class SeqEncoderConfig:
                            help="heads per attention layer")
     d_ff: int | None = setting("feed_forward_dim", None, minimum=1,
                                help="FFN width; null means 4x embedding_dim")
-    dropout_rate: float = setting("dropout_rate", 0.2, minimum=0.0,
+    dropout_rate: float = setting("dropout_rate", 0.2, minimum=0.0, below=1.0,
                                   help="dropout on attention probs and block outputs")
     attention_mode: str = setting("attention_mode", "causal", choices=ATTENTION_MODES,
                                   help="causal or bidirectional")
@@ -63,8 +63,6 @@ class SeqEncoderConfig:
         if self.d % self.n_heads != 0:
             raise ValueError(f"embedding_dim={self.d} not divisible by "
                              f"attention_heads={self.n_heads}")
-        if self.dropout_rate >= 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 @dataclass

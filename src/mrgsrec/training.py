@@ -24,9 +24,8 @@ from .data import SplitDataset
 from .embeddings import EmbeddingTables, SequenceBatch, build_batch
 from .errors import DataError
 from .evaluation import evaluate
-from .graph import (NormalizedAdjacency, build_adjacency, check_leakage,
-                    gather_windows, interaction_matrix, node_positions,
-                    window_nodes)
+from .graph import (NormalizedAdjacency, checked_adjacency, gather_windows,
+                    interaction_matrix, node_positions, window_nodes)
 from .losses import (LossWeights, contrastive_loss, fused_loss, global_loss,
                      local_loss, total_loss)
 from .model import (SCORING_HEADS, ModelParams, encoder_paths, forward_states,
@@ -54,11 +53,12 @@ class Hyperparams(SeqEncoderConfig):
                                help="negatives drawn per user per step")
     learning_rate: float = setting("learning_rate", 1e-3, minimum=0.0,
                                    help="Adam step size")
-    beta1: float = setting("adam_beta1", 0.9, minimum=0.0,
+    beta1: float = setting("adam_beta1", 0.9, minimum=0.0, below=1.0,
                            help="Adam first-moment decay")
-    beta2: float = setting("adam_beta2", 0.999, minimum=0.0,
+    beta2: float = setting("adam_beta2", 0.999, minimum=0.0, below=1.0,
                            help="Adam second-moment decay")
-    epsilon: float = setting("adam_epsilon", 1e-8, help="Adam denominator floor")
+    epsilon: float = setting("adam_epsilon", 1e-8, above=0.0,
+                             help="Adam denominator floor")
     batch_size: int = setting("batch_size", 256, minimum=1,
                               help="users per training step")
     max_epochs: int = setting("max_epochs", 200, minimum=0,
@@ -72,11 +72,6 @@ class Hyperparams(SeqEncoderConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        for key, beta in (("adam_beta1", self.beta1), ("adam_beta2", self.beta2)):
-            if beta >= 1.0:
-                raise ValueError(f"{key} must be in [0, 1), got {beta!r}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"adam_epsilon must be > 0, got {self.epsilon!r}")
         if self.attention_mode == "bidirectional" and self.weights.alpha > 0:
             # Window slot s would attend slot s+1, its own next-item target.
             raise ValueError("attention_mode 'bidirectional' shows the local "
@@ -241,7 +236,8 @@ def step_losses(params: ModelParams, adjacency: NormalizedAdjacency | None,
     The graph path propagates the users plus the rows the losses name."""
     w = hyper.weights
     tables = params.tables
-    bpr_nodes = tables.n_users + np.stack([positives, negatives[:, 0]])
+    bpr_nodes = tables.n_users + ad.check_ids(
+        np.stack([positives, negatives[:, 0]]), tables.n_items, "BPR item")
     node_rows = [np.empty(0, dtype=np.int64)]
     if w.beta > 0:
         node_rows.append(bpr_nodes.ravel())
@@ -321,9 +317,7 @@ def fit(dataset: SplitDataset, hyper: Hyperparams,
                         hyper.seq_config(), hyper.seed)
     adjacency = None
     if encoder_paths(hyper.scoring_head, hyper.weights)["need_graph"]:
-        adjacency = build_adjacency(dataset.train, dataset.n_users,
-                                    dataset.n_items)
-        check_leakage(adjacency, dataset)
+        adjacency = checked_adjacency(dataset)
     if hyper.max_epochs == 0:
         return params, []
     examples = build_examples(dataset)

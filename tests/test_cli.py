@@ -19,7 +19,7 @@ from mrgsrec import autodiff as ad
 from mrgsrec import cli
 from mrgsrec import config as cfg
 from mrgsrec import data as dp
-from mrgsrec import evaluation as ev
+from mrgsrec import graph as gr
 from mrgsrec import verification
 from mrgsrec.errors import ParseError
 from mrgsrec.evaluation import evaluate
@@ -259,13 +259,13 @@ class TestEval:
         ckpt = tmp_path / "model.ckpt"
         assert cli.main(["train", "--config", str(config), "--out", str(ckpt)]) == 0
         dataset, _ = dp.load_snapshot(snapshot)
-        original = ev.build_adjacency
+        original = gr.build_adjacency
 
         def leaking(train, m, n):  # validation targets become graph edges
             return original([seq + [dataset.val[u]]
                              for u, seq in enumerate(train)], m, n)
 
-        monkeypatch.setattr(ev, "build_adjacency", leaking)
+        monkeypatch.setattr(gr, "build_adjacency", leaking)
         capsys.readouterr()
         assert cli.main(["eval", str(ckpt), str(snapshot),
                          "--split", "validation"]) == 3
@@ -528,6 +528,29 @@ def test_thread_flags_cap_blas_at_import(argv, expected):
         "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))", *argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == expected
+
+
+def test_thread_flags_cap_every_thread_variable():
+    result = run_fresh(
+        "-c", "import os, mrgsrec, mrgsrec.cli; "
+        "print([os.environ.get(var) for var in mrgsrec.THREAD_VARS])",
+        "--threads=3", "verify")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str(["3"] * 4)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--config", "--seed", "--data", "--out"]),
+    ("ablate", ["--config", "--seed", "--data"])])
+def test_run_commands_list_the_same_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    usage, options = text.split("options:")
+    assert re.findall(r"^\s+(-[\w-]+(?:, --[\w-]+)?)", options, re.M) == [
+        "-h, --help", *flags]
+    assert f"mrgsrec {command} [-h] --config CONFIG [--seed SEED]" in usage
 
 
 @pytest.mark.parametrize("argv", [["--threads", "0", "verify"],

@@ -118,6 +118,23 @@ def test_bidirectional_attention_needs_alpha_zero():
     assert hyper.attention_mode == "bidirectional"
 
 
+@pytest.mark.parametrize("key,refused,accepted", [
+    ("adam_beta1", 1.0, math.nextafter(1.0, 0.0)),
+    ("adam_beta2", 1.0, math.nextafter(1.0, 0.0)),
+    ("dropout_rate", 1.0, math.nextafter(1.0, 0.0)),
+    ("adam_epsilon", 0.0, 5e-324)])
+def test_exclusive_bounds_at_their_edge(key, refused, accepted):
+    with pytest.raises(ParseError, match=f"{key}.* must be [<>] "):
+        cfg.to_hyperparams(cfg.resolve_config({key: refused}))
+    cfg.to_hyperparams(cfg.resolve_config({key: accepted}))
+
+
+def test_encoder_paths_refuse_an_unknown_head():
+    with pytest.raises(ValueError, match="scoring head must be one of "
+                                         r"\('fused', 'sequential', 'graph'\)"):
+        encoder_paths("sequence")
+
+
 def test_range_edges_stay_legal():
     hyper = cfg.to_hyperparams(cfg.resolve_config({
         "feed_forward_dim": None, "learning_rate": 0.0, "adam_beta1": 0.0,

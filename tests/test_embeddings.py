@@ -100,6 +100,21 @@ def test_flatten_round_trip(sequences):
     assert [p.tolist() for p in pieces] == sequences
 
 
+@pytest.mark.parametrize("sequences", [[[1.7, 2]], [[0], [3, 2.0]],
+                                       [[1, None]], [[np.float64(4)]]])
+def test_flatten_refuses_a_non_integer_item(sequences):
+    with pytest.raises(IndexError, match="item ids must be integers"):
+        emb.flatten(sequences)
+    with pytest.raises(IndexError, match="item ids must be integers"):
+        emb.build_batch(list(range(len(sequences))), sequences, 3, 9)
+
+
+def test_flatten_takes_integer_kinds_as_their_values():
+    # A Python bool is an int, so True passes as item 1.
+    lengths, items = emb.flatten([[np.int32(3), True], [np.uint8(2)]])
+    assert lengths.tolist() == [2, 1] and items.tolist() == [3, 1, 2]
+
+
 class TestInitTables:
     def test_deterministic_under_seed(self):
         a = emb.init_tables(5, 7, 4, 8, seed=3)

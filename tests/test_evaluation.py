@@ -577,18 +577,30 @@ def test_evaluate_builds_no_per_position_output(monkeypatch, head):
 @pytest.mark.parametrize("head", ["fused", "graph"])
 def test_evaluate_rejects_a_leaking_graph_it_builds(monkeypatch, head):
     dataset = random_dataset(13, 10, seed=9)
-    original = ev.build_adjacency
+    original = gr.build_adjacency
 
     def leaking(train, m, n):  # test targets become graph edges
         return original([seq + [dataset.test[u]]
                          for u, seq in enumerate(train)], m, n)
 
-    monkeypatch.setattr(ev, "build_adjacency", leaking)
+    monkeypatch.setattr(gr, "build_adjacency", leaking)
     hyper = eval_hyper(scoring_head=head, k=2, n_layers=1)
     params = init_model(dataset.n_users, dataset.n_items, hyper.c,
                         hyper.seq_config(), seed=0)
     with pytest.raises(GraphError, match="leaked into the graph"):
         ev.evaluate(params, dataset, "test", hyper)
+
+
+@pytest.mark.parametrize("split", ["validation", "test"])
+def test_a_non_integer_train_item_is_refused(split):
+    # 2.5 would be graphed, windowed and ranked as item 2.
+    dataset = SplitDataset(2, 6, [[0, 2.5], [3, 4]], [3, 5], [4, 0])
+    hyper = tr.Hyperparams(c=3, d=4, k=1, n_layers=1, n_heads=1, max_epochs=0)
+    params = init_model(2, 6, 3, hyper.seq_config(), seed=0)
+    with pytest.raises(IndexError, match="item ids must be integers"):
+        ev.evaluate(params, dataset, split, hyper)
+    with pytest.raises(IndexError, match="item ids must be integers"):
+        tr.fit(dataset, hyper)
 
 
 def test_evaluate_records_no_tape(monkeypatch):

@@ -11,8 +11,10 @@ from mrgsrec import graph as gr
 from mrgsrec.data import SplitDataset
 from mrgsrec.embeddings import build_batch, init_tables
 from mrgsrec.errors import GraphError
+from mrgsrec.evaluation import evaluate
 from mrgsrec.model import encoder_paths, forward_states, init_model
 from mrgsrec.seqenc import SeqEncoderConfig
+from mrgsrec.training import Hyperparams, fit
 from mrgsrec.verification import dense_normalized_adjacency, restricted_and_full
 
 
@@ -509,6 +511,23 @@ class TestLeakage:
         with pytest.raises(IndexError, match=f"{split} target ids must be "
                                              "integers, got float64"):
             gr.check_leakage(adjacency, dataset)
+
+    def test_fit_and_evaluate_take_the_one_checked_graph(self, monkeypatch):
+        dataset = SplitDataset(2, 6, [[0, 1, 2], [3, 4]], [3, 5], [4, 0])
+        original = gr.build_adjacency
+
+        def leaking(train, m, n):  # test targets become graph edges
+            return original([seq + [dataset.test[u]]
+                             for u, seq in enumerate(train)], m, n)
+
+        monkeypatch.setattr(gr, "build_adjacency", leaking)
+        hyper = Hyperparams(c=3, d=4, k=1, n_layers=1, n_heads=1,
+                            scoring_head="graph", n_negatives=1, max_epochs=0)
+        with pytest.raises(GraphError, match="leaked into the graph"):
+            fit(dataset, hyper)
+        params = init_model(2, 6, 3, hyper.seq_config(), seed=0)
+        with pytest.raises(GraphError, match="leaked into the graph"):
+            evaluate(params, dataset, "test", hyper)
 
     def test_target_also_in_train_is_not_leakage(self):
         dataset = SplitDataset(1, 4, [[0, 1]], [0], [1])  # revisits

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import composed_ops
 from mrgsrec import autodiff as ad
 from mrgsrec import config as cfg
+from mrgsrec import graph as gr
 from mrgsrec import model as md
 from mrgsrec import training as tr
 from mrgsrec.data import SplitDataset
@@ -419,6 +420,20 @@ def test_encoder_paths_build_what_the_head_and_weighted_losses_read(head, patter
     assert np.isfinite(total.data)
 
 
+@pytest.mark.parametrize("positive", [-1, 11])
+def test_bpr_items_outside_the_catalog_are_refused(positive):
+    # -1 would train against user 6's propagated row; 11 (= N) would fail
+    # inside the restricted hop with a bare numpy IndexError.
+    hyper, params, adjacency, batch, targets, positives, negatives = (
+        make_gradient_instance())
+    hyper.weights = LossWeights(0.0, 1.0, 0.0, 0.0, lambda_reg=1e-3)
+    hyper.scoring_head = "graph"
+    positives[0] = positive
+    with pytest.raises(IndexError, match=r"BPR item id out of range \[0, 11\)"):
+        tr.step_losses(params, adjacency, hyper, batch, targets, positives,
+                       negatives)
+
+
 # Every on/off pattern, and a fused run without the contrastive loss.
 WEIGHT_PATTERNS = [*itertools.product((0.0, 0.5), repeat=4), (1.0, 0.5, 1.0, 0.0)]
 
@@ -672,13 +687,13 @@ class TestFit:
 
     def test_leaking_adjacency_rejected_before_training(self, monkeypatch):
         dataset = random_dataset(6, 12, 0)
-        original = tr.build_adjacency
+        original = gr.build_adjacency
 
         def leaking(train, m, n):  # validation targets become graph edges
             return original([seq + [dataset.val[u]]
                              for u, seq in enumerate(train)], m, n)
 
-        monkeypatch.setattr(tr, "build_adjacency", leaking)
+        monkeypatch.setattr(gr, "build_adjacency", leaking)
         with pytest.raises(GraphError, match="validation target"):
             tr.fit(dataset, small_hyper(max_epochs=0))
 

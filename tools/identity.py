@@ -30,6 +30,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# mrgsrec.THREAD_VARS, copied: tools/ab.py runs this file in trees that
+# predate that name.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 STEPS = {"catalog_wide": 6, "graph_many_users": 25}
