@@ -86,8 +86,9 @@ class NormalizedAdjacency:
 def interaction_matrix(train: list[list[int]], n_users: int, n_items: int
                        ) -> sp.csr_matrix:
     """R: the (M, N) binary CSR matrix of distinct (user, item) train pairs,
-    with sorted column indices."""
-    lengths, cols = flatten(train)
+    with sorted column indices. Items pass ``ad.check_ids``."""
+    lengths, items = flatten(train)
+    cols = ad.check_ids(items, n_items, "item")
     rows = np.repeat(np.arange(len(train)), lengths)
     r = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
                       shape=(n_users, n_items))

@@ -177,10 +177,14 @@ def sample_negatives(forbidden: np.ndarray, n_items: int, size: int,
 @dataclass
 class TrainExample:
     user: int
-    inputs: list[int]       # window source: train sequence minus its last item
-    step_targets: list[int]  # inputs shifted by one; ends with the positive
-    positive: int
+    sequence: list[int]     # the dataset's own train list, held once
     forbidden: np.ndarray   # train items + both held-out targets
+
+    # Views of ``sequence``: the window source (all but the last item), its
+    # next-item targets (all but the first) and the positive (the last).
+    inputs = property(lambda self: self.sequence[:-1])
+    step_targets = property(lambda self: self.sequence[1:])
+    positive = property(lambda self: self.sequence[-1])
 
 
 def build_examples(dataset: SplitDataset) -> list[TrainExample]:
@@ -195,8 +199,8 @@ def build_examples(dataset: SplitDataset) -> list[TrainExample]:
         dataset.n_users, dataset.n_items)
     items, bounds = seen.indices.astype(np.int64), seen.indptr.tolist()
     examples = [
-        TrainExample(user=u, inputs=seq[:-1], step_targets=seq[1:],
-                     positive=seq[-1], forbidden=items[bounds[u]:bounds[u + 1]])
+        TrainExample(user=u, sequence=seq,
+                     forbidden=items[bounds[u]:bounds[u + 1]])
         for u, seq in enumerate(dataset.train) if len(seq) >= 2]
     if not examples:
         raise DataError("no user has enough train interactions to learn from")

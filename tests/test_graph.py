@@ -479,6 +479,19 @@ def test_interaction_matrix_matches_set_oracle():
     assert r.has_sorted_indices and np.all(r.data == 1.0)
 
 
+@pytest.mark.parametrize("item", [3, -1])
+def test_interaction_matrix_gates_its_items(item):
+    # scipy's own ValueError escaped before, for every caller of R
+    with pytest.raises(IndexError, match=r"item id out of range \[0, 3\)"):
+        gr.interaction_matrix([[0, item]], 1, 3)
+    with pytest.raises(IndexError, match=r"item id out of range \[0, 3\)"):
+        gr.build_adjacency([[0, item]], 1, 3)
+    dataset = SplitDataset(1, 3, [[0, item]], [1], [2])
+    adjacency = gr.build_adjacency([[0, 1]], 1, 3)
+    with pytest.raises(IndexError, match=r"item id out of range \[0, 3\)"):
+        gr.check_leakage(adjacency, dataset)
+
+
 class TestLeakage:
     def test_clean_split_passes(self):
         dataset = SplitDataset(2, 5, [[0, 1], [2]], [2, 3], [3, 4])

@@ -6,6 +6,7 @@ the full benchmark workloads and runs in CI, not here."""
 import dataclasses
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -70,6 +71,20 @@ def test_host_names_the_cpu_and_the_blas(identity, monkeypatch):
 
     monkeypatch.setattr(identity, "Path", Unreadable)
     assert identity.cpu_model()  # the platform's name instead
+
+
+def test_main_caps_the_packages_thread_vars(identity, monkeypatch, capsys):
+    import mrgsrec
+
+    sentinel = "MRGSREC_IDENTITY_TEST_THREADS"
+    monkeypatch.delenv(sentinel, raising=False)
+    monkeypatch.setattr(mrgsrec, "THREAD_VARS", (sentinel,))
+    monkeypatch.setattr(identity, "record", lambda: {"stub": True})
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = dict(os.environ)
+    assert identity.main() == 0
+    assert json.loads(capsys.readouterr().out) == {"stub": True}
+    assert dict(os.environ) == {**before, sentinel: "1"}
 
 
 @pytest.fixture

@@ -223,6 +223,35 @@ class TestBuildExamples:
         examples = tr.build_examples(dataset)
         assert [ex.user for ex in examples] == [1]
 
+    def test_each_example_views_the_datasets_own_sequence(self):
+        c = 4
+        g = np.random.Generator(np.random.PCG64(40))
+        n_users, n_items = 30, 15
+        train = [g.integers(0, n_items, size=g.integers(1, c + 4)).tolist()
+                 for _ in range(n_users)]
+        train[0], train[1] = [7], list(range(c + 3))  # the two extremes
+        dataset = SplitDataset(n_users, n_items, train,
+                               g.integers(0, n_items, size=n_users).tolist(),
+                               g.integers(0, n_items, size=n_users).tolist())
+        examples = tr.build_examples(dataset)
+        assert [ex.user for ex in examples] == [
+            u for u in range(n_users) if len(train[u]) >= 2]
+        assert {len(ex.sequence) for ex in examples} == set(range(2, c + 4))
+        assert [f.name for f in dataclasses.fields(tr.TrainExample)] == [
+            "user", "sequence", "forbidden"]
+        for ex in examples:
+            seq = ex.sequence
+            assert seq is dataset.train[ex.user]  # held once, not copied
+            assert ex.inputs == seq[:-1]
+            assert ex.step_targets == seq[1:]
+            assert ex.positive == seq[-1]
+
+    def test_a_held_out_item_outside_the_catalog_is_refused(self):
+        # scipy's bare ValueError escaped from the interaction matrix before
+        dataset = SplitDataset(2, 3, [[0, 1], [1, 2]], [2, 0], [1, 3])
+        with pytest.raises(IndexError, match=r"item id out of range \[0, 3\)"):
+            tr.build_examples(dataset)
+
     def test_forbidden_equals_per_user_unique(self):
         g = np.random.Generator(np.random.PCG64(17))
         n_users, n_items = 40, 12

@@ -15,7 +15,8 @@ and nothing is added to the repository's ``.git``), so both measured trees
 live at paths of the same length and neither is the working tree.
 Before any timed run, the working tree's ``tools/identity.py`` prints the
 bit-identity record of each tree (it is copied into each tree, since it
-reads the program beside it). When the records differ, the differing
+reads the program beside it, ``mrgsrec.THREAD_VARS`` included, so ``<rev>``
+must be commit 23ed0b8 or later). When the records differ, the differing
 entries are printed and nothing is timed (exit code 2) unless
 ``--expect-new-hashes`` says the change means to move them.
 For each workload, pair i runs ``perfbench/run.py --workload W --seed S

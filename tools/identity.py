@@ -30,10 +30,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# mrgsrec.THREAD_VARS, copied: tools/ab.py runs this file in trees that
-# predate that name.
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
 STEPS = {"catalog_wide": 6, "graph_many_users": 25}
 SEED = 1
 
@@ -120,10 +116,12 @@ def record() -> dict:
 
 
 def main() -> int:
-    # BLAS reads its thread cap when numpy first loads.
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import mrgsrec  # the package root loads no numpy
+
+    # BLAS reads its thread cap when numpy first loads.
+    for var in mrgsrec.THREAD_VARS:
+        os.environ[var] = "1"
     print(json.dumps(record(), indent=2, sort_keys=True))
     return 0
 
